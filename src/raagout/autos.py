@@ -19,7 +19,6 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .graphs import bits, mask_of
-from . import orders
 from .words import enc, inverse, mask_word
 
 _RANK = {"inv": 0, "trv": 1, "pc": 2, "sym": 3}
@@ -511,11 +510,10 @@ def gen_in_relative(gen, pp):
 		return all(not m >> v & 1 for m in pp.h_members)
 	if gen.kind == "trv":
 		moved, acting = gen.data
-		return orders.leq_rel(graph, pp.g_members, moved, acting)
+		return bool(pp.index.rows[moved] >> acting & 1)
 	if gen.kind == "pc":
 		acting, region = gen.data
-		comps = orders.gv_components(graph, pp.g_members, acting)
-		return all(not c & region or c & region == c for c in comps)
+		return all(not c & region or c & region == c for c in pp.index.gv[acting])
 	perm = gen.data
 	for v in range(graph.n):
 		if graph.class_of(perm[v]) != graph.class_of(v):
@@ -537,16 +535,16 @@ def enumerate_generators(pp):
 	"""
 	pp.require_normalized()
 	graph = pp.graph
+	index = pp.index
 	out = []
 	for v in range(graph.n):
 		if all(not m >> v & 1 for m in pp.h_members):
 			out.append(LaurenceGenerator.inversion(graph, v))
 	for moved in range(graph.n):
-		for acting in range(graph.n):
-			if moved != acting and orders.leq_rel(graph, pp.g_members, moved, acting):
-				out.append(LaurenceGenerator.transvection(graph, moved, acting))
+		for acting in bits(index.rows[moved] & ~(1 << moved)):
+			out.append(LaurenceGenerator.transvection(graph, moved, acting))
 	for acting in range(graph.n):
-		comps = orders.gv_components(graph, pp.g_members, acting)
+		comps = index.gv[acting]
 		if len(comps) < 2:
 			continue
 		drop = max(range(len(comps)), key=lambda i: (comps[i].bit_count(), -i))

@@ -354,7 +354,7 @@ def lift_generator(source, image, dmask, gen):
 		x = keep[acting]
 		target = mask_of(keep[i] for i in bits(region))
 		lifted = 0
-		for comp in orders.gv_components(graph, source.pair.g_members, x):
+		for comp in source.pair.index.gv[x]:
 			if comp & target:
 				lifted |= comp
 		return LaurenceGenerator.partial_conj(graph, x, lifted)
@@ -405,11 +405,8 @@ def projection_step(d):
 				"restriction to the center is nontrivial; restrict to %s first"
 				% "".join(graph.names(z))
 			)
-	rank = 0
-	for vc in bits(z):
-		for w in bits(graph.full & ~z):
-			if orders.leq_rel(graph, d.pair.g_members, w, vc):
-				rank += 1
+	rows = d.pair.index.rows
+	rank = sum(1 for vc in bits(z) for w in bits(graph.full & ~z) if rows[w] >> vc & 1)
 	image_pair = induced(d.pair, graph.full & ~z)
 	return rank, GroupDescriptor(image_pair.graph, image_pair)
 
@@ -460,11 +457,7 @@ def classify_irreducible(d):
 				factors.append(graph.induced(c))
 				held.append(c in pair.g_members)
 		return FouxeRabinovitch(factors, free, held)
-	theta = [
-		v
-		for v in range(graph.n)
-		if len(orders.gv_components(graph, pair.g_members, v)) >= 2
-	]
+	theta = [v for v in range(graph.n) if len(pair.index.gv[v]) >= 2]
 	for i, u in enumerate(theta):
 		for v in theta[i + 1 :]:
 			if not graph.adj[u] >> v & 1:
@@ -473,11 +466,6 @@ def classify_irreducible(d):
 
 
 # ---- the recursion ----
-
-
-def restriction_nontrivial(d, dmask):
-	"""Whether the restriction map to dmask kills every generator."""
-	return any(not gen.acts_trivially_on(dmask) for gen in d.gens())
 
 
 def _checked_edge(parent, child):
@@ -509,11 +497,7 @@ def decompose(d, mode="auto", script=None):
 def _auto(d):
 	pair = d.pair if d.pair.saturated else saturate(d.pair)
 	d = GroupDescriptor(d.graph, pair)
-	pivot = None
-	for m in sorted(pair.g_members, key=lambda m: (m.bit_count(), m)):
-		if restriction_nontrivial(d, m):
-			pivot = m
-			break
+	pivot = _pivot(d)
 	if pivot is not None:
 		kernel, image = restriction_step(d, pivot, mode="saturated")
 		step = RestrictionStep(
@@ -530,6 +514,27 @@ def _auto(d):
 			step = ProjectionStep(z, rank, _auto(_checked_edge(d, image)))
 			return DecompositionNode(d, step)
 	return DecompositionNode(d, Leaf(classify_irreducible(d)))
+
+
+def _pivot(d):
+	"""The first member, smallest first, some generator restricts nontrivially to.
+
+	An inversion or transvection acts nontrivially exactly on the members
+	holding its moved vertex, so those generators collapse into one mask;
+	partial conjugations are asked one by one. The generator list holds no
+	symmetries. Members are already ordered by size, then mask.
+	"""
+	moved = 0
+	pcs = []
+	for gen in d.gens():
+		if gen.kind == "pc":
+			pcs.append(gen)
+		else:
+			moved |= 1 << gen.data[0]
+	for m in d.pair.g_members:
+		if m & moved or any(not gen.acts_trivially_on(m) for gen in pcs):
+			return m
+	return None
 
 
 def _scripted(d, steps):

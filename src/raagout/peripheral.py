@@ -7,8 +7,10 @@ assumes the pair is normalized, meaning G absorbs H together with enough of
 its subsets that the generator membership criteria become the clean order and
 component conditions of the orders module. Saturation then enlarges G to
 contain every invariant proper special subgroup, which is the hypothesis
-under which restriction images are again relative groups; when full
-saturation is too expensive, fast_periphery produces the smaller collection
+under which restriction images are again relative groups. The invariant
+subgraphs are the up-sets of the relative order that no outside star
+separates, so saturation enumerates up-sets rather than all subgraphs; when
+even that is too expensive, fast_periphery produces the smaller collection
 that suffices for a single restriction target.
 """
 
@@ -28,9 +30,11 @@ class PeripheralPair:
 
 	normalized is None, "weak" or "full"; operations with a normalization
 	precondition call require_normalized rather than silently closing up.
+	Pairs are never changed in place (adding_g, normalize and induced all
+	build new ones), so the order index of G is built once, on first use.
 	"""
 
-	__slots__ = ("graph", "g_members", "h_members", "normalized", "saturated")
+	__slots__ = ("graph", "g_members", "h_members", "normalized", "saturated", "_index")
 
 	def __init__(self, graph, g_members=(), h_members=(), normalized=None, saturated=False):
 		self.graph = graph
@@ -38,6 +42,7 @@ class PeripheralPair:
 		self.h_members = self._clean(h_members)
 		self.normalized = normalized
 		self.saturated = saturated
+		self._index = None
 
 	def _clean(self, members):
 		out = set()
@@ -88,6 +93,13 @@ class PeripheralPair:
 				g.update(_proper_subsets(m))
 		return PeripheralPair(self.graph, g, self.h_members, normalized=mode)
 
+	@property
+	def index(self):
+		"""The relative order and G^v-components of G, as an orders.PairIndex."""
+		if self._index is None:
+			self._index = orders.PairIndex(self.graph, self.g_members)
+		return self._index
+
 	def require_normalized(self):
 		if self.normalized is None:
 			raise DomainError("peripheral pair must be normalized first")
@@ -126,65 +138,95 @@ def is_invariant(pp, dmask):
 	component there).
 	"""
 	pp.require_normalized()
-	graph = pp.graph
-	members = pp.g_members
-	for u in bits(dmask):
-		for v in bits(graph.full & ~dmask):
-			if orders.leq_rel(graph, members, u, v):
-				return False
-	for v in bits(graph.full & ~dmask):
-		comps = orders.gv_components(graph, members, v)
-		if sum(1 for c in comps if c & dmask) > 1:
-			return False
-	return True
+	index = pp.index
+	outside = pp.graph.full & ~dmask
+	if any(index.rows[u] & outside for u in bits(dmask)):
+		return False
+	return all(sum(1 for c in index.gv[v] if c & dmask) <= 1 for v in bits(outside))
 
 
-def _invariant_scan(graph, members):
-	"""All proper nonempty invariant masks, via tables shared across candidates."""
-	domset = [0] * graph.n
-	for u in range(graph.n):
-		for v in range(graph.n):
-			if orders.leq_rel(graph, members, u, v):
-				domset[u] |= 1 << v
-	comps_by_vertex = [orders.gv_components(graph, members, v) for v in range(graph.n)]
+def _invariant_scan(graph, index):
+	"""All proper nonempty invariant masks, as up-sets of the relative order.
+
+	Branches on the lowest undecided vertex v: either v is in, and with it
+	everything above it (rows[v]), or v is out, and with it everything below
+	it (down[v]). Once an out vertex x sees the in set meet one of its
+	G^x-components, every other G^x-component must stay out too, so those
+	and everything below them are shut out at once and x is settled. A
+	branch dies when its in and out sets meet. Vertices whose star holds
+	the whole in set (core) impose nothing yet. Every surviving leaf is an
+	up-set that no outside star separates, so the cost follows the number
+	of up-sets rather than 2^n.
+	"""
+	rows, down = index.rows, index.down
+	full = graph.full
+	star = graph.star_masks
+	away = [full & ~star[x] for x in range(graph.n)]
+	# shut[x][w]: everything at or below the G^x-components that miss w
+	shut = []
+	for x in range(graph.n):
+		table = [0] * graph.n
+		for c in index.gv[x]:
+			below = 0
+			for y in bits(away[x] & ~c):
+				below |= down[y]
+			for w in bits(c):
+				table[w] = below
+		shut.append(table)
+	row_core = []
+	for v in range(graph.n):
+		core = full
+		for y in bits(rows[v]):
+			core &= star[y]
+		row_core.append(core)
 	out = []
-	for dmask in range(1, graph.full):
-		ok = True
-		for u in bits(dmask):
-			if domset[u] & ~dmask:
-				ok = False
-				break
-		if not ok:
+	stack = [(0, 0, 0, full)]  # in, out, settled, core
+	while stack:
+		inside, outside, settled, core = stack.pop()
+		todo = outside & ~settled & ~core
+		while todo:
+			low = todo & -todo
+			x = low.bit_length() - 1
+			part = inside & away[x]
+			outside |= shut[x][(part & -part).bit_length() - 1]
+			settled |= low
+			todo = outside & ~settled & ~core
+		if inside & outside:
 			continue
-		for v in bits(graph.full & ~dmask):
-			if sum(1 for c in comps_by_vertex[v] if c & dmask) > 1:
-				ok = False
-				break
-		if ok:
-			out.append(dmask)
+		rest = full & ~(inside | outside)
+		if not rest:
+			if inside and outside:
+				out.append(inside)
+			continue
+		v = (rest & -rest).bit_length() - 1
+		stack.append((inside, outside | down[v], settled, core))
+		stack.append((inside | rows[v], outside, settled, core & row_core[v]))
 	return out
 
 
 def saturate(pp, cap=SATURATE_CAP, paranoid=False):
 	"""Enlarge G with every proper invariant subgraph.
 
-	A single scan suffices: the added subgroups were already invariant, so
-	the group, and with it the invariant collection, does not change. The
-	paranoid flag re-runs the scan against the enlarged pair and checks the
-	fixpoint, for use in tests.
+	A single enumeration suffices: the added subgroups were already
+	invariant, so the group, and with it the invariant collection, does not
+	change. The paranoid flag re-runs the enumeration against the enlarged
+	pair and checks the fixpoint, for use in tests. Graphs above cap
+	vertices are refused, since the number of up-sets can still grow
+	exponentially with n.
 	"""
 	pp.require_normalized()
 	graph = pp.graph
 	if graph.n > cap:
 		raise CapabilityError(
-			"saturation scans all 2^%d subgraphs; above %d vertices use "
-			"fast_periphery for the restriction target instead" % (graph.n, cap)
+			"saturation is capped at %d vertices and this graph has %d: the up-sets it "
+			"enumerates can still number up to 2^n; use fast_periphery for the "
+			"restriction target instead" % (cap, graph.n)
 		)
-	found = _invariant_scan(graph, pp.g_members)
+	found = _invariant_scan(graph, pp.index)
 	out = pp.adding_g(found)
 	out.saturated = True
 	if paranoid:
-		again = _invariant_scan(graph, out.g_members)
+		again = _invariant_scan(graph, out.index)
 		if set(out.g_members) != set(pp.g_members) | set(again):
 			raise RuntimeError("saturation is not a fixpoint")
 	return out

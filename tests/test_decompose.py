@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 from raagout.errors import DomainError
 from raagout.graphs import DefiningGraph
-from raagout.peripheral import PeripheralPair
+from raagout.peripheral import PeripheralPair, saturate
 from raagout.autos import acts_trivially_word, is_inner, realize
 from raagout.decompose import (
 	Complexity,
@@ -24,7 +25,10 @@ from raagout.decompose import (
 	restriction_step,
 	tree_dot,
 	word_restriction,
+	_pivot,
 )
+
+from helpers import connected_graphs_upto_iso, graph_from_edges, random_peripheral
 
 
 def path3():
@@ -375,6 +379,22 @@ def test_decompose_complexity_strictly_drops():
 			walk(n.step.image)
 
 	walk(node)
+
+
+def test_pivot_is_smallest_member_with_nontrivial_restriction():
+	rng = random.Random(17)
+	for n in (4, 5):
+		for edges in connected_graphs_upto_iso(n):
+			g = graph_from_edges(n, edges)
+			glist, hlist = random_peripheral(g, rng)
+			pair = saturate(PeripheralPair(g, glist, hlist).normalize())
+			d = GroupDescriptor(g, pair)
+			want = None
+			for m in sorted(pair.g_members, key=lambda m: (m.bit_count(), m)):
+				if any(not gen.acts_trivially_on(m) for gen in d.gens()):
+					want = m
+					break
+			assert _pivot(d) == want
 
 
 def test_decompose_deterministic():

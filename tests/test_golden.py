@@ -1,0 +1,140 @@
+"""Golden digests of decomposition trees, upper bounds and saturations.
+
+Each case runs `decompose --format json` and `saturate --format json`
+through the command line on an input from data/ or on a family instance,
+folds the same tree to its upper bound, and compares a SHA-256 digest of
+the three against a pinned value. A change to any tree node, member list
+or bound changes the digest, so a speed-up of the mask layer cannot alter
+results unseen. When a change is meant to alter a result, print the new
+digests with `python tests/test_golden.py` and update the table.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from raagout import families
+from raagout.cli import main
+from raagout.decompose import GroupDescriptor, decompose
+from raagout.graphs import DefiningGraph
+from raagout.peripheral import PeripheralPair
+from raagout.vcd import vcd_upper
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _data(name):
+	return json.loads((DATA / name).read_text())
+
+
+def _data_case(graph, periph=None, script=None):
+	return lambda: (
+		_data(graph),
+		_data(periph) if periph else None,
+		_data(script) if script else None,
+	)
+
+
+def _family_case(graph, script=None):
+	return lambda: (graph().to_json_obj(), None, script() if script else None)
+
+
+CASES = {
+	"diamonds_d3": _data_case("diamonds_d3.json"),
+	"diamonds_d3+script": _data_case("diamonds_d3.json", script="diamonds_d3.script.json"),
+	"diamonds_d3+empty": _data_case("diamonds_d3.json", periph="empty.json"),
+	"diamonds_d3+corner": _data_case("diamonds_d3.json", periph="diamond_corner.json"),
+	"diamonds_d3+corner+script": _data_case(
+		"diamonds_d3.json", periph="diamond_corner.json", script="diamonds_d3.script.json"
+	),
+	"fourpath_2121": _data_case("fourpath_2121.json"),
+	"fourpath_2121+script": _data_case("fourpath_2121.json", script="fourpath_2121.script.json"),
+	"p3": _data_case("p3.json"),
+	"p3+empty": _data_case("p3.json", periph="empty.json"),
+	"diamond_chain(2)": _family_case(lambda: families.diamond_chain(2)),
+	"diamond_chain(3)": _family_case(lambda: families.diamond_chain(3)),
+	"diamond_chain(4)": _family_case(lambda: families.diamond_chain(4)),
+	"diamond_chain(2)+script": _family_case(
+		lambda: families.diamond_chain(2), lambda: families.diamond_script(2)
+	),
+	"diamond_chain(3)+script": _family_case(
+		lambda: families.diamond_chain(3), lambda: families.diamond_script(3)
+	),
+	"diamond_chain(4)+script": _family_case(
+		lambda: families.diamond_chain(4), lambda: families.diamond_script(4)
+	),
+	"four_path(2,1,2,1)": _family_case(lambda: families.four_path(2, 1, 2, 1)),
+	"four_path(2,1,2,1)+script": _family_case(
+		lambda: families.four_path(2, 1, 2, 1), lambda: families.four_path_script(2, 1, 2, 1)
+	),
+}
+
+# First 16 hex digits of each case's digest.
+GOLDEN = {
+	'diamond_chain(2)': '1cca02147b34d8d0',
+	'diamond_chain(2)+script': '308f946519028613',
+	'diamond_chain(3)': '7ba6c7382e022e2c',
+	'diamond_chain(3)+script': '3f207e14db3b5d14',
+	'diamond_chain(4)': 'd43345c99369cfe1',
+	'diamond_chain(4)+script': 'fc512b3a3598efb4',
+	'diamonds_d3': '7ba6c7382e022e2c',
+	'diamonds_d3+corner': '10546d52ff88ac37',
+	'diamonds_d3+corner+script': '24b2cda63e1f06e3',
+	'diamonds_d3+empty': '7ba6c7382e022e2c',
+	'diamonds_d3+script': '3f207e14db3b5d14',
+	'four_path(2,1,2,1)': 'ea769db426c0bf4f',
+	'four_path(2,1,2,1)+script': 'ae9af57b7c6b1d9d',
+	'fourpath_2121': 'ea769db426c0bf4f',
+	'fourpath_2121+script': 'ae9af57b7c6b1d9d',
+	'p3': 'fad2df5829257f2d',
+	'p3+empty': 'fad2df5829257f2d',
+}
+
+
+def _cli(*argv):
+	out = io.StringIO()
+	with contextlib.redirect_stdout(out):
+		assert main(list(argv)) == 0
+	return out.getvalue()
+
+
+def case_digest(name, tmp_path):
+	graph_obj, periph_obj, script = CASES[name]()
+	files = {}
+	for key, obj in (("graph", graph_obj), ("periph", periph_obj), ("script", script)):
+		if obj is not None:
+			files[key] = tmp_path / ("%s.json" % key)
+			files[key].write_text(json.dumps(obj))
+	common = ["--graph", str(files["graph"]), "--format", "json"]
+	if "periph" in files:
+		common += ["--periph", str(files["periph"])]
+	tree_json = _cli("decompose", *common, *(
+		["--script", str(files["script"])] if script is not None else []
+	))
+	saturated_json = _cli("saturate", *common)
+	graph = DefiningGraph.from_json_obj(graph_obj)
+	if periph_obj is None:
+		pair = PeripheralPair(graph, [], [])
+	else:
+		pair = PeripheralPair.from_json_obj(graph, periph_obj)
+	desc = GroupDescriptor(graph, pair.normalize())
+	tree = decompose(desc, mode="script" if script is not None else "auto", script=script)
+	text = "%s\n%s\nupper=%s\n" % (tree_json, saturated_json, vcd_upper(tree))
+	return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name, tmp_path):
+	assert case_digest(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+	import tempfile
+
+	for name in sorted(CASES):
+		with tempfile.TemporaryDirectory() as tmp:
+			print("\t%r: %r," % (name, case_digest(name, Path(tmp))))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from raagout.graphs import DefiningGraph, mask_of
 from raagout import orders
@@ -133,3 +134,58 @@ def test_n_g():
 	assert orders.n_g(g, [g.mask(["w", "z"])], 1 << w) == mask_of([w, x, z])
 	# untouched members contribute nothing
 	assert orders.n_g(g, [g.mask(["y", "z"])], 1 << w) == mask_of([w, x])
+
+
+# ---- the per-pair index against the member-list definitions ----
+
+
+def _random_members(rng, n, count):
+	full = (1 << n) - 1
+	return [rng.randrange(1, full) for _ in range(count)] if full > 1 else []
+
+
+def _random_graph(rng, n):
+	pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+	density = rng.random()
+	return graph_from_edges(n, [e for e in pairs if rng.random() < density])
+
+
+def _bfs_g_components(g, members, mask):
+	"""Components of mask under g_adjacent, grown one vertex at a time."""
+	left = [v for v in range(g.n) if mask >> v & 1]
+	out = []
+	while left:
+		comp = [left.pop(0)]
+		for u in comp:
+			for v in list(left):
+				if orders.g_adjacent(g, members, u, v):
+					left.remove(v)
+					comp.append(v)
+		out.append(mask_of(comp))
+	return out
+
+
+def test_g_components_matches_bfs_over_g_adjacent():
+	rng = random.Random(41)
+	for _ in range(400):
+		n = rng.randrange(1, 8)
+		g = _random_graph(rng, n)
+		members = _random_members(rng, n, rng.randrange(6))
+		mask = rng.randrange(g.full + 1)
+		assert orders.g_components(g, members, mask) == _bfs_g_components(g, members, mask)
+
+
+def test_pair_index_matches_leq_rel_and_gv_components():
+	rng = random.Random(43)
+	for _ in range(300):
+		n = rng.randrange(1, 8)
+		g = _random_graph(rng, n)
+		members = _random_members(rng, n, rng.randrange(8))
+		index = orders.PairIndex(g, members)
+		for u in range(n):
+			row = mask_of(v for v in range(n) if orders.leq_rel(g, members, u, v))
+			assert index.rows[u] == row
+			down = mask_of(w for w in range(n) if orders.leq_rel(g, members, w, u))
+			assert index.down[u] == down
+		for v in range(n):
+			assert list(index.gv[v]) == orders.gv_components(g, members, v)

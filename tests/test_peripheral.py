@@ -4,6 +4,7 @@ import random
 import pytest
 
 from raagout.errors import CapabilityError, DomainError
+from raagout.families import four_path
 from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout import orders
 from raagout.peripheral import (
@@ -231,6 +232,55 @@ def test_saturate_idempotent():
 		sat = saturate(normalized(g))
 		again = saturate(sat)
 		assert set(again.g_members) == set(sat.g_members)
+
+
+def _brute_invariant(pp, dmask):
+	"""is_invariant spelled out from leq_rel and gv_components alone."""
+	g = pp.graph
+	outside = g.full & ~dmask
+	for u in bits(dmask):
+		for v in bits(outside):
+			if orders.leq_rel(g, pp.g_members, u, v):
+				return False
+	for v in bits(outside):
+		if sum(1 for c in orders.gv_components(g, pp.g_members, v) if c & dmask) > 1:
+			return False
+	return True
+
+
+def test_saturate_matches_every_proper_mask_checked():
+	rng = random.Random(2031)
+	for trial in range(300):
+		n = rng.randrange(1, 8)
+		full = (1 << n) - 1
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		density = rng.random()
+		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
+		glist = [rng.randrange(1, full) for _ in range(rng.randrange(5))] if n > 1 else []
+		hlist = [m for m in glist if rng.random() < 0.5]
+		pp = PeripheralPair(g, glist, hlist).normalize(("weak", "full")[trial % 2])
+		invariant = {m for m in range(1, full) if _brute_invariant(pp, m)}
+		assert {m for m in range(1, full) if is_invariant(pp, m)} == invariant
+		sat = saturate(pp, paranoid=True)
+		assert set(sat.g_members) == set(pp.g_members) | invariant
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_saturate_counts_diamond_chain(d):
+	sat = saturate(normalized(diamond_chain(d)))
+	assert len(sat.g_members) == 8 * d * d - 4 * d - 6
+
+
+def test_saturate_counts_four_path():
+	g = four_path(1, 1, 1, 1)
+	sat = saturate(normalized(g))
+	assert names_of(g, sat.g_members) == [
+		["w1", "x1", "y1"],
+		["x1"],
+		["x1", "y1"],
+		["x1", "y1", "z1"],
+		["y1"],
+	]
 
 
 def test_saturate_cap():
