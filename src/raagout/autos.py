@@ -381,14 +381,11 @@ def _common_conjugator(ctx, phi, vmask):
 	return rep, None
 
 
-def is_inner(ctx, phi, bound=None):
+def is_inner(ctx, phi):
 	"""Decide whether phi is a conjugation; yes comes with a verified witness.
 
-	The coset intersection is exact, so the answer is always yes or no
-	and bound is accepted only for interface stability. Callers must
-	still handle the inconclusive state the contract allows.
+	The coset intersection is exact, so the status is always "yes" or "no".
 	"""
-	del bound
 	rep, bad = _common_conjugator(ctx, phi, ctx.graph.full)
 	if rep is None:
 		return InnerResult(

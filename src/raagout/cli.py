@@ -262,9 +262,7 @@ def cmd_vcd(args):
 		if not isinstance(obj, list):
 			raise DomainError("generator list file must hold a JSON list")
 		gens = [parse_generator(graph, text) for text in obj]
-	bound = vcd_report(
-		desc, script=script, cfg=cfg, gens=gens, box=args.box, nilpotent=args.nilpotent
-	)
+	bound = vcd_report(desc, script=script, cfg=cfg, gens=gens, nilpotent=args.nilpotent)
 	if args.format == "json":
 		_emit_json(bound_to_json_obj(bound))
 		return 0
@@ -400,7 +398,6 @@ def build_parser():
 	p.add_argument("--script", metavar="F")
 	p.add_argument("--cfg", metavar="F", help="dimension provider JSON")
 	p.add_argument("--gens", metavar="F", help="lower-bound generator list JSON")
-	p.add_argument("--box", type=int, default=2, help="independence box bound")
 	p.add_argument("--nilpotent", action="store_true", help="use the nilpotent certificate")
 
 	add("cone-graph", cmd_cone_graph, help="cone off the preserved members")

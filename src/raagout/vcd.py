@@ -2,19 +2,21 @@
 
 The upper bound folds leaf dimensions, projection kernel ranks, and
 extension ranks up a tree. Lower bounds come from explicit generator
-lists: a commuting list is certified through its action on homology plus
-non-innerness of products of the remaining conjugations, and a nilpotent
-list through the dimension of the Lie algebra its unipotent image
-generates. A failed certificate raises; it never degrades into a smaller
-number silently.
+lists: a commuting list is certified through its action on homology, a
+nilpotent list through the dimension of the Lie algebra its unipotent
+image generates, and in both the generators acting trivially on homology
+count once their first Johnson images are independent modulo the inner
+automorphisms. All of it is exact integer linear algebra. A failed
+certificate raises; it never degrades into a smaller number silently.
 """
 
 import ast
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 
-from .autos import is_inner, realize
+from .autos import Automorphism, is_inner, realize
 from .decompose import (
 	FouxeRabinovitch,
 	FreeAbelian,
@@ -26,6 +28,7 @@ from .decompose import (
 	decompose,
 )
 from .errors import CertificationError, DomainError
+from .graphs import bits
 from .words import WordContext
 
 
@@ -226,11 +229,17 @@ def vcd_upper(tree, cfg=None):
 	return fold(tree, cfg)[0]
 
 
-# ---- exact linear algebra over the rationals ----
+# ---- exact linear algebra over the integers ----
 
 
 class _Echelon:
-	"""Row space over the rationals, kept reduced with unit pivots."""
+	"""Rational row space of sparse integer vectors, kept fraction-free.
+
+	A vector is a dict {column: entry} over sortable columns. Rows
+	are primitive with a positive entry at their pivot, the least column
+	they use, and are kept sorted by pivot; reducing a vector scales the
+	vector, never a row, so every entry stays an integer.
+	"""
 
 	__slots__ = ("rows",)
 
@@ -238,27 +247,32 @@ class _Echelon:
 		self.rows = []
 
 	def _reduce(self, vec):
-		vec = list(vec)
+		vec = {key: x for key, x in vec.items() if x}
 		for pivot, row in self.rows:
-			c = vec[pivot]
+			c = vec.get(pivot)
 			if c:
-				for j in range(pivot, len(vec)):
-					vec[j] -= c * row[j]
+				g = gcd(c, row[pivot])
+				a, b = row[pivot] // g, c // g
+				for key in vec:
+					vec[key] *= a
+				for key, y in row.items():
+					x = vec.get(key, 0) - b * y
+					if x:
+						vec[key] = x
+					else:
+						del vec[key]
 		return vec
 
 	def add(self, vec):
 		"""Add a vector; whether it enlarged the space."""
 		vec = self._reduce(vec)
-		for pivot, value in enumerate(vec):
-			if value:
-				inv = Fraction(1, 1) / value
-				self.rows.append((pivot, tuple(x * inv for x in vec)))
-				self.rows.sort(key=lambda pr: pr[0])
-				return True
-		return False
-
-	def contains(self, vec):
-		return not any(self._reduce(vec))
+		if not vec:
+			return False
+		pivot = min(vec)
+		g = gcd(*vec.values()) * (1 if vec[pivot] > 0 else -1)
+		self.rows.append((pivot, {key: x // g for key, x in vec.items()}))
+		self.rows.sort(key=lambda pr: pr[0])
+		return True
 
 	@property
 	def dim(self):
@@ -291,76 +305,103 @@ def _identity_matrix(n):
 	return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _mat_mul(a, b):
-	n = len(a)
+def _product(a, b):
+	"""Product of sparse matrices {(i, j): nonzero entry}."""
+	rows = {}
+	for (k, j), y in b.items():
+		rows.setdefault(k, []).append((j, y))
+	out = {}
+	for (i, k), x in a.items():
+		for j, y in rows.get(k, ()):
+			out[i, j] = out.get((i, j), 0) + x * y
+	return {key: x for key, x in out.items() if x}
+
+
+def _bracket(a, b):
+	out = _product(a, b)
+	for key, y in _product(b, a).items():
+		out[key] = out.get(key, 0) - y
+	return {key: x for key, x in out.items() if x}
+
+
+def _log_unipotent(m, what):
+	"""Exact logarithm of a unipotent integer matrix, as a dense matrix.
+
+	Raises when the matrix is not unipotent; finite-order actions are
+	exactly the ones a polycyclic certificate must not count. The powers
+	of m - 1 are integer matrices; the series is summed over the lcm of
+	its denominators 1..k and divided once.
+	"""
+	n = len(m)
+	nil = {
+		(i, j): x - (i == j)
+		for i, row in enumerate(m)
+		for j, x in enumerate(row)
+		if x != (i == j)
+	}
+	powers = []
+	power = nil
+	while power:
+		if len(powers) == n:
+			raise CertificationError(
+				"the homology action of %s is not unipotent" % what
+			)
+		powers.append(power)
+		power = _product(power, nil)
+	scale = lcm(*range(1, len(powers) + 1))
+	total = {}
+	for k, power in enumerate(powers, 1):
+		c = (-1) ** (k + 1) * (scale // k)
+		for key, x in power.items():
+			total[key] = total.get(key, 0) + c * x
 	return tuple(
-		tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+		tuple(Fraction(total[i, j], scale) if (i, j) in total else 0 for j in range(n))
 		for i in range(n)
 	)
 
 
-def _mat_combine(a, b, ca, cb):
-	n = len(a)
-	return tuple(
-		tuple(ca * a[i][j] + cb * b[i][j] for j in range(n)) for i in range(n)
-	)
+def _integral(m):
+	"""A dense rational matrix scaled by the lcm of its denominators.
 
-
-def _is_zero_matrix(m):
-	return not any(any(row) for row in m)
-
-
-def _log_unipotent(m, what):
-	"""Exact logarithm of a unipotent integer matrix.
-
-	Raises when the matrix is not unipotent; finite-order actions are
-	exactly the ones a polycyclic certificate must not count.
+	Returned sparse, {(i, j): nonzero integer}. A positive multiple spans
+	the same rational line, so ranks and the rational Lie algebra a list
+	generates do not change.
 	"""
-	n = len(m)
-	nil = _mat_combine(m, _identity_matrix(n), Fraction(1), Fraction(-1))
-	total = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-	power = nil
-	k = 1
-	while not _is_zero_matrix(power):
-		if k > n:
-			raise CertificationError(
-				"the homology action of %s is not unipotent" % what
-			)
-		total = _mat_combine(total, power, Fraction(1), Fraction((-1) ** (k + 1), k))
-		power = _mat_mul(power, nil)
-		k += 1
-	return total
-
-
-def _flatten(m):
-	return tuple(x for row in m for x in row)
-
-
-def _bracket(a, b):
-	return _mat_combine(_mat_mul(a, b), _mat_mul(b, a), Fraction(1), Fraction(-1))
+	scale = 1
+	for row in m:
+		for x in row:
+			scale = lcm(scale, Fraction(x).denominator)
+	return {
+		(i, j): int(x * scale)
+		for i, row in enumerate(m)
+		for j, x in enumerate(row)
+		if x
+	}
 
 
 def _lie_closure(logs):
-	"""Basis of the Lie algebra generated by the given matrices.
+	"""Basis of the rational Lie algebra generated by the given matrices.
 
-	Certifies the algebra is nilpotent by driving its lower central
-	series to zero; a list whose homology image generates something
-	free-ish fails here rather than producing a bogus dimension.
+	Each matrix is first scaled to an integer one, so all arithmetic is
+	in integers. Every new basis element is bracketed with every earlier
+	one, which closes the span. The algebra is then certified nilpotent
+	by driving its lower central series to zero; a list whose homology
+	image generates something free-ish fails here rather than producing
+	a bogus dimension.
 	"""
 	ech = _Echelon()
 	basis = []
 	for m in logs:
-		if ech.add(_flatten(m)):
+		m = _integral(m)
+		if ech.add(m):
 			basis.append(m)
-	grew = True
-	while grew:
-		grew = False
-		for a in list(basis):
-			for b in list(basis):
-				c = _bracket(a, b)
-				if ech.add(_flatten(c)):
-					basis.append(c)
-					grew = True
+	i = 0
+	while i < len(basis):
+		for b in basis[:i]:
+			c = _bracket(basis[i], b)
+			if ech.add(c):
+				basis.append(c)
+		i += 1
 	layer = basis
 	while layer:
 		nxt_ech = _Echelon()
@@ -368,7 +409,7 @@ def _lie_closure(logs):
 		for a in layer:
 			for b in basis:
 				c = _bracket(a, b)
-				if nxt_ech.add(_flatten(c)):
+				if nxt_ech.add(c):
 					nxt.append(c)
 		if len(nxt) >= len(layer):
 			raise CertificationError(
@@ -378,6 +419,70 @@ def _lie_closure(logs):
 	return basis
 
 
+# ---- the first Johnson homomorphism ----
+
+
+def _johnson(ctx, phi):
+	"""First Johnson image of an automorphism acting trivially on homology.
+
+	For each vertex v the word v^-1 phi(v) lies in the commutator subgroup
+	gamma2, and gamma2/gamma3 is free abelian on the non-edges {a < b}. The
+	coordinate on {a, b} is the degree-2 Magnus coefficient mu(ab), the
+	sum of e*f over letter pairs a^e before b^f; one pass over the word
+	with running exponent sums finds it. Swapping two commuting letters
+	only moves edge pairs and a cancelling pair adds e*f - e*f, so the
+	value is well defined on the group; it is additive on gamma2 and kills
+	gamma3, which makes phi -> image a homomorphism on IA. Returns
+	{(v, a, b): coefficient} without zeros.
+	"""
+	graph = ctx.graph
+	below = [((1 << b) - 1) & ~graph.star_masks[b] for b in range(graph.n)]
+	out = {}
+	for v in range(graph.n):
+		sums = [0] * graph.n
+		for lt in (2 * v + 1,) + phi.images[2 * v]:
+			b = lt >> 1
+			e = -1 if lt & 1 else 1
+			for a in bits(below[b]):
+				if sums[a]:
+					key = (v, a, b)
+					out[key] = out.get(key, 0) + sums[a] * e
+			sums[b] += e
+	return {key: c for key, c in out.items() if c}
+
+
+def _conjugation(ctx, c):
+	"""The inner automorphism v -> c v c^-1."""
+	forward = [(2 * c, 2 * v, 2 * c + 1) for v in range(ctx.graph.n)]
+	backward = [(2 * c + 1, 2 * v, 2 * c) for v in range(ctx.graph.n)]
+	return Automorphism.from_images(ctx, forward, backward)
+
+
+def _certify_johnson_independent(ctx, phis, names):
+	"""Raise unless the Johnson images of phis are independent modulo Inn.
+
+	Johnson images add under composition, so a product of the phis with
+	exponent vector e, taken in any order, has image sum(e_i tau(phi_i)).
+	When each tau(phi_i) leaves the span of the inner images and of the
+	earlier ones, that sum is never an inner image for e != 0: the phis
+	span a free abelian group of rank len(phis) in IA/Inn.
+	"""
+	if not phis:
+		return
+	inner = [_johnson(ctx, _conjugation(ctx, c)) for c in range(ctx.graph.n)]
+	images = [_johnson(ctx, phi) for phi in phis]
+	ech = _Echelon()
+	for tau in inner:
+		ech.add(tau)
+	for i, tau in enumerate(images):
+		if not ech.add(tau):
+			raise CertificationError(
+				"%s is dependent on {%s} modulo inner automorphisms under the "
+				"Johnson homomorphism, so an inner product is not excluded"
+				% (names[i], ", ".join(names[:i]))
+			)
+
+
 # ---- lower bound certificates ----
 
 
@@ -385,42 +490,13 @@ def _commutator(a, b):
 	return a.compose(b).compose(a.invert()).compose(b.invert())
 
 
-def _identity_auto(ctx):
-	from .autos import Automorphism
-
-	return Automorphism.identity(ctx)
-
-
-def _power_products(ctx, phis, box):
-	"""Yield (exponent vector, product) over the box, reusing prefixes."""
-	powers = []
-	for phi in phis:
-		acc = {0: _identity_auto(ctx)}
-		inv = phi.invert()
-		for e in range(1, box + 1):
-			acc[e] = phi.compose(acc[e - 1])
-			acc[-e] = inv.compose(acc[-(e - 1)])
-		powers.append(acc)
-
-	def rec(depth, acc):
-		if depth == len(phis):
-			yield (), acc
-			return
-		for e in range(-box, box + 1):
-			nxt = acc.compose(powers[depth][e]) if e else acc
-			for tail, prod in rec(depth + 1, nxt):
-				yield (e,) + tail, prod
-
-	return rec(0, _identity_auto(ctx))
-
-
-def certify_abelian_lower_bound(graph, gens, box=2):
+def certify_abelian_lower_bound(graph, gens):
 	"""Certified rank of the span of a commuting generator list.
 
 	Every pair must commute in the outer group. Generators acting on
 	homology must act unipotently and contribute the rank of their
-	logarithms; the rest contribute one each once every nontrivial
-	exponent vector in the box is verified non-inner.
+	logarithms; the rest contribute one each once their Johnson images
+	are independent modulo the inner automorphisms.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
@@ -442,38 +518,12 @@ def certify_abelian_lower_bound(graph, gens, box=2):
 			ia.append(phi)
 			ia_names.append(str(gen))
 		else:
-			logs.append(_flatten(_log_unipotent(mat, gen)))
-	r1 = _rank(logs)
-	_certify_box_independent(ctx, ia, box, ia_names)
-	return r1 + len(ia)
+			logs.append(_integral(_log_unipotent(mat, gen)))
+	_certify_johnson_independent(ctx, ia, ia_names)
+	return _rank(logs) + len(ia)
 
 
-def _certify_box_independent(ctx, phis, box, names, fixed=None):
-	"""Every nonzero exponent vector over phis must give a non-inner product.
-
-	With fixed (a list of automorphisms), every product over the fixed
-	box is appended on the right, and only the all-zero combination is
-	exempt.
-	"""
-	if not phis:
-		return
-	tails = [((), _identity_auto(ctx))]
-	if fixed:
-		tails = list(_power_products(ctx, fixed, box))
-	zero = (0,) * len(phis)
-	for vec, prod in _power_products(ctx, phis, box):
-		for fvec, tail in tails:
-			if vec == zero and not any(fvec):
-				continue
-			res = is_inner(ctx, prod.compose(tail))
-			if res.status == "yes":
-				raise CertificationError(
-					"exponent vector %s over {%s} gives an inner product"
-					% (list(vec + fvec), ", ".join(names))
-				)
-
-
-def certify_nilpotent_lower_bound(graph, gens, box=2):
+def certify_nilpotent_lower_bound(graph, gens):
 	"""Certified Hirsch length of the span of a nilpotent generator list.
 
 	The homology part contributes the dimension of the Lie algebra its
@@ -482,7 +532,8 @@ def certify_nilpotent_lower_bound(graph, gens, box=2):
 	sign and inner factors; unless the graph is a clique (where the
 	homology action is faithful), generators reached as commutators must
 	have inner commutators with everything, pinning the class at two.
-	Conjugation-type generators contribute one each after box checks.
+	Conjugation-type generators contribute one each once their Johnson
+	images are independent modulo the inner automorphisms.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
@@ -530,19 +581,9 @@ def certify_nilpotent_lower_bound(graph, gens, box=2):
 					)
 
 	j_all = [i for i in range(len(gens)) if mats[i] == ident]
-	j_derived = [i for i in j_all if i in derived]
-	j_rest = [i for i in j_all if i not in derived]
-	names = [str(gens[i]) for i in j_rest + j_derived]
-	if j_rest:
-		_certify_box_independent(
-			ctx,
-			[phis[i] for i in j_rest],
-			box,
-			names,
-			fixed=[phis[i] for i in j_derived] or None,
-		)
-	elif j_derived:
-		_certify_box_independent(ctx, [phis[i] for i in j_derived], box, names)
+	_certify_johnson_independent(
+		ctx, [phis[i] for i in j_all], [str(gens[i]) for i in j_all]
+	)
 	return lie_dim + len(j_all)
 
 
@@ -595,7 +636,7 @@ def _derive_generators(descriptor):
 	return gens, False
 
 
-def vcd_report(descriptor, script=None, cfg=None, gens=None, box=2, nilpotent=False):
+def vcd_report(descriptor, script=None, cfg=None, gens=None, nilpotent=False):
 	"""Decompose, fold the upper bound, and certify a lower bound.
 
 	A supplied generator list must lie in the descriptor's group and
@@ -621,7 +662,7 @@ def vcd_report(descriptor, script=None, cfg=None, gens=None, box=2, nilpotent=Fa
 				)
 	if gens:
 		certify = certify_nilpotent_lower_bound if nilpotent else certify_abelian_lower_bound
-		lower = certify(descriptor.graph, gens, box=box)
+		lower = certify(descriptor.graph, gens)
 	else:
 		lower = 0
 	if upper != "unknown" and lower > upper:

@@ -9,6 +9,7 @@ import itertools
 from collections import deque
 from functools import lru_cache
 
+from raagout.autos import Automorphism, is_inner
 from raagout.graphs import DefiningGraph
 
 
@@ -122,3 +123,36 @@ def random_peripheral(graph, rng, max_members=3):
 	g_list = masks
 	h_list = [m for m in masks if rng.random() < 0.5]
 	return g_list, h_list
+
+
+def magnus2(word, a, b):
+	"""Degree-2 Magnus coefficient of the letter pair (a, b), a != b.
+
+	Summed over every pair of positions i < j straight from the
+	definition, with no running counts.
+	"""
+	total = 0
+	for i, x in enumerate(word):
+		for y in word[i + 1 :]:
+			if x >> 1 == a and y >> 1 == b:
+				total += (-1 if x & 1 else 1) * (-1 if y & 1 else 1)
+	return total
+
+
+def box_inner_vector(ctx, phis, box):
+	"""A nonzero exponent vector in [-box, box]^k whose product is inner.
+
+	The product is phis[0]^e0 after phis[1]^e1 after ..., built by plain
+	repeated composition; returns None when every product is non-inner.
+	"""
+	for vec in itertools.product(range(-box, box + 1), repeat=len(phis)):
+		if not any(vec):
+			continue
+		prod = Automorphism.identity(ctx)
+		for phi, e in zip(phis, vec):
+			step = phi if e > 0 else phi.invert()
+			for _ in range(abs(e)):
+				prod = prod.compose(step)
+		if is_inner(ctx, prod).status == "yes":
+			return vec
+	return None

@@ -1,5 +1,6 @@
 """Dimension folding and lower-bound certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,11 @@ from raagout.graphs import DefiningGraph
 from raagout.vcd import (
 	DimProviderConfig,
 	VcdBound,
+	_certify_johnson_independent,
+	_johnson,
 	_lie_closure,
+	_log_unipotent,
+	_rank,
 	bound_to_json_obj,
 	certify_abelian_lower_bound,
 	certify_nilpotent_lower_bound,
@@ -41,6 +46,8 @@ from raagout.vcd import (
 	vcd_upper,
 )
 from raagout.words import WordContext
+
+from helpers import box_inner_vector, graph_from_edges, magnus2
 
 
 def clique(n):
@@ -219,6 +226,146 @@ def test_abelian_dependent_logs_not_overcounted():
 	assert certify_abelian_lower_bound(g, [gen, gen]) == 1
 
 
+def test_abelian_rejects_duplicated_conjugation():
+	g = diamond_chain(2)
+	pc = LaurenceGenerator.partial_conj(g, "a1", g.mask(["b1"]))
+	with pytest.raises(CertificationError, match="inner product"):
+		certify_abelian_lower_bound(g, [pc, pc])
+
+
+def test_abelian_extra_conjugation_not_overcounted():
+	# the diamond list already holds pc a1:[b1]; the true rank stays 7
+	g = diamond_chain(2)
+	extra = LaurenceGenerator.partial_conj(g, "a1", g.mask(["b1"]))
+	with pytest.raises(CertificationError, match="inner product"):
+		certify_abelian_lower_bound(g, diamond_generators(g, 2) + [extra])
+
+
+# ---- the first Johnson homomorphism ----
+
+
+def random_graph(rng, n):
+	pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+	return graph_from_edges(n, [p for p in pairs if rng.random() < 0.4])
+
+
+def random_partial_conjugations(g, rng, k):
+	"""k partial conjugations, each on a random nonempty union of components.
+
+	A region holding every component away from the star is an inner
+	automorphism, so three times in four a proper union is drawn instead
+	when there is one.
+	"""
+	out = []
+	actors = [c for c in range(g.n) if g.full & ~g.star_masks[c]]
+	while actors and len(out) < k:
+		c = rng.choice(actors)
+		comps = g.components(g.full & ~g.star_masks[c])
+		proper = len(comps) > 1 and rng.random() < 0.75
+		region = 0
+		while not region or (proper and region == sum(comps)):
+			region = sum(comp for comp in comps if rng.random() < 0.5)
+		out.append(LaurenceGenerator.partial_conj(g, c, region))
+	return out
+
+
+def random_product(ctx, gens, rng):
+	phi = realize(ctx, rng.choice(gens), rng.choice((1, -1)))
+	for _ in range(rng.randrange(4)):
+		phi = phi.compose(realize(ctx, rng.choice(gens), rng.choice((1, -1))))
+	return phi
+
+
+def tau_sum(*taus):
+	out = {}
+	for tau in taus:
+		for key, c in tau.items():
+			out[key] = out.get(key, 0) + c
+	return {key: c for key, c in out.items() if c}
+
+
+def test_johnson_matches_magnus_definition():
+	rng = random.Random(11)
+	for _ in range(40):
+		g = random_graph(rng, rng.randrange(3, 7))
+		gens = random_partial_conjugations(g, rng, 4)
+		if not gens:
+			continue
+		ctx = WordContext(g)
+		phi = random_product(ctx, gens, rng)
+		want = {}
+		for v in range(g.n):
+			word = (2 * v + 1,) + phi.images[2 * v]
+			for a in range(g.n):
+				for b in range(a + 1, g.n):
+					c = magnus2(word, a, b)
+					if c and not g.adj[a] >> b & 1:
+						want[(v, a, b)] = c
+		assert _johnson(ctx, phi) == want
+
+
+def test_johnson_additive_under_compose():
+	rng = random.Random(5)
+	checked = 0
+	for _ in range(60):
+		g = random_graph(rng, rng.randrange(3, 7))
+		gens = random_partial_conjugations(g, rng, 4)
+		if not gens:
+			continue
+		ctx = WordContext(g)
+		phi = random_product(ctx, gens, rng)
+		psi = random_product(ctx, gens, rng)
+		assert _johnson(ctx, phi.compose(psi)) == tau_sum(
+			_johnson(ctx, phi), _johnson(ctx, psi)
+		)
+		assert tau_sum(_johnson(ctx, phi), _johnson(ctx, phi.invert())) == {}
+		checked += bool(_johnson(ctx, phi))
+	assert checked > 20
+
+
+def test_johnson_of_conjugation_on_non_neighbours():
+	# conjugation by c, realized as the partial conjugation of everything
+	# away from its star; v^-1 c v c^-1 is the commutator on {v, c}
+	rng = random.Random(3)
+	for _ in range(30):
+		g = random_graph(rng, rng.randrange(2, 7))
+		ctx = WordContext(g)
+		for c in range(g.n):
+			away = g.full & ~g.star_masks[c]
+			if not away:
+				continue
+			phi = realize(ctx, LaurenceGenerator.partial_conj(g, c, away))
+			want = {
+				(v, min(v, c), max(v, c)): -1 if v < c else 1
+				for v in range(g.n)
+				if away >> v & 1
+			}
+			assert _johnson(ctx, phi) == want
+
+
+def test_johnson_certificate_agrees_with_box_scan():
+	# accepted lists have no inner product anywhere, so in particular none
+	# in the box; a list with an inner product in the box must be rejected
+	rng = random.Random(17)
+	outcomes = {True: 0, False: 0}
+	for _ in range(80):
+		g = random_graph(rng, rng.randrange(3, 7))
+		gens = random_partial_conjugations(g, rng, rng.randrange(1, 5))
+		if not gens:
+			continue
+		ctx = WordContext(g)
+		phis = [realize(ctx, gen) for gen in gens]
+		try:
+			_certify_johnson_independent(ctx, phis, [str(x) for x in gens])
+			accepted = True
+		except CertificationError:
+			accepted = False
+		if accepted:
+			assert box_inner_vector(ctx, phis, 1) is None, gens
+		outcomes[accepted] += 1
+	assert min(outcomes.values()) >= 10, outcomes
+
+
 # ---- nilpotent certificates ----
 
 
@@ -264,6 +411,15 @@ def test_nilpotent_four_path():
 	assert certify_nilpotent_lower_bound(g, gens) == four_path_dimension(*tup)
 
 
+def test_nilpotent_rejects_duplicated_conjugation():
+	tup = (2, 1, 2, 1)
+	g = four_path(*tup)
+	gens = four_path_generators(g, *tup)
+	assert gens[-1].kind == "pc"
+	with pytest.raises(CertificationError, match="inner product"):
+		certify_nilpotent_lower_bound(g, gens + [gens[-1]])
+
+
 def test_nilpotent_rejects_deep_class_off_clique():
 	# q = 3 makes the middle clique's triangle class three; off a clique
 	# the certificate insists commutator generators are central.
@@ -279,6 +435,61 @@ def test_lie_closure_grows_heisenberg():
 	e23 = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
 	frac = lambda m: tuple(tuple(Fraction(x) for x in row) for row in m)
 	assert len(_lie_closure([frac(e12), frac(e23)])) == 3
+
+
+def test_lie_closure_reaches_depth_three():
+	# E12, E23, E34 generate all six strictly upper triangular 4x4 units;
+	# E14 only appears as the bracket of the new element E13 with E34
+	def unit(i, j):
+		return tuple(tuple(int((r, c) == (i, j)) for c in range(4)) for r in range(4))
+
+	assert len(_lie_closure([unit(0, 1), unit(1, 2), unit(2, 3)])) == 6
+
+
+def rational_rank(vectors, width):
+	"""Rank by plain Gaussian elimination over Fraction."""
+	rows = [[Fraction(vec.get(c, 0)) for c in range(width)] for vec in vectors]
+	rank = 0
+	for col in range(width):
+		pick = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+		if pick is None:
+			continue
+		rows[rank], rows[pick] = rows[pick], rows[rank]
+		for r in range(len(rows)):
+			if r != rank and rows[r][col]:
+				f = rows[r][col] / rows[rank][col]
+				rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+		rank += 1
+	return rank
+
+
+def test_rank_matches_rational_elimination():
+	rng = random.Random(23)
+	for _ in range(200):
+		width = rng.randrange(1, 6)
+		vectors = []
+		for _ in range(rng.randrange(1, 6)):
+			if vectors and rng.random() < 0.3:
+				a, b = rng.choice(vectors), rng.choice(vectors)
+				x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
+				vec = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in range(width)}
+			else:
+				vec = {c: rng.randrange(-4, 5) for c in range(width)}
+			vectors.append({c: v for c, v in vec.items() if v})
+		assert _rank(vectors) == rational_rank(vectors, width), vectors
+
+
+def test_lie_closure_half_entry():
+	# log of the 3x3 Jordan block is E12 + E23 - E13/2; E13 is central
+	jordan = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+	log = _log_unipotent(jordan, "J")
+	half = Fraction(1, 2)
+	assert log == ((0, 1, -half), (0, 0, 1), (0, 0, 0))
+	e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+	e13 = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+	assert len(_lie_closure([log, e13])) == 2
+	assert len(_lie_closure([log])) == 1
+	assert len(_lie_closure([log, e12])) == 3
 
 
 # ---- reports ----
