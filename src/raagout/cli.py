@@ -372,7 +372,6 @@ def build_parser():
 		p.add_argument(
 			"--format", choices=("text", "json", "dot"), default="text"
 		)
-		p.add_argument("--seed", type=int, default=0, help="randomized-command seed")
 		return p
 
 	add("info", cmd_info, help="graph and descriptor summary")

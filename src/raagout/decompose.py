@@ -302,7 +302,7 @@ def restriction_step(d, dmask, mode="fast"):
 	which makes the induced members alone already sufficient. Either way
 	the kernel keeps the whole graph and gains dmask as a trivial-action
 	member, re-normalized so the new member's pieces join the preserved
-	side.
+	side; its order index is the pair's refined by those pieces.
 	"""
 	graph = d.graph
 	if not 0 < dmask < graph.full:
@@ -324,10 +324,7 @@ def restriction_step(d, dmask, mode="fast"):
 		per = fast_periphery(pair, dmask)
 		sub_pair = sub_pair.adding_g(compress_mask(m, dmask) for m in per)
 	image = GroupDescriptor(sub_pair.graph, sub_pair)
-	kernel_pair = PeripheralPair(
-		graph, pair.g_members, tuple(pair.h_members) + (dmask,)
-	).normalize(pair.normalized)
-	kernel = GroupDescriptor(graph, kernel_pair)
+	kernel = GroupDescriptor(graph, pair.adding_h([dmask]))
 	return kernel, image
 
 
@@ -490,7 +487,7 @@ def decompose(d, mode="auto", script=None):
 	if mode == "auto":
 		return _auto(d)
 	if mode == "script":
-		return _scripted(d, list(script if script is not None else []))
+		return _scripted(d, script if script is not None else [])
 	raise DomainError("decompose mode must be auto or script")
 
 
@@ -520,36 +517,52 @@ def _pivot(d):
 	"""The first member, smallest first, some generator restricts nontrivially to.
 
 	An inversion or transvection acts nontrivially exactly on the members
-	holding its moved vertex, so those generators collapse into one mask;
-	partial conjugations are asked one by one. The generator list holds no
-	symmetries. Members are already ordered by size, then mask.
+	holding its moved vertex, so those generators collapse into one mask.
+	The listed partial conjugations with acting letter x are one per
+	G^x-component but one; some of them acts nontrivially on m exactly
+	when m away from st(x) meets two G^x-components, which one lookup in
+	the owner table of those components tells. The generator list holds
+	no symmetries. Members are already ordered by size, then mask.
 	"""
+	graph = d.graph
 	moved = 0
-	pcs = []
 	for gen in d.gens():
-		if gen.kind == "pc":
-			pcs.append(gen)
-		else:
+		if gen.kind != "pc":
 			moved |= 1 << gen.data[0]
+	split = [
+		(graph.full & ~graph.star_masks[x], orders.owner_table(graph, comps))
+		for x, comps in enumerate(d.pair.index.gv)
+		if len(comps) > 1
+	]
 	for m in d.pair.g_members:
-		if m & moved or any(not gen.acts_trivially_on(m) for gen in pcs):
+		if m & moved:
 			return m
+		for away, owner in split:
+			part = m & away
+			if part & ~owner[(part & -part).bit_length() - 1]:
+				return m
 	return None
 
 
 def _scripted(d, steps):
+	if not isinstance(steps, (list, tuple)):
+		raise DomainError("a script must be a list of steps")
 	if not steps:
 		return _auto(d)
 	head = steps[0]
 	rest = steps[1:]
+	if not isinstance(head, dict):
+		raise DomainError('each script step must be an object with an "op" key')
 	op = head.get("op")
 	if op == "restrict":
+		if "target" not in head:
+			raise DomainError('script restrict step needs a "target" key')
 		dmask = d.graph.mask(head["target"])
 		kernel, image = restriction_step(d, dmask, mode=head.get("mode", "fast"))
 		_checked_edge(d, kernel)
 		_checked_edge(d, image)
 		if "image" in head:
-			inode = _scripted(image, list(head["image"]))
+			inode = _scripted(image, head["image"])
 		else:
 			inode = _auto(image)
 		return DecompositionNode(

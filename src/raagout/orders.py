@@ -11,9 +11,12 @@ about.
 All functions take the member collection as an iterable of masks, so both the
 preserved list and its normalized closure can be passed without conversion.
 leq_rel reads the order straight off the member list, one pair at a time;
-PairIndex tabulates the order and the G^v-components once per member list,
-and that table is what generator enumeration, invariance tests and
-saturation read.
+PairIndex tabulates the order and the G^v-components, and that table is what
+generator enumeration, invariance tests and saturation read. Joining members
+to G only cuts order rows and merges components, so an index is the
+member-free one (domination and plain components) refined by the members,
+and the index of a larger G is refined from the smaller one's by the added
+members alone, not rebuilt from the whole list.
 """
 
 from .graphs import bits, mask_of
@@ -61,18 +64,47 @@ def g_components(graph, members, mask):
 
 	Co-membership in any member counts as adjacency, so each G-component is a
 	union of ordinary components: start from those and merge the ones each
-	distinct piece m & mask meets. Ordered by least vertex.
+	piece m & mask meets. Ordered by least vertex.
 	"""
-	comps = graph.components(mask)
+	return _glue(graph, graph.components(mask), [m & mask for m in members])
+
+
+def owner_table(graph, comps):
+	"""owner[w] is the mask in comps holding vertex w, 0 off their union.
+
+	With disjoint comps, a nonempty piece of their union meets two of them
+	exactly when piece & ~owner[least vertex of piece] is nonzero; an empty
+	piece reads owner[-1] and passes.
+	"""
+	owner = [0] * graph.n
+	for c in comps:
+		for w in bits(c):
+			owner[w] = c
+	return owner
+
+
+def _glue(graph, comps, pieces):
+	"""Merge the components that each piece meets, ordered by least vertex.
+
+	Every piece lies inside the union of comps, so a piece inside one
+	component costs one owner_table lookup.
+	"""
+	comps = list(comps)
 	if len(comps) < 2:
 		return comps
-	for piece in {m & mask for m in members}:
-		hit = [c for c in comps if c & piece]
-		if len(hit) > 1:
-			comps = [c for c in comps if not c & piece]
-			comps.append(sum(hit))
+	owner = owner_table(graph, comps)
+	for piece in pieces:
+		if piece & ~owner[(piece & -piece).bit_length() - 1]:
+			merged = 0
+			for c in comps:
+				if c & piece:
+					merged |= c
+			comps = [c for c in comps if not c & merged]
+			comps.append(merged)
 			if len(comps) == 1:
 				break
+			for w in bits(merged):
+				owner[w] = merged
 	comps.sort(key=lambda c: c & -c)
 	return comps
 
@@ -101,18 +133,50 @@ class PairIndex:
 	rows[u] is the mask of every v with u <=_G v and down[v] the mask of
 	every u with u <=_G v; both are closed under the order, since it is
 	transitive. gv[v] lists the G^v-components of the complement of st(v),
-	as gv_components does. Built once per peripheral pair and never changed.
+	as gv_components does.
+
+	PairIndex(graph, members) is the member-free index (domination rows,
+	plain components) refined by members. An index is never changed once
+	built: refined(extra) returns the index of the member list joined with
+	extra, which cuts each row u by the extra members through u and merges
+	the components their pieces meet, so only the extra members are read.
 	"""
 
-	__slots__ = ("rows", "down", "gv")
+	__slots__ = ("graph", "rows", "down", "gv")
 
-	def __init__(self, graph, members):
+	def __init__(self, graph, members=()):
 		n = graph.n
-		blocked = blocked_masks(graph, members)
+		self.graph = graph
 		self.rows = tuple(
-			mask_of(v for v in range(n) if graph.dominates(u, v)) & ~blocked[u] for u in range(n)
+			mask_of(v for v in range(n) if graph.dominates(u, v)) for u in range(n)
 		)
-		self.down = tuple(
-			mask_of(u for u in range(n) if self.rows[u] >> v & 1) for v in range(n)
+		self.gv = tuple(
+			tuple(graph.components(graph.full & ~graph.star_masks[v])) for v in range(n)
 		)
-		self.gv = tuple(tuple(gv_components(graph, members, v)) for v in range(n))
+		self._join(members)
+
+	def refined(self, extra):
+		"""The index of this member list joined with extra."""
+		out = object.__new__(PairIndex)
+		out.graph, out.rows, out.gv = self.graph, self.rows, self.gv
+		out._join(extra)
+		return out
+
+	def _join(self, members):
+		graph = self.graph
+		members = list(members)
+		blocked = blocked_masks(graph, members)
+		self.rows = rows = tuple(r & ~b for r, b in zip(self.rows, blocked))
+		gv = []
+		for v, comps in enumerate(self.gv):
+			if len(comps) > 1:
+				away = graph.full & ~graph.star_masks[v]
+				pieces = [m & away for m in members if not m >> v & 1]
+				comps = tuple(_glue(graph, comps, pieces))
+			gv.append(comps)
+		self.gv = tuple(gv)
+		down = [0] * graph.n
+		for u, row in enumerate(rows):
+			for v in bits(row):
+				down[v] |= 1 << u
+		self.down = tuple(down)

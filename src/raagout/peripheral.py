@@ -12,6 +12,12 @@ subgraphs are the up-sets of the relative order that no outside star
 separates, so saturation enumerates up-sets rather than all subgraphs; when
 even that is too expensive, fast_periphery produces the smaller collection
 that suffices for a single restriction target.
+
+Each pair carries the order index of its G (orders.PairIndex). A pair built
+from another one with the same graph derives its index rather than
+rebuilding it: saturation hands the index over unchanged, since the sets it
+adds change neither the order nor any G^v-component, and adding_g, adding_h
+and normalize refine it by the members they add.
 """
 
 from .errors import CapabilityError, DomainError
@@ -21,8 +27,11 @@ from . import orders
 SATURATE_CAP = 20
 
 
-def _member_key(mask):
-	return (mask.bit_count(), mask)
+def _by_size(masks):
+	"""The masks as a tuple, ordered by size, then by value."""
+	out = sorted(masks)
+	out.sort(key=int.bit_count)
+	return tuple(out)
 
 
 class PeripheralPair:
@@ -30,8 +39,9 @@ class PeripheralPair:
 
 	normalized is None, "weak" or "full"; operations with a normalization
 	precondition call require_normalized rather than silently closing up.
-	Pairs are never changed in place (adding_g, normalize and induced all
-	build new ones), so the order index of G is built once, on first use.
+	Pairs are never changed in place (adding_g, adding_h, normalize and
+	induced all build new ones). The order index of G is built on first
+	use, unless the pair was derived from one whose index was built.
 	"""
 
 	__slots__ = ("graph", "g_members", "h_members", "normalized", "saturated", "_index")
@@ -45,16 +55,16 @@ class PeripheralPair:
 		self._index = None
 
 	def _clean(self, members):
-		out = set()
-		for m in members:
-			if m == self.graph.full:
-				raise DomainError("peripheral members must be proper subgraphs")
-			if m:
-				out.add(m)
-		return tuple(sorted(out, key=_member_key))
+		out = set(members)
+		if self.graph.full in out:
+			raise DomainError("peripheral members must be proper subgraphs")
+		out.discard(0)
+		return _by_size(out)
 
 	@classmethod
 	def from_json_obj(cls, graph, obj):
+		if not isinstance(obj, dict):
+			raise DomainError('a peripheral pair must be an object with keys "G" and "H"')
 		g = [graph.mask(names) for names in obj.get("G", [])]
 		h = [graph.mask(names) for names in obj.get("H", [])]
 		return cls(graph, g, h)
@@ -81,17 +91,7 @@ class PeripheralPair:
 		"""
 		if mode not in ("weak", "full"):
 			raise DomainError("normalize mode must be weak or full")
-		g = set(self.g_members)
-		for m in self.h_members:
-			g.add(m)
-			if mode == "weak":
-				for v in bits(m):
-					piece = m & ~(1 << v)
-					if piece:
-						g.add(piece)
-			else:
-				g.update(_proper_subsets(m))
-		return PeripheralPair(self.graph, g, self.h_members, normalized=mode)
+		return self._joined(_folded(self.h_members, mode), self.h_members, mode)
 
 	@property
 	def index(self):
@@ -110,17 +110,56 @@ class PeripheralPair:
 		Growing G keeps the normalization invariant (it only constrains
 		which subsets of H-members are present), so the flag survives.
 		"""
-		return PeripheralPair(
+		return self._joined(extra, self.h_members, self.normalized, self.saturated)
+
+	def adding_h(self, extra):
+		"""Same pair with extra masks joined into H, normalized again.
+
+		G gains only what normalization folds in from H, in the pair's own
+		mode; the result is not saturated.
+		"""
+		self.require_normalized()
+		h = self.h_members + tuple(extra)
+		return self._joined(_folded(h, self.normalized), h, self.normalized)
+
+	def _joined(self, extra, h_members, normalized, saturated=False):
+		"""A pair on the same graph whose G is this G joined with extra.
+
+		When this pair's index is built, the new one is refined from it by
+		extra alone; members already in G refine nothing.
+		"""
+		extra = list(extra)
+		out = PeripheralPair(
 			self.graph,
-			set(self.g_members) | set(extra),
-			self.h_members,
-			normalized=self.normalized,
-			saturated=self.saturated,
+			self.g_members + tuple(extra),
+			h_members,
+			normalized=normalized,
+			saturated=saturated,
 		)
+		if self._index is not None:
+			out._index = self._index.refined(extra)
+		return out
 
 	def __repr__(self):
 		fmt = lambda ms: [self.graph.names(m) for m in ms]
 		return "PeripheralPair(G=%r, H=%r)" % (fmt(self.g_members), fmt(self.h_members))
+
+
+def _folded(h_members, mode):
+	"""What normalization joins to G for the H-members.
+
+	Weak mode: each member and its one-vertex-deleted subsets; full mode:
+	every nonempty subset of every member.
+	"""
+	out = set()
+	for m in h_members:
+		if mode == "weak":
+			out.add(m)
+			out.update(m & ~(1 << v) for v in bits(m))
+		else:
+			out.update(_proper_subsets(m))
+	out.discard(0)
+	return out
 
 
 def _proper_subsets(mask):
@@ -209,9 +248,20 @@ def saturate(pp, cap=SATURATE_CAP, paranoid=False):
 
 	A single enumeration suffices: the added subgroups were already
 	invariant, so the group, and with it the invariant collection, does not
-	change. The paranoid flag re-runs the enumeration against the enlarged
-	pair and checks the fixpoint, for use in tests. Graphs above cap
-	vertices are refused, since the number of up-sets can still grow
+	change. The enlarged pair keeps pp's index, by this lemma: every
+	G-member is invariant (an up-set, since each member through u holds
+	everything above u, and inside one G^x-component away from each
+	outside st(x), since it glues its own piece there), so the enumeration
+	returns all of G and the enlarged G is exactly its output. Each set S
+	it adds is an up-set that no outside star separates. Joining S cuts
+	row u only for u in S, by S, which holds row u already, so it removes
+	no relation u <=_G v; its piece away from st(x), for x outside S, meets
+	at most one G^x-component, and S is no G^x-member for x in S, so it
+	merges no G^x-components. The paranoid flag, for use in tests, checks
+	that the enumeration returned every old member, rebuilds the index
+	from scratch and compares it field by field, and re-runs the
+	enumeration on the rebuilt index to check the fixpoint. Graphs above
+	cap vertices are refused, since the number of up-sets can still grow
 	exponentially with n.
 	"""
 	pp.require_normalized()
@@ -223,11 +273,18 @@ def saturate(pp, cap=SATURATE_CAP, paranoid=False):
 			"restriction target instead" % (cap, graph.n)
 		)
 	found = _invariant_scan(graph, pp.index)
-	out = pp.adding_g(found)
-	out.saturated = True
+	out = PeripheralPair(
+		graph, found, pp.h_members, normalized=pp.normalized, saturated=True
+	)
+	out._index = pp.index
 	if paranoid:
-		again = _invariant_scan(graph, out.index)
-		if set(out.g_members) != set(pp.g_members) | set(again):
+		if not set(pp.g_members) <= set(found):
+			raise RuntimeError("saturation dropped a member of G")
+		fresh = orders.PairIndex(graph, out.g_members)
+		for field in ("rows", "down", "gv"):
+			if getattr(fresh, field) != getattr(pp.index, field):
+				raise RuntimeError("saturation changed the index field %s" % field)
+		if set(_invariant_scan(graph, fresh)) != set(out.g_members):
 			raise RuntimeError("saturation is not a fixpoint")
 	return out
 
@@ -273,7 +330,7 @@ def fast_periphery(pp, dmask):
 			cut = orders.n_g(graph, gx, theta) & dmask
 			if cut and cut != dmask:
 				out.add(cut)
-	return tuple(sorted(out, key=_member_key))
+	return _by_size(out)
 
 
 def cone_graph(graph, g_members):
@@ -288,7 +345,7 @@ def cone_graph(graph, g_members):
 			raise DomainError("cone members must be proper subgraphs")
 	names = list(graph.vertices)
 	edges = [list(e) for e in graph.to_json_obj()["edges"]]
-	cones = [("@%d" % i, m) for i, m in enumerate(sorted(set(g_members), key=_member_key))]
+	cones = [("@%d" % i, m) for i, m in enumerate(_by_size(set(g_members)))]
 	cones.append(("@G", graph.full))
 	cones.append(("@*", graph.full))
 	for cname, m in cones:
@@ -313,4 +370,4 @@ def untwisted_periphery(graph):
 				m |= 1 << w
 		if m != graph.full:
 			out.add(m)
-	return tuple(sorted(out, key=_member_key))
+	return _by_size(out)

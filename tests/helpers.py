@@ -156,3 +156,16 @@ def box_inner_vector(ctx, phis, box):
 		if is_inner(ctx, prod).status == "yes":
 			return vec
 	return None
+
+
+def pivot_by_generators(d):
+	"""The first member, by size then mask, some listed generator restricts nontrivially to.
+
+	Asks every generator of the descriptor about every member through
+	acts_trivially_on, with no order index.
+	"""
+	gens = d.gens()
+	for m in sorted(d.pair.g_members, key=lambda m: (m.bit_count(), m)):
+		if any(not gen.acts_trivially_on(m) for gen in gens):
+			return m
+	return None

@@ -196,3 +196,29 @@ def test_no_command_prints_help(capsys):
 	code, out, _ = run(capsys)
 	assert code == 1
 	assert "command" in out
+
+
+@pytest.mark.parametrize(
+	"flag, obj, key",
+	[
+		("--periph", [["a"]], '"G"'),
+		("--script", [{"op": "restrict"}], '"target"'),
+		("--script", {"op": "leaf"}, "list of steps"),
+		("--script", ["leaf"], '"op"'),
+		("--script", [{"op": "restrict", "target": ["b"], "image": {"op": "leaf"}}], "list of steps"),
+	],
+	ids=["periph-list", "restrict-no-target", "script-object", "step-not-object", "image-object"],
+)
+def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag, obj, key):
+	path = write_json(tmp_path, "bad.json", obj)
+	code, out, err = run(capsys, "decompose", "--graph", p3, flag, path)
+	assert code == 1 and out == ""
+	assert err.startswith("error: ") and err.count("\n") == 1
+	assert key in err
+
+
+def test_seed_flag_is_gone(capsys, p3):
+	with pytest.raises(SystemExit) as exc:
+		main(["info", "--graph", p3, "--seed", "1"])
+	assert exc.value.code == 1
+	assert "--seed" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from raagout.errors import DomainError
+from raagout.families import four_path
 from raagout.graphs import DefiningGraph
 from raagout.peripheral import PeripheralPair, saturate
 from raagout.autos import acts_trivially_word, is_inner, realize
@@ -28,7 +29,12 @@ from raagout.decompose import (
 	_pivot,
 )
 
-from helpers import connected_graphs_upto_iso, graph_from_edges, random_peripheral
+from helpers import (
+	connected_graphs_upto_iso,
+	graph_from_edges,
+	pivot_by_generators,
+	random_peripheral,
+)
 
 
 def path3():
@@ -382,19 +388,31 @@ def test_decompose_complexity_strictly_drops():
 
 
 def test_pivot_is_smallest_member_with_nontrivial_restriction():
+	# random pairs, saturated or not, and every node of two decomposition
+	# trees, whose kernels carry refined indexes
 	rng = random.Random(17)
+	cases = []
 	for n in (4, 5):
 		for edges in connected_graphs_upto_iso(n):
 			g = graph_from_edges(n, edges)
 			glist, hlist = random_peripheral(g, rng)
-			pair = saturate(PeripheralPair(g, glist, hlist).normalize())
-			d = GroupDescriptor(g, pair)
-			want = None
-			for m in sorted(pair.g_members, key=lambda m: (m.bit_count(), m)):
-				if any(not gen.acts_trivially_on(m) for gen in d.gens()):
-					want = m
-					break
-			assert _pivot(d) == want
+			pair = PeripheralPair(g, glist, hlist).normalize()
+			cases.append(GroupDescriptor(g, pair))
+			cases.append(GroupDescriptor(g, saturate(pair)))
+
+	def walk(node):
+		cases.append(node.descriptor)
+		step = node.step
+		if isinstance(step, RestrictionStep):
+			walk(step.kernel)
+		if not isinstance(step, Leaf):
+			walk(step.image)
+
+	walk(decompose(GroupDescriptor.absolute(diamond_chain(3))))
+	walk(decompose(GroupDescriptor.absolute(four_path(2, 1, 2, 1))))
+	for d in cases:
+		assert _pivot(d) == pivot_by_generators(d)
+	assert sum(_pivot(d) is None for d in cases) not in (0, len(cases))
 
 
 def test_decompose_deterministic():

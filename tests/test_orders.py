@@ -3,6 +3,7 @@ import random
 
 from raagout.graphs import DefiningGraph, mask_of
 from raagout import orders
+from raagout.peripheral import PeripheralPair
 
 from helpers import connected_graphs_upto_iso, graph_from_edges
 
@@ -189,3 +190,33 @@ def test_pair_index_matches_leq_rel_and_gv_components():
 			assert index.down[u] == down
 		for v in range(n):
 			assert list(index.gv[v]) == orders.gv_components(g, members, v)
+
+
+def _fields(index):
+	return index.rows, index.down, index.gv
+
+
+def test_refined_index_matches_fresh_build():
+	# PairIndex.refined directly, and through the pairs that derive their
+	# index: adding_g, and adding_h (the kernel edge) in both modes
+	rng = random.Random(47)
+	for trial in range(300):
+		n = rng.randrange(1, 8)
+		g = _random_graph(rng, n)
+		glist = _random_members(rng, n, rng.randrange(5))
+		hlist = [m for m in glist if rng.random() < 0.5]
+		extra = _random_members(rng, n, rng.randrange(4))
+		index = orders.PairIndex(g, glist)
+		assert _fields(index.refined(extra)) == _fields(orders.PairIndex(g, glist + extra))
+		assert _fields(index) == _fields(orders.PairIndex(g, glist))
+		mode = ("weak", "full")[trial % 2]
+		pp = PeripheralPair(g, glist, hlist).normalize(mode)
+		assert pp.index is not None  # built now, so the pairs below refine it
+		for derived in (pp.adding_g(extra), pp.adding_h(extra), pp.normalize(mode)):
+			assert derived._index is not None
+			fresh = orders.PairIndex(g, derived.g_members)
+			assert _fields(derived.index) == _fields(fresh)
+		kernel = pp.adding_h(extra)
+		assert kernel.normalized == mode and not kernel.saturated
+		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra)).normalize(mode)
+		assert (kernel.g_members, kernel.h_members) == (again.g_members, again.h_members)

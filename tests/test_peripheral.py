@@ -9,6 +9,7 @@ from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout import orders
 from raagout.peripheral import (
 	PeripheralPair,
+	_invariant_scan,
 	cone_graph,
 	fast_periphery,
 	induced,
@@ -263,6 +264,12 @@ def test_saturate_matches_every_proper_mask_checked():
 		assert {m for m in range(1, full) if is_invariant(pp, m)} == invariant
 		sat = saturate(pp, paranoid=True)
 		assert set(sat.g_members) == set(pp.g_members) | invariant
+		# the scan returns every old member, and the index handed over is
+		# the one a fresh build over the saturated list gives
+		assert set(pp.g_members) <= set(_invariant_scan(g, pp.index))
+		assert sat.index is pp.index
+		fresh = orders.PairIndex(g, sat.g_members)
+		assert (sat.index.rows, sat.index.down, sat.index.gv) == (fresh.rows, fresh.down, fresh.gv)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
