@@ -259,8 +259,8 @@ def cmd_vcd(args):
 	gens = None
 	if args.gens:
 		obj = _load_json(args.gens, "generator list")
-		if not isinstance(obj, list):
-			raise DomainError("generator list file must hold a JSON list")
+		if not isinstance(obj, list) or not all(isinstance(text, str) for text in obj):
+			raise DomainError("generator list file must hold a JSON list of strings")
 		gens = [parse_generator(graph, text) for text in obj]
 	bound = vcd_report(desc, script=script, cfg=cfg, gens=gens, nilpotent=args.nilpotent)
 	if args.format == "json":
@@ -397,7 +397,7 @@ def build_parser():
 	p.add_argument("--script", metavar="F")
 	p.add_argument("--cfg", metavar="F", help="dimension provider JSON")
 	p.add_argument("--gens", metavar="F", help="lower-bound generator list JSON")
-	p.add_argument("--nilpotent", action="store_true", help="use the nilpotent certificate")
+	p.add_argument("--nilpotent", action="store_true", help="allow a generator list that does not commute")
 
 	add("cone-graph", cmd_cone_graph, help="cone off the preserved members")
 

@@ -13,8 +13,6 @@ either a clique or an edgeless subgraph; the quotient "class graph" with its
 (size, flag) colouring is what symmetry generators are allowed to permute.
 """
 
-import json
-
 from .errors import DomainError
 
 
@@ -50,28 +48,34 @@ def compress_mask(mask, within):
 	return out
 
 
+def _require_list(obj, what):
+	if not isinstance(obj, (list, tuple)):
+		raise DomainError("%s must be a list, got %r" % (what, obj))
+
+
 class DefiningGraph:
 	"""A finite simplicial graph with a fixed vertex order."""
 
 	def __init__(self, vertices, edges):
-		vertices = list(vertices)
-		if len(set(vertices)) != len(vertices):
-			raise DomainError("duplicate vertex names")
+		_require_list(vertices, "vertices")
 		for v in vertices:
 			if not isinstance(v, str) or not v:
 				raise DomainError("vertex names must be nonempty strings")
+		if len(set(vertices)) != len(vertices):
+			raise DomainError("duplicate vertex names")
 		self.vertices = tuple(vertices)
 		self.n = len(vertices)
 		self.index = {v: i for i, v in enumerate(vertices)}
 		self.full = (1 << self.n) - 1
 		adj = [0] * self.n
 		seen = set()
+		_require_list(edges, "edges")
 		for e in edges:
-			if len(e) != 2:
+			if not isinstance(e, (list, tuple)) or len(e) != 2:
 				raise DomainError("edges must be pairs, got %r" % (e,))
-			a, b = e
-			if a not in self.index or b not in self.index:
+			if not all(isinstance(x, str) and x in self.index for x in e):
 				raise DomainError("edge %r has an unknown endpoint" % (e,))
+			a, b = e
 			if a == b:
 				raise DomainError("loop at %r" % a)
 			i, j = self.index[a], self.index[b]
@@ -94,15 +98,6 @@ class DefiningGraph:
 			raise DomainError('graph JSON needs "vertices" and "edges" keys')
 		return cls(obj["vertices"], obj["edges"])
 
-	@classmethod
-	def load(cls, path):
-		with open(path) as fp:
-			try:
-				obj = json.load(fp)
-			except json.JSONDecodeError as e:
-				raise DomainError("invalid JSON in %s: %s" % (path, e))
-		return cls.from_json_obj(obj)
-
 	def to_json_obj(self):
 		edges = []
 		for i in range(self.n):
@@ -114,9 +109,11 @@ class DefiningGraph:
 	# ---- mask helpers ----
 
 	def mask(self, names):
+		"""Mask of a list of vertex names; a single string is not a list."""
+		_require_list(names, "a vertex set")
 		m = 0
 		for name in names:
-			if name not in self.index:
+			if not isinstance(name, str) or name not in self.index:
 				raise DomainError("unknown vertex %r" % name)
 			m |= 1 << self.index[name]
 		return m

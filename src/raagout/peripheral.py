@@ -65,16 +65,13 @@ class PeripheralPair:
 	def from_json_obj(cls, graph, obj):
 		if not isinstance(obj, dict):
 			raise DomainError('a peripheral pair must be an object with keys "G" and "H"')
-		g = [graph.mask(names) for names in obj.get("G", [])]
-		h = [graph.mask(names) for names in obj.get("H", [])]
-		return cls(graph, g, h)
-
-	@classmethod
-	def load(cls, graph, path):
-		import json
-
-		with open(path) as fp:
-			return cls.from_json_obj(graph, json.load(fp))
+		members = {}
+		for key in ("G", "H"):
+			lists = obj.get(key, [])
+			if not isinstance(lists, list):
+				raise DomainError('"%s" must be a list of vertex sets' % key)
+			members[key] = [graph.mask(names) for names in lists]
+		return cls(graph, members["G"], members["H"])
 
 	def to_json_obj(self):
 		return {
@@ -300,7 +297,7 @@ def induced(pp, dmask):
 	"""
 	sub = pp.graph.induced(dmask)
 	cut = lambda ms: [
-		compress_mask(m & dmask, dmask) for m in ms if m & dmask and m & dmask != dmask
+		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
 	]
 	return PeripheralPair(sub, cut(pp.g_members), cut(pp.h_members), normalized=pp.normalized)
 

@@ -2,12 +2,13 @@
 
 The upper bound folds leaf dimensions, projection kernel ranks, and
 extension ranks up a tree. Lower bounds come from explicit generator
-lists: a commuting list is certified through its action on homology, a
-nilpotent list through the dimension of the Lie algebra its unipotent
-image generates, and in both the generators acting trivially on homology
-count once their first Johnson images are independent modulo the inner
-automorphisms. All of it is exact integer linear algebra. A failed
-certificate raises; it never degrades into a smaller number silently.
+lists spanning a nilpotent group, commuting ones included: the
+generators acting on homology count through the dimension of the Lie
+algebra their unipotent image generates, and the generators acting
+trivially count once their first Johnson images are independent modulo
+the inner automorphisms. All of it is exact integer linear algebra. A
+failed certificate raises; it never degrades into a smaller number
+silently.
 """
 
 import ast
@@ -16,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .autos import Automorphism, is_inner, realize
+from .autos import Automorphism, LaurenceGenerator, gen_in_relative, is_inner, realize
 from .decompose import (
 	FouxeRabinovitch,
 	FreeAbelian,
@@ -28,6 +29,7 @@ from .decompose import (
 	decompose,
 )
 from .errors import CertificationError, DomainError
+from .families import diamond_generators, diamond_labels
 from .graphs import bits
 from .words import WordContext
 
@@ -274,17 +276,6 @@ class _Echelon:
 		self.rows.sort(key=lambda pr: pr[0])
 		return True
 
-	@property
-	def dim(self):
-		return len(self.rows)
-
-
-def _rank(vectors):
-	ech = _Echelon()
-	for vec in vectors:
-		ech.add(vec)
-	return ech.dim
-
 
 # ---- homology action ----
 
@@ -490,53 +481,36 @@ def _commutator(a, b):
 	return a.compose(b).compose(a.invert()).compose(b.invert())
 
 
-def certify_abelian_lower_bound(graph, gens):
-	"""Certified rank of the span of a commuting generator list.
+def certify_lower_bound(graph, gens, nilpotent=False):
+	"""Certified Hirsch length of the group a generator list spans.
 
-	Every pair must commute in the outer group. Generators acting on
-	homology must act unipotently and contribute the rank of their
-	logarithms; the rest contribute one each once their Johnson images
-	are independent modulo the inner automorphisms.
+	Without nilpotent, every pair must commute in the outer group. With
+	it, every commutator of listed generators must be inner or again a
+	listed generator up to sign and inner factors; unless the graph is a
+	clique (where the homology action is faithful), generators reached as
+	commutators must have inner commutators with everything, pinning the
+	class at two. The homology part contributes the dimension of the Lie
+	algebra its logarithms generate, which must be nilpotent; for a
+	commuting list that is the rank of the logarithms. Conjugation-type
+	generators contribute one each once their Johnson images are
+	independent modulo the inner automorphisms.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
+	noninner = {}
 	for i in range(len(gens)):
 		for j in range(i + 1, len(gens)):
-			res = is_inner(ctx, _commutator(phis[i], phis[j]))
-			if res.status != "yes":
+			c = _commutator(phis[i], phis[j])
+			res = is_inner(ctx, c)
+			if res.status == "yes":
+				continue
+			if not nilpotent:
 				raise CertificationError(
 					"generators %s and %s do not commute in the outer group: %s"
 					% (gens[i], gens[j], res.reason or res.status)
 				)
-	ident = _identity_matrix(graph.n)
-	logs = []
-	ia = []
-	ia_names = []
-	for gen, phi in zip(gens, phis):
-		mat = _h1_action(ctx, phi)
-		if mat == ident:
-			ia.append(phi)
-			ia_names.append(str(gen))
-		else:
-			logs.append(_integral(_log_unipotent(mat, gen)))
-	_certify_johnson_independent(ctx, ia, ia_names)
-	return _rank(logs) + len(ia)
+			noninner[i, j] = c
 
-
-def certify_nilpotent_lower_bound(graph, gens):
-	"""Certified Hirsch length of the span of a nilpotent generator list.
-
-	The homology part contributes the dimension of the Lie algebra its
-	logarithms generate, which must be nilpotent. Every commutator of
-	listed generators must be inner or again a listed generator up to
-	sign and inner factors; unless the graph is a clique (where the
-	homology action is faithful), generators reached as commutators must
-	have inner commutators with everything, pinning the class at two.
-	Conjugation-type generators contribute one each once their Johnson
-	images are independent modulo the inner automorphisms.
-	"""
-	ctx = WordContext(graph)
-	phis = [realize(ctx, gen) for gen in gens]
 	ident = _identity_matrix(graph.n)
 	mats = [_h1_action(ctx, phi) for phi in phis]
 	logs = [
@@ -544,37 +518,31 @@ def certify_nilpotent_lower_bound(graph, gens):
 		for gen, mat in zip(gens, mats)
 		if mat != ident
 	]
-	lie_dim = len(_lie_closure(logs)) if logs else 0
+	lie_dim = len(_lie_closure(logs))
 
 	inverses = [phi.invert() for phi in phis]
 	inv_mats = [_h1_action(ctx, inv) for inv in inverses]
 	derived = set()
-	commuting = [[True] * len(gens) for _ in gens]
-	for i in range(len(gens)):
-		for j in range(i + 1, len(gens)):
-			c = _commutator(phis[i], phis[j])
-			if is_inner(ctx, c).status == "yes":
-				continue
-			commuting[i][j] = commuting[j][i] = False
-			cmat = _h1_action(ctx, c)
-			match = None
-			for k in range(len(gens)):
-				if cmat == mats[k] and is_inner(ctx, c.compose(inverses[k])).status == "yes":
-					match = k
-				elif cmat == inv_mats[k] and is_inner(ctx, c.compose(phis[k])).status == "yes":
-					match = k
-				if match is not None:
-					break
-			if match is None:
-				raise CertificationError(
-					"the commutator of %s and %s is neither inner nor listed"
-					% (gens[i], gens[j])
-				)
-			derived.add(match)
+	for (i, j), c in noninner.items():
+		cmat = _h1_action(ctx, c)
+		match = None
+		for k in range(len(gens)):
+			if cmat == mats[k] and is_inner(ctx, c.compose(inverses[k])).status == "yes":
+				match = k
+			elif cmat == inv_mats[k] and is_inner(ctx, c.compose(phis[k])).status == "yes":
+				match = k
+			if match is not None:
+				break
+		if match is None:
+			raise CertificationError(
+				"the commutator of %s and %s is neither inner nor listed"
+				% (gens[i], gens[j])
+			)
+		derived.add(match)
 	if not graph.is_clique(graph.full):
 		for k in sorted(derived):
 			for i in range(len(gens)):
-				if i != k and not commuting[k][i]:
+				if (min(i, k), max(i, k)) in noninner:
 					raise CertificationError(
 						"%s is reached as a commutator but does not commute with %s"
 						% (gens[k], gens[i])
@@ -592,8 +560,6 @@ def certify_nilpotent_lower_bound(graph, gens):
 
 def _triangle_list(descriptor):
 	"""Transvections below the diagonal that the peripheral pair allows."""
-	from .autos import LaurenceGenerator, gen_in_relative
-
 	graph = descriptor.graph
 	out = []
 	for j in range(graph.n):
@@ -609,62 +575,49 @@ def _triangle_list(descriptor):
 def _derive_generators(descriptor):
 	"""A certifiable list for the shapes the package knows cold.
 
-	Cliques get their below-diagonal transvections (nilpotent list); an
-	absolute diamond chain gets its commuting list. Returns
-	(gens, nilpotent) or None.
+	Cliques get their below-diagonal transvections, an absolute diamond
+	chain gets its commuting list, and any other shape the empty list.
 	"""
-	from .families import diamond_generators, diamond_labels
-	from .autos import LaurenceGenerator
-
 	graph = descriptor.graph
 	if graph.is_clique(graph.full):
-		return _triangle_list(descriptor), True
+		return _triangle_list(descriptor)
 	pair = descriptor.pair
 	if pair.g_members or pair.h_members:
-		return None
+		return []
 	labels = diamond_labels(graph)
 	if labels is None:
-		return None
+		return []
 	d = (graph.n - 1) // 3
 	if d == 1:
-		gens = [
+		return [
 			LaurenceGenerator.transvection(graph, labels["b1"], labels["a1"]),
 			LaurenceGenerator.transvection(graph, labels["c0"], labels["c1"]),
 		]
-	else:
-		gens = diamond_generators(graph, d, labels=labels)
-	return gens, False
+	return diamond_generators(graph, d, labels=labels)
 
 
 def vcd_report(descriptor, script=None, cfg=None, gens=None, nilpotent=False):
 	"""Decompose, fold the upper bound, and certify a lower bound.
 
 	A supplied generator list must lie in the descriptor's group and
-	drives certification directly, through the nilpotent certificate
-	when asked. Without one, cliques and absolute diamond chains get a
-	list derived automatically; any other graph settles for a certified
-	lower bound of zero.
+	drives certification directly; nilpotent lets its members fail to
+	commute. Without one, cliques and absolute diamond chains get a list
+	derived automatically; any other graph settles for a certified lower
+	bound of zero.
 	"""
-	from .autos import gen_in_relative
-
 	mode = "script" if script is not None else "auto"
 	tree = decompose(descriptor, mode=mode, script=script)
 	upper, per_leaf = fold(tree, cfg)
 	if gens is None:
-		derived = _derive_generators(descriptor)
-		if derived is not None:
-			gens, nilpotent = derived
+		gens = _derive_generators(descriptor)
+		nilpotent = True
 	else:
 		for gen in gens:
 			if not gen_in_relative(gen, descriptor.pair):
 				raise DomainError(
 					"%s is not in the group being bounded" % (gen,)
 				)
-	if gens:
-		certify = certify_nilpotent_lower_bound if nilpotent else certify_abelian_lower_bound
-		lower = certify(descriptor.graph, gens)
-	else:
-		lower = 0
+	lower = certify_lower_bound(descriptor.graph, gens, nilpotent) if gens else 0
 	if upper != "unknown" and lower > upper:
 		raise RuntimeError(
 			"certified lower bound %d exceeds the upper bound %d" % (lower, upper)

@@ -13,7 +13,7 @@ Letter codes: vertex v as a positive letter is 2*v, its inverse 2*v+1.
 import os
 
 from . import _kernel_py
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 from .graphs import bits
 
 try:
@@ -22,6 +22,9 @@ except ImportError:
 	_kernel_c = None
 
 KERNEL_KIND = "compiled" if (_kernel_c is not None and not os.environ.get("RAAGOUT_PURE")) else "pure"
+
+# Most letters a written word may spell out once exponents are expanded.
+PARSE_CAP = 1 << 20
 
 
 def enc(v, sign):
@@ -142,8 +145,12 @@ class WordContext:
 	# ---- text form ----
 
 	def parse(self, text):
-		"""Parse a word like "a1 b1^-1 c0" into letter codes."""
-		out = []
+		"""Parse a word like "a1 b1^-1 c0" into letter codes.
+
+		Raises CapabilityError, before building anything, when the word
+		would spell out more than PARSE_CAP letters.
+		"""
+		runs = []
 		for tok in text.split():
 			name, _, power = tok.partition("^")
 			if name not in self.graph.index:
@@ -155,12 +162,14 @@ class WordContext:
 					raise DomainError("bad exponent in %r" % tok)
 			else:
 				k = 1
-			if k == 0:
-				continue
 			v = self.graph.index[name]
-			lt = enc(v, 1 if k > 0 else -1)
-			out.extend([lt] * abs(k))
-		return tuple(out)
+			runs.append((enc(v, 1 if k > 0 else -1), abs(k)))
+		total = sum(k for _, k in runs)
+		if total > PARSE_CAP:
+			raise CapabilityError(
+				"word spells out %d letters, over the limit of %d" % (total, PARSE_CAP)
+			)
+		return tuple(lt for lt, k in runs for _ in range(k))
 
 	def format(self, letters):
 		if not letters:

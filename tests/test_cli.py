@@ -206,8 +206,15 @@ def test_no_command_prints_help(capsys):
 		("--script", {"op": "leaf"}, "list of steps"),
 		("--script", ["leaf"], '"op"'),
 		("--script", [{"op": "restrict", "target": ["b"], "image": {"op": "leaf"}}], "list of steps"),
+		("--periph", {"G": [1]}, "must be a list, got 1"),
+		("--periph", {"H": "ab"}, '"H"'),
+		("--script", [{"op": "restrict", "target": "ab"}], "must be a list, got 'ab'"),
+		("--script", [{"op": "restrict", "target": [["b"]]}], "unknown vertex"),
 	],
-	ids=["periph-list", "restrict-no-target", "script-object", "step-not-object", "image-object"],
+	ids=[
+		"periph-list", "restrict-no-target", "script-object", "step-not-object", "image-object",
+		"member-not-list", "members-string", "target-string", "target-name-not-string",
+	],
 )
 def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag, obj, key):
 	path = write_json(tmp_path, "bad.json", obj)
@@ -215,6 +222,32 @@ def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag,
 	assert code == 1 and out == ""
 	assert err.startswith("error: ") and err.count("\n") == 1
 	assert key in err
+
+
+@pytest.mark.parametrize(
+	"command, flag, obj, key",
+	[
+		("info", "--graph", {"vertices": "ab", "edges": []}, "vertices must be a list"),
+		("info", "--graph", {"vertices": [["a"]], "edges": []}, "nonempty strings"),
+		("info", "--graph", {"vertices": ["a", "b"], "edges": ["ab"]}, "pairs"),
+		("info", "--graph", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, "unknown endpoint"),
+		("vcd", "--gens", [1, 2], "list of strings"),
+	],
+	ids=["vertices-string", "vertex-not-string", "edge-string", "endpoint-not-string", "gens-ints"],
+)
+def test_malformed_names_are_domain_errors(capsys, tmp_path, p3, command, flag, obj, key):
+	path = write_json(tmp_path, "bad.json", obj)
+	argv = [command, flag, path] if flag == "--graph" else [command, "--graph", p3, flag, path]
+	code, out, err = run(capsys, *argv)
+	assert code == 1 and out == ""
+	assert err.startswith("error: ") and err.count("\n") == 1
+	assert key in err
+
+
+def test_apply_word_over_the_letter_cap_is_a_capability_limit(capsys, p3):
+	code, out, err = run(capsys, "apply", "--graph", p3, "--gen", "inv a", "--word", "a^1000000000")
+	assert (code, out) == (2, "")
+	assert err.startswith("capability limit: ") and err.count("\n") == 1
 
 
 def test_seed_flag_is_gone(capsys, p3):
