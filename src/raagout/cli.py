@@ -381,7 +381,7 @@ def build_parser():
 	p.add_argument("--target", metavar="V,V,...", help="vertex names")
 
 	p = add("saturate", cmd_saturate, help="saturate a peripheral pair")
-	p.add_argument("--cap", type=int, default=SATURATE_CAP, help="vertex cap")
+	p.add_argument("--cap", type=int, default=SATURATE_CAP, help="vertex cap on listing the members")
 
 	p = add("periphery", cmd_periphery, help="induced periphery of a subgroup")
 	p.add_argument("--target", metavar="V,V,...")

@@ -140,9 +140,11 @@ class PairIndex:
 	built: refined(extra) returns the index of the member list joined with
 	extra, which cuts each row u by the extra members through u and merges
 	the components their pieces meet, so only the extra members are read.
+	The owner tables behind splits and the closures are worked out on
+	first use and kept.
 	"""
 
-	__slots__ = ("graph", "rows", "down", "gv")
+	__slots__ = ("graph", "rows", "down", "gv", "_splits", "_closed")
 
 	def __init__(self, graph, members=()):
 		n = graph.n
@@ -162,8 +164,80 @@ class PairIndex:
 		out._join(extra)
 		return out
 
+	@property
+	def splits(self):
+		"""(x, away, owner) for every x with two or more G^x-components.
+
+		away is the complement of st(x) and owner the owner_table of the
+		G^x-components, so a set S meets two of them exactly when
+		S & away & ~owner[least vertex of S & away] is nonzero.
+		"""
+		if self._splits is None:
+			graph = self.graph
+			self._splits = tuple(
+				(x, graph.full & ~graph.star_masks[x], owner_table(graph, comps))
+				for x, comps in enumerate(self.gv)
+				if len(comps) > 1
+			)
+		return self._splits
+
+	def closure(self, mask):
+		"""The least invariant set holding mask, the whole graph if no proper one does.
+
+		A set is invariant when it is an up-set of the order and no outside
+		star separates it: for x outside, its part away from st(x) meets at
+		most one G^x-component (peripheral.is_invariant). Invariant sets are
+		closed under intersection. An intersection of up-sets is an up-set,
+		and for x outside S & T, the part of S & T away from st(x) lies in
+		the part of S or of T that x does not hold, so it meets at most one
+		G^x-component. Every invariant superset of mask therefore holds
+		what this adds, round by round: the rows of the set's vertices, and
+		each outside x whose G^x-components the set meets twice. A round
+		that adds nothing ends on an invariant set, after at most n rounds.
+		"""
+		out = self._closed.get(mask)
+		if out is not None:
+			return out
+		rows = self.rows
+		splits = self.splits
+		out = mask
+		while True:
+			grown = out
+			for u in bits(out):
+				grown |= rows[u]
+			for x, away, owner in splits:
+				part = grown & away
+				if part & ~owner[(part & -part).bit_length() - 1]:
+					grown |= 1 << x
+			if grown == out:
+				break
+			out = grown
+		self._closed[mask] = out
+		return out
+
+	def closures_across(self, comps):
+		"""The closures of {a, b} for a and b in different masks of comps.
+
+		The closure of {a, b} is that of closure({a}) | closure({b}), so
+		the single closures are reused, and a vertex whose own closure is
+		the whole graph adds nothing.
+		"""
+		full = self.graph.full
+		out = set()
+		for i, c in enumerate(comps):
+			for a in bits(c):
+				ca = self.closure(1 << a)
+				if ca == full:
+					continue
+				for other in comps[i + 1 :]:
+					for b in bits(other):
+						out.add(self.closure(ca | self.closure(1 << b)))
+		return out
+
 	def _join(self, members):
 		graph = self.graph
+		self._splits = None
+		self._closed = {}
 		members = list(members)
 		blocked = blocked_masks(graph, members)
 		self.rows = rows = tuple(r & ~b for r, b in zip(self.rows, blocked))

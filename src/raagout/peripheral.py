@@ -9,15 +9,22 @@ component conditions of the orders module. Saturation then enlarges G to
 contain every invariant proper special subgroup, which is the hypothesis
 under which restriction images are again relative groups. The invariant
 subgraphs are the up-sets of the relative order that no outside star
-separates, so saturation enumerates up-sets rather than all subgraphs; when
-even that is too expensive, fast_periphery produces the smaller collection
-that suffices for a single restriction target.
+separates, so listing them enumerates up-sets rather than all subgraphs;
+fast_periphery produces the smaller collection that suffices for a single
+restriction target.
 
 Each pair carries the order index of its G (orders.PairIndex). A pair built
 from another one with the same graph derives its index rather than
 rebuilding it: saturation hands the index over unchanged, since the sets it
 adds change neither the order nor any G^v-component, and adding_g, adding_h
 and normalize refine it by the members they add.
+
+The invariant sets are closed under intersection, so each set has a least
+invariant superset (PairIndex.closure), and on a saturated pair that is
+all the pivot search, the induced index and the leaf shapes need to know
+about G. Saturated pairs built with saturation(), and the pairs derived
+from them, therefore carry their index and list G only when it is read;
+there can be up to 2^n - 2 members.
 """
 
 from .errors import CapabilityError, DomainError
@@ -41,18 +48,42 @@ class PeripheralPair:
 	precondition call require_normalized rather than silently closing up.
 	Pairs are never changed in place (adding_g, adding_h, normalize and
 	induced all build new ones). The order index of G is built on first
-	use, unless the pair was derived from one whose index was built.
+	use, unless the pair was derived from one whose index was built. A lazy
+	pair (see _lazy) has its index from the start and lists G on first read.
 	"""
 
-	__slots__ = ("graph", "g_members", "h_members", "normalized", "saturated", "_index")
+	__slots__ = (
+		"graph", "_g_members", "_list_g", "h_members", "normalized", "saturated", "_index"
+	)
 
 	def __init__(self, graph, g_members=(), h_members=(), normalized=None, saturated=False):
 		self.graph = graph
-		self.g_members = self._clean(g_members)
+		self._g_members = self._clean(g_members)
+		self._list_g = None
 		self.h_members = self._clean(h_members)
 		self.normalized = normalized
 		self.saturated = saturated
 		self._index = None
+
+	@classmethod
+	def _lazy(cls, graph, list_g, index, h_members, normalized, saturated=False):
+		"""A pair whose G is list_g(), called on the first read of g_members.
+
+		The index must be G's, since building it would list G.
+		"""
+		out = cls(graph, (), h_members, normalized, saturated)
+		out._g_members = None
+		out._list_g = list_g
+		out._index = index
+		return out
+
+	@property
+	def g_members(self):
+		"""G as masks, by size then value; a lazy pair lists it here."""
+		if self._g_members is None:
+			self._g_members = self._clean(self._list_g())
+			self._list_g = None
+		return self._g_members
 
 	def _clean(self, members):
 		out = set(members)
@@ -105,9 +136,14 @@ class PeripheralPair:
 		"""Same pair with extra masks joined into G.
 
 		Growing G keeps the normalization invariant (it only constrains
-		which subsets of H-members are present), so the flag survives.
+		which subsets of H-members are present), so the flag survives. A
+		saturated G already holds every invariant mask, so it stays
+		saturated only when every extra mask is one; the closures it is
+		read through would not see any other.
 		"""
-		return self._joined(extra, self.h_members, self.normalized, self.saturated)
+		extra = list(extra)
+		saturated = self.saturated and all(is_invariant(self, m) for m in extra)
+		return self._joined(extra, self.h_members, self.normalized, saturated)
 
 	def adding_h(self, extra):
 		"""Same pair with extra masks joined into H, normalized again.
@@ -123,9 +159,19 @@ class PeripheralPair:
 		"""A pair on the same graph whose G is this G joined with extra.
 
 		When this pair's index is built, the new one is refined from it by
-		extra alone; members already in G refine nothing.
+		extra alone; members already in G refine nothing. A lazy pair gives
+		a lazy pair.
 		"""
 		extra = list(extra)
+		if self._g_members is None:
+			return PeripheralPair._lazy(
+				self.graph,
+				lambda: self.g_members + tuple(extra),
+				self._index.refined(extra),
+				h_members,
+				normalized,
+				saturated,
+			)
 		out = PeripheralPair(
 			self.graph,
 			self.g_members + tuple(extra),
@@ -240,8 +286,34 @@ def _invariant_scan(graph, index):
 	return out
 
 
+def saturation(pp, cap=SATURATE_CAP):
+	"""The pair with G enlarged by every proper invariant subgraph, listed on first read.
+
+	The enlarged pair keeps pp's index (see saturate), so it is ready for
+	everything that reads the index or the closures; only reading its
+	g_members runs the up-set enumeration. The number of up-sets can
+	grow as 2^n, so that read is refused on graphs above cap vertices.
+	"""
+	pp.require_normalized()
+	graph = pp.graph
+	index = pp.index
+
+	def list_g():
+		if graph.n > cap:
+			raise CapabilityError(
+				"listing the saturated members is capped at %d vertices and this graph "
+				"has %d: the invariant subgraphs can number up to 2^n - 2; vcd does "
+				"not list them, printing a decomposition tree does" % (cap, graph.n)
+			)
+		return _invariant_scan(graph, index)
+
+	return PeripheralPair._lazy(
+		graph, list_g, index, pp.h_members, pp.normalized, saturated=True
+	)
+
+
 def saturate(pp, cap=SATURATE_CAP, paranoid=False):
-	"""Enlarge G with every proper invariant subgraph.
+	"""Enlarge G with every proper invariant subgraph, listed now.
 
 	A single enumeration suffices: the added subgroups were already
 	invariant, so the group, and with it the invariant collection, does not
@@ -259,29 +331,20 @@ def saturate(pp, cap=SATURATE_CAP, paranoid=False):
 	from scratch and compares it field by field, and re-runs the
 	enumeration on the rebuilt index to check the fixpoint. Graphs above
 	cap vertices are refused, since the number of up-sets can still grow
-	exponentially with n.
+	exponentially with n; saturation() defers the listing, and with it
+	the cap, to the first read of the members.
 	"""
-	pp.require_normalized()
-	graph = pp.graph
-	if graph.n > cap:
-		raise CapabilityError(
-			"saturation is capped at %d vertices and this graph has %d: the up-sets it "
-			"enumerates can still number up to 2^n; use fast_periphery for the "
-			"restriction target instead" % (cap, graph.n)
-		)
-	found = _invariant_scan(graph, pp.index)
-	out = PeripheralPair(
-		graph, found, pp.h_members, normalized=pp.normalized, saturated=True
-	)
-	out._index = pp.index
+	out = saturation(pp, cap)
+	found = out.g_members
 	if paranoid:
+		graph = pp.graph
 		if not set(pp.g_members) <= set(found):
 			raise RuntimeError("saturation dropped a member of G")
-		fresh = orders.PairIndex(graph, out.g_members)
+		fresh = orders.PairIndex(graph, found)
 		for field in ("rows", "down", "gv"):
 			if getattr(fresh, field) != getattr(pp.index, field):
 				raise RuntimeError("saturation changed the index field %s" % field)
-		if set(_invariant_scan(graph, fresh)) != set(out.g_members):
+		if set(_invariant_scan(graph, fresh)) != set(found):
 			raise RuntimeError("saturation is not a fixpoint")
 	return out
 
@@ -294,12 +357,35 @@ def induced(pp, dmask):
 	compressed accordingly. Weak normalization survives the construction
 	(deleted-vertex subsets of intersections are intersections of
 	deleted-vertex subsets), saturation does not.
+
+	On a saturated pair, G is every proper invariant set, and the result
+	is lazy: its G is cut from pp's on first read, and its index comes from
+	the closures alone. A row u of the induced order is cut by the
+	members through u, whose intersection is closure({u}). Two components
+	away from the star of v are glued by a member that holds a from one
+	and b from the other but not v, and one exists exactly when
+	closure({a, b}) is proper and does not hold v. So cutting those
+	closures to dmask gives the same index as cutting all of G.
 	"""
 	sub = pp.graph.induced(dmask)
 	cut = lambda ms: [
 		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
 	]
-	return PeripheralPair(sub, cut(pp.g_members), cut(pp.h_members), normalized=pp.normalized)
+	if not pp.saturated:
+		return PeripheralPair(sub, cut(pp.g_members), cut(pp.h_members), normalized=pp.normalized)
+	graph = pp.graph
+	index = pp.index
+	spanning = {index.closure(1 << u) for u in bits(dmask)}
+	for v in bits(dmask):
+		spanning |= index.closures_across(graph.components(dmask & ~graph.star_masks[v]))
+	spanning.discard(graph.full)
+	return PeripheralPair._lazy(
+		sub,
+		lambda: cut(pp.g_members),
+		orders.PairIndex(sub, cut(spanning)),
+		cut(pp.h_members),
+		pp.normalized,
+	)
 
 
 def fast_periphery(pp, dmask):

@@ -116,16 +116,25 @@ class DimProviderConfig:
 
 	@classmethod
 	def from_json_obj(cls, obj):
-		if not isinstance(obj, dict):
-			raise DomainError("provider config must be an object")
-		known = {"fr_free", "fr_zq_fs", "overrides"}
-		for key in obj:
-			if key not in known:
-				raise DomainError("unknown provider config key %r" % key)
+		"""The config in a JSON object, its keys and value types checked."""
+		_check_keys(obj, ("fr_free", "fr_zq_fs", "overrides"), "provider config")
+		for key in ("fr_free", "fr_zq_fs"):
+			if key in obj and not isinstance(obj[key], str):
+				raise DomainError('provider config "%s" must be a formula string' % key)
+		overrides = obj.get("overrides", [])
+		if not isinstance(overrides, list):
+			raise DomainError('provider config "overrides" must be a list of objects')
+		for override in overrides:
+			_check_keys(override, _OVERRIDE_KEYS, '"overrides" entry')
+			if "dim" not in override:
+				raise DomainError('an "overrides" entry needs a "dim" key')
+			for key, (ok, text) in _OVERRIDE_KEYS.items():
+				if key in override and not ok(override[key]):
+					raise DomainError('"overrides" entry key "%s" must be %s' % (key, text))
 		return cls(
 			fr_free=obj.get("fr_free", "2*m - 3"),
 			fr_zq_fs=obj.get("fr_zq_fs", "q*(2*s - 1)"),
-			overrides=obj.get("overrides", ()),
+			overrides=overrides,
 		)
 
 	def to_json_obj(self):
@@ -134,6 +143,27 @@ class DimProviderConfig:
 			"fr_zq_fs": self.fr_zq_fs,
 			"overrides": list(self.overrides),
 		}
+
+
+def _is_count(x):
+	return isinstance(x, int) and not isinstance(x, bool)
+
+
+# the keys an override may hold: a check of the value and what it must be
+_OVERRIDE_KEYS = {
+	"factors": (lambda x: isinstance(x, list) and all(map(_is_count, x)), "a list of integers"),
+	"free": (_is_count, "an integer"),
+	"held": (lambda x: isinstance(x, bool), "true or false"),
+	"dim": (lambda x: _is_count(x) or isinstance(x, str), "an integer or a formula string"),
+}
+
+
+def _check_keys(obj, known, what):
+	if not isinstance(obj, dict):
+		raise DomainError("%s must be an object" % what)
+	for key in obj:
+		if key not in known:
+			raise DomainError("unknown %s key %r" % (what, key))
 
 
 def _center_size(graph):

@@ -6,11 +6,15 @@ for the fast implementations.
 """
 
 import itertools
+import random
 from collections import deque
 from functools import lru_cache
 
+from raagout import families
 from raagout.autos import Automorphism, is_inner
+from raagout.decompose import GroupDescriptor, Leaf, RestrictionStep, decompose
 from raagout.graphs import DefiningGraph
+from raagout.peripheral import PeripheralPair
 
 
 def word_closure(word, graph, cap=200000):
@@ -169,3 +173,48 @@ def pivot_by_generators(d):
 		if any(not gen.acts_trivially_on(m) for gen in gens):
 			return m
 	return None
+
+
+def tree_nodes(node):
+	"""Every node of a decomposition tree, root first."""
+	out = [node]
+	step = node.step
+	if isinstance(step, RestrictionStep):
+		out.extend(tree_nodes(step.kernel))
+	if not isinstance(step, Leaf):
+		out.extend(tree_nodes(step.image))
+	return out
+
+
+def auto_tree_nodes(seed=5):
+	"""Every node of the auto decompositions of some families and random pairs.
+
+	The families are diamond_chain(2..4) and four_path (1,1,1,1) and
+	(2,1,2,1). The random inputs are the absolute pair and two random
+	pairs on each graph from connected_graphs_upto_iso(4), and the same on
+	40 random graphs with 5 or 6 vertices, connected or not.
+	"""
+	rng = random.Random(seed)
+	graphs = [
+		families.diamond_chain(2),
+		families.diamond_chain(3),
+		families.diamond_chain(4),
+		families.four_path(1, 1, 1, 1),
+		families.four_path(2, 1, 2, 1),
+	]
+	descriptors = [GroupDescriptor.absolute(g) for g in graphs]
+	graphs = [graph_from_edges(4, edges) for edges in connected_graphs_upto_iso(4)]
+	for _ in range(40):
+		n = rng.choice((5, 6))
+		density = rng.random()
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		graphs.append(graph_from_edges(n, [e for e in pairs if rng.random() < density]))
+	for g in graphs:
+		descriptors.append(GroupDescriptor.absolute(g))
+		for _ in range(2):
+			glist, hlist = random_peripheral(g, rng)
+			descriptors.append(GroupDescriptor(g, PeripheralPair(g, glist, hlist).normalize()))
+	out = []
+	for d in descriptors:
+		out.extend(tree_nodes(decompose(d)))
+	return out

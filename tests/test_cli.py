@@ -192,6 +192,19 @@ def test_exit_code_capability_limit(capsys, tmp_path):
 	assert "capability limit" in err
 
 
+def test_saturation_cap_applies_only_to_listing_members(capsys, tmp_path):
+	from raagout.families import diamond_chain
+
+	graph = write_json(tmp_path, "d7.json", diamond_chain(7).to_json_obj())
+	code, out, _ = run(capsys, "vcd", "--graph", graph)
+	assert code == 0
+	assert out.startswith("upper: 27\nlower: 27\n")
+	# printing the tree prints |G| of the 22-vertex root
+	code, out, err = run(capsys, "decompose", "--graph", graph)
+	assert (code, out) == (2, "")
+	assert err.startswith("capability limit: ") and err.count("\n") == 1
+
+
 def test_no_command_prints_help(capsys):
 	code, out, _ = run(capsys)
 	assert code == 1
@@ -232,8 +245,15 @@ def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag,
 		("info", "--graph", {"vertices": ["a", "b"], "edges": ["ab"]}, "pairs"),
 		("info", "--graph", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, "unknown endpoint"),
 		("vcd", "--gens", [1, 2], "list of strings"),
+		("vcd", "--cfg", {"overrides": 5}, '"overrides"'),
+		("vcd", "--cfg", {"overrides": [5]}, '"overrides"'),
+		("vcd", "--cfg", {"overrides": [{"dim": []}]}, '"dim"'),
+		("vcd", "--cfg", {"fr_free": 5}, '"fr_free"'),
 	],
-	ids=["vertices-string", "vertex-not-string", "edge-string", "endpoint-not-string", "gens-ints"],
+	ids=[
+		"vertices-string", "vertex-not-string", "edge-string", "endpoint-not-string", "gens-ints",
+		"cfg-overrides-int", "cfg-override-int", "cfg-dim-list", "cfg-fr-free-int",
+	],
 )
 def test_malformed_names_are_domain_errors(capsys, tmp_path, p3, command, flag, obj, key):
 	path = write_json(tmp_path, "bad.json", obj)

@@ -29,7 +29,10 @@ from raagout.decompose import (
 	_pivot,
 )
 
+from raagout.vcd import vcd_upper
+
 from helpers import (
+	auto_tree_nodes,
 	connected_graphs_upto_iso,
 	graph_from_edges,
 	pivot_by_generators,
@@ -131,6 +134,9 @@ def test_restriction_requires_invariance():
 	d = GroupDescriptor.absolute(g)
 	with pytest.raises(DomainError):
 		restriction_step(d, g.mask(["a", "c"]))
+	for target in (["a", "c"], ["a"], ["a", "b"]):
+		with pytest.raises(DomainError):
+			restriction_step(d, g.mask(target), mode="saturated")
 	with pytest.raises(DomainError):
 		restriction_step(d, 0)
 	with pytest.raises(DomainError):
@@ -388,8 +394,10 @@ def test_decompose_complexity_strictly_drops():
 
 
 def test_pivot_is_smallest_member_with_nontrivial_restriction():
-	# random pairs, saturated or not, and every node of two decomposition
-	# trees, whose kernels carry refined indexes
+	# random pairs, saturated or not, and every node of the auto trees of
+	# helpers.auto_tree_nodes: their pairs are saturated without a member
+	# list, so _pivot reads closures there, kernels carry refined indexes
+	# and images closure-built ones; pivot_by_generators lists the members
 	rng = random.Random(17)
 	cases = []
 	for n in (4, 5):
@@ -399,20 +407,36 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 			pair = PeripheralPair(g, glist, hlist).normalize()
 			cases.append(GroupDescriptor(g, pair))
 			cases.append(GroupDescriptor(g, saturate(pair)))
-
-	def walk(node):
-		cases.append(node.descriptor)
-		step = node.step
-		if isinstance(step, RestrictionStep):
-			walk(step.kernel)
-		if not isinstance(step, Leaf):
-			walk(step.image)
-
-	walk(decompose(GroupDescriptor.absolute(diamond_chain(3))))
-	walk(decompose(GroupDescriptor.absolute(four_path(2, 1, 2, 1))))
+	nodes = auto_tree_nodes()
+	assert all(node.descriptor.pair.saturated for node in nodes)
+	assert sum(node.descriptor.pair._g_members is None for node in nodes) > len(nodes) // 2
+	cases.extend(node.descriptor for node in nodes)
 	for d in cases:
 		assert _pivot(d) == pivot_by_generators(d)
 	assert sum(_pivot(d) is None for d in cases) not in (0, len(cases))
+
+
+def test_leaf_shapes_match_the_listed_members():
+	# auto leaves classify saturated pairs through closures; the same
+	# members passed as a plain list, not flagged saturated, are read one
+	# by one, and must give the same shape
+	leaves = [node for node in auto_tree_nodes() if isinstance(node.step, Leaf)]
+	covered_cliques = 0
+	for node in leaves:
+		d = node.descriptor
+		pair = d.pair
+		listed = PeripheralPair(d.graph, pair.g_members, pair.h_members, pair.normalized)
+		assert classify_irreducible(GroupDescriptor(d.graph, listed)) == node.step.shape
+		if d.graph.is_clique(d.graph.full) and pair.g_members:
+			covered_cliques += 1
+	assert covered_cliques > 10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_auto_diamond_chain_folds_to_4d_minus_1(d):
+	# n = 22 and 25 for d = 7 and 8, past SATURATE_CAP: the tree never
+	# lists a saturated member list, so the cap does not apply
+	assert vcd_upper(decompose(GroupDescriptor.absolute(diamond_chain(d)))) == 4 * d - 1
 
 
 def test_decompose_deterministic():

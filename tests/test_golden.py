@@ -71,6 +71,10 @@ CASES = {
 	"four_path(2,1,2,1)+script": _family_case(
 		lambda: families.four_path(2, 1, 2, 1), lambda: families.four_path_script(2, 1, 2, 1)
 	),
+	"four_path(4,4,4,4)": _family_case(lambda: families.four_path(4, 4, 4, 4)),
+	"four_path(2,2,2,2)+script": _family_case(
+		lambda: families.four_path(2, 2, 2, 2), lambda: families.four_path_script(2, 2, 2, 2)
+	),
 }
 
 # First 16 hex digits of each case's digest.
@@ -88,6 +92,8 @@ GOLDEN = {
 	'diamonds_d3+script': '3f207e14db3b5d14',
 	'four_path(2,1,2,1)': 'ea769db426c0bf4f',
 	'four_path(2,1,2,1)+script': 'ae9af57b7c6b1d9d',
+	'four_path(2,2,2,2)+script': '0b6f020ac76f8645',
+	'four_path(4,4,4,4)': '0b39e424f57d323c',
 	'fourpath_2121': 'ea769db426c0bf4f',
 	'fourpath_2121+script': 'ae9af57b7c6b1d9d',
 	'p3': 'fad2df5829257f2d',

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+from raagout.decompose import Leaf, RestrictionStep
 from raagout.graphs import DefiningGraph, mask_of
 from raagout import orders
-from raagout.peripheral import PeripheralPair
+from raagout.peripheral import PeripheralPair, induced, saturate
 
-from helpers import connected_graphs_upto_iso, graph_from_edges
+from helpers import auto_tree_nodes, connected_graphs_upto_iso, graph_from_edges
 
 
 def path3():
@@ -220,3 +221,31 @@ def test_refined_index_matches_fresh_build():
 		assert kernel.normalized == mode and not kernel.saturated
 		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra)).normalize(mode)
 		assert (kernel.g_members, kernel.h_members) == (again.g_members, again.h_members)
+	# the closure-built index of a pair induced from a saturated one, on
+	# every subgraph, against a fresh build over the induced member list
+	rng = random.Random(53)
+	for trial in range(100):
+		n = rng.randrange(1, 7)
+		g = _random_graph(rng, n)
+		glist = _random_members(rng, n, rng.randrange(4))
+		hlist = [m for m in glist if rng.random() < 0.5]
+		sat = saturate(PeripheralPair(g, glist, hlist).normalize(("weak", "full")[trial % 2]))
+		for dmask in range(1, g.full + 1):
+			cut = induced(sat, dmask)
+			assert _fields(cut.index) == _fields(orders.PairIndex(cut.graph, cut.g_members))
+	# and at every node of the auto trees: the image of a restriction or a
+	# projection is induced from the saturated node, the kernel refined
+	# from its index
+	for node in auto_tree_nodes():
+		d, step = node.descriptor, node.step
+		if isinstance(step, Leaf):
+			continue
+		if isinstance(step, RestrictionStep):
+			target = step.dmask
+			kernel = step.kernel.descriptor.pair
+			assert _fields(kernel.index) == _fields(orders.PairIndex(d.graph, kernel.g_members))
+		else:
+			target = d.graph.full & ~step.zmask
+		image = step.image.descriptor
+		fresh = orders.PairIndex(image.graph, induced(d.pair, target).g_members)
+		assert _fields(image.pair.index) == _fields(fresh)

@@ -15,6 +15,7 @@ from raagout.peripheral import (
 	induced,
 	is_invariant,
 	saturate,
+	saturation,
 	untwisted_periphery,
 )
 
@@ -122,6 +123,10 @@ def test_adding_g_keeps_flags():
 	out = pp.adding_g([g.mask(["b"])])
 	assert out.normalized == "weak"
 	assert g.mask(["b"]) in out.g_members
+	# a saturated pair stays saturated with an invariant mask, not with another
+	sat = saturate(pp)
+	assert sat.adding_g([g.mask(["b"])]).saturated
+	assert not sat.adding_g([g.mask(["a"])]).saturated
 
 
 # ---- invariance ----
@@ -270,6 +275,14 @@ def test_saturate_matches_every_proper_mask_checked():
 		assert sat.index is pp.index
 		fresh = orders.PairIndex(g, sat.g_members)
 		assert (sat.index.rows, sat.index.down, sat.index.gv) == (fresh.rows, fresh.down, fresh.gv)
+		# the closure is the least invariant superset: the intersection of
+		# the brute-force invariant sets holding the mask, else everything
+		for m in range(1, full):
+			least = full
+			for s in invariant:
+				if s & m == m:
+					least &= s
+			assert pp.index.closure(m) == least
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -294,6 +307,21 @@ def test_saturate_cap():
 	g = DefiningGraph(["v%d" % i for i in range(21)], [])
 	with pytest.raises(CapabilityError):
 		saturate(normalized(g))
+
+
+def test_saturation_lists_members_on_first_read():
+	for d in (2, 3):
+		pp = normalized(diamond_chain(d))
+		lazy = saturation(pp)
+		assert lazy.saturated and lazy.index is pp.index and lazy._g_members is None
+		assert lazy.g_members == saturate(pp).g_members
+	# the cap guards the listing, not the pair or its closures
+	pp = normalized(diamond_chain(7))
+	big = saturation(pp)
+	closures = {big.index.closure(1 << v) for v in range(pp.graph.n)} - {pp.graph.full}
+	assert closures and all(is_invariant(pp, m) for m in closures)
+	with pytest.raises(CapabilityError):
+		big.g_members
 
 
 # ---- induced pairs ----
