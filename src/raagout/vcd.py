@@ -633,7 +633,9 @@ def vcd_report(descriptor, script=None, cfg=None, gens=None, nilpotent=False):
 	drives certification directly; nilpotent lets its members fail to
 	commute. Without one, cliques and absolute diamond chains get a list
 	derived automatically; any other graph settles for a certified lower
-	bound of zero.
+	bound of zero. A certified lower bound above the upper bound raises
+	DomainError: the upper bound rests on the leaf formulas, which cfg can
+	set.
 	"""
 	mode = "script" if script is not None else "auto"
 	tree = decompose(descriptor, mode=mode, script=script)
@@ -649,7 +651,8 @@ def vcd_report(descriptor, script=None, cfg=None, gens=None, nilpotent=False):
 				)
 	lower = certify_lower_bound(descriptor.graph, gens, nilpotent) if gens else 0
 	if upper != "unknown" and lower > upper:
-		raise RuntimeError(
-			"certified lower bound %d exceeds the upper bound %d" % (lower, upper)
+		raise DomainError(
+			"certified lower bound %d exceeds the upper bound %d of the dimension formulas"
+			% (lower, upper)
 		)
 	return VcdBound(upper, lower, per_leaf)

@@ -1,27 +1,24 @@
 """Words in a right-angled Artin group.
 
-This module wraps the word kernel (compiled if available, pure python
-otherwise) in a per-graph context object and adds parsing, formatting and a
-conjugacy test for cyclically reduced words. Set RAAGOUT_PURE=1 in the
-environment to force the pure kernel; the compiled kernel is also skipped
-for graphs with more than 64 vertices since it packs masks into a machine
-word.
+Letters are encoded as ints: 2*v for the generator of vertex v, 2*v+1 for its
+inverse, so xor with 1 inverts a letter and integer order on letter codes is
+the (vertex, sign) order used for canonical forms. adj is the defining
+graph's tuple of neighbour masks.
 
-Letter codes: vertex v as a positive letter is 2*v, its inverse 2*v+1.
+The module-level functions below are the word kernel. A word is reduced when
+no generator/inverse pair can be brought together by swapping adjacent
+commuting letters. The left-greedy stack pass of reduce_word removes every
+such pair in one sweep. Canonical forms are computed greedily: among the
+letters that can be commuted to the front, repeatedly extract the one with
+the least code. Since the reduced words representing a group element are
+exactly the linearizations of a labelled partial order, the greedy choice
+yields the lexicographically least reduced word.
+
+WordContext binds the kernel to one defining graph and adds parsing and
+formatting.
 """
 
-import os
-
-from . import _kernel_py
 from .errors import CapabilityError, DomainError
-from .graphs import bits
-
-try:
-	from . import _kernel as _kernel_c
-except ImportError:
-	_kernel_c = None
-
-KERNEL_KIND = "compiled" if (_kernel_c is not None and not os.environ.get("RAAGOUT_PURE")) else "pure"
 
 # Most letters a written word may spell out once exponents are expanded.
 PARSE_CAP = 1 << 20
@@ -32,16 +29,135 @@ def enc(v, sign):
 	return 2 * v + (sign < 0)
 
 
-def letter_vertex(lt):
-	return lt >> 1
-
-
-def letter_inv(lt):
-	return lt ^ 1
-
-
 def inverse(letters):
 	return tuple(lt ^ 1 for lt in reversed(letters))
+
+
+# ---- the word kernel ----
+
+
+def push_letter(out, lt, adj):
+	"""Append letter lt to the reduced stack out, cancelling if possible."""
+	v = lt >> 1
+	i = len(out) - 1
+	while i >= 0:
+		m = out[i]
+		u = m >> 1
+		if u == v:
+			if m == lt ^ 1:
+				del out[i]
+				return
+			break
+		if not adj[u] >> v & 1:
+			break
+		i -= 1
+	out.append(lt)
+
+
+def reduce_word(letters, adj):
+	out = []
+	for lt in letters:
+		push_letter(out, lt, adj)
+	return tuple(out)
+
+
+def apply_map(letters, images, adj):
+	"""Reduced image of a word under a letter substitution.
+
+	images is indexed by letter code and holds words (anything iterable of
+	letter codes). The substituted word is reduced on the fly, never
+	materialized.
+	"""
+	out = []
+	for lt in letters:
+		for m in images[lt]:
+			push_letter(out, m, adj)
+	return tuple(out)
+
+
+def canonical_word(letters, adj):
+	"""Lexicographically least reduced word equal to the input in the group."""
+	rem = list(reduce_word(letters, adj))
+	out = []
+	while rem:
+		seen = 0
+		best = -1
+		best_pos = -1
+		for p, lt in enumerate(rem):
+			v = lt >> 1
+			if seen & ~adj[v] == 0 and (best < 0 or lt < best):
+				best = lt
+				best_pos = p
+			seen |= 1 << v
+		out.append(best)
+		del rem[best_pos]
+	return tuple(out)
+
+
+def cyc_reduce_word(letters, adj):
+	"""Cyclically reduced core and conjugator.
+
+	Returns (core, conj) with the input word equal to conj * core * conj^-1
+	and core of minimal length in the conjugacy class.
+	"""
+	core = list(reduce_word(letters, adj))
+	conj = []
+	while True:
+		# letters movable to the front, and to the back
+		front = []
+		seen = 0
+		for p, lt in enumerate(core):
+			v = lt >> 1
+			if seen & ~adj[v] == 0:
+				front.append((p, lt))
+			seen |= 1 << v
+		back = []
+		seen = 0
+		for q in range(len(core) - 1, -1, -1):
+			lt = core[q]
+			v = lt >> 1
+			if seen & ~adj[v] == 0:
+				back.append((q, lt))
+			seen |= 1 << v
+		hit = None
+		for p, lt in front:
+			want = lt ^ 1
+			for q, m in back:
+				if m == want and q != p:
+					hit = (p, q, lt)
+					break
+			if hit:
+				break
+		if hit is None:
+			return tuple(core), tuple(conj)
+		p, q, lt = hit
+		conj.append(lt)
+		core = [core[i] for i in range(len(core)) if i != p and i != q]
+		core = list(reduce_word(core, adj))
+
+
+def strip_front(letters, smask, adj):
+	"""Greedily move letters with vertex in smask to the front and split there.
+
+	Returns (prefix, remainder): prefix has support inside smask, the
+	original word equals prefix * remainder, and no further smask-letter of
+	the remainder can be commuted to its front.
+	"""
+	rem = list(letters)
+	prefix = []
+	changed = True
+	while changed:
+		changed = False
+		seen = 0
+		for p, lt in enumerate(rem):
+			v = lt >> 1
+			if seen & ~adj[v] == 0 and smask >> v & 1:
+				prefix.append(lt)
+				del rem[p]
+				changed = True
+				break
+			seen |= 1 << v
+	return tuple(prefix), tuple(rem)
 
 
 class WordContext:
@@ -50,27 +166,21 @@ class WordContext:
 	def __init__(self, graph):
 		self.graph = graph
 		self.adj = graph.adj
-		if KERNEL_KIND == "compiled" and graph.n <= 64:
-			self._k = _kernel_c
-			self.kernel = "compiled"
-		else:
-			self._k = _kernel_py
-			self.kernel = "pure"
 
 	def reduce(self, letters):
-		return self._k.reduce_word(letters, self.adj)
+		return reduce_word(letters, self.adj)
 
 	def canonical(self, letters):
-		return self._k.canonical_word(letters, self.adj)
+		return canonical_word(letters, self.adj)
 
 	def cyc_reduce(self, letters):
-		return self._k.cyc_reduce_word(letters, self.adj)
+		return cyc_reduce_word(letters, self.adj)
 
 	def apply_map(self, letters, images):
-		return self._k.apply_map(letters, images, self.adj)
+		return apply_map(letters, images, self.adj)
 
 	def strip_front(self, letters, smask):
-		return self._k.strip_front(letters, smask, self.adj)
+		return strip_front(letters, smask, self.adj)
 
 	def supp(self, letters):
 		m = 0
@@ -91,56 +201,6 @@ class WordContext:
 
 	def equal(self, a, b):
 		return self.canonical(a) == self.canonical(b)
-
-	# ---- conjugacy of cyclically reduced words ----
-
-	def cyclic_transports(self, core):
-		"""Canonical forms reachable by moving one front letter to the back."""
-		out = []
-		seen = 0
-		core = list(core)
-		for p, lt in enumerate(core):
-			v = lt >> 1
-			if seen & ~self.adj[v] == 0:
-				rest = core[:p] + core[p + 1 :]
-				out.append(self.canonical(tuple(rest) + (lt,)))
-			seen |= 1 << v
-		return out
-
-	def conjugate_cores(self, c1, c2, cap=50000):
-		"""Are the cyclically reduced words c1 and c2 conjugate?
-
-		Explores the closure of c1 under single-letter transport. Returns
-		True or False, or None if the closure exceeds cap states (does not
-		happen for the word lengths this package produces, but the tri-state
-		contract is kept).
-		"""
-		c1 = self.canonical(c1)
-		c2 = self.canonical(c2)
-		if len(c1) != len(c2) or sorted(c1) != sorted(c2):
-			return False
-		if c1 == c2:
-			return True
-		frontier = [c1]
-		seen = {c1}
-		while frontier:
-			nxt = []
-			for state in frontier:
-				for t in self.cyclic_transports(state):
-					if t == c2:
-						return True
-					if t not in seen:
-						seen.add(t)
-						nxt.append(t)
-						if len(seen) > cap:
-							return None
-			frontier = nxt
-		return False
-
-	def conjugate_words(self, w1, w2, cap=50000):
-		core1, _ = self.cyc_reduce(w1)
-		core2, _ = self.cyc_reduce(w2)
-		return self.conjugate_cores(core1, core2, cap=cap)
 
 	# ---- text form ----
 
@@ -195,12 +255,14 @@ def mask_word(letters):
 
 __all__ = [
 	"WordContext",
+	"apply_map",
+	"canonical_word",
+	"cyc_reduce_word",
 	"enc",
 	"inverse",
-	"letter_vertex",
-	"letter_inv",
-	"word_from_names",
 	"mask_word",
-	"KERNEL_KIND",
-	"bits",
+	"push_letter",
+	"reduce_word",
+	"strip_front",
+	"word_from_names",
 ]

@@ -69,6 +69,49 @@ def brute_cyc_core_length(word, graph, conj_letters):
 	return best
 
 
+def foata(word, graph):
+	"""Cartier-Foata normal form of a word in the RAAG, from a heap of pieces.
+
+	Each letter drops onto the heap one level above the highest piece it
+	does not commute with (a piece on its own vertex counts as not
+	commuting); when that highest piece is its inverse, the two cancel
+	instead. The heap left over is the one of the reduced trace, so two
+	words are equal in the group exactly when their forms agree. Returns
+	the levels bottom up, each as a sorted tuple of letters.
+	"""
+	adj = graph.adj
+	pieces = []  # (letter, level)
+	for lt in word:
+		v = lt >> 1
+		top = None
+		for i, (m, level) in enumerate(pieces):
+			u = m >> 1
+			if (u == v or not adj[u] >> v & 1) and (top is None or level > pieces[top][1]):
+				top = i
+		if top is not None and pieces[top][0] == lt ^ 1:
+			del pieces[top]
+		else:
+			pieces.append((lt, 1 if top is None else pieces[top][1] + 1))
+	height = max((level for _, level in pieces), default=0)
+	return tuple(
+		tuple(sorted(m for m, level in pieces if level == k)) for k in range(1, height + 1)
+	)
+
+
+def cyclic_transports(ctx, core):
+	"""Canonical forms reachable by moving one front letter of core to the back."""
+	out = []
+	seen = 0
+	core = list(core)
+	for p, lt in enumerate(core):
+		v = lt >> 1
+		if seen & ~ctx.adj[v] == 0:
+			rest = core[:p] + core[p + 1 :]
+			out.append(ctx.canonical(tuple(rest) + (lt,)))
+		seen |= 1 << v
+	return out
+
+
 def words_over(graph, mask, maxlen):
 	"""All words (not only reduced) with letters from the given vertex mask."""
 	letters = []
@@ -100,7 +143,7 @@ def connected_graphs_upto_iso(n):
 	for picks in itertools.product((0, 1), repeat=len(pairs)):
 		edges = frozenset(p for p, take in zip(pairs, picks) if take)
 		canon = min(
-			frozenset((min(pm[i], pm[j]), max(pm[i], pm[j])) for i, j in edges)
+			tuple(sorted((min(pm[i], pm[j]), max(pm[i], pm[j])) for i, j in edges))
 			for pm in perms
 		)
 		if canon in seen:

@@ -205,6 +205,16 @@ def test_saturation_cap_applies_only_to_listing_members(capsys, tmp_path):
 	assert err.startswith("capability limit: ") and err.count("\n") == 1
 
 
+def test_vcd_cfg_upper_below_certified_lower_is_a_domain_error(capsys, tmp_path):
+	# three vertices, no edges: the root is an FR leaf, which the cfg sets to 0
+	graph = write_json(tmp_path, "f3.json", {"vertices": ["a", "b", "c"], "edges": []})
+	cfg = write_json(tmp_path, "cfg.json", {"fr_free": "0"})
+	gens = write_json(tmp_path, "gens.json", ["trv a^b"])
+	code, out, err = run(capsys, "vcd", "--graph", graph, "--cfg", cfg, "--gens", gens)
+	assert (code, out) == (1, "")
+	assert err == "error: certified lower bound 1 exceeds the upper bound 0 of the dimension formulas\n"
+
+
 def test_no_command_prints_help(capsys):
 	code, out, _ = run(capsys)
 	assert code == 1

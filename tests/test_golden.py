@@ -3,10 +3,14 @@
 Each case runs `decompose --format json` and `saturate --format json`
 through the command line on an input from data/ or on a family instance,
 folds the same tree to its upper bound, and compares a SHA-256 digest of
-the three against a pinned value. A change to any tree node, member list
-or bound changes the digest, so a speed-up of the mask layer cannot alter
-results unseen. When a change is meant to alter a result, print the new
-digests with `python tests/test_golden.py` and update the table.
+the three against a pinned value (GOLDEN). A second table (GOLDEN_VCD)
+pins the digest of `vcd --format json` on the same inputs, plus two
+four-path graphs with their nilpotent generator lists, so the certified
+lower bound, which rests on the word kernel, is pinned too. A change to
+any tree node, member list or bound changes a digest, so a speed-up of a
+lower layer cannot alter results unseen. When a change is meant to alter
+a result, print the new digests with `python tests/test_golden.py` and
+update the tables.
 """
 
 import contextlib
@@ -41,6 +45,15 @@ def _data_case(graph, periph=None, script=None):
 
 def _family_case(graph, script=None):
 	return lambda: (graph().to_json_obj(), None, script() if script else None)
+
+
+def _four_path_gens(p, q, r, s):
+	"""A four-path graph with its generator list, as (graph_obj, gen_texts)."""
+	def load():
+		graph = families.four_path(p, q, r, s)
+		texts = [str(x) for x in families.four_path_generators(graph, p, q, r, s)]
+		return graph.to_json_obj(), texts
+	return load
 
 
 CASES = {
@@ -100,6 +113,38 @@ GOLDEN = {
 	'p3+empty': 'fad2df5829257f2d',
 }
 
+# Cases that only `vcd` runs: `--gens` with the listed generators and
+# `--nilpotent`, on the auto tree.
+GENS_CASES = {
+	"four_path(2,1,2,1)+gens": _four_path_gens(2, 1, 2, 1),
+	"four_path(2,2,2,2)+gens": _four_path_gens(2, 2, 2, 2),
+}
+
+# First 16 hex digits of each case's `vcd --format json` output.
+GOLDEN_VCD = {
+	'diamond_chain(2)': 'aed6f55e8bdcf635',
+	'diamond_chain(2)+script': '25ef17f7fbcdb5de',
+	'diamond_chain(3)': '86ad89d6dae4c4ae',
+	'diamond_chain(3)+script': '5cb8542bc4cf5ab5',
+	'diamond_chain(4)': '270f536fac9ae536',
+	'diamond_chain(4)+script': '939faa7e292ad6ba',
+	'diamonds_d3': '86ad89d6dae4c4ae',
+	'diamonds_d3+corner': 'f307f45e13ce6b40',
+	'diamonds_d3+corner+script': '1f04475283804110',
+	'diamonds_d3+empty': '86ad89d6dae4c4ae',
+	'diamonds_d3+script': '5cb8542bc4cf5ab5',
+	'four_path(2,1,2,1)': 'c8510dfac235a2b2',
+	'four_path(2,1,2,1)+gens': '47c0c7c1d8563dc7',
+	'four_path(2,1,2,1)+script': '315eabfd58245ecf',
+	'four_path(2,2,2,2)+gens': '03790158e9b4842d',
+	'four_path(2,2,2,2)+script': '6b0a5f7d31412ece',
+	'four_path(4,4,4,4)': '2725b5348a600324',
+	'fourpath_2121': 'c8510dfac235a2b2',
+	'fourpath_2121+script': '315eabfd58245ecf',
+	'p3': '0de69de2b8255d33',
+	'p3+empty': '0de69de2b8255d33',
+}
+
 
 def _cli(*argv):
 	out = io.StringIO()
@@ -108,13 +153,23 @@ def _cli(*argv):
 	return out.getvalue()
 
 
-def case_digest(name, tmp_path):
-	graph_obj, periph_obj, script = CASES[name]()
+def _write(tmp_path, **objs):
+	"""Write each non-None object as <key>.json and return the paths by key."""
 	files = {}
-	for key, obj in (("graph", graph_obj), ("periph", periph_obj), ("script", script)):
+	for key, obj in objs.items():
 		if obj is not None:
 			files[key] = tmp_path / ("%s.json" % key)
 			files[key].write_text(json.dumps(obj))
+	return files
+
+
+def _digest(text):
+	return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def case_digest(name, tmp_path):
+	graph_obj, periph_obj, script = CASES[name]()
+	files = _write(tmp_path, graph=graph_obj, periph=periph_obj, script=script)
 	common = ["--graph", str(files["graph"]), "--format", "json"]
 	if "periph" in files:
 		common += ["--periph", str(files["periph"])]
@@ -130,7 +185,22 @@ def case_digest(name, tmp_path):
 	desc = GroupDescriptor(graph, pair.normalize())
 	tree = decompose(desc, mode="script" if script is not None else "auto", script=script)
 	text = "%s\n%s\nupper=%s\n" % (tree_json, saturated_json, vcd_upper(tree))
-	return hashlib.sha256(text.encode()).hexdigest()[:16]
+	return _digest(text)
+
+
+def vcd_digest(name, tmp_path):
+	if name in GENS_CASES:
+		graph_obj, texts = GENS_CASES[name]()
+		files = _write(tmp_path, graph=graph_obj, gens=texts)
+		extra = ["--gens", str(files["gens"]), "--nilpotent"]
+	else:
+		graph_obj, periph_obj, script = CASES[name]()
+		files = _write(tmp_path, graph=graph_obj, periph=periph_obj, script=script)
+		extra = []
+		for key in ("periph", "script"):
+			if key in files:
+				extra += ["--%s" % key, str(files[key])]
+	return _digest(_cli("vcd", "--graph", str(files["graph"]), "--format", "json", *extra))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -138,9 +208,20 @@ def test_golden_digest(name, tmp_path):
 	assert case_digest(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(set(CASES) | set(GENS_CASES)))
+def test_golden_vcd_digest(name, tmp_path):
+	assert vcd_digest(name, tmp_path) == GOLDEN_VCD[name]
+
+
 if __name__ == "__main__":
 	import tempfile
 
-	for name in sorted(CASES):
-		with tempfile.TemporaryDirectory() as tmp:
-			print("\t%r: %r," % (name, case_digest(name, Path(tmp))))
+	for table, names, digest in (
+		("GOLDEN", sorted(CASES), case_digest),
+		("GOLDEN_VCD", sorted(set(CASES) | set(GENS_CASES)), vcd_digest),
+	):
+		print("%s = {" % table)
+		for name in names:
+			with tempfile.TemporaryDirectory() as tmp:
+				print("\t%r: %r," % (name, digest(name, Path(tmp))))
+		print("}")

@@ -1,10 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from raagout import _kernel_py
+from raagout import families
 from raagout.graphs import DefiningGraph
 from raagout.words import WordContext, enc, inverse, word_from_names
 
@@ -75,16 +73,6 @@ def test_supp_crsupp():
 	assert ctx.crsupp(ctx.parse("a c a^-1")) == g.mask(["c"])
 
 
-def test_conjugacy_simple():
-	g = path_abc()
-	ctx = WordContext(g)
-	assert ctx.conjugate_words(ctx.parse("a c a^-1"), ctx.parse("c")) is True
-	assert ctx.conjugate_words(ctx.parse("a"), ctx.parse("c")) is False
-	# c a and a c are conjugate (cyclic rotation)
-	assert ctx.conjugate_words(ctx.parse("c a"), ctx.parse("a c")) is True
-	assert ctx.conjugate_words(ctx.parse("a b"), ctx.parse("a c")) is False
-
-
 # ---- randomized properties against the brute-force oracles ----
 
 
@@ -129,7 +117,7 @@ def test_cyc_reduce_properties():
 		# w == conj * core * conj^-1
 		assert ctx.equal(w, tuple(conj) + tuple(core) + inverse(conj))
 		# no further cyclic cancellation: every single-letter transport keeps length
-		for t in ctx.cyclic_transports(core):
+		for t in helpers.cyclic_transports(ctx, core):
 			assert len(t) == len(core)
 
 
@@ -189,26 +177,65 @@ def test_strip_front_negative_agrees_with_search():
 	assert checked > 20
 
 
-# ---- kernel twins agree ----
+# ---- long words against the Cartier-Foata normal form ----
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_kernels_agree(data):
-	g = data.draw(st.sampled_from(POOL))
-	ctx = WordContext(g)
-	w = tuple(
-		data.draw(
-			st.lists(st.integers(0, 2 * g.n - 1), max_size=10)
-		)
-	)
-	smask = data.draw(st.integers(0, g.full))
-	assert ctx.reduce(w) == _kernel_py.reduce_word(w, g.adj)
-	assert ctx.canonical(w) == _kernel_py.canonical_word(w, g.adj)
-	assert ctx.cyc_reduce(w) == _kernel_py.cyc_reduce_word(w, g.adj)
-	assert ctx.strip_front(ctx.reduce(w), smask) == _kernel_py.strip_front(
-		ctx.reduce(w), smask, g.adj
-	)
+FOATA_POOL = POOL + [families.diamond_chain(2)]
+
+
+def scramble(rng, graph, word, moves=30):
+	"""A word equal to word in the group, by random commuting swaps and cancelling pairs."""
+	w = list(word)
+	for _ in range(moves):
+		kind = rng.randrange(3)
+		i = rng.randrange(len(w) + 1)
+		if kind == 0 and i + 1 < len(w):
+			a, b = w[i] >> 1, w[i + 1] >> 1
+			if a != b and graph.adj[a] >> b & 1:
+				w[i], w[i + 1] = w[i + 1], w[i]
+		elif kind == 1:
+			lt = rng.randrange(2 * graph.n)
+			w[i:i] = [lt, lt ^ 1]
+		elif i + 1 < len(w) and w[i] == w[i + 1] ^ 1:
+			del w[i : i + 2]
+	return tuple(w)
+
+
+def test_foata_matches_bruteforce():
+	rng = random.Random(37)
+	outcomes = [0, 0]
+	for _ in range(200):
+		g = rng.choice(POOL)
+		w1 = random_word(rng, g, maxlen=4)
+		if rng.random() < 0.5:
+			w2 = scramble(rng, g, w1, moves=2)
+		else:
+			w2 = random_word(rng, g, maxlen=4)
+		same = helpers.foata(w1, g) == helpers.foata(w2, g)
+		assert same == helpers.brute_equal(w1, w2, g)
+		assert sum(map(len, helpers.foata(w1, g))) == len(min(helpers.word_closure(w1, g), key=len))
+		outcomes[same] += 1
+	assert min(outcomes) > 50, outcomes
+
+
+def test_normal_forms_match_foata():
+	rng = random.Random(41)
+	outcomes = [0, 0]
+	for _ in range(400):
+		g = rng.choice(FOATA_POOL)
+		ctx = WordContext(g)
+		w1 = random_word(rng, g, maxlen=40)
+		form = helpers.foata(w1, g)
+		assert helpers.foata(ctx.canonical(w1), g) == form
+		assert len(ctx.reduce(w1)) == sum(len(level) for level in form)
+		w2 = scramble(rng, g, w1)
+		if rng.random() < 0.5 and w2:
+			i = rng.randrange(len(w2))
+			w2 = w2[:i] + (rng.randrange(2 * g.n),) + w2[i + 1 :]
+		same = helpers.foata(w2, g) == form
+		assert (ctx.canonical(w1) == ctx.canonical(w2)) == same
+		outcomes[same] += 1
+	assert min(outcomes) > 50, outcomes
 
 
 def test_apply_map_matches_naive():
