@@ -2,7 +2,8 @@
 
 Each command reads JSON files, writes deterministic text, JSON, or DOT to
 stdout, and exits 0 on success, 1 on a domain error, 2 when a hard
-capability limit is hit.
+capability limit is hit, and 3 when an internal consistency check fails,
+which is a bug in the package, not in the input.
 """
 
 import argparse
@@ -50,6 +51,8 @@ def _load_json(path, what):
 		raise DomainError("cannot read %s file %s: %s" % (what, path, exc))
 	except json.JSONDecodeError as exc:
 		raise DomainError("%s file %s is not JSON: %s" % (what, path, exc))
+	except RecursionError:
+		raise DomainError("%s file %s is nested too deeply" % (what, path))
 
 
 def _graph(args):
@@ -207,26 +210,27 @@ def cmd_restrict(args):
 	return 0
 
 
-def _render_tree(node, indent, lines):
-	pad = "  " * indent
-	step = node.step
-	if isinstance(step, Leaf):
-		lines.append("%sleaf %r  [%s]" % (pad, step.shape, node.descriptor.summary()))
-		return
-	if isinstance(step, ProjectionStep):
-		names = ",".join(node.descriptor.graph.names(step.zmask))
-		lines.append(
-			"%sproject out <%s>, kernel rank %d  [%s]"
-			% (pad, names, step.kernel_rank, node.descriptor.summary())
-		)
-		_render_tree(step.image, indent + 1, lines)
-		return
-	names = ",".join(node.descriptor.graph.names(step.dmask))
-	lines.append("%srestrict to <%s>  [%s]" % (pad, names, node.descriptor.summary()))
-	lines.append("%s kernel:" % pad)
-	_render_tree(step.kernel, indent + 1, lines)
-	lines.append("%s image:" % pad)
-	_render_tree(step.image, indent + 1, lines)
+def _tree_text(root):
+	lines = []
+	for path, node, parent in root.walk():
+		pad = "  " * path.count(".")
+		if isinstance(parent, RestrictionStep):
+			role = "kernel" if path.endswith("k") else "image"
+			lines.append("%s %s:" % (pad[2:], role))
+		step = node.step
+		summary = node.descriptor.summary()
+		if isinstance(step, Leaf):
+			lines.append("%sleaf %r  [%s]" % (pad, step.shape, summary))
+		elif isinstance(step, ProjectionStep):
+			names = ",".join(node.descriptor.graph.names(step.zmask))
+			lines.append(
+				"%sproject out <%s>, kernel rank %d  [%s]"
+				% (pad, names, step.kernel_rank, summary)
+			)
+		else:
+			names = ",".join(node.descriptor.graph.names(step.dmask))
+			lines.append("%srestrict to <%s>  [%s]" % (pad, names, summary))
+	return "\n".join(lines)
 
 
 def cmd_decompose(args):
@@ -242,9 +246,7 @@ def cmd_decompose(args):
 	elif args.format == "dot":
 		print(tree_dot(root))
 	else:
-		lines = []
-		_render_tree(root, 0, lines)
-		print("\n".join(lines))
+		print(_tree_text(root))
 		print("leaves: %s" % "; ".join(repr(s) for s in root.leaves()))
 	return 0
 
@@ -360,18 +362,20 @@ class _Parser(argparse.ArgumentParser):
 		self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+# only trees and graphs have a DOT form
+DOT_FORMATS = ("text", "json", "dot")
+
+
 def build_parser():
 	parser = _Parser(prog="raagout", description=__doc__.splitlines()[0])
 	sub = parser.add_subparsers(dest="command", metavar="command")
 
-	def add(name, func, **kwargs):
+	def add(name, func, formats=("text", "json"), **kwargs):
 		p = sub.add_parser(name, **kwargs)
 		p.set_defaults(func=func)
 		p.add_argument("--graph", metavar="F", help="graph JSON file")
 		p.add_argument("--periph", metavar="F", help="peripheral pair JSON file")
-		p.add_argument(
-			"--format", choices=("text", "json", "dot"), default="text"
-		)
+		p.add_argument("--format", choices=formats, default="text")
 		return p
 
 	add("info", cmd_info, help="graph and descriptor summary")
@@ -390,7 +394,7 @@ def build_parser():
 	p.add_argument("--target", metavar="V,V,...")
 	p.add_argument("--mode", choices=("fast", "saturated"), default="fast")
 
-	p = add("decompose", cmd_decompose, help="full decomposition tree")
+	p = add("decompose", cmd_decompose, formats=DOT_FORMATS, help="full decomposition tree")
 	p.add_argument("--script", metavar="F", help="script JSON file")
 
 	p = add("vcd", cmd_vcd, help="dimension bounds over a decomposition")
@@ -399,7 +403,7 @@ def build_parser():
 	p.add_argument("--gens", metavar="F", help="lower-bound generator list JSON")
 	p.add_argument("--nilpotent", action="store_true", help="allow a generator list that does not commute")
 
-	add("cone-graph", cmd_cone_graph, help="cone off the preserved members")
+	add("cone-graph", cmd_cone_graph, formats=DOT_FORMATS, help="cone off the preserved members")
 
 	p = add("apply", cmd_apply, help="apply generators to a word")
 	p.add_argument("--gen", action="append", metavar="TEXT", help="generator, first applied last")
@@ -426,6 +430,9 @@ def main(argv=None):
 	except CapabilityError as exc:
 		print("capability limit: %s" % exc, file=sys.stderr)
 		return 2
+	except RuntimeError as exc:
+		print("internal error: %s" % exc, file=sys.stderr)
+		return 3
 
 
 if __name__ == "__main__":

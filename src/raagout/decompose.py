@@ -200,6 +200,10 @@ class RestrictionStep:
 		self.kernel = kernel
 		self.image = image
 
+	@property
+	def children(self):
+		return (("kernel", self.kernel), ("image", self.image))
+
 
 class ProjectionStep:
 	__slots__ = ("zmask", "kernel_rank", "image")
@@ -209,9 +213,15 @@ class ProjectionStep:
 		self.kernel_rank = kernel_rank
 		self.image = image
 
+	@property
+	def children(self):
+		return (("image", self.image),)
+
 
 class Leaf:
 	__slots__ = ("shape",)
+
+	children = ()
 
 	def __init__(self, shape):
 		self.shape = shape
@@ -224,69 +234,82 @@ class DecompositionNode:
 		self.descriptor = descriptor
 		self.step = step
 
+	def walk(self):
+		"""(path, node, parent step) for every node, in pre-order.
+
+		The path is "root" here, and each child extends its parent's path
+		by ".k" for a kernel branch or ".i" for an image branch; the
+		parent step of this node is None. Children come in step.children
+		order, kernel before image.
+		"""
+		stack = [("root", self, None)]
+		while stack:
+			path, node, parent = stack.pop()
+			yield path, node, parent
+			for role, child in reversed(node.step.children):
+				stack.append(("%s.%s" % (path, role[0]), child, node.step))
+
 	def leaves(self):
 		"""Leaf shapes and projection kernels, left to right."""
 		out = []
-		if isinstance(self.step, Leaf):
-			out.append(self.step.shape)
-		elif isinstance(self.step, RestrictionStep):
-			out.extend(self.step.kernel.leaves())
-			out.extend(self.step.image.leaves())
-		else:
-			out.append(FreeAbelian(self.step.kernel_rank, self.step.kernel_rank))
-			out.extend(self.step.image.leaves())
+		for _, node, _ in self.walk():
+			step = node.step
+			if isinstance(step, Leaf):
+				out.append(step.shape)
+			elif isinstance(step, ProjectionStep):
+				out.append(FreeAbelian(step.kernel_rank, step.kernel_rank))
 		return out
 
 	def to_json_obj(self):
 		d = self.descriptor
+		step = self.step
 		base = {
 			"graph": d.graph.to_json_obj(),
 			"pair": d.pair.to_json_obj(),
 		}
-		if isinstance(self.step, Leaf):
-			base["leaf"] = self.step.shape.to_json_obj()
-		elif isinstance(self.step, RestrictionStep):
-			base["restrict"] = {
-				"target": d.graph.names(self.step.dmask),
-				"kernel": self.step.kernel.to_json_obj(),
-				"image": self.step.image.to_json_obj(),
-			}
+		if isinstance(step, Leaf):
+			base["leaf"] = step.shape.to_json_obj()
+			return base
+		if isinstance(step, RestrictionStep):
+			body = base["restrict"] = {"target": d.graph.names(step.dmask)}
 		else:
-			base["project"] = {
-				"center": d.graph.names(self.step.zmask),
-				"kernel_rank": self.step.kernel_rank,
-				"image": self.step.image.to_json_obj(),
+			body = base["project"] = {
+				"center": d.graph.names(step.zmask),
+				"kernel_rank": step.kernel_rank,
 			}
+		for role, child in step.children:
+			body[role] = child.to_json_obj()
 		return base
 
 
 def tree_dot(root):
-	"""The tree in DOT form, nodes labeled by descriptor summaries."""
-	lines = ["digraph decomposition {", "\tnode [shape=box];"]
-	counter = [0]
+	"""The tree in DOT form, nodes labeled by descriptor summaries.
 
-	def walk(node):
-		my = "n%d" % counter[0]
-		counter[0] += 1
+	Nodes are numbered in pre-order, and the edge into a node follows its
+	whole subtree; the pending edges wait on a stack until the walk leaves
+	their child's subtree.
+	"""
+	lines = ["digraph decomposition {", "\tnode [shape=box];"]
+	ids = {}
+	pending = []
+	for path, node, parent in root.walk():
+		while pending and not path.startswith(pending[-1][0] + "."):
+			lines.append(pending.pop()[1])
+		my = ids[path] = "n%d" % len(ids)
 		step = node.step
 		label = node.descriptor.summary()
 		if isinstance(step, Leaf):
 			label += "\\n%r" % step.shape
-			lines.append('\t%s [label="%s"];' % (my, label))
 		elif isinstance(step, RestrictionStep):
-			label += "\\nrestrict %s" % ",".join(
-				node.descriptor.graph.names(step.dmask)
-			)
-			lines.append('\t%s [label="%s"];' % (my, label))
-			lines.append('\t%s -> %s [label="ker"];' % (my, walk(step.kernel)))
-			lines.append('\t%s -> %s [label="im"];' % (my, walk(step.image)))
+			label += "\\nrestrict %s" % ",".join(node.descriptor.graph.names(step.dmask))
 		else:
 			label += "\\nproject, ker Z^%d" % step.kernel_rank
-			lines.append('\t%s [label="%s"];' % (my, label))
-			lines.append('\t%s -> %s [label="im"];' % (my, walk(step.image)))
-		return my
-
-	walk(root)
+		lines.append('\t%s [label="%s"];' % (my, label))
+		if parent is not None:
+			up, role = path.rsplit(".", 1)
+			edge = '\t%s -> %s [label="%s"];' % (ids[up], my, "ker" if role == "k" else "im")
+			pending.append((path, edge))
+	lines.extend(edge for _, edge in reversed(pending))
 	lines.append("}")
 	return "\n".join(lines)
 
@@ -593,6 +616,11 @@ def _scripted(d, steps):
 		if "target" not in head:
 			raise DomainError('script restrict step needs a "target" key')
 		dmask = d.graph.mask(head["target"])
+		if dmask in d.pair.h_members:
+			raise DomainError(
+				"restriction target %s is already in H, so the step makes no progress"
+				% "".join(d.graph.names(dmask))
+			)
 		kernel, image = restriction_step(d, dmask, mode=head.get("mode", "fast"))
 		_checked_edge(d, kernel)
 		_checked_edge(d, image)

@@ -4,7 +4,9 @@ DomainError covers malformed or mathematically invalid input (bad JSON, a
 subgraph that is not invariant, a transvection between incomparable vertices).
 CapabilityError means the input was valid but exceeds a hard implementation
 limit (e.g. exhaustive saturation over subsets of a graph with too many
-vertices). The command line maps these to exit codes 1 and 2.
+vertices). The command line maps these to exit codes 1 and 2. Any other
+RuntimeError is a failed internal consistency check, a bug in the package
+rather than in the input, and the command line maps it to exit code 3.
 """
 
 

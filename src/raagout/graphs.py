@@ -247,43 +247,6 @@ class DefiningGraph:
 				return cls
 		raise AssertionError("vertex %d not classified" % v)
 
-	def class_graph(self):
-		"""Quotient graph of vertex classes with colouring.
-
-		Returns (nodes, edges) where nodes is a list of
-		(representative name, size, flag) and edges is a set of index pairs
-		(i, j), i < j. flag is 1 for a nonabelian (edgeless, size >= 2) class
-		and 0 for an abelian one; singletons get flag 0.
-		"""
-		classes = self.vertex_classes()
-		nodes = []
-		for cls in classes:
-			rep = (cls & -cls).bit_length() - 1
-			size = cls.bit_count()
-			if size >= 2 and all(self.adj[v] & cls == 0 for v in bits(cls)):
-				flag = 1
-			else:
-				flag = 0
-			nodes.append((self.vertices[rep], size, flag))
-		edges = set()
-		for i, ci in enumerate(classes):
-			vi = (ci & -ci).bit_length() - 1
-			for j in range(i + 1, len(classes)):
-				# adjacency between distinct classes is class-well-defined
-				if self.adj[vi] & classes[j]:
-					edges.add((i, j))
-		return nodes, edges
-
-	def class_graph_dot(self):
-		nodes, edges = self.class_graph()
-		lines = ["graph classes {"]
-		for name, size, flag in nodes:
-			lines.append('  "%s" [label="%s:(%d,%d)"];' % (name, name, size, flag))
-		for i, j in sorted(edges):
-			lines.append('  "%s" -- "%s";' % (nodes[i][0], nodes[j][0]))
-		lines.append("}")
-		return "\n".join(lines)
-
 	def __repr__(self):
 		return "DefiningGraph(%d vertices, %d edges)" % (
 			self.n,

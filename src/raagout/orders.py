@@ -53,12 +53,6 @@ def blocked_masks(graph, members):
 	return blocked
 
 
-def g_adjacent(graph, members, u, v):
-	if graph.adj[u] >> v & 1:
-		return True
-	return any(m >> u & 1 and m >> v & 1 for m in members)
-
-
 def g_components(graph, members, mask):
 	"""G-components of the induced subgraph on mask, as masks.
 

@@ -24,7 +24,6 @@ from .decompose import (
 	GeneralLinear,
 	Leaf,
 	ProjectionStep,
-	RestrictionStep,
 	Trivial,
 	decompose,
 )
@@ -69,6 +68,8 @@ def eval_formula(expr, env):
 		tree = ast.parse(expr, mode="eval")
 	except SyntaxError:
 		raise DomainError("cannot parse dimension formula %r" % expr)
+	except RecursionError:
+		raise DomainError("dimension formula is nested too deeply")
 
 	def ev(node):
 		if isinstance(node, ast.Expression):
@@ -89,7 +90,10 @@ def eval_formula(expr, env):
 			raise DomainError("unknown name %r in dimension formula" % node.id)
 		raise DomainError("unsupported syntax in dimension formula %r" % expr)
 
-	value = ev(tree)
+	try:
+		value = ev(tree)
+	except RecursionError:
+		raise DomainError("dimension formula is nested too deeply")
 	if value < 0:
 		raise DomainError("dimension formula %r evaluated to %d" % (expr, value))
 	return value
@@ -231,29 +235,21 @@ def _add(a, b):
 def fold(tree, cfg=None):
 	"""Upper bound for a tree with a per-leaf ledger.
 
-	Ledger rows are (node id, contribution, tag); the id is the node's
-	path from the root with k for kernel branches, i for image branches,
-	and a trailing z for a projection kernel.
+	Ledger rows are (node id, contribution, tag) in walk order; the id is
+	the node's path from DecompositionNode.walk, with a trailing z for a
+	projection kernel. The bound is the sum of the contributions.
 	"""
 	cfg = cfg or DimProviderConfig()
 	rows = []
-
-	def walk(node, path):
-		label = path or "root"
+	for path, node, _ in tree.walk():
 		step = node.step
 		if isinstance(step, Leaf):
-			dim, tag = leaf_dimension(step.shape, cfg)
-			rows.append((label, dim, tag))
-			return dim
-		if isinstance(step, ProjectionStep):
-			rows.append((label + ".z", step.kernel_rank, "projection kernel"))
-			return _add(step.kernel_rank, walk(step.image, label + ".i"))
-		if isinstance(step, RestrictionStep):
-			ker = walk(step.kernel, label + ".k")
-			return _add(ker, walk(step.image, label + ".i"))
-		raise DomainError("unknown step %r" % (step,))
-
-	total = walk(tree, "")
+			rows.append((path, *leaf_dimension(step.shape, cfg)))
+		elif isinstance(step, ProjectionStep):
+			rows.append((path + ".z", step.kernel_rank, "projection kernel"))
+	total = 0
+	for _, dim, _ in rows:
+		total = _add(total, dim)
 	return total, rows
 
 

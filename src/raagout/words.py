@@ -241,11 +241,6 @@ class WordContext:
 		return " ".join(toks)
 
 
-def word_from_names(graph, names_signs):
-	"""Convenience for tests: [(name, sign), ...] to letter codes."""
-	return tuple(enc(graph.index[nm], sg) for nm, sg in names_signs)
-
-
 def mask_word(letters):
 	m = 0
 	for lt in letters:
@@ -264,5 +259,4 @@ __all__ = [
 	"push_letter",
 	"reduce_word",
 	"strip_front",
-	"word_from_names",
 ]

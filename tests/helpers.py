@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from raagout import families
 from raagout.autos import Automorphism, is_inner
-from raagout.decompose import GroupDescriptor, Leaf, RestrictionStep, decompose
+from raagout.decompose import GroupDescriptor, decompose
 from raagout.graphs import DefiningGraph
 from raagout.peripheral import PeripheralPair
 
@@ -218,17 +218,6 @@ def pivot_by_generators(d):
 	return None
 
 
-def tree_nodes(node):
-	"""Every node of a decomposition tree, root first."""
-	out = [node]
-	step = node.step
-	if isinstance(step, RestrictionStep):
-		out.extend(tree_nodes(step.kernel))
-	if not isinstance(step, Leaf):
-		out.extend(tree_nodes(step.image))
-	return out
-
-
 def auto_tree_nodes(seed=5):
 	"""Every node of the auto decompositions of some families and random pairs.
 
@@ -259,5 +248,5 @@ def auto_tree_nodes(seed=5):
 			descriptors.append(GroupDescriptor(g, PeripheralPair(g, glist, hlist).normalize()))
 	out = []
 	for d in descriptors:
-		out.extend(tree_nodes(decompose(d)))
+		out.extend(node for _, node, _ in decompose(d).walk())
 	return out

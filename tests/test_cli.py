@@ -181,6 +181,42 @@ def test_exit_code_usage_error_is_1(capsys, p3):
 	assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+	"command, code",
+	[
+		("cone-graph", 0),
+		("gens", 1),
+		("info", 1),
+		("vcd", 1),
+	],
+)
+def test_dot_format_only_for_trees_and_graphs(capsys, p3, command, code):
+	try:
+		got = main([command, "--graph", p3, "--format", "dot"])
+	except SystemExit as exc:
+		got = exc.code
+		assert "invalid choice: 'dot'" in capsys.readouterr().err
+	assert got == code
+
+
+def test_internal_error_exits_3_on_one_line(capsys, monkeypatch, p3):
+	def broken(*args, **kwargs):
+		raise RuntimeError("complexity failed to decrease")
+
+	monkeypatch.setattr("raagout.cli.decompose", broken)
+	code, out, err = run(capsys, "decompose", "--graph", p3)
+	assert (code, out) == (3, "")
+	assert err == "internal error: complexity failed to decrease\n"
+
+
+def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path):
+	path = tmp_path / "deep.json"
+	path.write_text("[" * 100000)
+	code, out, err = run(capsys, "info", "--graph", str(path))
+	assert (code, out) == (1, "")
+	assert "nested too deeply" in err and err.count("\n") == 1
+
+
 def test_exit_code_capability_limit(capsys, tmp_path):
 	from raagout.families import diamond_chain
 

@@ -374,23 +374,36 @@ def test_decompose_script_errors():
 		decompose(d, mode="script", script=[{"op": "leaf"}, {"op": "leaf"}])
 	with pytest.raises(DomainError):
 		decompose(d, mode="sideways")
+	# a target already in H adds no trivial-action member: no progress
+	b = g.mask(["b"])
+	script = [{"op": "restrict", "target": ["b"]}]
+	with pytest.raises(DomainError, match="already in H"):
+		decompose(descriptor(g, g=[b], h=[b]), mode="script", script=script)
 
 
 def test_decompose_complexity_strictly_drops():
 	g = diamond_chain(2)
-	node = decompose(GroupDescriptor.absolute(g))
+	edges = 0
+	for _, n, _ in decompose(GroupDescriptor.absolute(g)).walk():
+		for _, child in n.step.children:
+			assert child.descriptor.complexity() < n.descriptor.complexity()
+			edges += 1
+	assert edges > 0
 
-	def walk(n):
-		c = n.descriptor.complexity()
-		if isinstance(n.step, RestrictionStep):
-			for child in (n.step.kernel, n.step.image):
-				assert child.descriptor.complexity() < c
-				walk(child)
-		elif isinstance(n.step, ProjectionStep):
-			assert n.step.image.descriptor.complexity() < c
-			walk(n.step.image)
 
-	walk(node)
+def test_walk_is_pre_order_with_paths():
+	# restrict at the root; its kernel projects onto a leaf, its image is a leaf
+	d = GroupDescriptor.absolute(path3())
+	kernel = DecompositionNode(d, ProjectionStep(2, 2, DecompositionNode(d, Leaf(Trivial()))))
+	image = DecompositionNode(d, Leaf(FreeAbelian(1, 1)))
+	root = DecompositionNode(d, RestrictionStep(1, kernel, image))
+	assert list(root.walk()) == [
+		("root", root, None),
+		("root.k", kernel, root.step),
+		("root.k.i", kernel.step.image, kernel.step),
+		("root.i", image, root.step),
+	]
+	assert root.leaves() == [FreeAbelian(2, 2), Trivial(), FreeAbelian(1, 1)]
 
 
 def test_pivot_is_smallest_member_with_nontrivial_restriction():

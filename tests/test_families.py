@@ -128,17 +128,11 @@ def test_four_path_script_leaf_shapes():
 		assert len(sh.factors) == 1 and sh.held == (True,)
 	assert {(sh.factors[0].n, sh.free_rank) for sh in fr} == {(q, s), (r, p)}
 
-	ranks = []
-
-	def walk(node):
-		if isinstance(node.step, ProjectionStep):
-			ranks.append(node.step.kernel_rank)
-			walk(node.step.image)
-		elif node.step.__class__.__name__ == "RestrictionStep":
-			walk(node.step.kernel)
-			walk(node.step.image)
-
-	walk(root)
+	ranks = [
+		node.step.kernel_rank
+		for _, node, _ in root.walk()
+		if isinstance(node.step, ProjectionStep)
+	]
 	assert sorted(ranks) == sorted([p * q, r * s])
 
 

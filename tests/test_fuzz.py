@@ -1,0 +1,172 @@
+"""Random JSON inputs to every command line command.
+
+Each example writes a graph, a peripheral pair, a script, a provider
+config and a generator list, some shaped like the real formats and some
+arbitrary JSON, and runs one command on them. Whatever the input, the
+command must exit 0, 1 (domain or usage error) or 2 (capability limit)
+and must not raise: 3, an internal error, fails the test too. The run is
+derandomized and small, so the same examples run every time.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from raagout.cli import main
+
+NAMES = ["a", "b", "c", "d", "e"]
+
+KEYS = [
+	"vertices", "edges", "G", "H", "op", "target", "image", "mode",
+	"fr_free", "fr_zq_fs", "overrides", "factors", "free", "held", "dim",
+]
+scalars = st.one_of(
+	st.none(),
+	st.booleans(),
+	st.integers(-3, 8),
+	st.sampled_from(NAMES + ["", "zz", "restrict", "project", "leaf", "fast", "2*m - 3"]),
+)
+any_json = st.recursive(
+	scalars,
+	lambda inner: st.one_of(
+		st.lists(inner, max_size=4),
+		st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+	),
+	max_leaves=12,
+)
+formulas = st.sampled_from(["2*m - 3", "q*(2*s - 1)", "k + m", "m // 0", "0 - m", "m ** 2", "("])
+configs = st.fixed_dictionaries(
+	{},
+	optional={
+		"fr_free": formulas,
+		"fr_zq_fs": formulas,
+		"overrides": st.lists(
+			st.fixed_dictionaries(
+				{"dim": st.one_of(st.integers(0, 5), formulas)},
+				optional={
+					"factors": st.lists(st.integers(1, 3), max_size=3),
+					"free": st.integers(0, 3),
+					"held": st.booleans(),
+				},
+			),
+			max_size=2,
+		),
+	},
+)
+
+
+FLAGS = {
+	"info": (),
+	"gens": (),
+	"invariant": ("--target",),
+	"saturate": ("--cap",),
+	"periphery": ("--target",),
+	"restrict": ("--target", "--mode"),
+	"decompose": ("--script",),
+	"vcd": ("--script", "--cfg", "--gens", "--nilpotent"),
+	"cone-graph": (),
+	"apply": ("--gen", "--word"),
+	"check-exact": ("--target", "--mode"),
+}
+
+
+def shaped(strategy):
+	"""The well-formed strategy, one time in eight arbitrary JSON instead."""
+	return st.integers(0, 7).flatmap(lambda i: any_json if i == 7 else strategy)
+
+
+@st.composite
+def invocations(draw):
+	"""(argv, {file name: JSON object}) for one command on a random graph."""
+	vertices = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=5, unique=True))
+	edges = [[u, v] for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+	if edges:
+		edges = draw(st.lists(st.sampled_from(edges), max_size=6, unique_by=tuple))
+	graph = {"vertices": vertices, "edges": edges}
+	# names of the graph's vertices, in one example of eight also one that is not
+	vertex = st.sampled_from(vertices + ["zz"] if draw(st.integers(0, 7)) == 7 else vertices)
+	name_lists = st.lists(vertex, min_size=1, max_size=4, unique=True)
+	steps = st.recursive(
+		st.fixed_dictionaries(
+			{"op": st.sampled_from(["restrict", "restrict", "project", "leaf", "spin"])},
+			optional={"target": name_lists, "mode": st.sampled_from(["fast", "saturated", "x"])},
+		),
+		lambda inner: st.fixed_dictionaries(
+			{"op": st.just("restrict"), "target": name_lists, "image": st.lists(inner, max_size=2)}
+		),
+		max_leaves=4,
+	)
+	generator_texts = st.one_of(
+		st.builds("inv {}".format, vertex),
+		st.builds("trv {}^{}".format, vertex, vertex),
+		st.builds(lambda x, r: "pc %s:[%s]" % (x, ",".join(r)), vertex, name_lists),
+		st.builds("sym ({} {})".format, vertex, vertex),
+		st.sampled_from(["", "trv", "pc a:", "sym (a"]),
+	)
+	file_flags = {
+		"--graph": shaped(st.just(graph)),
+		"--periph": shaped(st.fixed_dictionaries({}, optional={
+			"G": st.lists(name_lists, max_size=3), "H": st.lists(name_lists, max_size=2),
+		})),
+		"--script": shaped(st.lists(steps, max_size=3)),
+		"--cfg": shaped(configs),
+		"--gens": shaped(st.lists(generator_texts, max_size=4)),
+	}
+	text_flags = {
+		"--target": name_lists.map(",".join),
+		"--mode": st.sampled_from(["fast", "saturated"]),
+		"--cap": st.integers(0, 8).map(str),
+		"--word": st.lists(
+			st.builds("{}^{}".format, vertex, st.integers(-2, 3)), max_size=6
+		).map(" ".join),
+	}
+	command = draw(st.sampled_from(sorted(FLAGS)))
+	formats = ["text", "json"] + (["dot"] if command in ("decompose", "cone-graph") else [])
+	argv = [command, "--format", draw(st.sampled_from(formats))]
+	files = {}
+	for flag in ("--graph", "--periph") + FLAGS[command]:
+		if flag != "--graph" and draw(st.integers(0, 3)) == 3:
+			continue
+		if flag in file_flags:
+			name = flag[2:] + ".json"
+			files[name] = draw(file_flags[flag])
+			argv += [flag, name]
+		elif flag == "--gen":
+			for text in draw(st.lists(generator_texts, min_size=1, max_size=3)):
+				argv += [flag, text]
+		elif flag == "--nilpotent":
+			argv.append(flag)
+		else:
+			argv += [flag, draw(text_flags[flag])]
+	return argv, files
+
+
+@settings(
+	max_examples=150,
+	derandomize=True,
+	deadline=None,
+	database=None,
+	suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(invocations())
+def test_every_command_exits_cleanly_on_random_json(invocation):
+	argv, files = invocation
+	with tempfile.TemporaryDirectory() as tmp:
+		for name, obj in files.items():
+			(Path(tmp) / name).write_text(json.dumps(obj))
+		argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+		out, err = io.StringIO(), io.StringIO()
+		with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+			try:
+				code = main(argv)
+			except SystemExit as exc:
+				code = exc.code
+	# an exception other than SystemExit would have propagated out of main
+	assert code in (0, 1, 2), (argv, files, err.getvalue())
+	if code:
+		assert err.getvalue().count("\n") == 1 or code == 1 and argv[0] == "check-exact"

@@ -6,9 +6,11 @@ folds the same tree to its upper bound, and compares a SHA-256 digest of
 the three against a pinned value (GOLDEN). A second table (GOLDEN_VCD)
 pins the digest of `vcd --format json` on the same inputs, plus two
 four-path graphs with their nilpotent generator lists, so the certified
-lower bound, which rests on the word kernel, is pinned too. A change to
-any tree node, member list or bound changes a digest, so a speed-up of a
-lower layer cannot alter results unseen. When a change is meant to alter
+lower bound, which rests on the word kernel, is pinned too. A third
+(GOLDEN_TREE) pins `decompose --format text` and `--format dot` on the
+same inputs, so the tree renderings are pinned byte for byte. A change
+to any tree node, member list, rendering or bound changes a digest, so a
+speed-up of a lower layer cannot alter results unseen. When a change is meant to alter
 a result, print the new digests with `python tests/test_golden.py` and
 update the tables.
 """
@@ -113,6 +115,30 @@ GOLDEN = {
 	'p3+empty': 'fad2df5829257f2d',
 }
 
+# First 16 hex digits of each case's `decompose --format text` output
+# followed by its `decompose --format dot` output.
+GOLDEN_TREE = {
+	'diamond_chain(2)': '32366f38951e80c3',
+	'diamond_chain(2)+script': 'bf00372cffc9c6c9',
+	'diamond_chain(3)': 'e921d95011a770bd',
+	'diamond_chain(3)+script': '5b69482f0c750730',
+	'diamond_chain(4)': 'b495272cd3d9de8b',
+	'diamond_chain(4)+script': '4704a8fe2ef2cf14',
+	'diamonds_d3': 'e921d95011a770bd',
+	'diamonds_d3+corner': '59e9e1e371a727b9',
+	'diamonds_d3+corner+script': 'b57106c3e7945eb5',
+	'diamonds_d3+empty': 'e921d95011a770bd',
+	'diamonds_d3+script': '5b69482f0c750730',
+	'four_path(2,1,2,1)': '31b6d25c669b61ca',
+	'four_path(2,1,2,1)+script': '3f37d9e11d5fd78e',
+	'four_path(2,2,2,2)+script': '5e9ec05d716be568',
+	'four_path(4,4,4,4)': '68e4cba27c20d38d',
+	'fourpath_2121': '31b6d25c669b61ca',
+	'fourpath_2121+script': '3f37d9e11d5fd78e',
+	'p3': 'a32f7ea25493bf18',
+	'p3+empty': 'a32f7ea25493bf18',
+}
+
 # Cases that only `vcd` runs: `--gens` with the listed generators and
 # `--nilpotent`, on the auto tree.
 GENS_CASES = {
@@ -188,6 +214,20 @@ def case_digest(name, tmp_path):
 	return _digest(text)
 
 
+def tree_digest(name, tmp_path):
+	graph_obj, periph_obj, script = CASES[name]()
+	files = _write(tmp_path, graph=graph_obj, periph=periph_obj, script=script)
+	extra = []
+	for key in ("periph", "script"):
+		if key in files:
+			extra += ["--%s" % key, str(files[key])]
+	outputs = [
+		_cli("decompose", "--graph", str(files["graph"]), "--format", fmt, *extra)
+		for fmt in ("text", "dot")
+	]
+	return _digest("".join(outputs))
+
+
 def vcd_digest(name, tmp_path):
 	if name in GENS_CASES:
 		graph_obj, texts = GENS_CASES[name]()
@@ -208,6 +248,11 @@ def test_golden_digest(name, tmp_path):
 	assert case_digest(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_tree_digest(name, tmp_path):
+	assert tree_digest(name, tmp_path) == GOLDEN_TREE[name]
+
+
 @pytest.mark.parametrize("name", sorted(set(CASES) | set(GENS_CASES)))
 def test_golden_vcd_digest(name, tmp_path):
 	assert vcd_digest(name, tmp_path) == GOLDEN_VCD[name]
@@ -218,6 +263,7 @@ if __name__ == "__main__":
 
 	for table, names, digest in (
 		("GOLDEN", sorted(CASES), case_digest),
+		("GOLDEN_TREE", sorted(CASES), tree_digest),
 		("GOLDEN_VCD", sorted(set(CASES) | set(GENS_CASES)), vcd_digest),
 	):
 		print("%s = {" % table)

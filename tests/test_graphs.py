@@ -92,25 +92,10 @@ def test_vertex_classes_diamond():
 	g = diamond()
 	cls = g.vertex_classes()
 	assert cls == [g.mask(["c0", "c1"]), g.mask(["a1", "b1"])]
-	nodes, edges = g.class_graph()
-	assert nodes == [("c0", 2, 1), ("a1", 2, 1)]
-	assert edges == {(0, 1)}
 
 
-def test_class_graph_colouring():
-	# triangle: one abelian class of size 3
-	tri = DefiningGraph(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
-	nodes, edges = tri.class_graph()
-	assert nodes == [("a", 3, 0)] and not edges
-	# single vertex: flag 0 even though it is also "free"
-	single = DefiningGraph(["a"], [])
-	assert single.class_graph()[0] == [("a", 1, 0)]
-	dot = tri.class_graph_dot()
-	assert '"a" [label="a:(3,0)"];' in dot
-
-
-def test_class_graph_path4():
+def test_vertex_classes_path4():
 	g = path4()
-	nodes, edges = g.class_graph()
-	assert [n[0] for n in nodes] == ["w", "x", "y", "z"]
-	assert edges == {(0, 1), (1, 2), (2, 3)}
+	assert g.vertex_classes() == [g.mask([v]) for v in "wxyz"]
+	tri = DefiningGraph(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
+	assert tri.vertex_classes() == [tri.full]

@@ -78,6 +78,10 @@ def test_eval_formula():
 		eval_formula("m//0", {"m": 2})
 	with pytest.raises(DomainError):
 		eval_formula("m +", {"m": 2})
+	# too deep for the evaluator, then for the parser
+	for expr in ("1+" * 2000 + "1", "-" * 5000 + "m"):
+		with pytest.raises(DomainError, match="nested too deeply"):
+			eval_formula(expr, {"m": 2})
 
 
 def test_config_json_roundtrip():

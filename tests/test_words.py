@@ -4,7 +4,7 @@ import pytest
 
 from raagout import families
 from raagout.graphs import DefiningGraph
-from raagout.words import WordContext, enc, inverse, word_from_names
+from raagout.words import WordContext, enc, inverse
 
 import helpers
 
@@ -255,8 +255,3 @@ def test_apply_map_matches_naive():
 		for lt in w:
 			naive.extend(images[lt])
 		assert ctx.apply_map(w, images) == ctx.reduce(tuple(naive))
-
-
-def test_word_from_names():
-	g = path_abc()
-	assert word_from_names(g, [("a", 1), ("c", -1)]) == (0, 5)
