@@ -17,9 +17,9 @@ on a verified witness.
 
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 from .graphs import bits, mask_of
-from .words import enc, inverse, mask_word
+from .words import PARSE_CAP, enc, inverse, mask_word
 
 _RANK = {"inv": 0, "trv": 1, "pc": 2, "sym": 3}
 
@@ -148,22 +148,6 @@ class LaurenceGenerator:
 			return not region & dmask or not dmask & ~g.star_masks[acting] & ~region
 		return all(self.data[v] == v for v in bits(dmask))
 
-	def preserves(self, dmask):
-		"""Does the realized map carry the subgroup on dmask to a conjugate?"""
-		g = self.graph
-		if self.kind == "inv":
-			return True
-		if self.kind == "trv":
-			moved, acting = self.data
-			return not dmask >> moved & 1 or bool(dmask >> acting & 1)
-		if self.kind == "pc":
-			acting, region = self.data
-			if dmask >> acting & 1:
-				return True
-			return self.acts_trivially_on(dmask)
-		return mask_of(self.data[v] for v in bits(dmask)) == dmask
-
-
 def parse_generator(graph, text):
 	"""Parse the text syntax emitted by str(gen).
 
@@ -265,24 +249,6 @@ class Automorphism:
 	def invert(self):
 		return Automorphism(self.ctx, self.back, self.images)
 
-	def is_identity(self):
-		return all(self.images[2 * v] == (2 * v,) for v in range(self.ctx.graph.n))
-
-	def equals(self, other):
-		eq = self.ctx.equal
-		return all(
-			eq(self.images[2 * v], other.images[2 * v]) for v in range(self.ctx.graph.n)
-		)
-
-	def verify_inverse(self):
-		"""Check the inverse witness on every generator, both ways."""
-		n = self.ctx.graph.n
-		return all(
-			self.apply(self.back[2 * v]) == (2 * v,)
-			and self.apply_back(self.images[2 * v]) == (2 * v,)
-			for v in range(n)
-		)
-
 	def __repr__(self):
 		ctx = self.ctx
 		parts = []
@@ -339,11 +305,19 @@ def product_of(ctx, signed_gens):
 	"""Compose (generator, sign) factors left to right.
 
 	The first factor is applied last, matching how a written product of
-	automorphisms acts on an argument.
+	automorphisms acts on an argument. Images can grow exponentially with
+	the number of factors, so a product whose image of a letter, either
+	way, spells out more than PARSE_CAP letters is refused.
 	"""
 	acc = Automorphism.identity(ctx)
 	for gen, sign in signed_gens:
 		acc = acc.compose(realize(ctx, gen, sign))
+		longest = max(map(len, acc.images + acc.back), default=0)
+		if longest > PARSE_CAP:
+			raise CapabilityError(
+				"the product's images grow to %d letters, over the limit of %d"
+				% (longest, PARSE_CAP)
+			)
 	return acc
 
 
@@ -404,7 +378,7 @@ def acts_trivially_word(ctx, phi, dmask):
 	return rep is not None, rep
 
 
-def preserves_word(ctx, phi, dmask, cap=0):
+def preserves_word(ctx, phi, dmask):
 	"""Word-level test: does phi carry the subgroup on dmask to a conjugate?
 
 	Returns (verdict, witness): (True, g) with g^-1 phi(.) g inside the
@@ -416,8 +390,7 @@ def preserves_word(ctx, phi, dmask, cap=0):
 	support and its common links, so when the offset k_u^-1 k_v of a pair
 	of vertices needs letters beyond dmask and those links, no common
 	conjugator exists. Candidate witnesses are the cyclic-reduction
-	conjugators, their pairwise offsets and single letters; cap > 0 adds
-	a breadth-first sweep over short words before giving up.
+	conjugators, their pairwise offsets and single letters.
 	"""
 	graph = ctx.graph
 	cores = {}
@@ -467,25 +440,6 @@ def preserves_word(ctx, phi, dmask, cap=0):
 			off = ctx.reduce(inverse(ks[u]) + ks[v])
 			if mask_word(off) & ~allowed:
 				return False, None
-	if cap:
-		alphabet = [enc(x, s) for x in bits(lmask | dmask) for s in (1, -1)]
-		frontier = [()]
-		while frontier and len(tried) < cap:
-			nxt = []
-			for g in frontier:
-				for lt in alphabet:
-					h = ctx.canonical(g + (lt,))
-					if h in tried:
-						continue
-					tried.add(h)
-					if carried_by(h):
-						return True, h
-					nxt.append(h)
-					if len(tried) >= cap:
-						break
-				if len(tried) >= cap:
-					break
-			frontier = nxt
 	return None, None
 
 
@@ -550,39 +504,3 @@ def enumerate_generators(pp):
 				out.append(LaurenceGenerator.partial_conj(graph, acting, c))
 	out.sort(key=LaurenceGenerator.key)
 	return out
-
-
-# ---- class action ----
-
-def class_action(ctx, phi):
-	"""The permutation phi induces on vertex classes.
-
-	Each cyclically reduced image support contains a vertex dominated by
-	all the others; its class is where the source class goes. Returns a
-	tuple indexed by class position. Inconsistencies mean phi was not an
-	automorphism and raise.
-	"""
-	graph = ctx.graph
-	classes = graph.vertex_classes()
-	pos = {cls: i for i, cls in enumerate(classes)}
-	action = [None] * len(classes)
-	for v in range(graph.n):
-		s = list(bits(ctx.crsupp(phi.images[2 * v])))
-		mins = [w for w in s if all(graph.dominates(w, u) for u in s)]
-		if not mins:
-			raise RuntimeError(
-				"image support of %s has no vertex below all others" % graph.vertices[v]
-			)
-		src = pos[graph.class_of(v)]
-		dst = pos[graph.class_of(mins[0])]
-		if action[src] not in (None, dst):
-			raise RuntimeError("class action at %s is inconsistent" % graph.vertices[v])
-		action[src] = dst
-	if sorted(action) != list(range(len(classes))):
-		raise RuntimeError("class action is not a permutation")
-	return tuple(action)
-
-
-def out0_membership(ctx, phi):
-	"""Whether the class action of phi is the identity permutation."""
-	return all(d == s for s, d in enumerate(class_action(ctx, phi)))

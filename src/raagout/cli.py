@@ -3,11 +3,13 @@
 Each command reads JSON files, writes deterministic text, JSON, or DOT to
 stdout, and exits 0 on success, 1 on a domain error, 2 when a hard
 capability limit is hit, and 3 when an internal consistency check fails,
-which is a bug in the package, not in the input.
+which is a bug in the package, not in the input. When the reader of stdout
+closes it early (as `| head` does), the command stops quietly with exit 1.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .autos import (
@@ -32,7 +34,6 @@ from .decompose import (
 from .errors import CapabilityError, DomainError
 from .graphs import DefiningGraph
 from .peripheral import (
-	SATURATE_CAP,
 	PeripheralPair,
 	cone_graph,
 	fast_periphery,
@@ -158,7 +159,7 @@ def cmd_invariant(args):
 def cmd_saturate(args):
 	graph = _graph(args)
 	pair = _pair(graph, args)
-	full = saturate(pair, cap=args.cap)
+	full = saturate(pair)
 	if args.format == "json":
 		_emit_json(full.to_json_obj())
 		return 0
@@ -384,8 +385,7 @@ def build_parser():
 	p = add("invariant", cmd_invariant, help="test a special subgroup for invariance")
 	p.add_argument("--target", metavar="V,V,...", help="vertex names")
 
-	p = add("saturate", cmd_saturate, help="saturate a peripheral pair")
-	p.add_argument("--cap", type=int, default=SATURATE_CAP, help="vertex cap on listing the members")
+	add("saturate", cmd_saturate, help="saturate a peripheral pair")
 
 	p = add("periphery", cmd_periphery, help="induced periphery of a subgroup")
 	p.add_argument("--target", metavar="V,V,...")
@@ -423,7 +423,15 @@ def main(argv=None):
 		parser.print_help()
 		return 1
 	try:
-		return args.func(args)
+		code = args.func(args)
+		sys.stdout.flush()
+		return code
+	except BrokenPipeError:
+		# the reader is gone: send what is still buffered to devnull, so
+		# the flush at exit does not fail again
+		devnull = os.open(os.devnull, os.O_WRONLY)
+		os.dup2(devnull, sys.stdout.fileno())
+		return 1
 	except DomainError as exc:
 		print("error: %s" % exc, file=sys.stderr)
 		return 1

@@ -37,7 +37,7 @@ class GroupDescriptor:
 	def __init__(self, graph, pair):
 		if pair.graph is not graph and pair.graph.vertices != graph.vertices:
 			raise DomainError("pair belongs to a different graph")
-		if pair.normalized is None:
+		if not pair.normalized:
 			pair = pair.normalize()
 		self.graph = graph
 		self.pair = pair
@@ -136,7 +136,7 @@ class GeneralLinear:
 class FouxeRabinovitch:
 	"""Outer automorphisms of a free product given by a factor decomposition.
 
-	held marks, per factor, whether a peripheral member equals the factor's
+	held marks, per factor, whether a peripheral member is the factor's
 	support; a held factor is only acted on by conjugation, which is what
 	the dimension formulas downstream rely on.
 	"""
@@ -320,15 +320,16 @@ def tree_dot(root):
 def restriction_step(d, dmask, mode="fast"):
 	"""Split off the restriction to an invariant subgraph.
 
-	Fast mode keeps the pair as given (weak normalization) and completes
-	the image with the computed periphery; saturated mode saturates first,
-	which makes the induced members alone already sufficient. Either way
-	the kernel keeps the whole graph and gains dmask as a trivial-action
-	member, re-normalized so the new member's pieces join the preserved
-	side; its order index is the pair's refined by those pieces. On a
-	saturated pair, whose G is every proper invariant set, the target is a
-	member exactly when it is its own closure, and neither the kernel nor
-	the image lists G (see peripheral.saturation and induced).
+	Fast mode keeps the pair as given and completes the image with the
+	computed periphery; saturated mode saturates first, which makes the
+	induced members alone already sufficient. Either way the kernel keeps
+	the whole graph and gains dmask as a trivial-action member,
+	re-normalized so the new member's pieces join the preserved side; its
+	order index is the pair's refined by those pieces. Every member of G
+	is invariant, and on a saturated pair, whose G is every proper
+	invariant set, every invariant target is a member; neither the kernel
+	nor the image of a saturated pair lists G (see peripheral.saturation
+	and induced).
 	"""
 	graph = d.graph
 	if not 0 < dmask < graph.full:
@@ -338,17 +339,12 @@ def restriction_step(d, dmask, mode="fast"):
 	pair = d.pair
 	if mode == "saturated" and not pair.saturated:
 		pair = saturation(pair)
-	if pair.saturated:
-		member = invariant = pair.index.closure(dmask) == dmask
-	else:
-		member = dmask in pair.g_members
-		invariant = member or is_invariant(pair, dmask)
-	if not invariant:
+	if not is_invariant(pair, dmask):
 		raise DomainError(
 			"restriction target %s is not invariant for this pair"
 			% "".join(graph.names(dmask))
 		)
-	if not member:
+	if not pair.saturated and dmask not in pair.g_members:
 		pair = pair.adding_g([dmask])
 	sub_pair = induced(pair, dmask)
 	if mode == "fast":

@@ -9,8 +9,8 @@ precomputed link/star masks.
 
 The domination preorder u <= v (lk(u) contained in st(v)) and its equivalence
 classes also live here, since they only depend on the graph. Each class spans
-either a clique or an edgeless subgraph; the quotient "class graph" with its
-(size, flag) colouring is what symmetry generators are allowed to permute.
+either a clique or an edgeless subgraph, and a symmetry in a relative group
+must map every vertex into its own class.
 """
 
 from .errors import DomainError
@@ -135,12 +135,6 @@ class DefiningGraph:
 				if self.adj[i] >> keep[b] & 1:
 					edges.append((names[a], names[b]))
 		return DefiningGraph(names, edges)
-
-	def link(self, v):
-		return self.adj[v]
-
-	def star(self, v):
-		return self.star_masks[v]
 
 	def link_of_set(self, mask):
 		"""Common link of a set of vertices; the empty set links to everything."""

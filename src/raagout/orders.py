@@ -178,10 +178,11 @@ class PairIndex:
 	def closure(self, mask):
 		"""The least invariant set holding mask, the whole graph if no proper one does.
 
-		A set is invariant when it is an up-set of the order and no outside
-		star separates it: for x outside, its part away from st(x) meets at
-		most one G^x-component (peripheral.is_invariant). Invariant sets are
-		closed under intersection. An intersection of up-sets is an up-set,
+		This is the invariance rule, which peripheral.is_invariant reads as
+		"the set is its own closure": a set is invariant when it is an
+		up-set of the order and no outside star separates it, that is, for
+		x outside, its part away from st(x) meets at most one
+		G^x-component. Invariant sets are closed under intersection. An intersection of up-sets is an up-set,
 		and for x outside S & T, the part of S & T away from st(x) lies in
 		the part of S or of T that x does not hold, so it meets at most one
 		G^x-component. Every invariant superset of mask therefore holds

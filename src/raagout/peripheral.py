@@ -44,19 +44,20 @@ def _by_size(masks):
 class PeripheralPair:
 	"""The pair (G, H), members stored as vertex masks.
 
-	normalized is None, "weak" or "full"; operations with a normalization
-	precondition call require_normalized rather than silently closing up.
-	Pairs are never changed in place (adding_g, adding_h, normalize and
-	induced all build new ones). The order index of G is built on first
-	use, unless the pair was derived from one whose index was built. A lazy
-	pair (see _lazy) has its index from the start and lists G on first read.
+	normalized says whether H is folded into G (normalize); operations
+	with a normalization precondition call require_normalized rather than
+	silently closing up. Pairs are never changed in place (adding_g,
+	adding_h, normalize and induced all build new ones). The order index
+	of G is built on first use, unless the pair was derived from one whose
+	index was built. A lazy pair (see _lazy) has its index from the start
+	and lists G on first read.
 	"""
 
 	__slots__ = (
 		"graph", "_g_members", "_list_g", "h_members", "normalized", "saturated", "_index"
 	)
 
-	def __init__(self, graph, g_members=(), h_members=(), normalized=None, saturated=False):
+	def __init__(self, graph, g_members=(), h_members=(), normalized=False, saturated=False):
 		self.graph = graph
 		self._g_members = self._clean(g_members)
 		self._list_g = None
@@ -110,16 +111,13 @@ class PeripheralPair:
 			"H": [self.graph.names(m) for m in self.h_members],
 		}
 
-	def normalize(self, mode="weak"):
+	def normalize(self):
 		"""Fold H into G so the membership criteria apply.
 
-		Weak mode adds each H-member and its one-vertex-deleted subsets;
-		full mode adds every nonempty subset of every H-member. Both leave
+		Adds each H-member and its one-vertex-deleted subsets, which leaves
 		the represented group unchanged.
 		"""
-		if mode not in ("weak", "full"):
-			raise DomainError("normalize mode must be weak or full")
-		return self._joined(_folded(self.h_members, mode), self.h_members, mode)
+		return self._joined(_folded(self.h_members), self.h_members, True)
 
 	@property
 	def index(self):
@@ -129,7 +127,7 @@ class PeripheralPair:
 		return self._index
 
 	def require_normalized(self):
-		if self.normalized is None:
+		if not self.normalized:
 			raise DomainError("peripheral pair must be normalized first")
 
 	def adding_g(self, extra):
@@ -148,12 +146,12 @@ class PeripheralPair:
 	def adding_h(self, extra):
 		"""Same pair with extra masks joined into H, normalized again.
 
-		G gains only what normalization folds in from H, in the pair's own
-		mode; the result is not saturated.
+		G gains only what normalization folds in from H; the result is not
+		saturated.
 		"""
 		self.require_normalized()
 		h = self.h_members + tuple(extra)
-		return self._joined(_folded(h, self.normalized), h, self.normalized)
+		return self._joined(_folded(h), h, True)
 
 	def _joined(self, extra, h_members, normalized, saturated=False):
 		"""A pair on the same graph whose G is this G joined with extra.
@@ -188,43 +186,24 @@ class PeripheralPair:
 		return "PeripheralPair(G=%r, H=%r)" % (fmt(self.g_members), fmt(self.h_members))
 
 
-def _folded(h_members, mode):
-	"""What normalization joins to G for the H-members.
-
-	Weak mode: each member and its one-vertex-deleted subsets; full mode:
-	every nonempty subset of every member.
-	"""
+def _folded(h_members):
+	"""What normalization joins to G: each H-member and its one-vertex-deleted subsets."""
 	out = set()
 	for m in h_members:
-		if mode == "weak":
-			out.add(m)
-			out.update(m & ~(1 << v) for v in bits(m))
-		else:
-			out.update(_proper_subsets(m))
+		out.add(m)
+		out.update(m & ~(1 << v) for v in bits(m))
 	out.discard(0)
 	return out
-
-
-def _proper_subsets(mask):
-	vs = list(bits(mask))
-	for pattern in range(1, 1 << len(vs)):
-		yield sum(1 << vs[i] for i in range(len(vs)) if pattern >> i & 1)
 
 
 def is_invariant(pp, dmask):
 	"""Is the special subgroup on dmask preserved by the whole relative group?
 
-	Characterized by two conditions: dmask is upwards closed under the
-	relative order, and no outside vertex star-separates it (its intersection
-	with the complement of an outside star must meet at most one relative
-	component there).
+	It is exactly when dmask is its own least invariant superset
+	(orders.PairIndex.closure, which states the rule).
 	"""
 	pp.require_normalized()
-	index = pp.index
-	outside = pp.graph.full & ~dmask
-	if any(index.rows[u] & outside for u in bits(dmask)):
-		return False
-	return all(sum(1 for c in index.gv[v] if c & dmask) <= 1 for v in bits(outside))
+	return pp.index.closure(dmask) == dmask
 
 
 def _invariant_scan(graph, index):
@@ -286,24 +265,25 @@ def _invariant_scan(graph, index):
 	return out
 
 
-def saturation(pp, cap=SATURATE_CAP):
+def saturation(pp):
 	"""The pair with G enlarged by every proper invariant subgraph, listed on first read.
 
 	The enlarged pair keeps pp's index (see saturate), so it is ready for
 	everything that reads the index or the closures; only reading its
 	g_members runs the up-set enumeration. The number of up-sets can
-	grow as 2^n, so that read is refused on graphs above cap vertices.
+	grow as 2^n, so that read is refused on graphs above SATURATE_CAP
+	vertices.
 	"""
 	pp.require_normalized()
 	graph = pp.graph
 	index = pp.index
 
 	def list_g():
-		if graph.n > cap:
+		if graph.n > SATURATE_CAP:
 			raise CapabilityError(
 				"listing the saturated members is capped at %d vertices and this graph "
 				"has %d: the invariant subgraphs can number up to 2^n - 2; vcd does "
-				"not list them, printing a decomposition tree does" % (cap, graph.n)
+				"not list them, printing a decomposition tree does" % (SATURATE_CAP, graph.n)
 			)
 		return _invariant_scan(graph, index)
 
@@ -312,7 +292,7 @@ def saturation(pp, cap=SATURATE_CAP):
 	)
 
 
-def saturate(pp, cap=SATURATE_CAP, paranoid=False):
+def saturate(pp):
 	"""Enlarge G with every proper invariant subgraph, listed now.
 
 	A single enumeration suffices: the added subgroups were already
@@ -326,26 +306,13 @@ def saturate(pp, cap=SATURATE_CAP, paranoid=False):
 	row u only for u in S, by S, which holds row u already, so it removes
 	no relation u <=_G v; its piece away from st(x), for x outside S, meets
 	at most one G^x-component, and S is no G^x-member for x in S, so it
-	merges no G^x-components. The paranoid flag, for use in tests, checks
-	that the enumeration returned every old member, rebuilds the index
-	from scratch and compares it field by field, and re-runs the
-	enumeration on the rebuilt index to check the fixpoint. Graphs above
-	cap vertices are refused, since the number of up-sets can still grow
-	exponentially with n; saturation() defers the listing, and with it
-	the cap, to the first read of the members.
+	merges no G^x-components. Graphs above SATURATE_CAP vertices are
+	refused, since the number of up-sets can still grow exponentially with
+	n; saturation() defers the listing, and with it the cap, to the first
+	read of the members.
 	"""
-	out = saturation(pp, cap)
-	found = out.g_members
-	if paranoid:
-		graph = pp.graph
-		if not set(pp.g_members) <= set(found):
-			raise RuntimeError("saturation dropped a member of G")
-		fresh = orders.PairIndex(graph, found)
-		for field in ("rows", "down", "gv"):
-			if getattr(fresh, field) != getattr(pp.index, field):
-				raise RuntimeError("saturation changed the index field %s" % field)
-		if set(_invariant_scan(graph, fresh)) != set(found):
-			raise RuntimeError("saturation is not a fixpoint")
+	out = saturation(pp)
+	out.g_members  # listed here, so the cap applies here
 	return out
 
 
@@ -354,7 +321,7 @@ def induced(pp, dmask):
 
 	Members intersect down; intersections that are empty or all of dmask
 	are dropped. The result lives on the induced graph, with masks
-	compressed accordingly. Weak normalization survives the construction
+	compressed accordingly. Normalization survives the construction
 	(deleted-vertex subsets of intersections are intersections of
 	deleted-vertex subsets), saturation does not.
 
@@ -436,21 +403,3 @@ def cone_graph(graph, g_members):
 		for v in bits(m):
 			edges.append([cname, graph.vertices[v]])
 	return DefiningGraph(names, edges)
-
-
-def untwisted_periphery(graph):
-	"""The proper non-adjacent upward cones, one per vertex, deduplicated.
-
-	The cone of v collects v and every strictly dominating vertex not
-	adjacent to it; preserving all of these simultaneously characterizes
-	the image of the untwisted subgroup.
-	"""
-	out = set()
-	for v in range(graph.n):
-		m = 1 << v
-		for w in range(graph.n):
-			if w != v and graph.dominates(v, w) and not graph.adj[v] >> w & 1:
-				m |= 1 << w
-		if m != graph.full:
-			out.add(m)
-	return _by_size(out)

@@ -20,7 +20,8 @@ formatting.
 
 from .errors import CapabilityError, DomainError
 
-# Most letters a written word may spell out once exponents are expanded.
+# Most letters a written word may spell out once exponents are expanded, and
+# most letters a letter's image under a product of generators may have.
 PARSE_CAP = 1 << 20
 
 
@@ -76,21 +77,31 @@ def apply_map(letters, images, adj):
 
 
 def canonical_word(letters, adj):
-	"""Lexicographically least reduced word equal to the input in the group."""
+	"""Lexicographically least reduced word equal to the input in the group.
+
+	Each round scans from the front for the least letter that commutes
+	with every letter before it. A letter can move to the front exactly
+	when its vertex is in common, the common link of the letters scanned
+	so far; movable letters have distinct vertices, so it beats the best
+	one so far exactly when its vertex is in below. Once common and below
+	are disjoint no later letter can win, and the scan stops. The rest of
+	the word is kept back to front, so taking out a letter near the front
+	moves only the few letters ahead of it.
+	"""
 	rem = list(reduce_word(letters, adj))
+	rem.reverse()
 	out = []
 	while rem:
-		seen = 0
-		best = -1
-		best_pos = -1
-		for p, lt in enumerate(rem):
-			v = lt >> 1
-			if seen & ~adj[v] == 0 and (best < 0 or lt < best):
-				best = lt
+		common = below = -1
+		for p in range(len(rem) - 1, -1, -1):
+			v = rem[p] >> 1
+			if (common & below) >> v & 1:
 				best_pos = p
-			seen |= 1 << v
-		out.append(best)
-		del rem[best_pos]
+				below = (1 << v) - 1
+			common &= adj[v]
+			if not common & below:
+				break
+		out.append(rem.pop(best_pos))
 	return tuple(out)
 
 
@@ -140,7 +151,7 @@ def strip_front(letters, smask, adj):
 	"""Greedily move letters with vertex in smask to the front and split there.
 
 	Returns (prefix, remainder): prefix has support inside smask, the
-	original word equals prefix * remainder, and no further smask-letter of
+	original word is prefix * remainder, and no further smask-letter of
 	the remainder can be commuted to its front.
 	"""
 	rem = list(letters)
@@ -185,13 +196,6 @@ class WordContext:
 	def supp(self, letters):
 		m = 0
 		for lt in self.reduce(letters):
-			m |= 1 << (lt >> 1)
-		return m
-
-	def crsupp(self, letters):
-		core, _ = self.cyc_reduce(letters)
-		m = 0
-		for lt in core:
 			m |= 1 << (lt >> 1)
 		return m
 

@@ -1,8 +1,8 @@
-"""Shared test helpers: brute-force word oracles and small-graph enumeration.
+"""Shared test helpers: brute-force oracles and small-graph enumeration.
 
 Everything here is deliberately independent of the package's own algorithms:
-closures of rewriting moves and exhaustive searches, usable as ground truth
-for the fast implementations.
+closures of rewriting moves, exhaustive searches and closed forms, usable as
+ground truth for the fast implementations.
 """
 
 import itertools
@@ -10,11 +10,11 @@ import random
 from collections import deque
 from functools import lru_cache
 
-from raagout import families
+from raagout import families, orders
 from raagout.autos import Automorphism, is_inner
 from raagout.decompose import GroupDescriptor, decompose
-from raagout.graphs import DefiningGraph
-from raagout.peripheral import PeripheralPair
+from raagout.graphs import DefiningGraph, bits, mask_of
+from raagout.peripheral import PeripheralPair, _invariant_scan, saturate
 
 
 def word_closure(word, graph, cap=200000):
@@ -96,6 +96,79 @@ def foata(word, graph):
 	return tuple(
 		tuple(sorted(m for m, level in pieces if level == k)) for k in range(1, height + 1)
 	)
+
+
+def same_map(phi, psi):
+	"""Do phi and psi send every vertex to the same group element?
+
+	Compared through foata, so the package's canonical form is not used.
+	"""
+	graph = phi.ctx.graph
+	return all(
+		foata(phi.images[2 * v], graph) == foata(psi.images[2 * v], graph)
+		for v in range(graph.n)
+	)
+
+
+def inverts(phi):
+	"""Does phi's inverse witness undo it on every vertex, on both sides?"""
+	identity = Automorphism.identity(phi.ctx)
+	return same_map(phi.compose(phi.invert()), identity) and same_map(
+		phi.invert().compose(phi), identity
+	)
+
+
+def preserves_closed_form(gen, dmask):
+	"""Does the realized generator carry the subgroup on dmask to a conjugate?
+
+	Inversions always do; a transvection does unless it moves a vertex of
+	dmask by one outside it; a partial conjugation does when its acting
+	letter is in dmask, or when it conjugates none or all of dmask away
+	from the acting star; a symmetry must map dmask onto itself.
+	"""
+	g = gen.graph
+	if gen.kind == "inv":
+		return True
+	if gen.kind == "trv":
+		moved, acting = gen.data
+		return not dmask >> moved & 1 or bool(dmask >> acting & 1)
+	if gen.kind == "pc":
+		acting, region = gen.data
+		if dmask >> acting & 1:
+			return True
+		return not region & dmask or not dmask & ~g.star_masks[acting] & ~region
+	return mask_of(gen.data[v] for v in bits(dmask)) == dmask
+
+
+def brute_invariant(pp, dmask):
+	"""Invariance spelled out from leq_rel and gv_components alone, with no index."""
+	g = pp.graph
+	outside = g.full & ~dmask
+	for u in bits(dmask):
+		for v in bits(outside):
+			if orders.leq_rel(g, pp.g_members, u, v):
+				return False
+	for v in bits(outside):
+		if sum(1 for c in orders.gv_components(g, pp.g_members, v) if c & dmask) > 1:
+			return False
+	return True
+
+
+def checked_saturate(pp):
+	"""saturate(pp), after the three checks its lemma promises.
+
+	The scan returns every old member, the index handed over equals a
+	fresh build over the saturated list, and the scan run again on that
+	fresh index gives the same list, so the saturation is a fixpoint.
+	"""
+	sat = saturate(pp)
+	found = set(sat.g_members)
+	assert set(pp.g_members) <= found, "saturation dropped a member of G"
+	fresh = orders.PairIndex(pp.graph, sat.g_members)
+	for field in ("rows", "down", "gv"):
+		assert getattr(fresh, field) == getattr(pp.index, field), field
+	assert set(_invariant_scan(pp.graph, fresh)) == found, "saturation is not a fixpoint"
+	return sat
 
 
 def cyclic_transports(ctx, core):

@@ -12,18 +12,22 @@ from raagout.autos import (
 	Automorphism,
 	LaurenceGenerator,
 	acts_trivially_word,
-	class_action,
 	enumerate_generators,
 	gen_in_relative,
 	is_inner,
-	out0_membership,
 	parse_generator,
 	preserves_word,
 	product_of,
 	realize,
 )
 
-from helpers import connected_graphs_upto_iso, graph_from_edges
+from helpers import (
+	connected_graphs_upto_iso,
+	graph_from_edges,
+	inverts,
+	preserves_closed_form,
+	same_map,
+)
 
 
 def path3():
@@ -138,7 +142,7 @@ def test_realize_images():
 	assert ctx.format(pc.images[2 * g.index["b1"]]) == "a1 b1 a1^-1"
 	inv = realize(ctx, LaurenceGenerator.inversion(g, "c0"))
 	assert ctx.format(inv.images[2 * g.index["c0"]]) == "c0^-1"
-	assert tv.verify_inverse() and pc.verify_inverse() and inv.verify_inverse()
+	assert inverts(tv) and inverts(pc) and inverts(inv)
 
 
 def test_realize_sign():
@@ -147,7 +151,7 @@ def test_realize_sign():
 	gen = LaurenceGenerator.transvection(g, "a", "c")
 	down = realize(ctx, gen, sign=-1)
 	assert ctx.format(down.images[0]) == "a c^-1"
-	assert realize(ctx, gen).compose(down).is_identity()
+	assert same_map(realize(ctx, gen).compose(down), Automorphism.identity(ctx))
 
 
 def test_compose_against_substitution():
@@ -166,7 +170,7 @@ def test_product_first_factor_applied_last():
 	f = parse_generator(g, "trv a^b")
 	h = parse_generator(g, "inv a")
 	prod = product_of(ctx, [(f, 1), (h, 1)])
-	assert prod.equals(realize(ctx, f).compose(realize(ctx, h)))
+	assert same_map(prod, realize(ctx, f).compose(realize(ctx, h)))
 
 
 def test_invert_roundtrip():
@@ -175,9 +179,7 @@ def test_invert_roundtrip():
 	gens = enumerate_generators(absolute(g))
 	rng = random.Random(5)
 	phi = product_of(ctx, [(rng.choice(gens), rng.choice([1, -1])) for _ in range(6)])
-	assert phi.compose(phi.invert()).is_identity()
-	assert phi.invert().compose(phi).is_identity()
-	assert phi.verify_inverse()
+	assert inverts(phi)
 
 
 def test_identity_swap_product():
@@ -193,8 +195,7 @@ def test_identity_swap_product():
 		(parse_generator(g, "trv a^c"), -1),
 	]
 	phi = product_of(ctx, steps)
-	assert phi.equals(realize(ctx, parse_generator(g, "sym (a c)")))
-	assert out0_membership(ctx, phi)
+	assert same_map(phi, realize(ctx, parse_generator(g, "sym (a c)")))
 
 
 # ---- innerness ----
@@ -278,7 +279,7 @@ def test_preserve_closed_forms():
 				got, witness = preserves_word(ctx, phi, d)
 				# the word test must be conclusive on generators
 				assert got is not None, (g.to_json_obj(), str(gen), d)
-				assert got == gen.preserves(d), (g.to_json_obj(), str(gen), d)
+				assert got == preserves_closed_form(gen, d), (g.to_json_obj(), str(gen), d)
 				if got:
 					for v in bits(d):
 						conj = ctx.conjugate(inverse(witness), phi.images[2 * v])
@@ -300,7 +301,7 @@ def test_preserve_word_random_products(data):
 	)
 	phi = product_of(ctx, steps)
 	d = data.draw(st.integers(1, g.full))
-	got, witness = preserves_word(ctx, phi, d, cap=2000)
+	got, witness = preserves_word(ctx, phi, d)
 	if got:
 		for v in bits(d):
 			conj = ctx.conjugate(inverse(witness), phi.images[2 * v])
@@ -433,31 +434,3 @@ def test_enumerated_generators_are_members():
 			pp = PeripheralPair(g, glist, hlist).normalize()
 			for gen in enumerate_generators(pp):
 				assert gen_in_relative(gen, pp)
-
-
-# ---- class action ----
-
-
-def test_class_action_identity():
-	g = path3()
-	ctx = WordContext(g)
-	phi = realize(ctx, parse_generator(g, "trv a^c"))
-	assert class_action(ctx, phi) == tuple(range(len(g.vertex_classes())))
-	assert out0_membership(ctx, phi)
-
-
-def test_class_action_swap():
-	g = DefiningGraph(["w", "x", "y", "z"], [["w", "x"], ["x", "y"], ["y", "z"]])
-	ctx = WordContext(g)
-	rev = realize(ctx, parse_generator(g, "sym (w z)(x y)"))
-	act = class_action(ctx, rev)
-	assert act != tuple(range(len(act)))
-	assert not out0_membership(ctx, rev)
-
-
-def test_class_action_swap_within_class():
-	g = path3()
-	ctx = WordContext(g)
-	sw = realize(ctx, parse_generator(g, "sym (a c)"))
-	# a and c share a class, so the swap acts as the identity on classes
-	assert out0_membership(ctx, sw)

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line surface, in process."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,14 +221,42 @@ def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path):
 
 
 def test_exit_code_capability_limit(capsys, tmp_path):
-	from raagout.families import diamond_chain
-
-	graph = write_json(tmp_path, "d3.json", diamond_chain(3).to_json_obj())
+	# one vertex over SATURATE_CAP
+	names = ["v%d" % i for i in range(21)]
+	graph = write_json(tmp_path, "f21.json", {"vertices": names, "edges": []})
 	periph = write_json(tmp_path, "empty.json", {"G": [], "H": []})
-	code, _, err = run(capsys, "saturate", "--graph", graph, "--periph", periph,
-		"--cap", "2")
-	assert code == 2
-	assert "capability limit" in err
+	code, out, err = run(capsys, "saturate", "--graph", graph, "--periph", periph)
+	assert (code, out) == (2, "")
+	assert err.startswith("capability limit: ") and err.count("\n") == 1
+
+
+def test_saturate_cap_flag_is_gone(capsys, p3):
+	with pytest.raises(SystemExit) as exc:
+		main(["saturate", "--graph", p3, "--cap", "64"])
+	assert exc.value.code == 1
+	assert "--cap" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_ends_quietly(tmp_path):
+	# K16 with every vertex in H lists 2^16 - 2 + 16 lines, far more than a
+	# pipe buffers, so the command is still writing when the reader leaves
+	names = ["v%d" % i for i in range(16)]
+	edges = [[u, v] for i, u in enumerate(names) for v in names[i + 1 :]]
+	graph = write_json(tmp_path, "k16.json", {"vertices": names, "edges": edges})
+	periph = write_json(tmp_path, "h16.json", {"G": [], "H": [[v] for v in names]})
+	src = str(Path(__file__).resolve().parents[1] / "src")
+	proc = subprocess.Popen(
+		[sys.executable, "-m", "raagout.cli", "saturate", "--graph", graph, "--periph", periph],
+		stdout=subprocess.PIPE,
+		stderr=subprocess.PIPE,
+		env={"PYTHONPATH": src},
+	)
+	assert proc.stdout.readline().startswith(b"G <")
+	proc.stdout.close()
+	err = proc.stderr.read()
+	proc.stderr.close()
+	assert proc.wait(timeout=60) == 1
+	assert err == b""
 
 
 def test_saturation_cap_applies_only_to_listing_members(capsys, tmp_path):
@@ -312,6 +343,20 @@ def test_malformed_names_are_domain_errors(capsys, tmp_path, p3, command, flag, 
 
 def test_apply_word_over_the_letter_cap_is_a_capability_limit(capsys, p3):
 	code, out, err = run(capsys, "apply", "--graph", p3, "--gen", "inv a", "--word", "a^1000000000")
+	assert (code, out) == (2, "")
+	assert err.startswith("capability limit: ") and err.count("\n") == 1
+
+
+def test_apply_product_over_the_letter_cap_is_a_capability_limit(capsys, monkeypatch, tmp_path):
+	# alternating transvections on F2 grow the images like the Fibonacci
+	# numbers: past PARSE_CAP after 30 factors, which takes seconds of
+	# composing, and past the lowered cap here after 20
+	monkeypatch.setattr("raagout.autos.PARSE_CAP", 1 << 14)
+	graph = write_json(tmp_path, "f2.json", {"vertices": ["a", "b"], "edges": []})
+	gens = []
+	for i in range(60):
+		gens += ["--gen", "trv b^a" if i % 2 else "trv a^b"]
+	code, out, err = run(capsys, "apply", "--graph", graph, *gens, "--word", "a")
 	assert (code, out) == (2, "")
 	assert err.startswith("capability limit: ") and err.count("\n") == 1
 

@@ -64,7 +64,7 @@ FLAGS = {
 	"info": (),
 	"gens": (),
 	"invariant": ("--target",),
-	"saturate": ("--cap",),
+	"saturate": (),
 	"periphery": ("--target",),
 	"restrict": ("--target", "--mode"),
 	"decompose": ("--script",),
@@ -120,7 +120,6 @@ def invocations(draw):
 	text_flags = {
 		"--target": name_lists.map(",".join),
 		"--mode": st.sampled_from(["fast", "saturated"]),
-		"--cap": st.integers(0, 8).map(str),
 		"--word": st.lists(
 			st.builds("{}^{}".format, vertex, st.integers(-2, 3)), max_size=6
 		).map(" ".join),

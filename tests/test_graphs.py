@@ -50,8 +50,8 @@ def test_validation_errors(verts, edges):
 def test_links_and_stars():
 	g = path4()
 	w, x, y, z = range(4)
-	assert g.link(x) == mask_of([w, y])
-	assert g.star(x) == mask_of([w, x, y])
+	assert g.adj[x] == mask_of([w, y])
+	assert g.star_masks[x] == mask_of([w, x, y])
 	assert g.link_of_set(mask_of([w, y])) == mask_of([x])
 	# empty set links to everything by convention
 	assert g.link_of_set(0) == g.full

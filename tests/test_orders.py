@@ -206,7 +206,7 @@ def _fields(index):
 
 def test_refined_index_matches_fresh_build():
 	# PairIndex.refined directly, and through the pairs that derive their
-	# index: adding_g, and adding_h (the kernel edge) in both modes
+	# index: adding_g, adding_h (the kernel edge) and normalize
 	rng = random.Random(47)
 	for trial in range(300):
 		n = rng.randrange(1, 8)
@@ -217,16 +217,15 @@ def test_refined_index_matches_fresh_build():
 		index = orders.PairIndex(g, glist)
 		assert _fields(index.refined(extra)) == _fields(orders.PairIndex(g, glist + extra))
 		assert _fields(index) == _fields(orders.PairIndex(g, glist))
-		mode = ("weak", "full")[trial % 2]
-		pp = PeripheralPair(g, glist, hlist).normalize(mode)
+		pp = PeripheralPair(g, glist, hlist).normalize()
 		assert pp.index is not None  # built now, so the pairs below refine it
-		for derived in (pp.adding_g(extra), pp.adding_h(extra), pp.normalize(mode)):
+		for derived in (pp.adding_g(extra), pp.adding_h(extra), pp.normalize()):
 			assert derived._index is not None
 			fresh = orders.PairIndex(g, derived.g_members)
 			assert _fields(derived.index) == _fields(fresh)
 		kernel = pp.adding_h(extra)
-		assert kernel.normalized == mode and not kernel.saturated
-		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra)).normalize(mode)
+		assert kernel.normalized and not kernel.saturated
+		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra)).normalize()
 		assert (kernel.g_members, kernel.h_members) == (again.g_members, again.h_members)
 	# the closure-built index of a pair induced from a saturated one, on
 	# every subgraph, against a fresh build over the induced member list
@@ -236,7 +235,7 @@ def test_refined_index_matches_fresh_build():
 		g = _random_graph(rng, n)
 		glist = _random_members(rng, n, rng.randrange(4))
 		hlist = [m for m in glist if rng.random() < 0.5]
-		sat = saturate(PeripheralPair(g, glist, hlist).normalize(("weak", "full")[trial % 2]))
+		sat = saturate(PeripheralPair(g, glist, hlist).normalize())
 		for dmask in range(1, g.full + 1):
 			cut = induced(sat, dmask)
 			assert _fields(cut.index) == _fields(orders.PairIndex(cut.graph, cut.g_members))

@@ -9,17 +9,21 @@ from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout import orders
 from raagout.peripheral import (
 	PeripheralPair,
-	_invariant_scan,
 	cone_graph,
 	fast_periphery,
 	induced,
 	is_invariant,
 	saturate,
 	saturation,
-	untwisted_periphery,
 )
 
-from helpers import connected_graphs_upto_iso, graph_from_edges, random_peripheral
+from helpers import (
+	brute_invariant,
+	checked_saturate,
+	connected_graphs_upto_iso,
+	graph_from_edges,
+	random_peripheral,
+)
 
 
 def path3():
@@ -85,7 +89,7 @@ def test_normalize_weak():
 	g = DefiningGraph(["a", "b", "c", "d"], [])
 	m = g.mask(["a", "b", "c"])
 	pp = PeripheralPair(g, [], [m]).normalize()
-	assert pp.normalized == "weak"
+	assert pp.normalized
 	assert names_of(g, pp.g_members) == [
 		["a", "b"],
 		["a", "b", "c"],
@@ -94,19 +98,6 @@ def test_normalize_weak():
 	]
 	# H itself is untouched
 	assert pp.h_members == (m,)
-
-
-def test_normalize_full():
-	g = DefiningGraph(["a", "b", "c", "d"], [])
-	m = g.mask(["a", "b", "c"])
-	pp = PeripheralPair(g, [], [m]).normalize(mode="full")
-	assert len(pp.g_members) == 7
-
-
-def test_normalize_mode_checked():
-	pp = PeripheralPair(path3(), [], [])
-	with pytest.raises(DomainError):
-		pp.normalize(mode="strong")
 
 
 def test_unnormalized_rejected():
@@ -121,7 +112,7 @@ def test_adding_g_keeps_flags():
 	g = path3()
 	pp = normalized(g)
 	out = pp.adding_g([g.mask(["b"])])
-	assert out.normalized == "weak"
+	assert out.normalized
 	assert g.mask(["b"]) in out.g_members
 	# a saturated pair stays saturated with an invariant mask, not with another
 	sat = saturate(pp)
@@ -186,12 +177,12 @@ def test_invariance_closed_under_intersection():
 	for edges in connected_graphs_upto_iso(4):
 		g = graph_from_edges(4, edges)
 		pp = normalized(g)
-		invariant = [m for m in range(1, g.full) if is_invariant(pp, m)]
+		invariant = [m for m in range(1, g.full) if brute_invariant(pp, m)]
 		for m1 in invariant:
 			for m2 in invariant:
 				meet = m1 & m2
 				if meet and meet != g.full:
-					assert is_invariant(pp, meet)
+					assert brute_invariant(pp, meet)
 
 
 def test_upward_cones_invariant_absolute():
@@ -212,7 +203,7 @@ def test_upward_cones_invariant_absolute():
 
 def test_saturate_path():
 	pp = normalized(path3())
-	sat = saturate(pp, paranoid=True)
+	sat = checked_saturate(pp)
 	assert sat.saturated
 	# only <b> survives: a <= b, a <= c and c <= a, c <= b kill every
 	# other candidate on upward closure
@@ -221,14 +212,14 @@ def test_saturate_path():
 
 def test_saturate_free_group():
 	pp = normalized(free2())
-	sat = saturate(pp, paranoid=True)
+	sat = checked_saturate(pp)
 	assert sat.g_members == ()
 
 
 def test_saturate_keeps_existing_members():
 	g = path3()
 	pp = normalized(g, g=[g.mask(["a", "b"])])
-	sat = saturate(pp, paranoid=True)
+	sat = checked_saturate(pp)
 	assert g.mask(["a", "b"]) in sat.g_members
 
 
@@ -238,20 +229,6 @@ def test_saturate_idempotent():
 		sat = saturate(normalized(g))
 		again = saturate(sat)
 		assert set(again.g_members) == set(sat.g_members)
-
-
-def _brute_invariant(pp, dmask):
-	"""is_invariant spelled out from leq_rel and gv_components alone."""
-	g = pp.graph
-	outside = g.full & ~dmask
-	for u in bits(dmask):
-		for v in bits(outside):
-			if orders.leq_rel(g, pp.g_members, u, v):
-				return False
-	for v in bits(outside):
-		if sum(1 for c in orders.gv_components(g, pp.g_members, v) if c & dmask) > 1:
-			return False
-	return True
 
 
 def test_saturate_matches_every_proper_mask_checked():
@@ -264,17 +241,12 @@ def test_saturate_matches_every_proper_mask_checked():
 		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
 		glist = [rng.randrange(1, full) for _ in range(rng.randrange(5))] if n > 1 else []
 		hlist = [m for m in glist if rng.random() < 0.5]
-		pp = PeripheralPair(g, glist, hlist).normalize(("weak", "full")[trial % 2])
-		invariant = {m for m in range(1, full) if _brute_invariant(pp, m)}
+		pp = PeripheralPair(g, glist, hlist).normalize()
+		invariant = {m for m in range(1, full) if brute_invariant(pp, m)}
 		assert {m for m in range(1, full) if is_invariant(pp, m)} == invariant
-		sat = saturate(pp, paranoid=True)
+		sat = checked_saturate(pp)
 		assert set(sat.g_members) == set(pp.g_members) | invariant
-		# the scan returns every old member, and the index handed over is
-		# the one a fresh build over the saturated list gives
-		assert set(pp.g_members) <= set(_invariant_scan(g, pp.index))
 		assert sat.index is pp.index
-		fresh = orders.PairIndex(g, sat.g_members)
-		assert (sat.index.rows, sat.index.down, sat.index.gv) == (fresh.rows, fresh.down, fresh.gv)
 		# the closure is the least invariant superset: the intersection of
 		# the brute-force invariant sets holding the mask, else everything
 		for m in range(1, full):
@@ -319,7 +291,7 @@ def test_saturation_lists_members_on_first_read():
 	pp = normalized(diamond_chain(7))
 	big = saturation(pp)
 	closures = {big.index.closure(1 << v) for v in range(pp.graph.n)} - {pp.graph.full}
-	assert closures and all(is_invariant(pp, m) for m in closures)
+	assert closures and all(brute_invariant(pp, m) for m in closures)
 	with pytest.raises(CapabilityError):
 		big.g_members
 
@@ -334,7 +306,7 @@ def test_induced_drops_full_and_empty():
 	sub = induced(pp, d)
 	assert sub.graph.vertices == ("a", "b")
 	assert sub.g_members == ()
-	assert sub.normalized == "weak"
+	assert sub.normalized
 
 
 def test_induced_cuts_members():
@@ -429,18 +401,6 @@ def test_cone_graph_members_invariant():
 			pp = normalized(cg)
 			lifted = mask_of(cg.index[g.vertices[v]] for v in bits(d))
 			assert is_invariant(pp, lifted)
-
-
-# ---- untwisted periphery ----
-
-
-def test_untwisted_periphery_examples():
-	k3 = DefiningGraph(["x", "y", "z"], [["x", "y"], ["y", "z"], ["x", "z"]])
-	assert names_of(k3, untwisted_periphery(k3)) == [["x"], ["y"], ["z"]]
-	free = DefiningGraph(["x", "y", "z"], [])
-	assert untwisted_periphery(free) == ()
-	g = path3()
-	assert names_of(g, untwisted_periphery(g)) == [["a", "c"], ["b"]]
 
 
 # ---- induced order and components on saturated pairs ----

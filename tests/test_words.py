@@ -3,8 +3,9 @@ import random
 import pytest
 
 from raagout import families
+from raagout.autos import parse_generator, product_of
 from raagout.graphs import DefiningGraph
-from raagout.words import WordContext, enc, inverse
+from raagout.words import WordContext, enc, inverse, mask_word
 
 import helpers
 
@@ -70,7 +71,26 @@ def test_supp_crsupp():
 	g = path_abc()
 	ctx = WordContext(g)
 	assert ctx.supp(ctx.parse("a c a^-1")) == g.mask(["a", "c"])
-	assert ctx.crsupp(ctx.parse("a c a^-1")) == g.mask(["c"])
+	assert mask_word(ctx.cyc_reduce(ctx.parse("a c a^-1"))[0]) == g.mask(["c"])
+
+
+def test_canonical_long_words_have_closed_forms():
+	# in F2 a reduced word is the only reduced word of its element, so the
+	# canonical form of the image of a under alternating transvections,
+	# whose length grows like the Fibonacci numbers, is its free reduction
+	f2 = DefiningGraph(["a", "b"], [])
+	ctx = WordContext(f2)
+	up, down = parse_generator(f2, "trv a^b"), parse_generator(f2, "trv b^a")
+	phi = product_of(ctx, [(up if i % 2 else down, 1) for i in range(20)])
+	image = phi.images[0]
+	assert len(image) == 17711
+	assert ctx.canonical(image) == ctx.reduce(image)
+	# in Z^2 every a moves ahead of b
+	k2 = DefiningGraph(["a", "b"], [["a", "b"]])
+	ctx = WordContext(k2)
+	a, b = enc(0, 1), enc(1, 1)
+	assert ctx.canonical(ctx.parse("a^20000 b")) == (a,) * 20000 + (b,)
+	assert ctx.canonical(ctx.parse("b a^20000")) == (a,) * 20000 + (b,)
 
 
 # ---- randomized properties against the brute-force oracles ----
