@@ -32,7 +32,7 @@ from .decompose import (
 	word_restriction,
 )
 from .errors import CapabilityError, DomainError
-from .graphs import DefiningGraph
+from .load import build_config, build_generators, build_graph, build_pair, build_script, load
 from .peripheral import (
 	PeripheralPair,
 	cone_graph,
@@ -40,39 +40,20 @@ from .peripheral import (
 	is_invariant,
 	saturate,
 )
-from .vcd import DimProviderConfig, bound_to_json_obj, vcd_report
+from .vcd import bound_to_json_obj, vcd_report
 from .words import WordContext
 
 
-def _load_json(path, what):
-	try:
-		with open(path) as fp:
-			return json.load(fp)
-	except OSError as exc:
-		raise DomainError("cannot read %s file %s: %s" % (what, path, exc))
-	except json.JSONDecodeError as exc:
-		raise DomainError("%s file %s is not JSON: %s" % (what, path, exc))
-	except RecursionError:
-		raise DomainError("%s file %s is nested too deeply" % (what, path))
-
-
 def _graph(args):
-	if not args.graph:
-		raise DomainError("--graph is required")
-	return DefiningGraph.from_json_obj(_load_json(args.graph, "graph"))
+	return load(args.graph, "graph", build_graph)
 
 
 def _pair(graph, args):
-	if getattr(args, "periph", None):
-		pp = PeripheralPair.from_json_obj(graph, _load_json(args.periph, "periphery"))
-	else:
-		pp = PeripheralPair(graph, [], [])
+	pp = load(args.periph, "periphery", build_pair, graph) if args.periph else PeripheralPair(graph)
 	return pp.normalize()
 
 
 def _target_mask(graph, args):
-	if not args.target:
-		raise DomainError("--target is required")
 	return graph.mask([name.strip() for name in args.target.split(",")])
 
 
@@ -237,9 +218,7 @@ def _tree_text(root):
 def cmd_decompose(args):
 	graph = _graph(args)
 	desc = GroupDescriptor(graph, _pair(graph, args))
-	script = None
-	if args.script:
-		script = _load_json(args.script, "script")
+	script = load(args.script, "script", build_script, graph) if args.script else None
 	mode = "script" if script is not None else "auto"
 	root = decompose(desc, mode=mode, script=script)
 	if args.format == "json":
@@ -255,16 +234,9 @@ def cmd_decompose(args):
 def cmd_vcd(args):
 	graph = _graph(args)
 	desc = GroupDescriptor(graph, _pair(graph, args))
-	script = _load_json(args.script, "script") if args.script else None
-	cfg = None
-	if args.cfg:
-		cfg = DimProviderConfig.from_json_obj(_load_json(args.cfg, "provider config"))
-	gens = None
-	if args.gens:
-		obj = _load_json(args.gens, "generator list")
-		if not isinstance(obj, list) or not all(isinstance(text, str) for text in obj):
-			raise DomainError("generator list file must hold a JSON list of strings")
-		gens = [parse_generator(graph, text) for text in obj]
+	script = load(args.script, "script", build_script, graph) if args.script else None
+	cfg = load(args.cfg, "provider config", build_config) if args.cfg else None
+	gens = load(args.gens, "generator list", build_generators, graph) if args.gens else None
 	bound = vcd_report(desc, script=script, cfg=cfg, gens=gens, nilpotent=args.nilpotent)
 	if args.format == "json":
 		_emit_json(bound_to_json_obj(bound))
@@ -303,8 +275,6 @@ def _signed_gen(graph, text):
 def cmd_apply(args):
 	graph = _graph(args)
 	ctx = WordContext(graph)
-	if not args.gen:
-		raise DomainError("--gen is required")
 	phi = product_of(ctx, [_signed_gen(graph, text) for text in args.gen])
 	word = ctx.parse(args.word or "")
 	image = ctx.canonical(phi.apply(word))
@@ -374,7 +344,7 @@ def build_parser():
 	def add(name, func, formats=("text", "json"), **kwargs):
 		p = sub.add_parser(name, **kwargs)
 		p.set_defaults(func=func)
-		p.add_argument("--graph", metavar="F", help="graph JSON file")
+		p.add_argument("--graph", metavar="F", required=True, help="graph JSON file")
 		p.add_argument("--periph", metavar="F", help="peripheral pair JSON file")
 		p.add_argument("--format", choices=formats, default="text")
 		return p
@@ -383,15 +353,15 @@ def build_parser():
 	add("gens", cmd_gens, help="generators of the relative outer group")
 
 	p = add("invariant", cmd_invariant, help="test a special subgroup for invariance")
-	p.add_argument("--target", metavar="V,V,...", help="vertex names")
+	p.add_argument("--target", metavar="V,V,...", required=True, help="vertex names")
 
 	add("saturate", cmd_saturate, help="saturate a peripheral pair")
 
 	p = add("periphery", cmd_periphery, help="induced periphery of a subgroup")
-	p.add_argument("--target", metavar="V,V,...")
+	p.add_argument("--target", metavar="V,V,...", required=True)
 
 	p = add("restrict", cmd_restrict, help="one restriction step")
-	p.add_argument("--target", metavar="V,V,...")
+	p.add_argument("--target", metavar="V,V,...", required=True)
 	p.add_argument("--mode", choices=("fast", "saturated"), default="fast")
 
 	p = add("decompose", cmd_decompose, formats=DOT_FORMATS, help="full decomposition tree")
@@ -406,11 +376,13 @@ def build_parser():
 	add("cone-graph", cmd_cone_graph, formats=DOT_FORMATS, help="cone off the preserved members")
 
 	p = add("apply", cmd_apply, help="apply generators to a word")
-	p.add_argument("--gen", action="append", metavar="TEXT", help="generator, first applied last")
+	p.add_argument(
+		"--gen", action="append", required=True, metavar="TEXT", help="generator, first applied last"
+	)
 	p.add_argument("--word", metavar="TEXT", default="", help='word like "a b^-1"')
 
 	p = add("check-exact", cmd_check_exact, help="lift and kernel checks for one step")
-	p.add_argument("--target", metavar="V,V,...")
+	p.add_argument("--target", metavar="V,V,...", required=True)
 	p.add_argument("--mode", choices=("fast", "saturated"), default="saturated")
 
 	return parser

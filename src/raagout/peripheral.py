@@ -93,18 +93,6 @@ class PeripheralPair:
 		out.discard(0)
 		return _by_size(out)
 
-	@classmethod
-	def from_json_obj(cls, graph, obj):
-		if not isinstance(obj, dict):
-			raise DomainError('a peripheral pair must be an object with keys "G" and "H"')
-		members = {}
-		for key in ("G", "H"):
-			lists = obj.get(key, [])
-			if not isinstance(lists, list):
-				raise DomainError('"%s" must be a list of vertex sets' % key)
-			members[key] = [graph.mask(names) for names in lists]
-		return cls(graph, members["G"], members["H"])
-
 	def to_json_obj(self):
 		return {
 			"G": [self.graph.names(m) for m in self.g_members],
@@ -398,6 +386,8 @@ def cone_graph(graph, g_members):
 	cones = [("@%d" % i, m) for i, m in enumerate(_by_size(set(g_members)))]
 	cones.append(("@G", graph.full))
 	cones.append(("@*", graph.full))
+	if set(names).intersection(cname for cname, _ in cones):
+		raise DomainError("a vertex name clashes with an added cone vertex")
 	for cname, m in cones:
 		names.append(cname)
 		for v in bits(m):

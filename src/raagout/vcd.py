@@ -49,49 +49,49 @@ def bound_to_json_obj(bound):
 
 # ---- dimension formulas ----
 
-_BIN_OPS = {
+# the operators and nodes a formula may use
+_OPS = {
 	ast.Add: operator.add,
 	ast.Sub: operator.sub,
 	ast.Mult: operator.mul,
 	ast.FloorDiv: operator.floordiv,
+	ast.UAdd: operator.pos,
+	ast.USub: operator.neg,
 }
+_NODES = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Load, ast.Constant, *_OPS)
 
 
-def eval_formula(expr, env):
-	"""Evaluate an arithmetic formula over named nonnegative integers.
-
-	Sums, differences, products, floor division, unary minus, integer
-	literals, and the names bound in env; anything else is rejected. A
-	negative result is rejected too, since dimensions are counts.
-	"""
+def check_formula(expr, names):
+	"""The parsed formula: integer literals and the names, joined by +, -, *, // and signs."""
 	try:
-		tree = ast.parse(expr, mode="eval")
+		tree = ast.parse(expr, mode="eval").body
 	except SyntaxError:
 		raise DomainError("cannot parse dimension formula %r" % expr)
 	except RecursionError:
 		raise DomainError("dimension formula is nested too deeply")
+	for node in ast.walk(tree):
+		if isinstance(node, ast.Name) and node.id not in names:
+			raise DomainError("unknown name %r in dimension formula" % node.id)
+		constant = isinstance(node, ast.Constant)
+		if not isinstance(node, _NODES) or constant and not isinstance(node.value, int):
+			raise DomainError("unsupported syntax in dimension formula %r" % expr)
+	return tree
+
+
+def eval_formula(expr, env):
+	"""The value of a formula over the names in env, rejected if negative: dimensions are counts."""
 
 	def ev(node):
-		if isinstance(node, ast.Expression):
-			return ev(node.body)
-		if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
-			try:
-				return _BIN_OPS[type(node.op)](ev(node.left), ev(node.right))
-			except ZeroDivisionError:
-				raise DomainError("division by zero in dimension formula %r" % expr)
-		if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-			val = ev(node.operand)
-			return -val if isinstance(node.op, ast.USub) else val
-		if isinstance(node, ast.Constant) and isinstance(node.value, int):
-			return node.value
-		if isinstance(node, ast.Name):
-			if node.id in env:
-				return env[node.id]
-			raise DomainError("unknown name %r in dimension formula" % node.id)
-		raise DomainError("unsupported syntax in dimension formula %r" % expr)
+		if isinstance(node, ast.BinOp):
+			return _OPS[type(node.op)](ev(node.left), ev(node.right))
+		if isinstance(node, ast.UnaryOp):
+			return _OPS[type(node.op)](ev(node.operand))
+		return env[node.id] if isinstance(node, ast.Name) else node.value
 
 	try:
-		value = ev(tree)
+		value = ev(check_formula(expr, env))
+	except ZeroDivisionError:
+		raise DomainError("division by zero in dimension formula %r" % expr)
 	except RecursionError:
 		raise DomainError("dimension formula is nested too deeply")
 	if value < 0:
@@ -117,57 +117,6 @@ class DimProviderConfig:
 		self.fr_free = fr_free
 		self.fr_zq_fs = fr_zq_fs
 		self.overrides = tuple(overrides)
-
-	@classmethod
-	def from_json_obj(cls, obj):
-		"""The config in a JSON object, its keys and value types checked."""
-		_check_keys(obj, ("fr_free", "fr_zq_fs", "overrides"), "provider config")
-		for key in ("fr_free", "fr_zq_fs"):
-			if key in obj and not isinstance(obj[key], str):
-				raise DomainError('provider config "%s" must be a formula string' % key)
-		overrides = obj.get("overrides", [])
-		if not isinstance(overrides, list):
-			raise DomainError('provider config "overrides" must be a list of objects')
-		for override in overrides:
-			_check_keys(override, _OVERRIDE_KEYS, '"overrides" entry')
-			if "dim" not in override:
-				raise DomainError('an "overrides" entry needs a "dim" key')
-			for key, (ok, text) in _OVERRIDE_KEYS.items():
-				if key in override and not ok(override[key]):
-					raise DomainError('"overrides" entry key "%s" must be %s' % (key, text))
-		return cls(
-			fr_free=obj.get("fr_free", "2*m - 3"),
-			fr_zq_fs=obj.get("fr_zq_fs", "q*(2*s - 1)"),
-			overrides=overrides,
-		)
-
-	def to_json_obj(self):
-		return {
-			"fr_free": self.fr_free,
-			"fr_zq_fs": self.fr_zq_fs,
-			"overrides": list(self.overrides),
-		}
-
-
-def _is_count(x):
-	return isinstance(x, int) and not isinstance(x, bool)
-
-
-# the keys an override may hold: a check of the value and what it must be
-_OVERRIDE_KEYS = {
-	"factors": (lambda x: isinstance(x, list) and all(map(_is_count, x)), "a list of integers"),
-	"free": (_is_count, "an integer"),
-	"held": (lambda x: isinstance(x, bool), "true or false"),
-	"dim": (lambda x: _is_count(x) or isinstance(x, str), "an integer or a formula string"),
-}
-
-
-def _check_keys(obj, known, what):
-	if not isinstance(obj, dict):
-		raise DomainError("%s must be an object" % what)
-	for key in obj:
-		if key not in known:
-			raise DomainError("unknown %s key %r" % (what, key))
 
 
 def _center_size(graph):
@@ -202,11 +151,8 @@ def leaf_dimension(shape, cfg=None):
 	if isinstance(shape, FouxeRabinovitch):
 		for override in cfg.overrides:
 			if _override_matches(override, shape):
-				dim = override.get("dim")
-				if not isinstance(dim, int):
-					env = {"k": len(shape.factors), "m": shape.free_rank}
-					dim = eval_formula(dim, env)
-				return dim, "override"
+				env = {"k": len(shape.factors), "m": shape.free_rank}
+				return eval_formula(str(override["dim"]), env), "override"
 		if not shape.factors:
 			if shape.free_rank <= 1:
 				return 0, "free group outer"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from raagout.cli import main
-from raagout.graphs import DefiningGraph
+from raagout.load import build_graph
 
 
 P3 = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
@@ -128,7 +128,7 @@ def test_restrict_json_round_trip(capsys, p3):
 		"--format", "json")
 	assert code == 0
 	obj = json.loads(out)
-	img = DefiningGraph.from_json_obj(obj["image"]["graph"])
+	img = build_graph(obj["image"]["graph"])
 	assert img.to_json_obj() == obj["image"]["graph"]
 
 
@@ -141,7 +141,7 @@ def test_cone_graph_round_trip(capsys, p3):
 	code, out, _ = run(capsys, "cone-graph", "--graph", p3, "--format", "json")
 	assert code == 0
 	obj = json.loads(out)
-	g = DefiningGraph.from_json_obj(obj)
+	g = build_graph(obj)
 	assert g.to_json_obj() == obj
 	assert "@*" in g.vertices
 
@@ -292,18 +292,21 @@ def test_no_command_prints_help(capsys):
 	"flag, obj, key",
 	[
 		("--periph", [["a"]], '"G"'),
-		("--script", [{"op": "restrict"}], '"target"'),
-		("--script", {"op": "leaf"}, "list of steps"),
+		("--script", [{"op": "restrict"}], '[0]: missing key "target"'),
+		("--script", {"op": "leaf"}, "must be a list, got an object"),
 		("--script", ["leaf"], '"op"'),
-		("--script", [{"op": "restrict", "target": ["b"], "image": {"op": "leaf"}}], "list of steps"),
-		("--periph", {"G": [1]}, "must be a list, got 1"),
+		("--script", [{"op": "restrict", "target": ["b"], "image": {"op": "leaf"}}], '[0]"image": must be a list'),
+		("--periph", {"G": [1]}, '"G"[0]: must be a list, got 1'),
 		("--periph", {"H": "ab"}, '"H"'),
-		("--script", [{"op": "restrict", "target": "ab"}], "must be a list, got 'ab'"),
-		("--script", [{"op": "restrict", "target": [["b"]]}], "unknown vertex"),
+		("--script", [{"op": "restrict", "target": "ab"}], '[0]"target": must be a list, got "ab"'),
+		("--script", [{"op": "restrict", "target": [["b"]]}], '[0]"target"[0]: must be a string'),
+		("--periph", {"g": [["a"]], "h": [["c"]]}, '"g": unknown key'),
+		("--script", [{"op": "restrict", "target": ["b"], "moed": "saturated"}], '[0]"moed": unknown key'),
 	],
 	ids=[
 		"periph-list", "restrict-no-target", "script-object", "step-not-object", "image-object",
 		"member-not-list", "members-string", "target-string", "target-name-not-string",
+		"periph-unknown-key", "step-unknown-key",
 	],
 )
 def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag, obj, key):
@@ -311,25 +314,30 @@ def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag,
 	code, out, err = run(capsys, "decompose", "--graph", p3, flag, path)
 	assert code == 1 and out == ""
 	assert err.startswith("error: ") and err.count("\n") == 1
+	assert " file %s: " % path in err
 	assert key in err
 
 
 @pytest.mark.parametrize(
 	"command, flag, obj, key",
 	[
-		("info", "--graph", {"vertices": "ab", "edges": []}, "vertices must be a list"),
-		("info", "--graph", {"vertices": [["a"]], "edges": []}, "nonempty strings"),
-		("info", "--graph", {"vertices": ["a", "b"], "edges": ["ab"]}, "pairs"),
-		("info", "--graph", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, "unknown endpoint"),
-		("vcd", "--gens", [1, 2], "list of strings"),
+		("info", "--graph", {"vertices": "ab", "edges": []}, '"vertices": must be a list'),
+		("info", "--graph", {"vertices": [["a"]], "edges": []}, '"vertices"[0]: must be a string'),
+		("info", "--graph", {"vertices": ["a", "b"], "edges": ["ab"]}, '"edges"[0]: must be a list'),
+		("info", "--graph", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, '"edges"[0][1]: must be a string'),
+		("vcd", "--gens", [1, 2], "[0]: must be a string, got 1"),
 		("vcd", "--cfg", {"overrides": 5}, '"overrides"'),
 		("vcd", "--cfg", {"overrides": [5]}, '"overrides"'),
 		("vcd", "--cfg", {"overrides": [{"dim": []}]}, '"dim"'),
 		("vcd", "--cfg", {"fr_free": 5}, '"fr_free"'),
+		("info", "--graph", {"vertices": ["a"], "edges": [], "loops": []}, '"loops": unknown key'),
+		("vcd", "--cfg", {"overrides": [{"dim": "k+", "factors": [1]}]}, '"overrides"[0]"dim": cannot parse'),
+		("vcd", "--cfg", {"fr_free": "x"}, "\"fr_free\": unknown name 'x'"),
 	],
 	ids=[
 		"vertices-string", "vertex-not-string", "edge-string", "endpoint-not-string", "gens-ints",
 		"cfg-overrides-int", "cfg-override-int", "cfg-dim-list", "cfg-fr-free-int",
+		"graph-unknown-key", "cfg-dim-unparsed", "cfg-fr-free-unknown-name",
 	],
 )
 def test_malformed_names_are_domain_errors(capsys, tmp_path, p3, command, flag, obj, key):
@@ -338,7 +346,25 @@ def test_malformed_names_are_domain_errors(capsys, tmp_path, p3, command, flag, 
 	code, out, err = run(capsys, *argv)
 	assert code == 1 and out == ""
 	assert err.startswith("error: ") and err.count("\n") == 1
+	assert " file %s: " % path in err
 	assert key in err
+
+
+@pytest.mark.parametrize(
+	"argv",
+	[
+		["info"],
+		["invariant", "--graph", "g.json"],
+		["apply", "--graph", "g.json", "--word", "a"],
+	],
+	ids=["info-graph", "invariant-target", "apply-gen"],
+)
+def test_required_flags_are_usage_errors(capsys, argv):
+	with pytest.raises(SystemExit) as exc:
+		main(argv)
+	err = capsys.readouterr().err
+	assert exc.value.code == 1
+	assert "required" in err and err.count("\n") == 1
 
 
 def test_apply_word_over_the_letter_cap_is_a_capability_limit(capsys, p3):

@@ -24,6 +24,8 @@ NAMES = ["a", "b", "c", "d", "e"]
 KEYS = [
 	"vertices", "edges", "G", "H", "op", "target", "image", "mode",
 	"fr_free", "fr_zq_fs", "overrides", "factors", "free", "held", "dim",
+	# misspelled keys, which every format rejects
+	"g", "moed",
 ]
 scalars = st.one_of(
 	st.none(),
@@ -39,7 +41,7 @@ any_json = st.recursive(
 	),
 	max_leaves=12,
 )
-formulas = st.sampled_from(["2*m - 3", "q*(2*s - 1)", "k + m", "m // 0", "0 - m", "m ** 2", "("])
+formulas = st.sampled_from(["2*m - 3", "q*(2*s - 1)", "k + m", "m // 0", "0 - m", "m ** 2", "(", "x * 2"])
 configs = st.fixed_dictionaries(
 	{},
 	optional={

@@ -26,7 +26,7 @@ import pytest
 from raagout import families
 from raagout.cli import main
 from raagout.decompose import GroupDescriptor, decompose
-from raagout.graphs import DefiningGraph
+from raagout.load import build_graph, build_pair
 from raagout.peripheral import PeripheralPair
 from raagout.vcd import vcd_upper
 
@@ -203,11 +203,11 @@ def case_digest(name, tmp_path):
 		["--script", str(files["script"])] if script is not None else []
 	))
 	saturated_json = _cli("saturate", *common)
-	graph = DefiningGraph.from_json_obj(graph_obj)
+	graph = build_graph(graph_obj)
 	if periph_obj is None:
 		pair = PeripheralPair(graph, [], [])
 	else:
-		pair = PeripheralPair.from_json_obj(graph, periph_obj)
+		pair = build_pair(periph_obj, graph)
 	desc = GroupDescriptor(graph, pair.normalize())
 	tree = decompose(desc, mode="script" if script is not None else "auto", script=script)
 	text = "%s\n%s\nupper=%s\n" % (tree_json, saturated_json, vcd_upper(tree))

@@ -4,6 +4,7 @@ import pytest
 
 from raagout.errors import DomainError
 from raagout.graphs import DefiningGraph, bits, mask_of
+from raagout.load import build_graph
 
 
 def diamond():
@@ -27,7 +28,7 @@ def test_bits_roundtrip():
 def test_json_roundtrip():
 	g = diamond()
 	obj = g.to_json_obj()
-	g2 = DefiningGraph.from_json_obj(json.loads(json.dumps(obj)))
+	g2 = build_graph(json.loads(json.dumps(obj)))
 	assert g2.vertices == g.vertices
 	assert g2.adj == g.adj
 
@@ -44,7 +45,7 @@ def test_json_roundtrip():
 )
 def test_validation_errors(verts, edges):
 	with pytest.raises(DomainError):
-		DefiningGraph(verts, edges)
+		build_graph({"vertices": verts, "edges": edges})
 
 
 def test_links_and_stars():

@@ -6,6 +6,7 @@ import pytest
 from raagout.errors import CapabilityError, DomainError
 from raagout.families import four_path
 from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
+from raagout.load import build_pair
 from raagout import orders
 from raagout.peripheral import (
 	PeripheralPair,
@@ -64,7 +65,7 @@ def test_json_roundtrip():
 	g = path3()
 	pp = PeripheralPair(g, [g.mask(["a", "b"])], [g.mask(["a", "b"])])
 	obj = json.loads(json.dumps(pp.to_json_obj()))
-	back = PeripheralPair.from_json_obj(g, obj)
+	back = build_pair(obj, g)
 	assert back.g_members == pp.g_members
 	assert back.h_members == pp.h_members
 
@@ -390,6 +391,12 @@ def test_cone_graph_rejects_full():
 	g = path3()
 	with pytest.raises(DomainError):
 		cone_graph(g, [g.full])
+
+
+def test_cone_graph_rejects_a_vertex_named_like_a_cone():
+	g = DefiningGraph(["a", "@G"], [])
+	with pytest.raises(DomainError, match="clashes"):
+		cone_graph(g, [])
 
 
 def test_cone_graph_members_invariant():
