@@ -31,8 +31,8 @@ from .decompose import (
 	tree_dot,
 	word_restriction,
 )
-from .errors import CapabilityError, DomainError
-from .load import build_config, build_generators, build_graph, build_pair, build_script, load
+from .errors import CapabilityError, DomainError, ScriptError
+from .load import build_generators, build_graph, build_pair, build_script, load
 from .peripheral import (
 	PeripheralPair,
 	cone_graph,
@@ -235,9 +235,8 @@ def cmd_vcd(args):
 	graph = _graph(args)
 	desc = GroupDescriptor(graph, _pair(graph, args))
 	script = load(args.script, "script", build_script, graph) if args.script else None
-	cfg = load(args.cfg, "provider config", build_config) if args.cfg else None
 	gens = load(args.gens, "generator list", build_generators, graph) if args.gens else None
-	bound = vcd_report(desc, script=script, cfg=cfg, gens=gens, nilpotent=args.nilpotent)
+	bound = vcd_report(desc, script=script, gens=gens, nilpotent=args.nilpotent)
 	if args.format == "json":
 		_emit_json(bound_to_json_obj(bound))
 		return 0
@@ -369,7 +368,6 @@ def build_parser():
 
 	p = add("vcd", cmd_vcd, help="dimension bounds over a decomposition")
 	p.add_argument("--script", metavar="F")
-	p.add_argument("--cfg", metavar="F", help="dimension provider JSON")
 	p.add_argument("--gens", metavar="F", help="lower-bound generator list JSON")
 	p.add_argument("--nilpotent", action="store_true", help="allow a generator list that does not commute")
 
@@ -403,6 +401,10 @@ def main(argv=None):
 		# the flush at exit does not fail again
 		devnull = os.open(os.devnull, os.O_WRONLY)
 		os.dup2(devnull, sys.stdout.fileno())
+		return 1
+	except ScriptError as exc:
+		# a step that fails on the tree names the file, as load's checks do
+		print("error: script file %s: %s" % (args.script, exc), file=sys.stderr)
 		return 1
 	except DomainError as exc:
 		print("error: %s" % exc, file=sys.stderr)

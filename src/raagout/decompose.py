@@ -12,7 +12,7 @@ the recursion terminates no matter which invariant subgraphs get picked.
 
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, ScriptError
 from .graphs import bits, compress_mask, mask_of
 from . import orders
 from .words import WordContext, enc, inverse
@@ -598,35 +598,37 @@ def _pivot(d):
 	return None
 
 
-def _scripted(d, steps):
-	if not steps:
+def _scripted(d, steps, path="", i=0):
+	"""The tree steps[i:] lay out below d; a failed step names its key path."""
+	if i == len(steps):
 		return _auto(d)
-	head, rest = steps[0], steps[1:]
-	op = head.get("op")
-	if op == "restrict":
-		dmask = d.graph.mask(head["target"])
-		if dmask in d.pair.h_members:
-			raise DomainError(
-				"restriction target %s is already in H, so the step makes no progress"
-				% "".join(d.graph.names(dmask))
-			)
-		kernel, image = restriction_step(d, dmask, mode=head.get("mode", "fast"))
-		_checked_edge(d, kernel)
-		_checked_edge(d, image)
-		if "image" in head:
-			inode = _scripted(image, head["image"])
+	step, at = steps[i], "%s[%d]" % (path, i)
+	op = step.get("op")
+	try:
+		if op == "restrict":
+			dmask = d.graph.mask(step["target"])
+			if dmask in d.pair.h_members:
+				raise DomainError(
+					"restriction target %s is already in H, so the step makes no progress"
+					% "".join(d.graph.names(dmask))
+				)
+			kernel, image = restriction_step(d, dmask, mode=step.get("mode", "fast"))
+		elif op == "project":
+			rank, image = projection_step(d)
+		elif op == "leaf":
+			if i + 1 < len(steps):
+				raise DomainError("leaf must be the last step of its branch")
+			return DecompositionNode(d, Leaf(classify_irreducible(d)))
 		else:
-			inode = _auto(image)
-		return DecompositionNode(
-			d, RestrictionStep(dmask, _scripted(kernel, rest), inode)
-		)
+			raise DomainError("unknown script op %r" % op)
+	except DomainError as exc:
+		key = at + '"target"' if op == "restrict" else at
+		raise ScriptError("%s: %s" % (key, exc)) from None
 	if op == "project":
-		rank, image = projection_step(d)
 		_checked_edge(d, image)
 		z = d.graph.subgraph_center(d.graph.full)
-		return DecompositionNode(d, ProjectionStep(z, rank, _scripted(image, rest)))
-	if op == "leaf":
-		if rest:
-			raise DomainError("leaf must be the last step of its branch")
-		return DecompositionNode(d, Leaf(classify_irreducible(d)))
-	raise DomainError("unknown script op %r" % op)
+		return DecompositionNode(d, ProjectionStep(z, rank, _scripted(image, steps, path, i + 1)))
+	_checked_edge(d, kernel)
+	_checked_edge(d, image)
+	inode = _scripted(image, step.get("image", []), at + '"image"')
+	return DecompositionNode(d, RestrictionStep(dmask, _scripted(kernel, steps, path, i + 1), inode))

@@ -18,6 +18,10 @@ class CapabilityError(RuntimeError):
     pass
 
 
+class ScriptError(DomainError):
+    """A decomposition script step failed a check; the message starts with its key path."""
+
+
 class CertificationError(DomainError):
     """A lower-bound certificate failed one of its checks.
 

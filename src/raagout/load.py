@@ -1,10 +1,10 @@
-"""The one reader of input files: graph, pair, script, config, generator list.
+"""The one reader of input files: graph, pair, script, generator list.
 
 Each builder checks a JSON value against its format's shape table (a dict
-lists the keys allowed, a one-item list is a list of that item, a type or a
-tuple of types is a value of one of them), then what a shape cannot say,
-and builds. Errors name the file and the key path, like [0]"image"[2]. Checks
-that need a descriptor, such as the invariance of a target, stay with it.
+lists the keys allowed, a one-item list is a list of that item, a type is
+a value of that type), then what a shape cannot say, and builds. Errors
+name the file and the key path, like [0]"image"[2]. Checks that need a
+descriptor, such as the invariance of a target, stay with it.
 """
 
 import json
@@ -13,15 +13,12 @@ from .autos import parse_generator
 from .errors import DomainError
 from .graphs import DefiningGraph
 from .peripheral import PeripheralPair
-from .vcd import DimProviderConfig, check_formula
 
 GRAPH = {"vertices": [str], "edges": [[str]]}
 PAIR = {"G": [[str]], "H": [[str]]}
 STEP = {"op": str, "target": [str], "mode": str, "image": list}
-OVERRIDE = {"factors": [int], "free": int, "held": bool, "dim": (int, str)}
-CONFIG = {"fr_free": str, "fr_zq_fs": str, "overrides": [OVERRIDE]}
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
 def load(path, what, build, *args):
@@ -54,10 +51,10 @@ def _at(path, func, *args):
 
 def _check(value, shape, path=""):
 	"""Raise DomainError, naming the key path, where value leaves shape."""
-	kinds = {dict: (dict,), list: (list,), tuple: shape}.get(type(shape), (shape,))
+	kind = {dict: dict, list: list}.get(type(shape), shape)
 	keys = ", ".join(map(json.dumps, shape)) if isinstance(shape, dict) else ""
-	if type(value) not in kinds:
-		want = " or ".join(_KINDS[kind] for kind in kinds) + (keys and " with keys among " + keys)
+	if type(value) is not kind:
+		want = _KINDS[kind] + (keys and " with keys among " + keys)
 		got = _KINDS[type(value)] if isinstance(value, (dict, list)) else json.dumps(value)
 		_fail(path, "must be %s, got %s" % (want, got))
 	if isinstance(shape, dict):
@@ -107,21 +104,12 @@ def build_script(obj, graph, path=""):
 		at = "%s[%d]" % (path, i)
 		if step.get("op") == "restrict":
 			_require(step, at, "target")
+		if step.get("mode", "fast") not in ("fast", "saturated"):
+			_fail(at + '"mode"', "must be fast or saturated")
 		if "target" in step:
 			_at(at + '"target"', graph.mask, step["target"])
 		build_script(step.get("image", []), graph, at + '"image"')
 	return obj
-
-
-def build_config(obj):
-	_check(obj, CONFIG)
-	for key, names in (("fr_free", "m"), ("fr_zq_fs", "qs")):
-		if key in obj:
-			_at(json.dumps(key), check_formula, obj[key], set(names))
-	for i, override in enumerate(obj.get("overrides", [])):
-		_require(override, '"overrides"[%d]' % i, "dim")
-		_at('"overrides"[%d]"dim"' % i, check_formula, str(override["dim"]), {"k", "m"})
-	return DimProviderConfig(**obj)
 
 
 def build_generators(obj, graph):

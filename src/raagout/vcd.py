@@ -11,8 +11,6 @@ failed certificate raises; it never degrades into a smaller number
 silently.
 """
 
-import ast
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -47,96 +45,24 @@ def bound_to_json_obj(bound):
 	}
 
 
-# ---- dimension formulas ----
-
-# the operators and nodes a formula may use
-_OPS = {
-	ast.Add: operator.add,
-	ast.Sub: operator.sub,
-	ast.Mult: operator.mul,
-	ast.FloorDiv: operator.floordiv,
-	ast.UAdd: operator.pos,
-	ast.USub: operator.neg,
-}
-_NODES = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Load, ast.Constant, *_OPS)
+# ---- leaf dimensions ----
 
 
-def check_formula(expr, names):
-	"""The parsed formula: integer literals and the names, joined by +, -, *, // and signs."""
-	try:
-		tree = ast.parse(expr, mode="eval").body
-	except SyntaxError:
-		raise DomainError("cannot parse dimension formula %r" % expr)
-	except RecursionError:
-		raise DomainError("dimension formula is nested too deeply")
-	for node in ast.walk(tree):
-		if isinstance(node, ast.Name) and node.id not in names:
-			raise DomainError("unknown name %r in dimension formula" % node.id)
-		constant = isinstance(node, ast.Constant)
-		if not isinstance(node, _NODES) or constant and not isinstance(node.value, int):
-			raise DomainError("unsupported syntax in dimension formula %r" % expr)
-	return tree
+def leaf_dimension(shape):
+	"""Dimension of one leaf together with a short provenance tag.
 
+	Trivial leaves count 0, free abelian ones their rank, and a GL(m, Z)
+	leaf its unipotent block m(m - 1)/2 plus its extension rank. A
+	Fouxe-Rabinovitch leaf, a free product of factors with free rank m,
+	has a rule for three shapes:
 
-def eval_formula(expr, env):
-	"""The value of a formula over the names in env, rejected if negative: dimensions are counts."""
+	- no factors: Out(F_m) has dimension 2m - 3 for m >= 2, and 0 below;
+	- one held clique factor of size q with free rank s >= 1: q(2s - 1);
+	- two held factors and no free rank: the sum over the factors of the
+	  clique number less the size of the center.
 
-	def ev(node):
-		if isinstance(node, ast.BinOp):
-			return _OPS[type(node.op)](ev(node.left), ev(node.right))
-		if isinstance(node, ast.UnaryOp):
-			return _OPS[type(node.op)](ev(node.operand))
-		return env[node.id] if isinstance(node, ast.Name) else node.value
-
-	try:
-		value = ev(check_formula(expr, env))
-	except ZeroDivisionError:
-		raise DomainError("division by zero in dimension formula %r" % expr)
-	except RecursionError:
-		raise DomainError("dimension formula is nested too deeply")
-	if value < 0:
-		raise DomainError("dimension formula %r evaluated to %d" % (expr, value))
-	return value
-
-
-class DimProviderConfig:
-	"""Dimension formulas for the leaf shapes a tree can end in.
-
-	fr_free gives the outer automorphism dimension of a free group of
-	rank m (applied for m >= 2; smaller ranks contribute 0). fr_zq_fs
-	covers one held clique factor of size q with free rank s. overrides
-	is a list of patterns tried in order against free products before
-	the built-ins; keys "factors" (sorted sizes), "free", and "held"
-	narrow the match when present, and "dim" is an integer or a formula
-	in k (factor count) and m (free rank).
+	Any other free product is "unknown".
 	"""
-
-	__slots__ = ("fr_free", "fr_zq_fs", "overrides")
-
-	def __init__(self, fr_free="2*m - 3", fr_zq_fs="q*(2*s - 1)", overrides=()):
-		self.fr_free = fr_free
-		self.fr_zq_fs = fr_zq_fs
-		self.overrides = tuple(overrides)
-
-
-def _center_size(graph):
-	return bin(graph.subgraph_center(graph.full)).count("1")
-
-
-def _override_matches(override, shape):
-	if "factors" in override:
-		if sorted(f.n for f in shape.factors) != sorted(override["factors"]):
-			return False
-	if "free" in override and override["free"] != shape.free_rank:
-		return False
-	if "held" in override and override["held"] != all(shape.held):
-		return False
-	return True
-
-
-def leaf_dimension(shape, cfg=None):
-	"""Dimension of one leaf together with a short provenance tag."""
-	cfg = cfg or DimProviderConfig()
 	if isinstance(shape, Trivial):
 		return 0, "trivial"
 	if isinstance(shape, FreeAbelian):
@@ -149,24 +75,13 @@ def leaf_dimension(shape, cfg=None):
 		dim = shape.extension_rank + shape.m * (shape.m - 1) // 2
 		return dim, "unipotent block plus extension"
 	if isinstance(shape, FouxeRabinovitch):
-		for override in cfg.overrides:
-			if _override_matches(override, shape):
-				env = {"k": len(shape.factors), "m": shape.free_rank}
-				return eval_formula(str(override["dim"]), env), "override"
-		if not shape.factors:
-			if shape.free_rank <= 1:
-				return 0, "free group outer"
-			return eval_formula(cfg.fr_free, {"m": shape.free_rank}), "free group outer"
-		if (
-			len(shape.factors) == 1
-			and shape.held[0]
-			and shape.free_rank >= 1
-			and shape.factors[0].is_clique(shape.factors[0].full)
-		):
-			env = {"q": shape.factors[0].n, "s": shape.free_rank}
-			return eval_formula(cfg.fr_zq_fs, env), "held clique by free"
-		if len(shape.factors) == 2 and shape.free_rank == 0 and all(shape.held):
-			dim = sum(f.clique_number() - _center_size(f) for f in shape.factors)
+		factors, m = shape.factors, shape.free_rank
+		if not factors:
+			return max(2 * m - 3, 0), "free group outer"
+		if len(factors) == 1 and shape.held[0] and m >= 1 and factors[0].is_clique(factors[0].full):
+			return factors[0].n * (2 * m - 1), "held clique by free"
+		if len(factors) == 2 and m == 0 and all(shape.held):
+			dim = sum(f.clique_number() - f.subgraph_center(f.full).bit_count() for f in factors)
 			return dim, "two held factors"
 		return "unknown", "free product with no formula"
 	raise DomainError("unknown leaf shape %r" % (shape,))
@@ -178,19 +93,18 @@ def _add(a, b):
 	return a + b
 
 
-def fold(tree, cfg=None):
+def fold(tree):
 	"""Upper bound for a tree with a per-leaf ledger.
 
 	Ledger rows are (node id, contribution, tag) in walk order; the id is
 	the node's path from DecompositionNode.walk, with a trailing z for a
 	projection kernel. The bound is the sum of the contributions.
 	"""
-	cfg = cfg or DimProviderConfig()
 	rows = []
 	for path, node, _ in tree.walk():
 		step = node.step
 		if isinstance(step, Leaf):
-			rows.append((path, *leaf_dimension(step.shape, cfg)))
+			rows.append((path, *leaf_dimension(step.shape)))
 		elif isinstance(step, ProjectionStep):
 			rows.append((path + ".z", step.kernel_rank, "projection kernel"))
 	total = 0
@@ -199,8 +113,8 @@ def fold(tree, cfg=None):
 	return total, rows
 
 
-def vcd_upper(tree, cfg=None):
-	return fold(tree, cfg)[0]
+def vcd_upper(tree):
+	return fold(tree)[0]
 
 
 # ---- exact linear algebra over the integers ----
@@ -568,20 +482,19 @@ def _derive_generators(descriptor):
 	return diamond_generators(graph, d, labels=labels)
 
 
-def vcd_report(descriptor, script=None, cfg=None, gens=None, nilpotent=False):
+def vcd_report(descriptor, script=None, gens=None, nilpotent=False):
 	"""Decompose, fold the upper bound, and certify a lower bound.
 
 	A supplied generator list must lie in the descriptor's group and
 	drives certification directly; nilpotent lets its members fail to
 	commute. Without one, cliques and absolute diamond chains get a list
 	derived automatically; any other graph settles for a certified lower
-	bound of zero. A certified lower bound above the upper bound raises
-	DomainError: the upper bound rests on the leaf formulas, which cfg can
-	set.
+	bound of zero. Both bounds are proofs, so a certified lower bound
+	above the upper bound is a bug in the package and raises RuntimeError.
 	"""
 	mode = "script" if script is not None else "auto"
 	tree = decompose(descriptor, mode=mode, script=script)
-	upper, per_leaf = fold(tree, cfg)
+	upper, per_leaf = fold(tree)
 	if gens is None:
 		gens = _derive_generators(descriptor)
 		nilpotent = True
@@ -593,8 +506,7 @@ def vcd_report(descriptor, script=None, cfg=None, gens=None, nilpotent=False):
 				)
 	lower = certify_lower_bound(descriptor.graph, gens, nilpotent) if gens else 0
 	if upper != "unknown" and lower > upper:
-		raise DomainError(
-			"certified lower bound %d exceeds the upper bound %d of the dimension formulas"
-			% (lower, upper)
+		raise RuntimeError(
+			"certified lower bound %d exceeds the upper bound %d" % (lower, upper)
 		)
 	return VcdBound(upper, lower, per_leaf)

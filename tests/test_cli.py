@@ -272,14 +272,22 @@ def test_saturation_cap_applies_only_to_listing_members(capsys, tmp_path):
 	assert err.startswith("capability limit: ") and err.count("\n") == 1
 
 
-def test_vcd_cfg_upper_below_certified_lower_is_a_domain_error(capsys, tmp_path):
-	# three vertices, no edges: the root is an FR leaf, which the cfg sets to 0
+def test_vcd_lower_above_upper_is_an_internal_error(capsys, monkeypatch, tmp_path):
+	# both bounds are proofs, so a leaf rule that undercounts is a bug
+	monkeypatch.setattr("raagout.vcd.leaf_dimension", lambda shape: (0, "stub"))
 	graph = write_json(tmp_path, "f3.json", {"vertices": ["a", "b", "c"], "edges": []})
-	cfg = write_json(tmp_path, "cfg.json", {"fr_free": "0"})
 	gens = write_json(tmp_path, "gens.json", ["trv a^b"])
-	code, out, err = run(capsys, "vcd", "--graph", graph, "--cfg", cfg, "--gens", gens)
-	assert (code, out) == (1, "")
-	assert err == "error: certified lower bound 1 exceeds the upper bound 0 of the dimension formulas\n"
+	code, out, err = run(capsys, "vcd", "--graph", graph, "--gens", gens)
+	assert (code, out) == (3, "")
+	assert err.startswith("internal error: certified lower bound 1 exceeds the upper bound 0")
+	assert err.count("\n") == 1
+
+
+def test_vcd_cfg_flag_is_gone(capsys, p3):
+	with pytest.raises(SystemExit) as exc:
+		main(["vcd", "--graph", p3, "--cfg", "x.json"])
+	assert exc.value.code == 1
+	assert "unrecognized arguments: --cfg x.json" in capsys.readouterr().err
 
 
 def test_no_command_prints_help(capsys):
@@ -302,11 +310,20 @@ def test_no_command_prints_help(capsys):
 		("--script", [{"op": "restrict", "target": [["b"]]}], '[0]"target"[0]: must be a string'),
 		("--periph", {"g": [["a"]], "h": [["c"]]}, '"g": unknown key'),
 		("--script", [{"op": "restrict", "target": ["b"], "moed": "saturated"}], '[0]"moed": unknown key'),
+		("--script", [{"op": "restrict", "target": ["b"], "mode": "x"}], '[0]"mode": must be fast or saturated'),
+		# a is in the graph but not in the image branch, which only the tree knows
+		(
+			"--script",
+			[{"op": "restrict", "target": ["b"], "image": [{"op": "restrict", "target": ["a"]}]}],
+			'[0]"image"[0]"target": unknown vertex \'a\'',
+		),
+		("--script", [{"op": "restrict", "target": ["a"]}], '[0]"target": restriction target a is not invariant'),
 	],
 	ids=[
 		"periph-list", "restrict-no-target", "script-object", "step-not-object", "image-object",
 		"member-not-list", "members-string", "target-string", "target-name-not-string",
-		"periph-unknown-key", "step-unknown-key",
+		"periph-unknown-key", "step-unknown-key", "mode-unknown", "image-target-not-in-image",
+		"target-not-invariant",
 	],
 )
 def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag, obj, key):
@@ -326,18 +343,11 @@ def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag,
 		("info", "--graph", {"vertices": ["a", "b"], "edges": ["ab"]}, '"edges"[0]: must be a list'),
 		("info", "--graph", {"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, '"edges"[0][1]: must be a string'),
 		("vcd", "--gens", [1, 2], "[0]: must be a string, got 1"),
-		("vcd", "--cfg", {"overrides": 5}, '"overrides"'),
-		("vcd", "--cfg", {"overrides": [5]}, '"overrides"'),
-		("vcd", "--cfg", {"overrides": [{"dim": []}]}, '"dim"'),
-		("vcd", "--cfg", {"fr_free": 5}, '"fr_free"'),
 		("info", "--graph", {"vertices": ["a"], "edges": [], "loops": []}, '"loops": unknown key'),
-		("vcd", "--cfg", {"overrides": [{"dim": "k+", "factors": [1]}]}, '"overrides"[0]"dim": cannot parse'),
-		("vcd", "--cfg", {"fr_free": "x"}, "\"fr_free\": unknown name 'x'"),
 	],
 	ids=[
 		"vertices-string", "vertex-not-string", "edge-string", "endpoint-not-string", "gens-ints",
-		"cfg-overrides-int", "cfg-override-int", "cfg-dim-list", "cfg-fr-free-int",
-		"graph-unknown-key", "cfg-dim-unparsed", "cfg-fr-free-unknown-name",
+		"graph-unknown-key",
 	],
 )
 def test_malformed_names_are_domain_errors(capsys, tmp_path, p3, command, flag, obj, key):

@@ -1,7 +1,11 @@
+import doctest
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import raagout
 from raagout.errors import DomainError
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.load import build_graph
@@ -100,3 +104,12 @@ def test_vertex_classes_path4():
 	assert g.vertex_classes() == [g.mask([v]) for v in "wxyz"]
 	tri = DefiningGraph(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
 	assert tri.vertex_classes() == [tri.full]
+
+
+def test_source_doctests_pass():
+	attempted = 0
+	for info in pkgutil.iter_modules(raagout.__path__, "raagout."):
+		result = doctest.testmod(importlib.import_module(info.name))
+		assert result.failed == 0, info.name
+		attempted += result.attempted
+	assert attempted >= 2
