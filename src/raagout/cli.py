@@ -62,7 +62,11 @@ def _member(graph, mask):
 
 
 def _emit_json(obj):
-	print(json.dumps(obj, indent=2, sort_keys=True))
+	try:
+		json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+	except RecursionError:
+		raise CapabilityError("output is nested too deeply to write as JSON") from None
+	print()
 
 
 def _graph_dot(graph):
@@ -174,18 +178,7 @@ def cmd_restrict(args):
 	dmask = _target_mask(graph, args)
 	kernel, image = restriction_step(desc, dmask, mode=args.mode)
 	if args.format == "json":
-		_emit_json(
-			{
-				"kernel": {
-					"graph": kernel.graph.to_json_obj(),
-					"pair": kernel.pair.to_json_obj(),
-				},
-				"image": {
-					"graph": image.graph.to_json_obj(),
-					"pair": image.pair.to_json_obj(),
-				},
-			}
-		)
+		_emit_json({"kernel": kernel.to_json_obj(), "image": image.to_json_obj()})
 		return 0
 	print("kernel: %s" % kernel.summary())
 	print("image:  %s" % image.summary())
@@ -219,8 +212,7 @@ def cmd_decompose(args):
 	graph = _graph(args)
 	desc = GroupDescriptor(graph, _pair(graph, args))
 	script = load(args.script, "script", build_script, graph) if args.script else None
-	mode = "script" if script is not None else "auto"
-	root = decompose(desc, mode=mode, script=script)
+	root = decompose(desc, mode="script", script=script)
 	if args.format == "json":
 		_emit_json(root.to_json_obj())
 	elif args.format == "dot":

@@ -7,7 +7,7 @@ trivial-action member, the image moves onto the subgraph), projecting away
 a nontrivial center (the kernel is free abelian of a computable rank), and
 classifying what remains as a terminal shape. A decomposition tree records
 the moves, and a complexity measure drops strictly along every edge, so
-the recursion terminates no matter which invariant subgraphs get picked.
+the construction terminates no matter which invariant subgraphs get picked.
 """
 
 from collections import namedtuple
@@ -61,6 +61,9 @@ class GroupDescriptor:
 
 	def complexity(self):
 		return Complexity(self.graph.n, (1 << self.graph.n) - len(self.pair.h_members))
+
+	def to_json_obj(self):
+		return {"graph": self.graph.to_json_obj(), "pair": self.pair.to_json_obj()}
 
 	def summary(self):
 		return "n=%d |G|=%d |H|=%d" % (
@@ -261,25 +264,27 @@ class DecompositionNode:
 		return out
 
 	def to_json_obj(self):
-		d = self.descriptor
-		step = self.step
-		base = {
-			"graph": d.graph.to_json_obj(),
-			"pair": d.pair.to_json_obj(),
-		}
-		if isinstance(step, Leaf):
-			base["leaf"] = step.shape.to_json_obj()
-			return base
-		if isinstance(step, RestrictionStep):
-			body = base["restrict"] = {"target": d.graph.names(step.dmask)}
-		else:
-			body = base["project"] = {
-				"center": d.graph.names(step.zmask),
-				"kernel_rank": step.kernel_rank,
-			}
-		for role, child in step.children:
-			body[role] = child.to_json_obj()
-		return base
+		"""The tree as nested objects, built along walk() so its depth costs no stack."""
+		bodies = {}
+		for path, node, parent in self.walk():
+			d = node.descriptor
+			step = node.step
+			obj = d.to_json_obj()
+			if parent is None:
+				root = obj
+			else:
+				up, role = path.rsplit(".", 1)
+				bodies[up]["kernel" if role == "k" else "image"] = obj
+			if isinstance(step, Leaf):
+				obj["leaf"] = step.shape.to_json_obj()
+			elif isinstance(step, RestrictionStep):
+				bodies[path] = obj["restrict"] = {"target": d.graph.names(step.dmask)}
+			else:
+				bodies[path] = obj["project"] = {
+					"center": d.graph.names(step.zmask),
+					"kernel_rank": step.kernel_rank,
+				}
+		return root
 
 
 def tree_dot(root):
@@ -503,16 +508,17 @@ def classify_irreducible(d):
 	return FreeAbelian(len(theta), len(theta))
 
 
-# ---- the recursion ----
+# ---- the tree ----
 
 
-def _checked_edge(parent, child):
+def _child(parent, child):
+	"""A node for child, its step still to take, once complexity drops along the edge."""
 	if not child.complexity() < parent.complexity():
 		raise RuntimeError(
 			"complexity failed to decrease: %r -> %r"
 			% (parent.complexity(), child.complexity())
 		)
-	return child
+	return DecompositionNode(child, None)
 
 
 def decompose(d, mode="auto", script=None):
@@ -528,35 +534,67 @@ def decompose(d, mode="auto", script=None):
 	Script mode follows caller-given steps instead (restrict/project/leaf),
 	in the form load.build_script checks, with each step's preconditions
 	validated; a restrict step may carry a nested script for its image
-	branch, and an exhausted script continues in auto mode.
+	branch. A script may have any length, and a branch whose script is
+	empty or exhausted goes on in auto mode: auto mode is the empty
+	script. Branches wait on a stack, image branches taken before kernel
+	branches, so of two failing steps the image branch's is reported.
 	"""
-	if mode == "auto":
-		return _auto(d)
-	if mode == "script":
-		return _scripted(d, script if script is not None else [])
-	raise DomainError("decompose mode must be auto or script")
+	if mode not in ("auto", "script"):
+		raise DomainError("decompose mode must be auto or script")
+	root = DecompositionNode(d, None)
+	# (node whose step is still to take, its branch's script, step index, key path)
+	stack = [(root, (script or []) if mode == "script" else [], 0, "")]
+	while stack:
+		node, steps, i, path = stack.pop()
+		d = node.descriptor
+		scripted = i < len(steps)
+		if not scripted and not d.pair.saturated:
+			d = node.descriptor = GroupDescriptor(d.graph, saturation(d.pair))
+		step = steps[i] if scripted else _auto_step(d)
+		at = "%s[%d]" % (path, i)
+		op = step.get("op")
+		try:
+			if op == "restrict":
+				dmask = d.graph.mask(step["target"])
+				if dmask in d.pair.h_members:
+					raise DomainError(
+						"restriction target %s is already in H, so the step makes no progress"
+						% "".join(d.graph.names(dmask))
+					)
+				kernel, image = restriction_step(d, dmask, mode=step.get("mode", "fast"))
+				node.step = RestrictionStep(dmask, _child(d, kernel), _child(d, image))
+			elif op == "project":
+				rank, image = projection_step(d)
+				node.step = ProjectionStep(d.graph.subgraph_center(d.graph.full), rank, _child(d, image))
+			elif op == "leaf":
+				if i + 1 < len(steps):
+					raise DomainError("leaf must be the last step of its branch")
+				node.step = Leaf(classify_irreducible(d))
+			else:
+				raise DomainError("unknown script op %r" % op)
+		except DomainError as exc:
+			if not scripted:
+				raise
+			key = at + '"target"' if op == "restrict" else at
+			raise ScriptError("%s: %s" % (key, exc)) from None
+		# a restriction image starts its own script; any other child goes on with this one
+		for role, child in node.step.children:
+			if op == "restrict" and role == "image":
+				stack.append((child, step.get("image", []), 0, at + '"image"'))
+			else:
+				stack.append((child, steps, i + 1, path))
+	return root
 
 
-def _auto(d):
-	pair = d.pair if d.pair.saturated else saturation(d.pair)
-	d = GroupDescriptor(d.graph, pair)
+def _auto_step(d):
+	"""The step auto mode takes on a saturated descriptor, in script form."""
 	pivot = _pivot(d)
 	if pivot is not None:
-		kernel, image = restriction_step(d, pivot, mode="saturated")
-		step = RestrictionStep(
-			pivot,
-			_auto(_checked_edge(d, kernel)),
-			_auto(_checked_edge(d, image)),
-		)
-		return DecompositionNode(d, step)
+		return {"op": "restrict", "target": d.graph.names(pivot), "mode": "saturated"}
 	graph = d.graph
-	if graph.is_connected() and not graph.is_clique(graph.full):
-		z = graph.subgraph_center(graph.full)
-		if z:
-			rank, image = projection_step(d)
-			step = ProjectionStep(z, rank, _auto(_checked_edge(d, image)))
-			return DecompositionNode(d, step)
-	return DecompositionNode(d, Leaf(classify_irreducible(d)))
+	if graph.is_connected() and not graph.is_clique(graph.full) and graph.subgraph_center(graph.full):
+		return {"op": "project"}
+	return {"op": "leaf"}
 
 
 def _pivot(d):
@@ -596,39 +634,3 @@ def _pivot(d):
 			if part & ~owner[(part & -part).bit_length() - 1]:
 				return m
 	return None
-
-
-def _scripted(d, steps, path="", i=0):
-	"""The tree steps[i:] lay out below d; a failed step names its key path."""
-	if i == len(steps):
-		return _auto(d)
-	step, at = steps[i], "%s[%d]" % (path, i)
-	op = step.get("op")
-	try:
-		if op == "restrict":
-			dmask = d.graph.mask(step["target"])
-			if dmask in d.pair.h_members:
-				raise DomainError(
-					"restriction target %s is already in H, so the step makes no progress"
-					% "".join(d.graph.names(dmask))
-				)
-			kernel, image = restriction_step(d, dmask, mode=step.get("mode", "fast"))
-		elif op == "project":
-			rank, image = projection_step(d)
-		elif op == "leaf":
-			if i + 1 < len(steps):
-				raise DomainError("leaf must be the last step of its branch")
-			return DecompositionNode(d, Leaf(classify_irreducible(d)))
-		else:
-			raise DomainError("unknown script op %r" % op)
-	except DomainError as exc:
-		key = at + '"target"' if op == "restrict" else at
-		raise ScriptError("%s: %s" % (key, exc)) from None
-	if op == "project":
-		_checked_edge(d, image)
-		z = d.graph.subgraph_center(d.graph.full)
-		return DecompositionNode(d, ProjectionStep(z, rank, _scripted(image, steps, path, i + 1)))
-	_checked_edge(d, kernel)
-	_checked_edge(d, image)
-	inode = _scripted(image, step.get("image", []), at + '"image"')
-	return DecompositionNode(d, RestrictionStep(dmask, _scripted(kernel, steps, path, i + 1), inode))

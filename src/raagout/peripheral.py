@@ -134,12 +134,12 @@ class PeripheralPair:
 	def adding_h(self, extra):
 		"""Same pair with extra masks joined into H, normalized again.
 
-		G gains only what normalization folds in from H; the result is not
-		saturated.
+		G gains what normalization folds in from extra alone, as a normalized
+		G holds the folds of the old H; the result is not saturated.
 		"""
 		self.require_normalized()
-		h = self.h_members + tuple(extra)
-		return self._joined(_folded(h), h, True)
+		extra = tuple(extra)
+		return self._joined(_folded(extra), self.h_members + extra, True)
 
 	def _joined(self, extra, h_members, normalized, saturated=False):
 		"""A pair on the same graph whose G is this G joined with extra.
@@ -206,6 +206,12 @@ def _invariant_scan(graph, index):
 	the whole in set (core) impose nothing yet. Every surviving leaf is an
 	up-set that no outside star separates, so the cost follows the number
 	of up-sets rather than 2^n.
+
+	It keeps its own shut-out propagation: a depth-first search over the
+	closed sets of PairIndex.closure finds the same sets, but it cut the
+	saturate benchmark from about 1,130 to 385 instances/s and took
+	diamond_chain(6) from 1.6 to 9.7 ms (2 cores, python 3.11). Retry it
+	only with a faster closure.
 	"""
 	rows, down = index.rows, index.down
 	full = graph.full

@@ -492,8 +492,7 @@ def vcd_report(descriptor, script=None, gens=None, nilpotent=False):
 	bound of zero. Both bounds are proofs, so a certified lower bound
 	above the upper bound is a bug in the package and raises RuntimeError.
 	"""
-	mode = "script" if script is not None else "auto"
-	tree = decompose(descriptor, mode=mode, script=script)
+	tree = decompose(descriptor, mode="script", script=script)
 	upper, per_leaf = fold(tree)
 	if gens is None:
 		gens = _derive_generators(descriptor)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,38 @@ def test_exit_code_capability_limit(capsys, tmp_path):
 	code, out, err = run(capsys, "saturate", "--graph", graph, "--periph", periph)
 	assert (code, out) == (2, "")
 	assert err.startswith("capability limit: ") and err.count("\n") == 1
+
+
+def test_json_nested_deeper_than_the_stack_is_a_capability_limit(capsys, monkeypatch, p3):
+	deep = []
+	for _ in range(sys.getrecursionlimit()):
+		deep = [deep]
+	monkeypatch.setattr("raagout.decompose.DecompositionNode.to_json_obj", lambda self: deep)
+	code, _, err = run(capsys, "decompose", "--graph", p3, "--format", "json")
+	assert code == 2
+	assert err.startswith("capability limit: ") and err.count("\n") == 1
+
+
+def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
+	# every vertex pair of the 46-cycle in turn: 1,035 steps, each one a
+	# kernel below the last. On a cycle with n >= 5 no vertex dominates
+	# another and no star complement splits, so every target is invariant.
+	n = 46
+	names = ["v%d" % i for i in range(n)]
+	edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
+	graph = write_json(tmp_path, "c46.json", {"vertices": names, "edges": edges})
+	steps = [
+		{"op": "restrict", "target": [u, v], "mode": "saturated"}
+		for i, u in enumerate(names)
+		for v in names[i + 1 :]
+	]
+	script = write_json(tmp_path, "c46.script.json", steps)
+	t0 = time.monotonic()
+	code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
+	took = time.monotonic() - t0
+	assert (code, err) == (0, "")
+	assert out.splitlines()[:2] == ["upper: 0", "lower: 0"]
+	assert took < 2.0
 
 
 def test_saturate_cap_flag_is_gone(capsys, p3):

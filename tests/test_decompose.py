@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from raagout.errors import DomainError
+from raagout.errors import DomainError, ScriptError
 from raagout.families import four_path
 from raagout.graphs import DefiningGraph
 from raagout.peripheral import PeripheralPair, saturate
@@ -379,6 +379,18 @@ def test_decompose_script_errors():
 	script = [{"op": "restrict", "target": ["b"]}]
 	with pytest.raises(DomainError, match="already in H"):
 		decompose(descriptor(g, g=[b], h=[b]), mode="script", script=script)
+
+
+def test_decompose_script_image_error_wins_over_a_later_step():
+	# the top-level [1] fails on its own, but the image branch of [0] is
+	# built first, so its error is the one reported
+	d = GroupDescriptor.absolute(path3())
+	later = {"op": "restrict", "target": ["a"]}
+	with pytest.raises(ScriptError, match=r'^\[1\]"target": '):
+		decompose(d, mode="script", script=[{"op": "restrict", "target": ["b"]}, later])
+	nested = {"op": "restrict", "target": ["b"], "image": [{"op": "spin"}]}
+	with pytest.raises(ScriptError, match=r'^\[0\]"image"\[0\]: unknown script op'):
+		decompose(d, mode="script", script=[nested, later])
 
 
 def test_decompose_complexity_strictly_drops():
