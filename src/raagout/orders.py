@@ -134,11 +134,11 @@ class PairIndex:
 	built: refined(extra) returns the index of the member list joined with
 	extra, which cuts each row u by the extra members through u and merges
 	the components their pieces meet, so only the extra members are read.
-	The owner tables behind splits and the closures are worked out on
-	first use and kept.
+	The owner tables behind splits, the closures and the spanning sets
+	are worked out on first use and kept.
 	"""
 
-	__slots__ = ("graph", "rows", "down", "gv", "_splits", "_closed")
+	__slots__ = ("graph", "rows", "down", "gv", "_splits", "_closed", "_spanning")
 
 	def __init__(self, graph, members=()):
 		n = graph.n
@@ -210,29 +210,57 @@ class PairIndex:
 		self._closed[mask] = out
 		return out
 
-	def closures_across(self, comps):
-		"""The closures of {a, b} for a and b in different masks of comps.
+	def spanning(self, mask):
+		"""The proper closures of each vertex of mask and of each non-adjacent pair in it.
 
-		The closure of {a, b} is that of closure({a}) | closure({b}), so
-		the single closures are reused, and a vertex whose own closure is
-		the whole graph adds nothing.
+		By size, then mask. Lemma: each of these sets is invariant, and
+		every invariant set that glues two components or meets two
+		G^x-components holds one, so on a saturated pair, whose G is every
+		proper invariant set, they give the same order rows, components and
+		least qualifying set as all of G. An invariant set through u holds
+		closure({u}), so the members through u meet in it, and it cuts row u
+		inside any subgraph as all of G does. An invariant set S that holds
+		a and b from two components of some subgraph, plain ones or
+		G^x-components, holds closure({a, b}); a and b are not adjacent, as
+		they lie in two components, and closure({a, b}) glues or meets the
+		same two and misses all that S misses. A set some generator
+		restricts nontrivially to holds a moved vertex v or meets two
+		G^x-components at a and b (decompose._pivot), so it holds
+		closure({v}) or closure({a, b}), which qualifies as well.
+
+		closure({a, b}) is the closure of closure({a}) | closure({b}), so
+		the pairs are taken over distinct single closures, one pair of them
+		whenever some vertex of one is not adjacent to some vertex of the
+		other; a closure that holds the other, or is the whole graph, adds
+		nothing. The result is kept per mask.
 		"""
-		full = self.graph.full
-		out = set()
-		for i, c in enumerate(comps):
-			for a in bits(c):
-				ca = self.closure(1 << a)
-				if ca == full:
-					continue
-				for other in comps[i + 1 :]:
-					for b in bits(other):
-						out.add(self.closure(ca | self.closure(1 << b)))
+		out = self._spanning.get(mask)
+		if out is not None:
+			return out
+		graph = self.graph
+		full = graph.full
+		# each single closure: the vertices of mask it is the closure of,
+		# and the vertices adjacent to all of them
+		classes = {}
+		for v in bits(mask):
+			c = self.closure(1 << v)
+			vs, near = classes.get(c, (0, full))
+			classes[c] = vs | 1 << v, near & graph.adj[v]
+		found = set(classes)
+		classes = [(c, vs, mask & ~near) for c, (vs, near) in classes.items() if c != full]
+		for i, (ca, _, apart) in enumerate(classes):
+			for cb, vb, _ in classes[i + 1 :]:
+				if vb & apart and ca & ~cb and cb & ~ca:
+					found.add(self.closure(ca | cb))
+		found.discard(full)
+		out = self._spanning[mask] = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 		return out
 
 	def _join(self, members):
 		graph = self.graph
 		self._splits = None
 		self._closed = {}
+		self._spanning = {}
 		members = list(members)
 		blocked = blocked_masks(graph, members)
 		self.rows = rows = tuple(r & ~b for r, b in zip(self.rows, blocked))

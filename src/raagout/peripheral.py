@@ -20,11 +20,12 @@ adds change neither the order nor any G^v-component, and adding_g, adding_h
 and normalize refine it by the members they add.
 
 The invariant sets are closed under intersection, so each set has a least
-invariant superset (PairIndex.closure), and on a saturated pair that is
-all the pivot search, the induced index and the leaf shapes need to know
-about G. Saturated pairs built with saturation(), and the pairs derived
-from them, therefore carry their index and list G only when it is read;
-there can be up to 2^n - 2 members.
+invariant superset (PairIndex.closure), and the closures of single
+vertices and non-adjacent pairs (PairIndex.spanning) stand for a saturated
+G in the pivot search, the induced index and the leaf shapes. Saturated
+pairs built with saturation(), and the pairs derived from them, therefore
+carry their index and list G only when it is read; there can be up to
+2^n - 2 members.
 """
 
 from .errors import CapabilityError, DomainError
@@ -320,13 +321,9 @@ def induced(pp, dmask):
 	deleted-vertex subsets), saturation does not.
 
 	On a saturated pair, G is every proper invariant set, and the result
-	is lazy: its G is cut from pp's on first read, and its index comes from
-	the closures alone. A row u of the induced order is cut by the
-	members through u, whose intersection is closure({u}). Two components
-	away from the star of v are glued by a member that holds a from one
-	and b from the other but not v, and one exists exactly when
-	closure({a, b}) is proper and does not hold v. So cutting those
-	closures to dmask gives the same index as cutting all of G.
+	is lazy: its G is cut from pp's on first read, and its index is built
+	from PairIndex.spanning(dmask) cut to dmask, which gives the same
+	index as cutting all of G.
 	"""
 	sub = pp.graph.induced(dmask)
 	cut = lambda ms: [
@@ -334,16 +331,10 @@ def induced(pp, dmask):
 	]
 	if not pp.saturated:
 		return PeripheralPair(sub, cut(pp.g_members), cut(pp.h_members), normalized=pp.normalized)
-	graph = pp.graph
-	index = pp.index
-	spanning = {index.closure(1 << u) for u in bits(dmask)}
-	for v in bits(dmask):
-		spanning |= index.closures_across(graph.components(dmask & ~graph.star_masks[v]))
-	spanning.discard(graph.full)
 	return PeripheralPair._lazy(
 		sub,
 		lambda: cut(pp.g_members),
-		orders.PairIndex(sub, cut(spanning)),
+		orders.PairIndex(sub, cut(pp.index.spanning(dmask))),
 		cut(pp.h_members),
 		pp.normalized,
 	)

@@ -12,7 +12,6 @@ silently.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
 from .autos import Automorphism, LaurenceGenerator, gen_in_relative, is_inner, realize
@@ -202,12 +201,15 @@ def _bracket(a, b):
 
 
 def _log_unipotent(m, what):
-	"""Exact logarithm of a unipotent integer matrix, as a dense matrix.
+	"""A positive multiple of the logarithm of a unipotent integer matrix.
 
 	Raises when the matrix is not unipotent; finite-order actions are
 	exactly the ones a polycyclic certificate must not count. The powers
 	of m - 1 are integer matrices; the series is summed over the lcm of
-	its denominators 1..k and divided once.
+	its denominators 1..k and divided by the gcd of the entries, so the
+	result is the primitive integer matrix on the logarithm's rational
+	line, sparse as {(i, j): nonzero entry}. Ranks and the rational Lie
+	algebra a list generates depend only on those lines.
 	"""
 	n = len(m)
 	nil = {
@@ -231,36 +233,15 @@ def _log_unipotent(m, what):
 		c = (-1) ** (k + 1) * (scale // k)
 		for key, x in power.items():
 			total[key] = total.get(key, 0) + c * x
-	return tuple(
-		tuple(Fraction(total[i, j], scale) if (i, j) in total else 0 for j in range(n))
-		for i in range(n)
-	)
-
-
-def _integral(m):
-	"""A dense rational matrix scaled by the lcm of its denominators.
-
-	Returned sparse, {(i, j): nonzero integer}. A positive multiple spans
-	the same rational line, so ranks and the rational Lie algebra a list
-	generates do not change.
-	"""
-	scale = 1
-	for row in m:
-		for x in row:
-			scale = lcm(scale, Fraction(x).denominator)
-	return {
-		(i, j): int(x * scale)
-		for i, row in enumerate(m)
-		for j, x in enumerate(row)
-		if x
-	}
+	g = gcd(*total.values())
+	return {key: x // g for key, x in total.items() if x}
 
 
 def _lie_closure(logs):
 	"""Basis of the rational Lie algebra generated by the given matrices.
 
-	Each matrix is first scaled to an integer one, so all arithmetic is
-	in integers. Every new basis element is bracketed with every earlier
+	The matrices are sparse integer ones, so all arithmetic is in
+	integers. Every new basis element is bracketed with every earlier
 	one, which closes the span. The algebra is then certified nilpotent
 	by driving its lower central series to zero; a list whose homology
 	image generates something free-ish fails here rather than producing
@@ -269,7 +250,6 @@ def _lie_closure(logs):
 	ech = _Echelon()
 	basis = []
 	for m in logs:
-		m = _integral(m)
 		if ech.add(m):
 			basis.append(m)
 	i = 0

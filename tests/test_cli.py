@@ -263,6 +263,36 @@ def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
 	assert took < 2.0
 
 
+def test_scripted_leaf_below_an_unlisted_invariant_subgraph_is_refused(capsys, tmp_path):
+	# a-d, b-d and an isolated c, with G = H = [cd]: abd is invariant
+	# though G does not list it, and some generator restricts to it
+	# nontrivially, so the group is not yet terminal
+	graph = write_json(
+		tmp_path, "g.json", {"vertices": ["a", "b", "c", "d"], "edges": [["a", "d"], ["b", "d"]]}
+	)
+	periph = write_json(tmp_path, "p.json", {"G": [["c", "d"]], "H": [["c", "d"]]})
+	script = write_json(tmp_path, "leaf.json", [{"op": "leaf"}])
+	for command in ("decompose", "vcd"):
+		code, out, err = run(capsys, command, "--graph", graph, "--periph", periph, "--script", script)
+		assert (code, out) == (1, "")
+		assert err == (
+			"error: script file %s: [0]: restriction to abd is still nontrivial; "
+			"restrict first\n" % script
+		)
+
+
+def test_scripted_leaf_at_the_root_of_a_four_path_is_refused(capsys, tmp_path):
+	# the absolute four_path(2, 2, 2, 2) certifies a lower bound of 22, so
+	# a root leaf, FreeAbelian(24..40), would claim a rank it does not have
+	from raagout.families import four_path
+
+	graph = write_json(tmp_path, "fp.json", four_path(2, 2, 2, 2).to_json_obj())
+	script = write_json(tmp_path, "leaf.json", [{"op": "leaf"}])
+	code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
+	assert (code, out) == (1, "")
+	assert err.endswith(": [0]: restriction to x1x2 is still nontrivial; restrict first\n")
+
+
 def test_saturate_cap_flag_is_gone(capsys, p3):
 	with pytest.raises(SystemExit) as exc:
 		main(["saturate", "--graph", p3, "--cap", "64"])

@@ -393,6 +393,41 @@ def test_decompose_script_image_error_wins_over_a_later_step():
 		decompose(d, mode="script", script=[nested, later])
 
 
+def test_scripted_leaves_have_no_invariant_subgraph_left_to_restrict():
+	# random pairs on graphs with at most 5 vertices, connected or not,
+	# under the scripts [leaf] and [restrict fast T, image [leaf]]: each
+	# run builds a tree or raises a domain error (exit 0 or 1), and every
+	# leaf it accepts restricts trivially to every invariant subgraph,
+	# listed or not, that is, to every member of the saturation. A root
+	# [leaf] that is accepted is the leaf auto mode reaches.
+	rng = random.Random(29)
+	accepted = refused = 0
+	for _ in range(300):
+		n = rng.randrange(2, 6)
+		density = rng.random()
+		g = graph_from_edges(
+			n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+		)
+		glist, hlist = random_peripheral(g, rng)
+		d = descriptor(g, g=glist, h=hlist)
+		target = g.names(rng.randrange(1, g.full))
+		image = {"op": "restrict", "target": target, "mode": "fast", "image": [{"op": "leaf"}]}
+		for script in ([{"op": "leaf"}], [image]):
+			try:
+				root = decompose(d, mode="script", script=script)
+			except DomainError:
+				refused += 1
+				continue
+			accepted += 1
+			for _, node, _ in root.walk():
+				if isinstance(node.step, Leaf):
+					leaf = node.descriptor
+					assert pivot_by_generators(GroupDescriptor(leaf.graph, saturate(leaf.pair))) is None
+			if script[0]["op"] == "leaf":
+				assert decompose(d).step.shape == root.step.shape
+	assert accepted > 100 and refused > 100
+
+
 def test_decompose_complexity_strictly_drops():
 	g = diamond_chain(2)
 	edges = 0
@@ -421,8 +456,9 @@ def test_walk_is_pre_order_with_paths():
 def test_pivot_is_smallest_member_with_nontrivial_restriction():
 	# random pairs, saturated or not, and every node of the auto trees of
 	# helpers.auto_tree_nodes: their pairs are saturated without a member
-	# list, so _pivot reads closures there, kernels carry refined indexes
-	# and images closure-built ones; pivot_by_generators lists the members
+	# list, kernels carry refined indexes and images closure-built ones.
+	# _pivot reads closures; pivot_by_generators lists the members of the
+	# saturation, which a listed pair is judged by too
 	rng = random.Random(17)
 	cases = []
 	for n in (4, 5):
@@ -430,21 +466,22 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 			g = graph_from_edges(n, edges)
 			glist, hlist = random_peripheral(g, rng)
 			pair = PeripheralPair(g, glist, hlist).normalize()
-			cases.append(GroupDescriptor(g, pair))
-			cases.append(GroupDescriptor(g, saturate(pair)))
+			sat = GroupDescriptor(g, saturate(pair))
+			cases.append((GroupDescriptor(g, pair), sat))
+			cases.append((sat, sat))
 	nodes = auto_tree_nodes()
 	assert all(node.descriptor.pair.saturated for node in nodes)
 	assert sum(node.descriptor.pair._g_members is None for node in nodes) > len(nodes) // 2
-	cases.extend(node.descriptor for node in nodes)
-	for d in cases:
-		assert _pivot(d) == pivot_by_generators(d)
-	assert sum(_pivot(d) is None for d in cases) not in (0, len(cases))
+	cases.extend((node.descriptor, node.descriptor) for node in nodes)
+	for d, sat in cases:
+		assert _pivot(d) == pivot_by_generators(sat)
+	assert sum(_pivot(d) is None for d, _ in cases) not in (0, len(cases))
 
 
 def test_leaf_shapes_match_the_listed_members():
-	# auto leaves classify saturated pairs through closures; the same
-	# members passed as a plain list, not flagged saturated, are read one
-	# by one, and must give the same shape
+	# auto leaves classify saturated pairs whose index was handed down the
+	# tree; the same members passed as a plain list, not flagged
+	# saturated, build their index afresh and must give the same shape
 	leaves = [node for node in auto_tree_nodes() if isinstance(node.step, Leaf)]
 	covered_cliques = 0
 	for node in leaves:

@@ -2,8 +2,9 @@
 
 Each example writes a graph, a peripheral pair, a script and a generator
 list, some shaped like the real formats and some arbitrary JSON, and runs
-one command on them. Shaped pairs and steps may carry a misspelled key, so
-the loader's unknown-key check is reached in every run. Whatever the input,
+one command on them; every command gets the same number of examples.
+Shaped pairs and steps may carry a misspelled key, so the loader's
+unknown-key check is reached in every run. Whatever the input,
 the command must exit 0, 1 (domain or usage error) or 2 (capability limit)
 and must not raise: 3, an internal error, fails the test too. The run is
 derandomized and small, so the same examples run every time.
@@ -15,6 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -64,8 +66,8 @@ def shaped(strategy):
 
 
 @st.composite
-def invocations(draw):
-	"""(argv, {file name: JSON object}) for one command on a random graph."""
+def invocations(draw, command):
+	"""(argv, {file name: JSON object}) for command on a random graph."""
 	vertices = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=5, unique=True))
 	edges = [[u, v] for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
 	if edges:
@@ -113,7 +115,6 @@ def invocations(draw):
 			st.builds("{}^{}".format, vertex, st.integers(-2, 3)), max_size=6
 		).map(" ".join),
 	}
-	command = draw(st.sampled_from(sorted(FLAGS)))
 	formats = ["text", "json"] + (["dot"] if command in ("decompose", "cone-graph") else [])
 	argv = [command, "--format", draw(st.sampled_from(formats))]
 	files = {}
@@ -134,16 +135,17 @@ def invocations(draw):
 	return argv, files
 
 
+@pytest.mark.parametrize("command", sorted(FLAGS))
 @settings(
-	max_examples=150,
+	max_examples=15,
 	derandomize=True,
 	deadline=None,
 	database=None,
 	suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(invocations())
-def test_every_command_exits_cleanly_on_random_json(invocation):
-	argv, files = invocation
+@given(data=st.data())
+def test_every_command_exits_cleanly_on_random_json(command, data):
+	argv, files = data.draw(invocations(command))
 	with tempfile.TemporaryDirectory() as tmp:
 		for name, obj in files.items():
 			(Path(tmp) / name).write_text(json.dumps(obj))

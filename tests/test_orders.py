@@ -2,11 +2,11 @@ import itertools
 import random
 
 from raagout.decompose import Leaf, RestrictionStep
-from raagout.graphs import DefiningGraph, mask_of
+from raagout.graphs import DefiningGraph, compress_mask, mask_of
 from raagout import orders
 from raagout.peripheral import PeripheralPair, induced, saturate
 
-from helpers import auto_tree_nodes, connected_graphs_upto_iso, graph_from_edges
+from helpers import auto_tree_nodes, brute_invariant, connected_graphs_upto_iso, graph_from_edges
 
 
 def path3():
@@ -255,3 +255,24 @@ def test_refined_index_matches_fresh_build():
 		image = step.image.descriptor
 		fresh = orders.PairIndex(image.graph, induced(d.pair, target).g_members)
 		assert _fields(image.pair.index) == _fields(fresh)
+
+
+def test_spanning_sets_stand_for_every_invariant_set():
+	# spanning(D) is invariant, and cut to D it gives the index that every
+	# invariant set cut to D gives, on each subgraph D
+	rng = random.Random(59)
+	for trial in range(300):
+		n = rng.randrange(1, 8)
+		g = _random_graph(rng, n)
+		glist = _random_members(rng, n, rng.randrange(5))
+		hlist = [m for m in glist if rng.random() < 0.5]
+		pp = PeripheralPair(g, glist, hlist).normalize()
+		invariant = {m for m in range(1, g.full) if brute_invariant(pp, m)}
+		for dmask in range(1, g.full + 1):
+			spanning = pp.index.spanning(dmask)
+			assert set(spanning) <= invariant
+			assert list(spanning) == sorted(spanning, key=lambda m: (m.bit_count(), m))
+			sub = g.induced(dmask)
+			cut = lambda ms: [compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}]
+			fresh = orders.PairIndex(sub, cut(invariant))
+			assert _fields(orders.PairIndex(sub, cut(spanning))) == _fields(fresh)

@@ -378,19 +378,15 @@ def test_nilpotent_rejects_deep_class_off_clique():
 
 
 def test_lie_closure_grows_heisenberg():
-	e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
-	e23 = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
-	frac = lambda m: tuple(tuple(Fraction(x) for x in row) for row in m)
-	assert len(_lie_closure([frac(e12), frac(e23)])) == 3
+	e12 = {(0, 1): 1}
+	e23 = {(1, 2): 1}
+	assert len(_lie_closure([e12, e23])) == 3
 
 
 def test_lie_closure_reaches_depth_three():
 	# E12, E23, E34 generate all six strictly upper triangular 4x4 units;
 	# E14 only appears as the bracket of the new element E13 with E34
-	def unit(i, j):
-		return tuple(tuple(int((r, c) == (i, j)) for c in range(4)) for r in range(4))
-
-	assert len(_lie_closure([unit(0, 1), unit(1, 2), unit(2, 3)])) == 6
+	assert len(_lie_closure([{(0, 1): 1}, {(1, 2): 1}, {(2, 3): 1}])) == 6
 
 
 def rational_rank(vectors, width):
@@ -432,10 +428,10 @@ def test_lie_closure_half_entry():
 	# log of the 3x3 Jordan block is E12 + E23 - E13/2; E13 is central
 	jordan = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 	log = _log_unipotent(jordan, "J")
-	half = Fraction(1, 2)
-	assert log == ((0, 1, -half), (0, 0, 1), (0, 0, 0))
-	e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
-	e13 = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+	# a positive multiple of it, with integer entries: 2 E12 + 2 E23 - E13
+	assert log == {(0, 1): 2, (1, 2): 2, (0, 2): -1}
+	e12 = {(0, 1): 1}
+	e13 = {(0, 2): 1}
 	assert len(_lie_closure([log, e13])) == 2
 	assert len(_lie_closure([log])) == 1
 	assert len(_lie_closure([log, e12])) == 3
