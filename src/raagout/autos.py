@@ -242,9 +242,11 @@ class Automorphism:
 
 	def compose(self, other):
 		"""self after other: the composite sends w to self(other(w))."""
-		images = tuple(self.apply(w) for w in other.images)
-		back = tuple(other.apply_back(w) for w in self.back)
-		return Automorphism(self.ctx, images, back)
+		return Automorphism(
+			self.ctx,
+			images_through(self.ctx, other.images, self.images),
+			images_through(self.ctx, self.back, other.back),
+		)
 
 	def invert(self):
 		return Automorphism(self.ctx, self.back, self.images)
@@ -257,6 +259,22 @@ class Automorphism:
 			if im != (2 * v,):
 				parts.append("%s->%s" % (ctx.graph.vertices[v], ctx.format(im)))
 		return "<auto %s>" % ("; ".join(parts) or "id")
+
+
+def images_through(ctx, start, *tables):
+	"""Letter table of v -> start[2v] substituted through each table in turn.
+
+	start and tables are letter tables, and the first table is applied
+	first, so images_through(ctx, b.images, a.images) is the table of a
+	after b. Only the vertex entries cost apply_map work: entry 2v+1 is the
+	inverse of the reduced entry 2v.
+	"""
+	out = []
+	for w in start[::2]:
+		for table in tables:
+			w = ctx.apply_map(w, table)
+		out += (w, inverse(w))
+	return tuple(out)
 
 
 def _letter_table(ctx, words):
@@ -326,21 +344,26 @@ def product_of(ctx, signed_gens):
 InnerResult = namedtuple("InnerResult", ["status", "witness", "reason"])
 
 
-def _common_conjugator(ctx, phi, vmask):
-	"""A word g with phi(v) = g v g^-1 for every v in vmask, or (None, v).
+def _common_conjugator(ctx, images, vmask):
+	"""A word g with images[2v] = g v g^-1 for every v in vmask, or (None, v).
 
-	The conjugators valid for v alone are k_v times the star subgroup of
-	v, where k_v is the cyclic-reduction conjugator of phi(v). Running
+	images is a letter table; only its vertex entries are read. The
+	conjugators valid for v alone are k_v times the star subgroup of v,
+	where k_v is the cyclic-reduction conjugator of images[2v]. Running
 	over the vertices keeps the intersection as a single coset rep * A_S:
 	intersecting with the next constraint means writing rep^-1 k_v as
 	(front factor in A_S) * (rest), which the greedy front strip finds
 	whenever it exists; the rest must then live in the star subgroup.
+
+	The witness is verified exactly before it is returned: rep^-1
+	images[2v] rep must reduce to the single letter v, the only reduced
+	word for that element. A failure raises RuntimeError.
 	"""
 	graph = ctx.graph
 	rep = ()
 	smask = graph.full
 	for v in bits(vmask):
-		core, k = ctx.cyc_reduce(phi.images[2 * v])
+		core, k = ctx.cyc_reduce(images[2 * v])
 		if core != (2 * v,):
 			return None, v
 		u = ctx.reduce(inverse(rep) + k)
@@ -350,17 +373,20 @@ def _common_conjugator(ctx, phi, vmask):
 		rep = ctx.reduce(rep + pref)
 		smask &= graph.star_masks[v]
 	for v in bits(vmask):
-		if not ctx.equal(phi.images[2 * v], ctx.conjugate(rep, (2 * v,))):
+		if ctx.reduce(inverse(rep) + images[2 * v] + rep) != (2 * v,):
 			raise RuntimeError("conjugator witness failed verification")
 	return rep, None
 
 
-def is_inner(ctx, phi):
-	"""Decide whether phi is a conjugation; yes comes with a verified witness.
+def is_inner(ctx, images):
+	"""Decide whether the map with letter table images is a conjugation.
 
-	The coset intersection is exact, so the status is always "yes" or "no".
+	Only the vertex entries images[2v] are read, so a caller can pass
+	Automorphism.images or a table built for the test alone. The coset
+	intersection is exact, so the status is always "yes" or "no"; yes
+	comes with a verified witness.
 	"""
-	rep, bad = _common_conjugator(ctx, phi, ctx.graph.full)
+	rep, bad = _common_conjugator(ctx, images, ctx.graph.full)
 	if rep is None:
 		return InnerResult(
 			"no", None, "no single conjugator matches at %s" % ctx.graph.vertices[bad]
@@ -374,7 +400,7 @@ def acts_trivially_word(ctx, phi, dmask):
 	Returns (flag, witness); the witness may be the empty word, so test
 	the flag, not the witness.
 	"""
-	rep, _ = _common_conjugator(ctx, phi, dmask)
+	rep, _ = _common_conjugator(ctx, phi.images, dmask)
 	return rep is not None, rep
 
 

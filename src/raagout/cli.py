@@ -294,7 +294,7 @@ def cmd_check_exact(args):
 			lifted = lift_generator(desc, image, dmask, gen)
 			back = word_restriction(ctx, sub_ctx, dmask, realize(ctx, lifted))
 			disc = back.compose(realize(sub_ctx, gen).invert())
-			res = is_inner(sub_ctx, disc)
+			res = is_inner(sub_ctx, disc.images)
 		except DomainError as exc:
 			failures += 1
 			print("FAIL lift %s: %s" % (gen, exc))

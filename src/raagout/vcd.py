@@ -14,7 +14,14 @@ silently.
 from collections import namedtuple
 from math import gcd, lcm
 
-from .autos import Automorphism, LaurenceGenerator, gen_in_relative, is_inner, realize
+from .autos import (
+	Automorphism,
+	LaurenceGenerator,
+	gen_in_relative,
+	images_through,
+	is_inner,
+	realize,
+)
 from .decompose import (
 	FouxeRabinovitch,
 	FreeAbelian,
@@ -165,13 +172,13 @@ class _Echelon:
 # ---- homology action ----
 
 
-def _h1_action(ctx, phi):
-	"""Integer matrix of the induced action on the abelianized group."""
+def _h1_action(ctx, images):
+	"""Integer matrix of the action on the abelianized group of a letter table."""
 	n = ctx.graph.n
 	rows = []
 	for v in range(n):
 		row = [0] * n
-		for letter in phi.images[2 * v]:
+		for letter in images[2 * v]:
 			row[letter >> 1] += -1 if letter & 1 else 1
 		rows.append(tuple(row))
 	return tuple(rows)
@@ -343,8 +350,9 @@ def _certify_johnson_independent(ctx, phis, names):
 # ---- lower bound certificates ----
 
 
-def _commutator(a, b):
-	return a.compose(b).compose(a.invert()).compose(b.invert())
+def _commutator(ctx, a, b):
+	"""Letter table of a b a^-1 b^-1: each vertex through b^-1, a^-1, b, a."""
+	return images_through(ctx, b.back, a.back, b.images, a.images)
 
 
 def certify_lower_bound(graph, gens, nilpotent=False):
@@ -360,13 +368,20 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	commuting list that is the rank of the logarithms. Conjugation-type
 	generators contribute one each once their Johnson images are
 	independent modulo the inner automorphisms.
+
+	A pair (a, b) is tested on vertex images alone: each vertex is
+	threaded through the letter tables of b^-1, a^-1, b and a, three
+	apply_map calls, and is_inner reads the words that come out; no
+	composite automorphism is built. A non-inner commutator c is matched
+	against a listed phi_k the same way, through the vertex images of
+	c phi_k^-1 and c phi_k.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
 	noninner = {}
 	for i in range(len(gens)):
 		for j in range(i + 1, len(gens)):
-			c = _commutator(phis[i], phis[j])
+			c = _commutator(ctx, phis[i], phis[j])
 			res = is_inner(ctx, c)
 			if res.status == "yes":
 				continue
@@ -378,7 +393,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 			noninner[i, j] = c
 
 	ident = _identity_matrix(graph.n)
-	mats = [_h1_action(ctx, phi) for phi in phis]
+	mats = [_h1_action(ctx, phi.images) for phi in phis]
 	logs = [
 		_log_unipotent(mat, gen)
 		for gen, mat in zip(gens, mats)
@@ -386,19 +401,21 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	]
 	lie_dim = len(_lie_closure(logs))
 
-	inverses = [phi.invert() for phi in phis]
-	inv_mats = [_h1_action(ctx, inv) for inv in inverses]
+	inv_mats = [_h1_action(ctx, phi.back) for phi in phis]
 	derived = set()
 	for (i, j), c in noninner.items():
 		cmat = _h1_action(ctx, c)
-		match = None
-		for k in range(len(gens)):
-			if cmat == mats[k] and is_inner(ctx, c.compose(inverses[k])).status == "yes":
-				match = k
-			elif cmat == inv_mats[k] and is_inner(ctx, c.compose(phis[k])).status == "yes":
-				match = k
-			if match is not None:
-				break
+		# c is phi_k in the outer group when c phi_k^-1 is inner, and
+		# phi_k^-1 when c phi_k is
+		match = next(
+			(
+				k
+				for k in range(len(gens))
+				for mat, start in ((mats[k], phis[k].back), (inv_mats[k], phis[k].images))
+				if cmat == mat and is_inner(ctx, images_through(ctx, start, c)).status == "yes"
+			),
+			None,
+		)
 		if match is None:
 			raise CertificationError(
 				"the commutator of %s and %s is neither inner nor listed"

@@ -203,9 +203,6 @@ class WordContext:
 		"""Reduced form of g w g^-1."""
 		return self.reduce(tuple(g) + tuple(w) + inverse(g))
 
-	def equal(self, a, b):
-		return self.canonical(a) == self.canonical(b)
-
 	# ---- text form ----
 
 	def parse(self, text):

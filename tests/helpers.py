@@ -273,7 +273,7 @@ def box_inner_vector(ctx, phis, box):
 			step = phi if e > 0 else phi.invert()
 			for _ in range(abs(e)):
 				prod = prod.compose(step)
-		if is_inner(ctx, prod).status == "yes":
+		if is_inner(ctx, prod.images).status == "yes":
 			return vec
 	return None
 

@@ -82,7 +82,7 @@ def test_02_diamond_chain_abelian_lowers():
 	phis = [realize(ctx, x) for x in diamond_generators(g, 2)]
 	for a, b in itertools.combinations(phis, 2):
 		comm = a.compose(b).compose(a.invert()).compose(b.invert())
-		assert is_inner(ctx, comm).status == "yes"
+		assert is_inner(ctx, comm.images).status == "yes"
 	took = time.monotonic() - t0
 	assert took < 300.0, took
 	_ok(2, "diamond chain abelian lowers 7, 11, 15, 19, 23 for d=2..6 in %.2fs" % took)
@@ -243,7 +243,7 @@ def test_08_suite_c_exact_sequence():
 			lift = lift_generator(desc, image, dmask, gen)
 			back = word_restriction(ctx, sub_ctx, dmask, realize(ctx, lift))
 			disc = back.compose(realize(sub_ctx, gen).invert())
-			res = is_inner(sub_ctx, disc)
+			res = is_inner(sub_ctx, disc.images)
 			assert res.status == "yes", (g.to_json_obj(), sat.to_json_obj(), str(gen))
 			lifted += 1
 		for gen in kernel.gens():

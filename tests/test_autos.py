@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from raagout.errors import DomainError
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.peripheral import PeripheralPair
+from raagout.vcd import _conjugation
 from raagout.words import WordContext, enc, inverse
 from raagout.autos import (
 	Automorphism,
@@ -23,6 +24,7 @@ from raagout.autos import (
 
 from helpers import (
 	connected_graphs_upto_iso,
+	foata,
 	graph_from_edges,
 	inverts,
 	preserves_closed_form,
@@ -210,23 +212,23 @@ def test_inner_conjugation():
 		images = [ctx.conjugate(w, (enc(v, 1),)) for v in range(g.n)]
 		back = [ctx.conjugate(inverse(w), (enc(v, 1),)) for v in range(g.n)]
 		phi = Automorphism.from_images(ctx, images, back)
-		res = is_inner(ctx, phi)
+		res = is_inner(ctx, phi.images)
 		assert res.status == "yes"
 		for v in range(g.n):
-			assert ctx.equal(ctx.conjugate(res.witness, (enc(v, 1),)), phi.images[2 * v])
+			assert foata(ctx.conjugate(res.witness, (enc(v, 1),)), g) == foata(phi.images[2 * v], g)
 
 
 def test_not_inner():
 	g = path5()
 	ctx = WordContext(g)
 	tv = realize(ctx, LaurenceGenerator.transvection(g, "a", "b"))
-	assert is_inner(ctx, tv).status == "no"
+	assert is_inner(ctx, tv.images).status == "no"
 	pc = realize(ctx, LaurenceGenerator.partial_conj(g, "c", g.mask(["a"])))
-	assert is_inner(ctx, pc).status == "no"
+	assert is_inner(ctx, pc.images).status == "no"
 	f2 = DefiningGraph(["u", "v"], [])
 	ctx2 = WordContext(f2)
 	sw = realize(ctx2, parse_generator(f2, "sym (u v)"))
-	assert is_inner(ctx2, sw).status == "no"
+	assert is_inner(ctx2, sw.images).status == "no"
 
 
 def test_full_conjugation_is_inner():
@@ -236,9 +238,21 @@ def test_full_conjugation_is_inner():
 	phi = product_of(
 		ctx, [(LaurenceGenerator.partial_conj(g, "c", c), 1) for c in comps]
 	)
-	res = is_inner(ctx, phi)
+	res = is_inner(ctx, phi.images)
 	assert res.status == "yes"
-	assert ctx.equal(res.witness, ctx.parse("c"))
+	assert ctx.canonical(res.witness) == ctx.parse("c")
+
+
+def test_a_wrong_witness_is_refused(monkeypatch):
+	# a front strip that finds nothing leaves the empty word as the witness
+	# of a nontrivial conjugation; the exact check must refuse it
+	g = diamond()
+	ctx = WordContext(g)
+	phi = _conjugation(ctx, g.index["c0"])
+	assert is_inner(ctx, phi.images).status == "yes"
+	monkeypatch.setattr(ctx, "strip_front", lambda letters, smask: ((), ()))
+	with pytest.raises(RuntimeError, match="witness failed verification"):
+		is_inner(ctx, phi.images)
 
 
 # ---- closed forms against the word level ----

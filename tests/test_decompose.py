@@ -170,7 +170,7 @@ def test_lift_roundtrip_mod_inner():
 		phi = realize(d.ctx, lift)
 		back = word_restriction(d.ctx, image.ctx, b, phi)
 		diff = back.compose(realize(image.ctx, gen).invert())
-		assert is_inner(image.ctx, diff).status == "yes", str(gen)
+		assert is_inner(image.ctx, diff.images).status == "yes", str(gen)
 		lifted += 1
 	assert lifted == len(image.gens())
 

@@ -3,8 +3,10 @@
 Each example writes a graph, a peripheral pair, a script and a generator
 list, some shaped like the real formats and some arbitrary JSON, and runs
 one command on them; every command gets the same number of examples.
-Shaped pairs and steps may carry a misspelled key, so the loader's
-unknown-key check is reached in every run. Whatever the input,
+About one example in four slips on purpose: its pair or its script steps
+carry a misspelled key, or its restrict steps leave out the target, so
+the loader's checks are reached while most examples get past the loader
+to the tree builder. Whatever the input,
 the command must exit 0, 1 (domain or usage error) or 2 (capability limit)
 and must not raise: 3, an internal error, fails the test too. The run is
 derandomized and small, so the same examples run every time.
@@ -29,6 +31,7 @@ KEYS = [
 	# misspelled keys, which every format rejects
 	"g", "moed",
 ]
+SLIPS = [None] * 9 + ["g", "moed", "target"]
 scalars = st.one_of(
 	st.none(),
 	st.booleans(),
@@ -76,18 +79,20 @@ def invocations(draw, command):
 	# names of the graph's vertices, in one example of eight also one that is not
 	vertex = st.sampled_from(vertices + ["zz"] if draw(st.integers(0, 7)) == 7 else vertices)
 	name_lists = st.lists(vertex, min_size=1, max_size=4, unique=True)
+	slip = draw(st.sampled_from(SLIPS))
+	typo = {"moed": st.just("saturated")} if slip == "moed" else {}
+	target = {} if slip == "target" else {"target": name_lists}
+	mode = {"mode": st.sampled_from(["fast", "saturated", "x"])}
 	steps = st.recursive(
-		st.fixed_dictionaries(
-			{"op": st.sampled_from(["restrict", "restrict", "project", "leaf", "spin"])},
-			optional={
-				"target": name_lists,
-				"mode": st.sampled_from(["fast", "saturated", "x"]),
-				"moed": st.just("saturated"),
-			},
+		st.one_of(
+			st.fixed_dictionaries({"op": st.just("restrict"), **target, **typo}, optional=mode),
+			st.fixed_dictionaries(
+				{"op": st.sampled_from(["project", "leaf", "spin"]), **typo},
+				optional={"target": name_lists, **mode},
+			),
 		),
 		lambda inner: st.fixed_dictionaries(
-			{"op": st.just("restrict"), "target": name_lists, "image": st.lists(inner, max_size=2)},
-			optional={"moed": st.just("saturated")},
+			{"op": st.just("restrict"), **target, "image": st.lists(inner, max_size=2), **typo}
 		),
 		max_leaves=4,
 	)
@@ -100,10 +105,10 @@ def invocations(draw, command):
 	)
 	file_flags = {
 		"--graph": shaped(st.just(graph)),
-		"--periph": shaped(st.fixed_dictionaries({}, optional={
-			"G": st.lists(name_lists, max_size=3), "H": st.lists(name_lists, max_size=2),
-			"g": st.lists(name_lists, max_size=1),
-		})),
+		"--periph": shaped(st.fixed_dictionaries(
+			{"g": st.lists(name_lists, max_size=1)} if slip == "g" else {},
+			optional={"G": st.lists(name_lists, max_size=3), "H": st.lists(name_lists, max_size=2)},
+		)),
 		# an empty script is auto mode, which leaving out --script covers
 		"--script": shaped(st.lists(steps, min_size=1, max_size=3)),
 		"--gens": shaped(st.lists(generator_texts, max_size=4)),

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from raagout.autos import LaurenceGenerator, is_inner, realize
+from raagout.autos import (
+	LaurenceGenerator,
+	enumerate_generators,
+	images_through,
+	is_inner,
+	realize,
+)
 from raagout.decompose import (
 	DecompositionNode,
 	FouxeRabinovitch,
@@ -28,9 +34,11 @@ from raagout.families import (
 	four_path_script,
 )
 from raagout.graphs import DefiningGraph
+from raagout.peripheral import PeripheralPair
 from raagout.vcd import (
 	VcdBound,
 	_Echelon,
+	_commutator,
 	_certify_johnson_independent,
 	_johnson,
 	_lie_closure,
@@ -44,7 +52,14 @@ from raagout.vcd import (
 )
 from raagout.words import WordContext
 
-from helpers import box_inner_vector, graph_from_edges, magnus2
+from helpers import (
+	box_inner_vector,
+	connected_graphs_upto_iso,
+	foata,
+	graph_from_edges,
+	magnus2,
+	random_peripheral,
+)
 
 
 def clique(n):
@@ -126,6 +141,42 @@ def test_vcd_upper_four_path():
 		script=four_path_script(*tup),
 	)
 	assert vcd_upper(tree) == four_path_dimension(*tup) == 12
+
+
+# ---- commutators from vertex images ----
+
+
+def test_vertex_image_commutator_matches_composition():
+	# the commutator certify_lower_bound tests, and the two products its
+	# nilpotent match tests, against whole composed automorphisms
+	rng = random.Random(31)
+	graphs = [graph_from_edges(4, edges) for edges in connected_graphs_upto_iso(4)]
+	graphs += [random_graph(rng, 5) for _ in range(6)] + [diamond_chain(2), four_path(2, 1, 2, 1)]
+	statuses = set()
+	for g in graphs:
+		ctx = WordContext(g)
+
+		def check(table, phi):
+			for v in range(g.n):
+				assert foata(table[2 * v], g) == foata(phi.images[2 * v], g)
+			status = is_inner(ctx, table).status
+			assert status == is_inner(ctx, phi.images).status
+			statuses.add(status)
+
+		pairs = [PeripheralPair(g, [], [])]
+		pairs += [PeripheralPair(g, *random_peripheral(g, rng)) for _ in range(2)]
+		for pp in pairs:
+			gens = enumerate_generators(pp.normalize())
+			if len(gens) < 2:
+				continue
+			for _ in range(4):
+				x, y, z = (realize(ctx, rng.choice(gens), rng.choice((1, -1))) for _ in range(3))
+				composed = x.compose(y).compose(x.invert()).compose(y.invert())
+				c = _commutator(ctx, x, y)
+				check(c, composed)
+				check(images_through(ctx, z.back, c), composed.compose(z.invert()))
+				check(images_through(ctx, z.images, c), composed.compose(z))
+	assert statuses == {"yes", "no"}
 
 
 # ---- abelian certificates ----
@@ -475,4 +526,4 @@ def test_pc_complement_identity():
 	prod = realize(ctx, LaurenceGenerator.partial_conj(g, "c1", comps[0])).compose(
 		realize(ctx, LaurenceGenerator.partial_conj(g, "c1", comps[1]))
 	)
-	assert is_inner(ctx, prod).status == "yes"
+	assert is_inner(ctx, prod.images).status == "yes"

@@ -135,7 +135,7 @@ def test_cyc_reduce_properties():
 		w = random_word(rng, g, maxlen=7)
 		core, conj = ctx.cyc_reduce(w)
 		# w == conj * core * conj^-1
-		assert ctx.equal(w, tuple(conj) + tuple(core) + inverse(conj))
+		assert helpers.foata(w, g) == helpers.foata(tuple(conj) + tuple(core) + inverse(conj), g)
 		# no further cyclic cancellation: every single-letter transport keeps length
 		for t in helpers.cyclic_transports(ctx, core):
 			assert len(t) == len(core)
@@ -164,7 +164,7 @@ def test_strip_front_sound_and_complete():
 		t = tuple(lt for lt in random_word(rng, g, 4) if tmask >> (lt >> 1) & 1)
 		u = ctx.reduce(s + t)
 		prefix, rem = ctx.strip_front(u, smask)
-		assert ctx.equal(u, prefix + rem)
+		assert helpers.foata(u, g) == helpers.foata(prefix + rem, g)
 		assert all(smask >> (lt >> 1) & 1 for lt in prefix)
 		assert ctx.supp(rem) & ~tmask == 0, (g.to_json_obj(), s, t, u, prefix, rem)
 
