@@ -34,7 +34,7 @@ from .decompose import (
 from .errors import CertificationError, DomainError
 from .families import diamond_generators, diamond_labels
 from .graphs import bits
-from .words import WordContext
+from .words import WordContext, inverse, mask_word
 
 
 VcdBound = namedtuple("VcdBound", ["upper", "lower", "per_leaf"])
@@ -355,6 +355,42 @@ def _commutator(ctx, a, b):
 	return images_through(ctx, b.back, a.back, b.images, a.images)
 
 
+def _commuting_pairs(ctx, phis):
+	"""Index pairs i < j whose automorphisms commute as maps.
+
+	A map moves v when its image of v is not the letter v, and its span
+	is the vertices it moves together with the vertices of their images.
+	When neither of a and b moves a vertex of the other's span, each
+	fixes every letter the other touches, so ab = ba. Otherwise ab = ba
+	exactly when a(b(v)) b(a(v))^-1 reduces to the empty word at every
+	vertex v that a or b moves; both maps fix every other vertex. Both
+	tests decide equality in the automorphism group, and a commuting
+	pair's commutator is the identity, inner with the empty witness.
+	"""
+	moved, span = [], []
+	for phi in phis:
+		m = s = 0
+		for v, w in enumerate(phi.images[::2]):
+			if w != (2 * v,):
+				m |= 1 << v
+				s |= 1 << v | mask_word(w)
+		moved.append(m)
+		span.append(s)
+
+	def commute(i, j):
+		if not (moved[i] & span[j] or moved[j] & span[i]):
+			return True
+		a, b = phis[i], phis[j]
+		for v in bits(moved[i] | moved[j]):
+			x = ctx.apply_map(b.images[2 * v], a.images)
+			y = ctx.apply_map(a.images[2 * v], b.images)
+			if x != y and ctx.reduce(x + inverse(y)):
+				return False
+		return True
+
+	return {(i, j) for i in range(len(phis)) for j in range(i + 1, len(phis)) if commute(i, j)}
+
+
 def certify_lower_bound(graph, gens, nilpotent=False):
 	"""Certified Hirsch length of the group a generator list spans.
 
@@ -369,7 +405,11 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	generators contribute one each once their Johnson images are
 	independent modulo the inner automorphisms.
 
-	A pair (a, b) is tested on vertex images alone: each vertex is
+	A pair (a, b) is first tested for commuting in the automorphism
+	group (_commuting_pairs): supports that miss each other, or equal
+	images a(b(v)) and b(a(v)) at every moved vertex. A pair that
+	commutes there has the identity as its commutator and needs no more.
+	Any other pair is tested on vertex images alone: each vertex is
 	threaded through the letter tables of b^-1, a^-1, b and a, three
 	apply_map calls, and is_inner reads the words that come out; no
 	composite automorphism is built. A non-inner commutator c is matched
@@ -378,9 +418,12 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
+	commuting = _commuting_pairs(ctx, phis)
 	noninner = {}
 	for i in range(len(gens)):
 		for j in range(i + 1, len(gens)):
+			if (i, j) in commuting:
+				continue
 			c = _commutator(ctx, phis[i], phis[j])
 			res = is_inner(ctx, c)
 			if res.status == "yes":
@@ -401,7 +444,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	]
 	lie_dim = len(_lie_closure(logs))
 
-	inv_mats = [_h1_action(ctx, phi.back) for phi in phis]
+	inv_mats = [_h1_action(ctx, phi.back) for phi in phis] if noninner else []
 	derived = set()
 	for (i, j), c in noninner.items():
 		cmat = _h1_action(ctx, c)

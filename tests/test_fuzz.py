@@ -6,7 +6,11 @@ one command on them; every command gets the same number of examples.
 About one example in four slips on purpose: its pair or its script steps
 carry a misspelled key, or its restrict steps leave out the target, so
 the loader's checks are reached while most examples get past the loader
-to the tree builder. Whatever the input,
+to the tree builder. Half of the examples of a command that reads a
+generator list (vcd) instead bound the graph's absolute group in auto
+mode with a list of its own generators, which lie in that group, so they
+get past the loader and the tree to the lower-bound certificate.
+Whatever the input,
 the command must exit 0, 1 (domain or usage error) or 2 (capability limit)
 and must not raise: 3, an internal error, fails the test too. The run is
 derandomized and small, so the same examples run every time.
@@ -22,7 +26,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from raagout.autos import enumerate_generators
 from raagout.cli import main
+from raagout.graphs import DefiningGraph
+from raagout.peripheral import PeripheralPair
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -122,6 +129,17 @@ def invocations(draw, command):
 	}
 	formats = ["text", "json"] + (["dot"] if command in ("decompose", "cone-graph") else [])
 	argv = [command, "--format", draw(st.sampled_from(formats))]
+	if "--gens" in FLAGS[command] and draw(st.booleans()):
+		# transvections and partial conjugations first: an inversion is not
+		# unipotent, which ends a certificate at once
+		absolute = PeripheralPair(DefiningGraph(vertices, edges), [], []).normalize()
+		own = sorted((str(gen) for gen in enumerate_generators(absolute)), reverse=True)
+		files = {
+			"graph.json": graph,
+			"gens.json": draw(st.lists(st.sampled_from(own), min_size=1, max_size=4)),
+		}
+		argv += ["--graph", "graph.json", "--gens", "gens.json"]
+		return argv + ["--nilpotent"] * draw(st.booleans()), files
 	files = {}
 	for flag in ("--graph", "--periph") + FLAGS[command]:
 		if flag != "--graph" and draw(st.integers(0, 3)) == 3:

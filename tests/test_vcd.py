@@ -34,11 +34,13 @@ from raagout.families import (
 	four_path_script,
 )
 from raagout.graphs import DefiningGraph
+from raagout import vcd
 from raagout.peripheral import PeripheralPair
 from raagout.vcd import (
 	VcdBound,
 	_Echelon,
 	_commutator,
+	_commuting_pairs,
 	_certify_johnson_independent,
 	_johnson,
 	_lie_closure,
@@ -177,6 +179,117 @@ def test_vertex_image_commutator_matches_composition():
 				check(images_through(ctx, z.back, c), composed.compose(z.invert()))
 				check(images_through(ctx, z.images, c), composed.compose(z))
 	assert statuses == {"yes", "no"}
+
+
+# ---- commuting in Aut before the commutator ----
+
+
+def support(phi):
+	"""(moved, span) of phi, read through foata: the vertices phi moves,
+	and those with every vertex their images use."""
+	g = phi.ctx.graph
+	moved = span = 0
+	for v in range(g.n):
+		if foata(phi.images[2 * v], g) != ((2 * v,),):
+			moved |= 1 << v
+			span |= 1 << v
+			for lt in phi.images[2 * v]:
+				span |= 1 << (lt >> 1)
+	return moved, span
+
+
+def test_commuting_pairs_are_the_identity_commutators():
+	# every pair of generators, both signs, against the commutator's
+	# vertex images compared with the vertices themselves
+	rng = random.Random(37)
+	graphs = [graph_from_edges(4, edges) for edges in connected_graphs_upto_iso(4)]
+	graphs += [random_graph(rng, 5) for _ in range(6)] + [diamond_chain(2), four_path(2, 1, 2, 1)]
+	branches = set()
+	for g in graphs:
+		ctx = WordContext(g)
+		pairs = [PeripheralPair(g, [], [])]
+		pairs += [PeripheralPair(g, *random_peripheral(g, rng)) for _ in range(2)]
+		for pp in pairs:
+			gens = enumerate_generators(pp.normalize())
+			phis = [realize(ctx, gen, rng.choice((1, -1))) for gen in gens]
+			commuting = _commuting_pairs(ctx, phis)
+			supports = [support(phi) for phi in phis]
+			for j in range(len(phis)):
+				for i in range(j):
+					c = _commutator(ctx, phis[i], phis[j])
+					identity = all(foata(c[2 * v], g) == ((2 * v,),) for v in range(g.n))
+					assert ((i, j) in commuting) == identity, (str(gens[i]), str(gens[j]))
+					(mi, si), (mj, sj) = supports[i], supports[j]
+					if not identity:
+						branches.add("declined")
+					elif mi & sj or mj & si:
+						branches.add("equal on moved vertices")
+					else:
+						branches.add("disjoint supports")
+	assert branches == {"disjoint supports", "equal on moved vertices", "declined"}
+
+
+def test_inner_commutator_of_pair_not_commuting_in_aut():
+	# trv c^e and pc c:[b] commute only up to an inner automorphism, so
+	# the pre-test declines them and is_inner must decide
+	g = DefiningGraph(list("abcde"), [["a", "e"], ["b", "d"], ["c", "d"], ["c", "e"], ["d", "e"]])
+	ctx = WordContext(g)
+	gens = [
+		LaurenceGenerator.transvection(g, "c", "e"),
+		LaurenceGenerator.partial_conj(g, "c", g.mask(["b"])),
+	]
+	phis = [realize(ctx, gen) for gen in gens]
+	assert _commuting_pairs(ctx, phis) == set()
+	assert is_inner(ctx, _commutator(ctx, *phis)).status == "yes"
+
+
+def certify_outcome(g, gens, nilpotent):
+	"""The certified rank, or the text of the certificate's refusal."""
+	try:
+		return certify_lower_bound(g, gens, nilpotent)
+	except CertificationError as exc:
+		return str(exc)
+
+
+def certify_cases():
+	rng = random.Random(41)
+	cases = []
+	while len(cases) < 60:
+		g = random_graph(rng, rng.randrange(2, 7))
+		pp = PeripheralPair(g, [], [])
+		if rng.random() < 0.5:
+			pp = PeripheralPair(g, *random_peripheral(g, rng))
+		gens = enumerate_generators(pp.normalize())
+		if gens:
+			cases.append((g, rng.sample(gens, min(len(gens), rng.randrange(1, 6)))))
+	for d in (2, 3, 4):
+		g = diamond_chain(d)
+		cases.append((g, diamond_generators(g, d)))
+	for tup in ((2, 1, 2, 1), (2, 2, 2, 2), (1, 3, 2, 2)):
+		g = four_path(*tup)
+		cases.append((g, four_path_generators(g, *tup)))
+	return cases
+
+
+@pytest.mark.parametrize("nilpotent", [False, True])
+def test_commuting_pre_test_changes_no_outcome(monkeypatch, nilpotent):
+	cases = certify_cases()
+	accepted = []
+
+	def counted(ctx, phis):
+		out = _commuting_pairs(ctx, phis)
+		accepted.append(len(out))
+		return out
+
+	monkeypatch.setattr(vcd, "_commuting_pairs", counted)
+	with_test = [certify_outcome(g, gens, nilpotent) for g, gens in cases]
+	assert sum(accepted) > 0
+	monkeypatch.setattr(vcd, "_commuting_pairs", lambda ctx, phis: set())
+	without = [certify_outcome(g, gens, nilpotent) for g, gens in cases]
+	assert with_test == without
+	assert {type(x) for x in with_test} == {int, str}
+	if nilpotent:
+		assert "reached as a commutator but does not commute" in with_test[-1]
 
 
 # ---- abelian certificates ----
