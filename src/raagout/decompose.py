@@ -421,6 +421,12 @@ def projection_step(d):
 	proper, and the group acts trivially on the center's subgroup; the
 	kernel is free abelian, spanned by the transvections from outside
 	letters onto central ones that the relative order admits.
+
+	Lemma: a partial conjugation is trivial on the center z. Every central
+	vertex is adjacent to every other one, so z lies in st(x) for every
+	acting letter x, while the region avoids st(x) and so misses z. The
+	group therefore acts trivially on z exactly when no inversion or
+	transvection moves a vertex of z, that is, when z misses _moved.
 	"""
 	graph = d.graph
 	if not graph.is_connected():
@@ -428,12 +434,11 @@ def projection_step(d):
 	z = graph.subgraph_center(graph.full)
 	if not z or z == graph.full:
 		raise DomainError("projection needs a nonempty proper center")
-	for gen in d.gens():
-		if not gen.acts_trivially_on(z):
-			raise DomainError(
-				"restriction to the center is nontrivial; restrict to %s first"
-				% "".join(graph.names(z))
-			)
+	if _moved(d.pair) & z:
+		raise DomainError(
+			"restriction to the center is nontrivial; restrict to %s first"
+			% "".join(graph.names(z))
+		)
 	rows = d.pair.index.rows
 	rank = sum(1 for vc in bits(z) for w in bits(graph.full & ~z) if rows[w] >> vc & 1)
 	image_pair = induced(d.pair, graph.full & ~z)
@@ -458,7 +463,6 @@ def classify_irreducible(d):
 	"""
 	graph = d.graph
 	pair = d.pair
-	gens = d.gens()
 	pending = _pivot(d)
 	if pending is not None:
 		raise DomainError(
@@ -477,6 +481,7 @@ def classify_irreducible(d):
 	if graph.is_connected():
 		if graph.subgraph_center(graph.full):
 			raise DomainError("nontrivial center: use a projection step")
+		gens = d.gens()
 		trv = sum(1 for gen in gens if gen.kind == "trv")
 		return FreeAbelian(trv, len(gens))
 	comps = orders.g_components(graph, members, graph.full)
@@ -591,28 +596,48 @@ def _auto_step(d):
 	return {"op": "leaf"}
 
 
+def _moved(pair):
+	"""The vertices some inversion or transvection of the pair moves.
+
+	Lemma: these are the moved vertices of the inversions and
+	transvections enumerate_generators lists, read off the index without
+	listing them. The inversion of v is listed exactly when no member of
+	H holds v, and a transvection moving v exactly when row v of the
+	relative order holds a vertex besides v.
+	"""
+	held = 0
+	for m in pair.h_members:
+		held |= m
+	moved = pair.graph.full & ~held
+	for v, row in enumerate(pair.index.rows):
+		if row & ~(1 << v):
+			moved |= 1 << v
+	return moved
+
+
 def _pivot(d):
 	"""The least invariant set, by size then mask, some generator restricts nontrivially to.
 
 	An inversion or transvection acts nontrivially exactly on the sets
-	holding its moved vertex, so those generators collapse into one mask.
-	The listed partial conjugations with acting letter x are one per
-	G^x-component but one; some of them acts nontrivially on m exactly
-	when m meets two G^x-components, which one lookup in the owner table
-	of those components tells. The generator list holds no symmetries.
+	holding its moved vertex, so those generators collapse into one mask:
+	the vertices in no member of H, moved by their inversions, and those
+	whose order row holds another vertex, moved by transvections. _moved
+	reads it off the index without listing the generators. The listed
+	partial conjugations with acting letter x are one per G^x-component
+	but one; some of them acts nontrivially on m exactly when m meets two
+	G^x-components, which one lookup in the owner table of those
+	components tells. The generator list holds no symmetries.
 	Only the sets of PairIndex.spanning are tried, which hold the least
 	qualifying one; on a saturated pair that is the least such member,
 	and on any other pair the least such member of its saturation.
 	"""
 	index = d.pair.index
-	moved = 0
-	for gen in d.gens():
-		if gen.kind != "pc":
-			moved |= 1 << gen.data[0]
+	moved = _moved(d.pair)
+	splits = index.splits
 	for m in index.spanning(d.graph.full):
 		if m & moved:
 			return m
-		for _, away, owner in index.splits:
+		for _, away, owner in splits:
 			part = m & away
 			if part & ~owner[(part & -part).bit_length() - 1]:
 				return m

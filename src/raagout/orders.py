@@ -189,23 +189,38 @@ class PairIndex:
 		what this adds, round by round: the rows of the set's vertices, and
 		each outside x whose G^x-components the set meets twice. A round
 		that adds nothing ends on an invariant set, after at most n rounds.
+
+		Each row is read once. Lemma: rows are closed under the order, as v
+		in row u puts row v inside row u, so the union of the rows of a
+		set's vertices is an up-set, and so is the union of an up-set with
+		the rows of some more vertices. The first round reads the rows of
+		mask's vertices; each later round reads only the rows of the
+		vertices the last split test added, since the row of every other
+		vertex of the set is already inside. The split test skips every x
+		the set holds, as it can only add outside ones. Each round thus
+		ends on the set that reading every row of the set would give, so
+		the fixed point is the same.
 		"""
 		out = self._closed.get(mask)
 		if out is not None:
 			return out
 		rows = self.rows
 		splits = self.splits
-		out = mask
-		while True:
+		out = 0
+		todo = mask
+		while todo:
+			while todo:
+				low = todo & -todo
+				out |= rows[low.bit_length() - 1]
+				todo &= todo - 1
 			grown = out
-			for u in bits(out):
-				grown |= rows[u]
 			for x, away, owner in splits:
+				if grown >> x & 1:
+					continue
 				part = grown & away
 				if part & ~owner[(part & -part).bit_length() - 1]:
 					grown |= 1 << x
-			if grown == out:
-				break
+			todo = grown & ~out
 			out = grown
 		self._closed[mask] = out
 		return out

@@ -252,10 +252,15 @@ def _lie_closure(logs):
 	one, which closes the span. The algebra is then certified nilpotent
 	by driving its lower central series to zero; a list whose homology
 	image generates something free-ish fails here rather than producing
-	a bogus dimension.
+	a bogus dimension. The closing brackets are those of every unordered
+	pair of the final basis, and they span [L, L] by bilinearity and
+	antisymmetry, so they are the series' first layer; each later layer
+	is the bracket of the one before with the basis.
 	"""
 	ech = _Echelon()
+	derived = _Echelon()
 	basis = []
+	layer = []
 	for m in logs:
 		if ech.add(m):
 			basis.append(m)
@@ -265,9 +270,16 @@ def _lie_closure(logs):
 			c = _bracket(basis[i], b)
 			if ech.add(c):
 				basis.append(c)
+			if derived.add(c):
+				layer.append(c)
 		i += 1
-	layer = basis
+	size = len(basis)
 	while layer:
+		if len(layer) >= size:
+			raise CertificationError(
+				"the homology image does not generate a nilpotent Lie algebra"
+			)
+		size = len(layer)
 		nxt_ech = _Echelon()
 		nxt = []
 		for a in layer:
@@ -275,10 +287,6 @@ def _lie_closure(logs):
 				c = _bracket(a, b)
 				if nxt_ech.add(c):
 					nxt.append(c)
-		if len(nxt) >= len(layer):
-			raise CertificationError(
-				"the homology image does not generate a nilpotent Lie algebra"
-			)
 		layer = nxt
 	return basis
 

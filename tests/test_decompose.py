@@ -7,7 +7,8 @@ from raagout.errors import DomainError, ScriptError
 from raagout.families import four_path
 from raagout.graphs import DefiningGraph
 from raagout.peripheral import PeripheralPair, saturate
-from raagout.autos import acts_trivially_word, is_inner, realize
+from raagout.autos import acts_trivially_word, enumerate_generators, is_inner, realize
+from raagout import decompose as decompose_module
 from raagout.decompose import (
 	Complexity,
 	DecompositionNode,
@@ -243,6 +244,55 @@ def test_projection_needs_trivial_center_action():
 	d = GroupDescriptor.absolute(path3())
 	with pytest.raises(DomainError):
 		projection_step(d)
+
+
+def test_projection_refuses_exactly_when_a_generator_moves_the_center():
+	# projection_step reads the moved vertices off the index; the rule it
+	# stands for is that some listed generator acts nontrivially on z
+	rng = random.Random(29)
+	outcomes = []
+	while len(outcomes) < 150:
+		n = rng.randrange(3, 7)
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		density = rng.random()
+		cone = rng.randrange(n)
+		g = graph_from_edges(
+			n, [e for e in pairs if cone in e or rng.random() < density]
+		)
+		z = g.subgraph_center(g.full)
+		if not z or z == g.full:
+			continue
+		pair = PeripheralPair(g, *random_peripheral(g, rng)).normalize()
+		refused = any(not gen.acts_trivially_on(z) for gen in enumerate_generators(pair))
+		try:
+			projection_step(GroupDescriptor(g, pair))
+		except DomainError as exc:
+			assert refused and "restriction to the center is nontrivial" in str(exc)
+			outcomes.append(True)
+		else:
+			assert not refused
+			outcomes.append(False)
+	assert 10 < sum(outcomes) < 140
+
+
+def test_auto_tree_lists_generators_only_at_connected_free_abelian_leaves(monkeypatch):
+	calls = []
+
+	def counted(pair):
+		calls.append(pair)
+		return enumerate_generators(pair)
+
+	monkeypatch.setattr(decompose_module, "enumerate_generators", counted)
+	tree = decompose(GroupDescriptor.absolute(diamond_chain(3)))
+	leaves = [
+		node
+		for _, node, _ in tree.walk()
+		if isinstance(node.step, Leaf)
+		and isinstance(node.step.shape, FreeAbelian)
+		and node.descriptor.graph.is_connected()
+	]
+	assert len(calls) <= len(leaves)
+	assert len(tree.leaves()) > 10
 
 
 # ---- classification ----

@@ -9,8 +9,11 @@ the loader's checks are reached while most examples get past the loader
 to the tree builder. Half of the examples of a command that reads a
 generator list (vcd) instead bound the graph's absolute group in auto
 mode with a list of its own generators, which lie in that group, so they
-get past the loader and the tree to the lower-bound certificate.
-Whatever the input,
+get past the loader and the tree to the lower-bound certificate. The
+other half, and the decompose examples, draw their restrict targets from
+the pair's invariant subgraphs and their generator lists from the pair's
+own generators whenever the pair is well formed, so scripted and relative
+examples reach the certificate too. Whatever the input,
 the command must exit 0, 1 (domain or usage error) or 2 (capability limit)
 and must not raise: 3, an internal error, fails the test too. The run is
 derandomized and small, so the same examples run every time.
@@ -28,8 +31,10 @@ from hypothesis import strategies as st
 
 from raagout.autos import enumerate_generators
 from raagout.cli import main
+from raagout.errors import DomainError
 from raagout.graphs import DefiningGraph
-from raagout.peripheral import PeripheralPair
+from raagout.load import build_graph, build_pair
+from raagout.peripheral import PeripheralPair, saturate
 
 NAMES = ["a", "b", "c", "d", "e"]
 
@@ -75,6 +80,37 @@ def shaped(strategy):
 	return st.integers(0, 7).flatmap(lambda i: any_json if i == 7 else strategy)
 
 
+def pair_of(graph, periph):
+	"""The normalized pair periph gives on graph, None when it gives none."""
+	try:
+		return build_pair({} if periph is None else periph, build_graph(graph)).normalize()
+	except DomainError:
+		return None
+
+
+def invariant_names(pair):
+	"""Names of the invariant subgraphs of pair, none without a pair.
+
+	Each is a restrict target invariant at the root and in every kernel
+	below it, since a kernel is a subgroup.
+	"""
+	if pair is None:
+		return []
+	return [pair.graph.names(m) for m in saturate(pair).g_members]
+
+
+def own_generators(pair):
+	"""Lists of the pair's own generators, which lie in its group; None without any.
+
+	Transvections and partial conjugations come first: an inversion is
+	not unipotent, which ends a certificate at once.
+	"""
+	own = [] if pair is None else enumerate_generators(pair)
+	if not own:
+		return None
+	return st.lists(st.sampled_from(sorted(map(str, own), reverse=True)), min_size=1, max_size=4)
+
+
 @st.composite
 def invocations(draw, command):
 	"""(argv, {file name: JSON object}) for command on a random graph."""
@@ -88,21 +124,35 @@ def invocations(draw, command):
 	name_lists = st.lists(vertex, min_size=1, max_size=4, unique=True)
 	slip = draw(st.sampled_from(SLIPS))
 	typo = {"moed": st.just("saturated")} if slip == "moed" else {}
-	target = {} if slip == "target" else {"target": name_lists}
 	mode = {"mode": st.sampled_from(["fast", "saturated", "x"])}
-	steps = st.recursive(
-		st.one_of(
-			st.fixed_dictionaries({"op": st.just("restrict"), **target, **typo}, optional=mode),
-			st.fixed_dictionaries(
-				{"op": st.sampled_from(["project", "leaf", "spin"]), **typo},
-				optional={"target": name_lists, **mode},
+
+	def script(targets):
+		"""Scripts whose restrict steps draw their targets from targets.
+
+		With no targets, a restrict step could only fail, and the steps
+		are the other ones.
+		"""
+		target = {} if slip == "target" else {"target": st.sampled_from(targets)}
+		# leaf first, so the simplest draw is a step that can end a branch
+		other = st.fixed_dictionaries(
+			{"op": st.sampled_from(["leaf", "project", "spin"]), **typo},
+			optional={"target": name_lists, **mode},
+		)
+		if not targets:
+			return shaped(st.lists(other, min_size=1, max_size=3))
+		steps = st.recursive(
+			st.one_of(
+				st.fixed_dictionaries({"op": st.just("restrict"), **target, **typo}, optional=mode),
+				other,
 			),
-		),
-		lambda inner: st.fixed_dictionaries(
-			{"op": st.just("restrict"), **target, "image": st.lists(inner, max_size=2), **typo}
-		),
-		max_leaves=4,
-	)
+			lambda inner: st.fixed_dictionaries(
+				{"op": st.just("restrict"), **target, "image": st.lists(inner, max_size=2), **typo}
+			),
+			max_leaves=4,
+		)
+		# an empty script is auto mode, which leaving out --script covers
+		return shaped(st.lists(steps, min_size=1, max_size=3))
+
 	generator_texts = st.one_of(
 		st.builds("inv {}".format, vertex),
 		st.builds("trv {}^{}".format, vertex, vertex),
@@ -116,8 +166,6 @@ def invocations(draw, command):
 			{"g": st.lists(name_lists, max_size=1)} if slip == "g" else {},
 			optional={"G": st.lists(name_lists, max_size=3), "H": st.lists(name_lists, max_size=2)},
 		)),
-		# an empty script is auto mode, which leaving out --script covers
-		"--script": shaped(st.lists(steps, min_size=1, max_size=3)),
 		"--gens": shaped(st.lists(generator_texts, max_size=4)),
 	}
 	text_flags = {
@@ -130,21 +178,25 @@ def invocations(draw, command):
 	formats = ["text", "json"] + (["dot"] if command in ("decompose", "cone-graph") else [])
 	argv = [command, "--format", draw(st.sampled_from(formats))]
 	if "--gens" in FLAGS[command] and draw(st.booleans()):
-		# transvections and partial conjugations first: an inversion is not
-		# unipotent, which ends a certificate at once
 		absolute = PeripheralPair(DefiningGraph(vertices, edges), [], []).normalize()
-		own = sorted((str(gen) for gen in enumerate_generators(absolute)), reverse=True)
-		files = {
-			"graph.json": graph,
-			"gens.json": draw(st.lists(st.sampled_from(own), min_size=1, max_size=4)),
-		}
+		files = {"graph.json": graph, "gens.json": draw(own_generators(absolute))}
 		argv += ["--graph", "graph.json", "--gens", "gens.json"]
 		return argv + ["--nilpotent"] * draw(st.booleans()), files
 	files = {}
 	for flag in ("--graph", "--periph") + FLAGS[command]:
 		if flag != "--graph" and draw(st.integers(0, 3)) == 3:
 			continue
-		if flag in file_flags:
+		if flag in ("--script", "--gens"):
+			# restrict targets and generators the pair has, where it has any
+			pair = pair_of(graph, files.get("periph.json"))
+		if flag == "--script":
+			files["script.json"] = draw(script(invariant_names(pair)))
+			argv += [flag, "script.json"]
+		elif flag == "--gens" and own_generators(pair) is not None:
+			texts = st.lists(generator_texts, max_size=4)
+			files["gens.json"] = draw(shaped(st.one_of(own_generators(pair), texts)))
+			argv += [flag, "gens.json"]
+		elif flag in file_flags:
 			name = flag[2:] + ".json"
 			files[name] = draw(file_flags[flag])
 			argv += [flag, name]

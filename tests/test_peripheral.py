@@ -19,6 +19,7 @@ from raagout.peripheral import (
 )
 
 from helpers import (
+	auto_tree_nodes,
 	brute_invariant,
 	checked_saturate,
 	connected_graphs_upto_iso,
@@ -256,6 +257,47 @@ def test_saturate_matches_every_proper_mask_checked():
 				if s & m == m:
 					least &= s
 			assert pp.index.closure(m) == least
+
+
+def index_invariant(index, m):
+	"""The invariance rule read off rows and gv, with no closure.
+
+	m is an up-set of the order, and for every x outside, its part away
+	from st(x) meets at most one G^x-component.
+	"""
+	if any(index.rows[u] & ~m for u in bits(m)):
+		return False
+	return all(
+		sum(1 for c in index.gv[x] if c & m) <= 1 for x in bits(index.graph.full & ~m)
+	)
+
+
+def test_closures_on_tree_indexes_are_least_invariant_supersets():
+	# the kernel indexes of an auto tree are refined, the image indexes
+	# built from closures; on each, a closure is the intersection of the
+	# invariant sets holding the mask, and on small graphs those sets are
+	# the brute-force ones of the listed members
+	rng = random.Random(7)
+	checked = 0
+	for node in auto_tree_nodes():
+		d = node.descriptor
+		graph, index = d.graph, d.pair.index
+		if graph.n > 10:
+			continue
+		full = graph.full
+		invariant = [s for s in range(1, full) if index_invariant(index, s)]
+		if graph.n <= 6:
+			assert invariant == [s for s in range(1, full) if brute_invariant(d.pair, s)]
+		masks = [(1 << u) | (1 << v) for u in range(graph.n) for v in range(u, graph.n)]
+		masks += [rng.randrange(1, full + 1) for _ in range(10)]
+		for m in masks:
+			least = full
+			for s in invariant:
+				if s & m == m:
+					least &= s
+			assert index.closure(m) == least
+		checked += 1
+	assert checked > 900
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -601,6 +601,77 @@ def test_lie_closure_half_entry():
 	assert len(_lie_closure([log, e12])) == 3
 
 
+def lie_closure_by_layers(logs):
+	"""(basis, nilpotent) with the lower central series taken from L itself.
+
+	Closes the span as _lie_closure does, then brackets every element of
+	each layer with every basis element, starting from the layer L; the
+	series must shrink at each layer until it reaches zero. Brackets go
+	through vcd._bracket, so a test can count them.
+	"""
+	ech = _Echelon()
+	basis = [m for m in logs if ech.add(m)]
+	i = 0
+	while i < len(basis):
+		for b in basis[:i]:
+			c = vcd._bracket(basis[i], b)
+			if ech.add(c):
+				basis.append(c)
+		i += 1
+	layer = basis
+	while layer:
+		nxt_ech = _Echelon()
+		nxt = [c for a in layer for b in basis for c in [vcd._bracket(a, b)] if nxt_ech.add(c)]
+		if len(nxt) >= len(layer):
+			return basis, False
+		layer = nxt
+	return basis, True
+
+
+def test_lie_closure_series_starts_from_the_closing_brackets(monkeypatch):
+	# the closing brackets span [L, L]; reusing them as the first layer
+	# saves the k^2 brackets of the first layer and changes no basis and
+	# no outcome, on the cases above, a non-nilpotent pair and every list
+	# that certification hands to the closure, the four-path ones included
+	e = lambda i, j: {(i, j): 1}
+	jordan = _log_unipotent(((1, 1, 0), (0, 1, 1), (0, 0, 1)), "J")
+	cases = [
+		[],
+		[e(0, 1), e(1, 2)],
+		[e(0, 1), e(1, 2), e(2, 3)],
+		[jordan, e(0, 2)],
+		[jordan, e(0, 1)],
+		[e(0, 1), e(1, 0)],
+	]
+	monkeypatch.setattr(vcd, "_lie_closure", lambda logs: cases.append(logs) or _lie_closure(logs))
+	for g, gens in certify_cases():
+		certify_outcome(g, gens, True)
+	monkeypatch.undo()
+	assert len(cases) > 20
+	calls = [0]
+	bracket = vcd._bracket
+
+	def counted(a, b):
+		calls[0] += 1
+		return bracket(a, b)
+
+	monkeypatch.setattr(vcd, "_bracket", counted)
+	verdicts = set()
+	for logs in cases:
+		calls[0] = 0
+		basis, nilpotent = lie_closure_by_layers(logs)
+		by_layers = calls[0]
+		calls[0] = 0
+		if nilpotent:
+			assert _lie_closure(logs) == basis
+		else:
+			with pytest.raises(CertificationError, match="nilpotent"):
+				_lie_closure(logs)
+		assert calls[0] == by_layers - len(basis) ** 2
+		verdicts.add(nilpotent)
+	assert verdicts == {False, True}
+
+
 # ---- reports ----
 
 
