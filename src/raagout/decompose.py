@@ -32,7 +32,7 @@ Complexity = namedtuple("Complexity", ["n", "m"])
 class GroupDescriptor:
 	"""A relative outer automorphism group: a graph plus a peripheral pair."""
 
-	__slots__ = ("graph", "pair", "_ctx", "_gens")
+	__slots__ = ("graph", "pair", "_ctx", "_gens", "_pivot")
 
 	def __init__(self, graph, pair):
 		if pair.graph is not graph and pair.graph.vertices != graph.vertices:
@@ -43,6 +43,7 @@ class GroupDescriptor:
 		self.pair = pair
 		self._ctx = None
 		self._gens = None
+		self._pivot = None
 
 	@classmethod
 	def absolute(cls, graph):
@@ -58,6 +59,16 @@ class GroupDescriptor:
 		if self._gens is None:
 			self._gens = enumerate_generators(self.pair)
 		return self._gens
+
+	def pivot(self):
+		"""The least invariant set some generator restricts nontrivially to, None if none (_pivot).
+
+		Worked out once, as auto mode reads it for the step and again for a
+		leaf's precondition; 0 stands for none in the cache.
+		"""
+		if self._pivot is None:
+			self._pivot = _pivot(self) or 0
+		return self._pivot or None
 
 	def complexity(self):
 		return Complexity(self.graph.n, (1 << self.graph.n) - len(self.pair.h_members))
@@ -463,7 +474,7 @@ def classify_irreducible(d):
 	"""
 	graph = d.graph
 	pair = d.pair
-	pending = _pivot(d)
+	pending = d.pivot()
 	if pending is not None:
 		raise DomainError(
 			"restriction to %s is still nontrivial; restrict first"
@@ -587,7 +598,7 @@ def decompose(d, mode="auto", script=None):
 
 def _auto_step(d):
 	"""The step auto mode takes on a saturated descriptor, in script form."""
-	pivot = _pivot(d)
+	pivot = d.pivot()
 	if pivot is not None:
 		return {"op": "restrict", "target": d.graph.names(pivot), "mode": "saturated"}
 	graph = d.graph
@@ -629,7 +640,9 @@ def _pivot(d):
 	components tells. The generator list holds no symmetries.
 	Only the sets of PairIndex.spanning are tried, which hold the least
 	qualifying one; on a saturated pair that is the least such member,
-	and on any other pair the least such member of its saturation.
+	and on any other pair the least such member of its saturation. Those
+	sets are invariant, so no x outside one sees it meet two
+	G^x-components, and only the x inside it are looked up.
 	"""
 	index = d.pair.index
 	moved = _moved(d.pair)
@@ -637,8 +650,9 @@ def _pivot(d):
 	for m in index.spanning(d.graph.full):
 		if m & moved:
 			return m
-		for _, away, owner in splits:
-			part = m & away
-			if part & ~owner[(part & -part).bit_length() - 1]:
-				return m
+		for x, away, owner in splits:
+			if m >> x & 1:
+				part = m & away
+				if part & ~owner[(part & -part).bit_length() - 1]:
+					return m
 	return None

@@ -14,12 +14,16 @@ leq_rel reads the order straight off the member list, one pair at a time;
 PairIndex tabulates the order and the G^v-components, and that table is what
 generator enumeration, invariance tests and saturation read. Joining members
 to G only cuts order rows and merges components, so an index is the
-member-free one (domination and plain components) refined by the members,
-and the index of a larger G is refined from the smaller one's by the added
-members alone, not rebuilt from the whole list.
+member-free one (domination and plain components) refined by the members.
+The index of a larger G is refined from the smaller one's by the added
+members alone, and it carries over what they leave unchanged: the rows they
+do not cut, the G^x-component lists and owner tables they merge nothing of,
+and the least invariant supersets already found that miss every changed
+row and split. Along a restriction chain each kernel adds one trivial-action
+target D, so only the closures that meet D are worked out again.
 """
 
-from .graphs import bits, mask_of
+from .graphs import bits
 
 
 def leq_rel(graph, members, u, v):
@@ -127,53 +131,85 @@ class PairIndex:
 	rows[u] is the mask of every v with u <=_G v and down[v] the mask of
 	every u with u <=_G v; both are closed under the order, since it is
 	transitive. gv[v] lists the G^v-components of the complement of st(v),
-	as gv_components does.
+	as gv_components does. splits holds (x, away, owner) for every x with
+	two or more G^x-components: away is the complement of st(x) and owner
+	the owner_table of the G^x-components, so a set S meets two of them
+	exactly when S & away & ~owner[least vertex of S & away] is nonzero.
 
 	PairIndex(graph, members) is the member-free index (domination rows,
 	plain components) refined by members. An index is never changed once
 	built: refined(extra) returns the index of the member list joined with
-	extra, which cuts each row u by the extra members through u and merges
-	the components their pieces meet, so only the extra members are read.
-	The owner tables behind splits, the closures and the spanning sets
-	are worked out on first use and kept.
+	extra. It reads only the extra members, and it carries over from this
+	index every row they do not cut, every G^x-component tuple and owner
+	table they merge nothing of (the same objects), and every kept closure
+	that misses the vertices whose row or components changed. The spanning
+	sets are worked out again, from the carried closures, on first use.
 	"""
 
-	__slots__ = ("graph", "rows", "down", "gv", "_splits", "_closed", "_spanning")
+	__slots__ = ("graph", "rows", "down", "gv", "splits", "_closed", "_spanning")
 
 	def __init__(self, graph, members=()):
 		n = graph.n
 		self.graph = graph
-		self.rows = tuple(
-			mask_of(v for v in range(n) if graph.dominates(u, v)) for u in range(n)
-		)
+		# u <= v when lk(u) lies in st(v), that is, when v is in the star
+		# of every neighbour of u
+		rows = []
+		down = [0] * n
+		for u in range(n):
+			row = graph.full
+			for w in bits(graph.adj[u]):
+				row &= graph.star_masks[w]
+			rows.append(row)
+			for v in bits(row):
+				down[v] |= 1 << u
+		self.rows, self.down = tuple(rows), tuple(down)
 		self.gv = tuple(
 			tuple(graph.components(graph.full & ~graph.star_masks[v])) for v in range(n)
 		)
-		self._join(members)
+		self.splits = tuple(
+			(x, graph.full & ~graph.star_masks[x], owner_table(graph, comps))
+			for x, comps in enumerate(self.gv)
+			if len(comps) > 1
+		)
+		self._closed = {}
+		self._spanning = {}
+		self._refine(members)
 
 	def refined(self, extra):
-		"""The index of this member list joined with extra."""
-		out = object.__new__(PairIndex)
-		out.graph, out.rows, out.gv = self.graph, self.rows, self.gv
-		out._join(extra)
-		return out
+		"""The index of this member list joined with extra.
 
-	@property
-	def splits(self):
-		"""(x, away, owner) for every x with two or more G^x-components.
+		Joining members only cuts rows and merges G^x-components. Row u is
+		cut by the extra members through u, down follows bit by bit, and
+		the G^x-components are glued only when some piece m & away of an
+		extra member m avoiding x meets two of them; every other x keeps its
+		tuple and owner table. changed marks each u whose row was cut and
+		each x whose components merged.
 
-		away is the complement of st(x) and owner the owner_table of the
-		G^x-components, so a set S meets two of them exactly when
-		S & away & ~owner[least vertex of S & away] is nonzero.
+		Lemma: a kept closure C with C & changed == 0 is also the closure
+		of its mask in the refined index. The rounds of closure read only
+		the rows of vertices of the growing set, which stays inside C, and
+		test the splits of the x outside it. Rows of vertices in C are
+		unchanged. An x in C has unchanged components, so its test gives
+		what it gave before. An x outside C tested negative on every subset
+		of C, as C & away meets at most one G^x-component, and merging
+		components keeps it so. Every round therefore adds what it added
+		before, and the fixed point is the same C. Such closures are
+		carried over, and the rest are recomputed on demand. On the kernel
+		edge of a restriction the extra members are the target D and its
+		one-vertex-deleted subsets, all inside D, so only rows of D are cut,
+		and a piece meets two G^x-components only for x in D, as D is
+		invariant: changed lies in D, and every closure that misses D
+		carries over. The spanning sets are not carried; they come back
+		from the carried closures. When nothing changed, the tables are
+		equal, and the new index shares this one's closure and spanning
+		caches.
 		"""
-		if self._splits is None:
-			graph = self.graph
-			self._splits = tuple(
-				(x, graph.full & ~graph.star_masks[x], owner_table(graph, comps))
-				for x, comps in enumerate(self.gv)
-				if len(comps) > 1
-			)
-		return self._splits
+		out = object.__new__(PairIndex)
+		out.graph, out.rows, out.down = self.graph, self.rows, self.down
+		out.gv, out.splits = self.gv, self.splits
+		out._closed, out._spanning = self._closed, self._spanning
+		out._refine(extra)
+		return out
 
 	def closure(self, mask):
 		"""The least invariant set holding mask, the whole graph if no proper one does.
@@ -271,24 +307,33 @@ class PairIndex:
 		out = self._spanning[mask] = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 		return out
 
-	def _join(self, members):
+	def _refine(self, extra):
+		"""Refine this index, still under construction, by extra (see refined)."""
 		graph = self.graph
-		self._splits = None
-		self._closed = {}
-		self._spanning = {}
-		members = list(members)
-		blocked = blocked_masks(graph, members)
-		self.rows = rows = tuple(r & ~b for r, b in zip(self.rows, blocked))
-		gv = []
-		for v, comps in enumerate(self.gv):
-			if len(comps) > 1:
-				away = graph.full & ~graph.star_masks[v]
-				pieces = [m & away for m in members if not m >> v & 1]
-				comps = tuple(_glue(graph, comps, pieces))
-			gv.append(comps)
-		self.gv = tuple(gv)
-		down = [0] * graph.n
-		for u, row in enumerate(rows):
-			for v in bits(row):
-				down[v] |= 1 << u
-		self.down = tuple(down)
+		extra = list(extra)
+		rows, down = list(self.rows), list(self.down)
+		changed = 0
+		for u, blocked in enumerate(blocked_masks(graph, extra)):
+			cut = rows[u] & blocked
+			if cut:
+				rows[u] ^= cut
+				bit = 1 << u
+				changed |= bit
+				for v in bits(cut):
+					down[v] &= ~bit
+		gv = list(self.gv)
+		splits = []
+		for x, away, owner in self.splits:
+			pieces = [m & away for m in extra if not m >> x & 1]
+			if any(p & ~owner[(p & -p).bit_length() - 1] for p in pieces):
+				comps = gv[x] = tuple(_glue(graph, gv[x], pieces))
+				changed |= 1 << x
+				if len(comps) > 1:
+					splits.append((x, away, owner_table(graph, comps)))
+			else:
+				splits.append((x, away, owner))
+		self.rows, self.down = tuple(rows), tuple(down)
+		self.gv, self.splits = tuple(gv), tuple(splits)
+		if changed:
+			self._closed = {m: c for m, c in self._closed.items() if not c & changed}
+			self._spanning = {}

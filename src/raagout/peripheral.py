@@ -17,7 +17,9 @@ Each pair carries the order index of its G (orders.PairIndex). A pair built
 from another one with the same graph derives its index rather than
 rebuilding it: saturation hands the index over unchanged, since the sets it
 adds change neither the order nor any G^v-component, and adding_g, adding_h
-and normalize refine it by the members they add.
+and normalize refine it by the members they add. A refined index keeps the
+rows, owner tables and closures those members leave unchanged; a kernel,
+which adds one invariant target, recomputes only the closures that meet it.
 
 The invariant sets are closed under intersection, so each set has a least
 invariant superset (PairIndex.closure), and the closures of single

@@ -6,6 +6,7 @@ import pytest
 from raagout.errors import DomainError, ScriptError
 from raagout.families import four_path
 from raagout.graphs import DefiningGraph
+from raagout.load import build_pair
 from raagout.peripheral import PeripheralPair, saturate
 from raagout.autos import acts_trivially_word, enumerate_generators, is_inner, realize
 from raagout import decompose as decompose_module
@@ -526,6 +527,40 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 	for d, sat in cases:
 		assert _pivot(d) == pivot_by_generators(sat)
 	assert sum(_pivot(d) is None for d, _ in cases) not in (0, len(cases))
+
+
+def test_auto_nodes_search_for_a_pivot_once(monkeypatch):
+	# an auto leaf's step and its precondition read the same cached pivot
+	calls = []
+	search = decompose_module._pivot
+	monkeypatch.setattr(decompose_module, "_pivot", lambda d: calls.append(d) or search(d))
+	root = decompose(GroupDescriptor.absolute(diamond_chain(3)))
+	nodes = [node for _, node, _ in root.walk()]
+	assert len(calls) == len(nodes) == len({id(d) for d in calls})
+	assert any(isinstance(node.step, Leaf) for node in nodes)
+
+
+def test_auto_upper_bound_ignores_vertex_order():
+	# the benchmark shuffles the vertex order of every instance: the auto
+	# tree's pivots follow the vertex masks, its upper bound must not
+	rng = random.Random(29)
+	cases = [(diamond_chain(d), {}) for d in range(2, 6)]
+	cases += [(four_path(1, 1, 1, 1), {}), (four_path(2, 1, 2, 1), {})]
+	for _ in range(60):
+		n = rng.randrange(2, 6)
+		density = rng.random()
+		edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+		g = graph_from_edges(n, edges)
+		cases.append((g, PeripheralPair(g, *random_peripheral(g, rng)).to_json_obj()))
+	for g, periph in cases:
+		expect = vcd_upper(decompose(GroupDescriptor(g, build_pair(periph, g))))
+		obj = g.to_json_obj()
+		for _ in range(5):
+			order = list(obj["vertices"])
+			rng.shuffle(order)
+			h = DefiningGraph(order, obj["edges"])
+			got = vcd_upper(decompose(GroupDescriptor(h, build_pair(periph, h))))
+			assert got == expect, (obj, periph, order)
 
 
 def test_leaf_shapes_match_the_listed_members():

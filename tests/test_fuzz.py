@@ -100,12 +100,13 @@ def invariant_names(pair):
 
 
 def own_generators(pair):
-	"""Lists of the pair's own generators, which lie in its group; None without any.
+	"""Lists of the pair's own transvections and partial conjugations; None without any.
 
-	Transvections and partial conjugations come first: an inversion is
-	not unipotent, which ends a certificate at once.
+	They lie in the pair's group. Inversions are left out: the homology
+	action of an inversion is not unipotent, which ends a certificate
+	before its Lie-closure and Johnson checks.
 	"""
-	own = [] if pair is None else enumerate_generators(pair)
+	own = [] if pair is None else [gen for gen in enumerate_generators(pair) if gen.kind != "inv"]
 	if not own:
 		return None
 	return st.lists(st.sampled_from(sorted(map(str, own), reverse=True)), min_size=1, max_size=4)

@@ -201,7 +201,7 @@ def test_pair_index_matches_leq_rel_and_gv_components():
 
 
 def _fields(index):
-	return index.rows, index.down, index.gv
+	return index.rows, index.down, index.gv, index.splits
 
 
 def test_refined_index_matches_fresh_build():
@@ -255,6 +255,50 @@ def test_refined_index_matches_fresh_build():
 		image = step.image.descriptor
 		fresh = orders.PairIndex(image.graph, induced(d.pair, target).g_members)
 		assert _fields(image.pair.index) == _fields(fresh)
+
+
+def test_refined_index_carries_closures_a_fresh_build_agrees_with():
+	# an index with a filled closure cache, refined by arbitrary extras
+	# (not invariant, as adding_g on the fast restriction path joins) and
+	# by the kernel edge's folds of an invariant set D: the refined tables
+	# and every closure equal a fresh build's, each carried closure is
+	# the source's, and on the kernel edge every closure missing D is
+	# carried
+	rng = random.Random(61)
+	carried = dropped = 0
+	for trial in range(1000):
+		n = rng.randrange(1, 9)
+		g = _random_graph(rng, n)
+		glist = _random_members(rng, n, rng.randrange(5))
+		hlist = [m for m in glist if rng.random() < 0.5]
+		pp = PeripheralPair(g, glist, hlist).normalize()
+		source = pp.index
+		for m in [1 << v for v in range(n)] + _random_members(rng, n, 8):
+			source.closure(m)
+		dmask = source.closure(rng.randrange(1, g.full + 1))
+		before = dict(source._closed)
+		kernel_edge = 0 < dmask < g.full
+		extras = [_random_members(rng, n, rng.randrange(1, 4))]
+		if kernel_edge:
+			# what adding_h([dmask]) joins: dmask and its one-vertex-deleted subsets
+			extras.append([dmask] + [dmask & ~(1 << v) for v in range(n) if dmask >> v & 1])
+		for extra in extras:
+			refined = source.refined(extra)
+			fresh = orders.PairIndex(g, pp.g_members + tuple(extra))
+			assert _fields(refined) == _fields(fresh)
+			kept = dict(refined._closed)
+			assert all(before[m] == c for m, c in kept.items())
+			for m, c in before.items():
+				assert refined.closure(m) == fresh.closure(m)
+				assert refined.closure(m) & ~c == 0
+			carried += len(kept)
+			dropped += len(before) - len(kept)
+		if kernel_edge:
+			kernel = pp.adding_h([dmask]).index
+			assert _fields(kernel) == _fields(refined)
+			assert {m for m, c in before.items() if not c & dmask} <= set(kernel._closed)
+		assert source._closed == before  # refining adds nothing to the source
+	assert carried > 0 and dropped > 0
 
 
 def test_spanning_sets_stand_for_every_invariant_set():
