@@ -472,7 +472,7 @@ def preserves_word(ctx, phi, dmask):
 # ---- relative membership and enumeration ----
 
 def gen_in_relative(gen, pp):
-	"""Membership of a generator in the relative group of a normalized pair.
+	"""Membership of a generator in the relative group of a pair.
 
 	An inversion must avoid every H-member; a transvection's moved vertex
 	must sit below its acting vertex in the relative order; a partial
@@ -480,7 +480,6 @@ def gen_in_relative(gen, pp):
 	the acting vertex. A symmetry must fix the class action, fix every
 	G-member setwise and every H-member pointwise.
 	"""
-	pp.require_normalized()
 	graph = gen.graph
 	if gen.kind == "inv":
 		(v,) = gen.data
@@ -510,7 +509,6 @@ def enumerate_generators(pp):
 	conjugating along all components at once is inner, so the largest
 	(ties to the earliest) is redundant. Symmetries are never emitted.
 	"""
-	pp.require_normalized()
 	graph = pp.graph
 	index = pp.index
 	out = []

@@ -49,8 +49,7 @@ def _graph(args):
 
 
 def _pair(graph, args):
-	pp = load(args.periph, "periphery", build_pair, graph) if args.periph else PeripheralPair(graph)
-	return pp.normalize()
+	return load(args.periph, "periphery", build_pair, graph) if args.periph else PeripheralPair(graph)
 
 
 def _target_mask(graph, args):

@@ -30,15 +30,13 @@ Complexity = namedtuple("Complexity", ["n", "m"])
 
 
 class GroupDescriptor:
-	"""A relative outer automorphism group: a graph plus a peripheral pair."""
+	"""A relative outer automorphism group: a graph plus a peripheral pair, taken as given."""
 
 	__slots__ = ("graph", "pair", "_ctx", "_gens", "_pivot")
 
 	def __init__(self, graph, pair):
 		if pair.graph is not graph and pair.graph.vertices != graph.vertices:
 			raise DomainError("pair belongs to a different graph")
-		if not pair.normalized:
-			pair = pair.normalize()
 		self.graph = graph
 		self.pair = pair
 		self._ctx = None
@@ -338,14 +336,16 @@ def restriction_step(d, dmask, mode="fast"):
 
 	Fast mode keeps the pair as given and completes the image with the
 	computed periphery; saturated mode saturates first, which makes the
-	induced members alone already sufficient. Either way the kernel keeps
-	the whole graph and gains dmask as a trivial-action member,
-	re-normalized so the new member's pieces join the preserved side; its
-	order index is the pair's refined by those pieces. Every member of G
-	is invariant, and on a saturated pair, whose G is every proper
-	invariant set, every invariant target is a member; neither the kernel
-	nor the image of a saturated pair lists G (see peripheral.saturation
-	and induced).
+	induced members alone already sufficient. Both give the same image
+	group. Fast mode reads all of G, so a pair whose G is unlisted (one
+	derived from a saturation) takes the saturated construction. Either
+	way the kernel keeps the whole graph and gains dmask as a
+	trivial-action member, folded into G so the new member's pieces join
+	the preserved side; its order index is the pair's refined by those
+	pieces. Every member of G is invariant, and on a saturated pair, whose
+	G is every proper invariant set, every invariant target is a member;
+	neither the kernel nor the image of a saturated pair lists G (see
+	peripheral.saturation and induced).
 	"""
 	graph = d.graph
 	if not 0 < dmask < graph.full:
@@ -353,6 +353,8 @@ def restriction_step(d, dmask, mode="fast"):
 	if mode not in ("fast", "saturated"):
 		raise DomainError("restriction mode must be fast or saturated")
 	pair = d.pair
+	if mode == "fast" and not pair.listed:
+		mode = "saturated"
 	if mode == "saturated" and not pair.saturated:
 		pair = saturation(pair)
 	if not is_invariant(pair, dmask):

@@ -165,7 +165,7 @@ def diamond_quartet():
 			graph,
 			[graph.mask(n) for n in g_names],
 			[graph.mask(n) for n in h_names],
-		).normalize()
+		)
 		# pc a1 on {b1} is the whole conjugation by a1 here, hence inner;
 		# the two disjoint transvections carry the rank instead.
 		gens = [LaurenceGenerator.transvection(graph, "b1", "a1")]

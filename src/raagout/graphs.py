@@ -156,23 +156,24 @@ class DefiningGraph:
 		return self.subgraph_center(mask) == mask
 
 	def clique_number(self, mask=None):
-		"""Size of a largest clique in the induced subgraph."""
+		"""Size of a largest clique in the induced subgraph, by branch and bound.
+
+		Branches wait on a list, so the depth is not bound by the recursion limit.
+		"""
 		if mask is None:
 			mask = self.full
 		best = 0
-
-		def grow(clique_size, candidates):
-			nonlocal best
+		stack = [(0, mask)]
+		while stack:
+			clique_size, candidates = stack.pop()
 			if clique_size + candidates.bit_count() <= best:
-				return
+				continue
 			if candidates == 0:
-				best = max(best, clique_size)
-				return
+				best = clique_size
+				continue
 			v = (candidates & -candidates).bit_length() - 1
-			grow(clique_size + 1, candidates & self.adj[v])
-			grow(clique_size, candidates & ~(1 << v))
-
-		grow(0, mask)
+			stack.append((clique_size, candidates & ~(1 << v)))
+			stack.append((clique_size + 1, candidates & self.adj[v]))
 		return best
 
 	# ---- domination order and vertex classes ----

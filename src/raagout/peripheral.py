@@ -2,32 +2,40 @@
 
 A peripheral pair (G, H) fixes two collections of proper special subgroups:
 the members of G must be preserved up to conjugacy, the members of H must be
-acted on as inner automorphisms of the ambient group. Everything downstream
-assumes the pair is normalized, meaning G absorbs H together with enough of
-its subsets that the generator membership criteria become the clean order and
-component conditions of the orders module. Saturation then enlarges G to
-contain every invariant proper special subgroup, which is the hypothesis
-under which restriction images are again relative groups. The invariant
-subgraphs are the up-sets of the relative order that no outside star
-separates, so listing them enumerates up-sets rather than all subgraphs;
-fast_periphery produces the smaller collection that suffices for a single
-restriction target.
+acted on as inner automorphisms of the ambient group. Every pair is
+normalized, meaning G absorbs H together with enough of its subsets that
+the generator membership criteria become the clean order and component
+conditions of the orders module; the constructor folds H in, and every
+derived pair keeps it folded. Saturation then enlarges G to contain every
+invariant proper special subgroup, which is the hypothesis under which
+restriction images are again relative groups. The invariant subgraphs are
+the up-sets of the relative order that no outside star separates, so
+listing them enumerates up-sets rather than all subgraphs; fast_periphery
+produces the smaller collection that suffices for a single restriction
+target.
+
+A pair is checked once, where it enters: the constructor validates and
+sorts both member lists, and every other pair is derived from checked
+parts. Only members that join a pair are checked (adding_g, adding_h), and
+a member list is sorted again only where it gains or loses members.
 
 Each pair carries the order index of its G (orders.PairIndex). A pair built
 from another one with the same graph derives its index rather than
 rebuilding it: saturation hands the index over unchanged, since the sets it
-adds change neither the order nor any G^v-component, and adding_g, adding_h
-and normalize refine it by the members they add. A refined index keeps the
-rows, owner tables and closures those members leave unchanged; a kernel,
-which adds one invariant target, recomputes only the closures that meet it.
+adds change neither the order nor any G^v-component, and adding_g and
+adding_h refine it by the members they add. A refined index keeps the rows,
+owner tables and closures those members leave unchanged; a kernel, which
+adds one invariant target, recomputes only the closures that meet it.
 
 The invariant sets are closed under intersection, so each set has a least
 invariant superset (PairIndex.closure), and the closures of single
 vertices and non-adjacent pairs (PairIndex.spanning) stand for a saturated
-G in the pivot search, the induced index and the leaf shapes. Saturated
-pairs built with saturation(), and the pairs derived from them, therefore
-carry their index and list G only when it is read; there can be up to
-2^n - 2 members.
+G in the pivot search, the induced index and the leaf shapes. G is
+therefore unlisted exactly when the pair derives from a saturation
+(saturation(), and the pairs adding_g, adding_h and induced derive from
+one): such a pair carries its index and lists G only when it is read, as
+there can be up to 2^n - 2 members. Every other pair lists G when it is
+built.
 """
 
 from .errors import CapabilityError, DomainError
@@ -44,57 +52,65 @@ def _by_size(masks):
 	return tuple(out)
 
 
-class PeripheralPair:
-	"""The pair (G, H), members stored as vertex masks.
+def _checked(graph, members):
+	"""The distinct nonempty members as a set, refusing the whole graph."""
+	out = set(members)
+	if graph.full in out:
+		raise DomainError("peripheral members must be proper subgraphs")
+	out.discard(0)
+	return out
 
-	normalized says whether H is folded into G (normalize); operations
-	with a normalization precondition call require_normalized rather than
-	silently closing up. Pairs are never changed in place (adding_g,
-	adding_h, normalize and induced all build new ones). The order index
-	of G is built on first use, unless the pair was derived from one whose
-	index was built. A lazy pair (see _lazy) has its index from the start
-	and lists G on first read.
+
+class PeripheralPair:
+	"""The pair (G, H), members stored as vertex masks, H folded into G.
+
+	The constructor checks both member lists and folds H into G; derived
+	pairs come from _derived. Pairs are never changed in place (adding_g,
+	adding_h and induced all build new ones). The order index of G is
+	built on first use, unless the pair was derived from one whose index
+	was built. A pair whose G is unlisted (see listed) has its index from
+	the start and lists G on first read.
 	"""
 
-	__slots__ = (
-		"graph", "_g_members", "_list_g", "h_members", "normalized", "saturated", "_index"
-	)
+	__slots__ = ("graph", "_g_members", "_list_g", "h_members", "saturated", "_index")
 
-	def __init__(self, graph, g_members=(), h_members=(), normalized=False, saturated=False):
+	def __init__(self, graph, g_members=(), h_members=()):
 		self.graph = graph
-		self._g_members = self._clean(g_members)
+		self.h_members = _by_size(_checked(graph, h_members))
+		self._g_members = _by_size(_checked(graph, g_members) | _folded(self.h_members))
 		self._list_g = None
-		self.h_members = self._clean(h_members)
-		self.normalized = normalized
-		self.saturated = saturated
+		self.saturated = False
 		self._index = None
 
 	@classmethod
-	def _lazy(cls, graph, list_g, index, h_members, normalized, saturated=False):
-		"""A pair whose G is list_g(), called on the first read of g_members.
+	def _derived(cls, graph, g_members, h_members, index, list_g=None, saturated=False):
+		"""A pair from checked parts: member tuples as _by_size gives them, H folded into G.
 
-		The index must be G's, since building it would list G.
+		With list_g, g_members is None and G is list_g(), called on the
+		first read of g_members; index must then be G's, since building it
+		would list G.
 		"""
-		out = cls(graph, (), h_members, normalized, saturated)
-		out._g_members = None
+		out = cls.__new__(cls)
+		out.graph = graph
+		out._g_members = g_members
 		out._list_g = list_g
+		out.h_members = h_members
+		out.saturated = saturated
 		out._index = index
 		return out
 
 	@property
 	def g_members(self):
-		"""G as masks, by size then value; a lazy pair lists it here."""
+		"""G as masks, by size then value; an unlisted G is listed here."""
 		if self._g_members is None:
-			self._g_members = self._clean(self._list_g())
+			self._g_members = self._list_g()
 			self._list_g = None
 		return self._g_members
 
-	def _clean(self, members):
-		out = set(members)
-		if self.graph.full in out:
-			raise DomainError("peripheral members must be proper subgraphs")
-		out.discard(0)
-		return _by_size(out)
+	@property
+	def listed(self):
+		"""Is G listed yet? Only a pair derived from a saturation starts without it."""
+		return self._g_members is not None
 
 	def to_json_obj(self):
 		return {
@@ -103,12 +119,12 @@ class PeripheralPair:
 		}
 
 	def normalize(self):
-		"""Fold H into G so the membership criteria apply.
+		"""The pair itself: the constructor already folds H into G.
 
-		Adds each H-member and its one-vertex-deleted subsets, which leaves
-		the represented group unchanged.
+		Kept for callers written when pairs had to be normalized by hand
+		(perfbench/workloads.py calls it); nothing in the package does.
 		"""
-		return self._joined(_folded(self.h_members), self.h_members, True)
+		return self
 
 	@property
 	def index(self):
@@ -117,60 +133,36 @@ class PeripheralPair:
 			self._index = orders.PairIndex(self.graph, self.g_members)
 		return self._index
 
-	def require_normalized(self):
-		if not self.normalized:
-			raise DomainError("peripheral pair must be normalized first")
-
 	def adding_g(self, extra):
-		"""Same pair with extra masks joined into G.
+		"""Same pair with extra masks joined into G; the result is not saturated.
 
-		Growing G keeps the normalization invariant (it only constrains
-		which subsets of H-members are present), so the flag survives. A
-		saturated G already holds every invariant mask, so it stays
-		saturated only when every extra mask is one; the closures it is
-		read through would not see any other.
+		Growing G keeps H folded into it. A saturated G stays saturated
+		only when every extra mask is invariant, which no caller needs, so
+		the result never claims it.
 		"""
-		extra = list(extra)
-		saturated = self.saturated and all(is_invariant(self, m) for m in extra)
-		return self._joined(extra, self.h_members, self.normalized, saturated)
+		return self._joined(_checked(self.graph, extra), self.h_members)
 
 	def adding_h(self, extra):
-		"""Same pair with extra masks joined into H, normalized again.
+		"""Same pair with extra masks joined into H, and folded into G.
 
-		G gains what normalization folds in from extra alone, as a normalized
-		G holds the folds of the old H; the result is not saturated.
+		G gains what folding adds from extra alone, as G holds the folds of
+		the old H; the result is not saturated.
 		"""
-		self.require_normalized()
-		extra = tuple(extra)
-		return self._joined(_folded(extra), self.h_members + extra, True)
+		extra = _checked(self.graph, extra)
+		return self._joined(_folded(extra), _by_size(extra.union(self.h_members)))
 
-	def _joined(self, extra, h_members, normalized, saturated=False):
-		"""A pair on the same graph whose G is this G joined with extra.
+	def _joined(self, extra, h_members):
+		"""A pair on the same graph whose G is this G joined with the set extra.
 
 		When this pair's index is built, the new one is refined from it by
-		extra alone; members already in G refine nothing. A lazy pair gives
-		a lazy pair.
+		extra alone; members already in G refine nothing. An unlisted G
+		stays unlisted.
 		"""
-		extra = list(extra)
+		index = None if self._index is None else self._index.refined(extra)
+		list_g = lambda: _by_size(extra.union(self.g_members))
 		if self._g_members is None:
-			return PeripheralPair._lazy(
-				self.graph,
-				lambda: self.g_members + tuple(extra),
-				self._index.refined(extra),
-				h_members,
-				normalized,
-				saturated,
-			)
-		out = PeripheralPair(
-			self.graph,
-			self.g_members + tuple(extra),
-			h_members,
-			normalized=normalized,
-			saturated=saturated,
-		)
-		if self._index is not None:
-			out._index = self._index.refined(extra)
-		return out
+			return PeripheralPair._derived(self.graph, None, h_members, index, list_g)
+		return PeripheralPair._derived(self.graph, list_g(), h_members, index)
 
 	def __repr__(self):
 		fmt = lambda ms: [self.graph.names(m) for m in ms]
@@ -193,7 +185,6 @@ def is_invariant(pp, dmask):
 	It is exactly when dmask is its own least invariant superset
 	(orders.PairIndex.closure, which states the rule).
 	"""
-	pp.require_normalized()
 	return pp.index.closure(dmask) == dmask
 
 
@@ -271,7 +262,6 @@ def saturation(pp):
 	grow as 2^n, so that read is refused on graphs above SATURATE_CAP
 	vertices.
 	"""
-	pp.require_normalized()
 	graph = pp.graph
 	index = pp.index
 
@@ -282,11 +272,9 @@ def saturation(pp):
 				"has %d: the invariant subgraphs can number up to 2^n - 2; vcd does "
 				"not list them, printing a decomposition tree does" % (SATURATE_CAP, graph.n)
 			)
-		return _invariant_scan(graph, index)
+		return _by_size(_invariant_scan(graph, index))
 
-	return PeripheralPair._lazy(
-		graph, list_g, index, pp.h_members, pp.normalized, saturated=True
-	)
+	return PeripheralPair._derived(graph, None, pp.h_members, index, list_g, saturated=True)
 
 
 def saturate(pp):
@@ -318,28 +306,24 @@ def induced(pp, dmask):
 
 	Members intersect down; intersections that are empty or all of dmask
 	are dropped. The result lives on the induced graph, with masks
-	compressed accordingly. Normalization survives the construction
-	(deleted-vertex subsets of intersections are intersections of
-	deleted-vertex subsets), saturation does not.
+	compressed accordingly. H stays folded into G (deleted-vertex subsets
+	of intersections are intersections of deleted-vertex subsets), but the
+	result is not saturated.
 
 	On a saturated pair, G is every proper invariant set, and the result
-	is lazy: its G is cut from pp's on first read, and its index is built
-	from PairIndex.spanning(dmask) cut to dmask, which gives the same
-	index as cutting all of G.
+	leaves G unlisted: its G is cut from pp's on first read, and its index
+	is built from PairIndex.spanning(dmask) cut to dmask, which gives the
+	same index as cutting all of G.
 	"""
 	sub = pp.graph.induced(dmask)
-	cut = lambda ms: [
+	cut = lambda ms: _by_size(
 		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
-	]
-	if not pp.saturated:
-		return PeripheralPair(sub, cut(pp.g_members), cut(pp.h_members), normalized=pp.normalized)
-	return PeripheralPair._lazy(
-		sub,
-		lambda: cut(pp.g_members),
-		orders.PairIndex(sub, cut(pp.index.spanning(dmask))),
-		cut(pp.h_members),
-		pp.normalized,
 	)
+	h_members = cut(pp.h_members)
+	if not pp.saturated:
+		return PeripheralPair._derived(sub, cut(pp.g_members), h_members, None)
+	index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
+	return PeripheralPair._derived(sub, None, h_members, index, lambda: cut(pp.g_members))
 
 
 def fast_periphery(pp, dmask):
@@ -351,7 +335,6 @@ def fast_periphery(pp, dmask):
 	dropped. Requires dmask to be a member of G, since that is what makes
 	the restriction map defined in the first place.
 	"""
-	pp.require_normalized()
 	graph = pp.graph
 	if dmask not in pp.g_members:
 		raise DomainError("fast_periphery target must be a member of G")

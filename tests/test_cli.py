@@ -138,6 +138,13 @@ def test_periphery_adds_target(capsys, p3):
 	assert code == 0
 
 
+def test_periphery_of_the_whole_graph_is_refused(capsys, p3):
+	# the whole graph is invariant, but it cannot join G as a member
+	code, out, err = run(capsys, "periphery", "--graph", p3, "--target", "a,b,c")
+	assert (code, out) == (1, "")
+	assert err == "error: peripheral members must be proper subgraphs\n"
+
+
 def test_cone_graph_round_trip(capsys, p3):
 	code, out, _ = run(capsys, "cone-graph", "--graph", p3, "--format", "json")
 	assert code == 0
@@ -255,12 +262,45 @@ def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
 		for v in names[i + 1 :]
 	]
 	script = write_json(tmp_path, "c46.script.json", steps)
-	t0 = time.monotonic()
+	# CPU time of this process, so a loaded host does not move the verdict
+	t0 = time.process_time()
 	code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
-	took = time.monotonic() - t0
+	took = time.process_time() - t0
 	assert (code, err) == (0, "")
 	assert out.splitlines()[:2] == ["upper: 0", "lower: 0"]
 	assert took < 2.0
+
+
+def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_path):
+	# diamond_chain(8) has 25 vertices: the kernel of the saturated step
+	# keeps G unlisted, so the fast step below it takes the saturated
+	# construction rather than listing G, and gives what two fast steps give
+	from raagout.families import diamond_chain
+
+	graph = write_json(tmp_path, "d8.json", diamond_chain(8).to_json_obj())
+	top = {"op": "restrict", "target": ["c7", "a8", "b8", "c8"]}
+	rest = {"op": "restrict", "target": ["c0"] + ["%s%d" % (x, i) for i in range(1, 8) for x in "abc"]}
+	outs = []
+	for first in ("saturated", "fast"):
+		steps = [dict(top, mode=first), dict(rest, mode="fast")]
+		script = write_json(tmp_path, "d8.%s.json" % first, steps)
+		code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
+		assert (code, err) == (0, "")
+		assert out.splitlines()[:2] == ["upper: 31", "lower: 31"]
+		outs.append(out)
+	assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("edges, clique", [(True, 2), (False, 1)])
+def test_info_clique_number_past_the_recursion_limit(capsys, tmp_path, edges, clique):
+	# a 1,200-vertex path and edgeless graph: the clique search branches
+	# once per vertex, deeper than the interpreter's recursion limit
+	names = ["v%d" % i for i in range(1200)]
+	path = [[names[i], names[i + 1]] for i in range(len(names) - 1)] if edges else []
+	graph = write_json(tmp_path, "g.json", {"vertices": names, "edges": path})
+	code, out, err = run(capsys, "info", "--graph", graph)
+	assert (code, err) == (0, "")
+	assert out.splitlines()[1] == "clique number %d" % clique
 
 
 def test_scripted_leaf_below_an_unlisted_invariant_subgraph_is_refused(capsys, tmp_path):

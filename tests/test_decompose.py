@@ -84,7 +84,6 @@ def names_of(graph, masks):
 def test_descriptor_normalizes_and_counts():
 	g = path3()
 	d = GroupDescriptor(g, PeripheralPair(g, [], [g.mask(["a", "b"])]))
-	assert d.pair.normalized
 	# 2^3 minus the single trivial-action member
 	assert d.complexity() == Complexity(3, 7)
 	assert d.complexity() < Complexity(3, 8)
@@ -572,7 +571,7 @@ def test_leaf_shapes_match_the_listed_members():
 	for node in leaves:
 		d = node.descriptor
 		pair = d.pair
-		listed = PeripheralPair(d.graph, pair.g_members, pair.h_members, pair.normalized)
+		listed = PeripheralPair(d.graph, pair.g_members, pair.h_members)
 		assert classify_irreducible(GroupDescriptor(d.graph, listed)) == node.step.shape
 		if d.graph.is_clique(d.graph.full) and pair.g_members:
 			covered_cliques += 1

@@ -88,10 +88,10 @@ def test_members_dedup_and_sort():
 
 
 def test_normalize_weak():
+	# the constructor folds H into G: each member and its one-vertex-deleted subsets
 	g = DefiningGraph(["a", "b", "c", "d"], [])
 	m = g.mask(["a", "b", "c"])
-	pp = PeripheralPair(g, [], [m]).normalize()
-	assert pp.normalized
+	pp = PeripheralPair(g, [], [m])
 	assert names_of(g, pp.g_members) == [
 		["a", "b"],
 		["a", "b", "c"],
@@ -102,24 +102,33 @@ def test_normalize_weak():
 	assert pp.h_members == (m,)
 
 
-def test_unnormalized_rejected():
-	pp = PeripheralPair(path3(), [], [])
-	with pytest.raises(DomainError):
-		is_invariant(pp, 1)
-	with pytest.raises(DomainError):
-		saturate(pp)
-
-
 def test_adding_g_keeps_flags():
 	g = path3()
 	pp = normalized(g)
 	out = pp.adding_g([g.mask(["b"])])
-	assert out.normalized
 	assert g.mask(["b"]) in out.g_members
-	# a saturated pair stays saturated with an invariant mask, not with another
+	# growing G never claims saturation, even by an invariant mask
 	sat = saturate(pp)
-	assert sat.adding_g([g.mask(["b"])]).saturated
+	assert not sat.adding_g([g.mask(["b"])]).saturated
 	assert not sat.adding_g([g.mask(["a"])]).saturated
+
+
+def test_derived_pairs_refuse_a_full_extra():
+	g = path3()
+	pp = normalized(g)
+	with pytest.raises(DomainError, match="proper subgraphs"):
+		pp.adding_g([g.full])
+	with pytest.raises(DomainError, match="proper subgraphs"):
+		pp.adding_h([g.full])
+
+
+def test_derived_pairs_pass_h_through():
+	# H was checked where the pair entered; saturation and adding_g hand
+	# the same tuple on rather than cleaning it again
+	g = diamond_chain(2)
+	pp = PeripheralPair(g, [g.mask(["a1"])], [g.mask(["c0"]), g.mask(["c2"])])
+	for derived in (saturation(pp), saturate(pp), pp.adding_g([g.mask(["c1"])])):
+		assert derived.h_members is pp.h_members
 
 
 # ---- invariance ----
@@ -354,7 +363,6 @@ def test_induced_drops_full_and_empty():
 	sub = induced(pp, d)
 	assert sub.graph.vertices == ("a", "b")
 	assert sub.g_members == ()
-	assert sub.normalized
 
 
 def test_induced_cuts_members():
