@@ -121,18 +121,22 @@ class DefiningGraph:
 		"""
 		if mask is None:
 			mask = self.full
+		adj = self.adj
 		out = []
 		rest = mask
 		while rest:
-			seed = rest & -rest
 			comp = 0
-			frontier = seed
+			frontier = rest & -rest
 			while frontier:
 				comp |= frontier
 				nxt = 0
-				for v in bits(frontier):
-					nxt |= self.adj[v] & mask & ~comp
-				frontier = nxt
+				# inline lowest-bit loop: frontiers hold 1-3 vertices, and a
+				# bits() generator costs more than the body on those
+				while frontier:
+					low = frontier & -frontier
+					nxt |= adj[low.bit_length() - 1]
+					frontier ^= low
+				frontier = nxt & mask & ~comp
 			out.append(comp)
 			rest &= ~comp
 		return out

@@ -76,8 +76,13 @@ def owner_table(graph, comps):
 	"""
 	owner = [0] * graph.n
 	for c in comps:
-		for w in bits(c):
-			owner[w] = c
+		# inline lowest-bit loop: components are small, and a bits()
+		# generator costs more than the body on those
+		rest = c
+		while rest:
+			low = rest & -rest
+			owner[low.bit_length() - 1] = c
+			rest ^= low
 	return owner
 
 
@@ -137,7 +142,10 @@ class PairIndex:
 	exactly when S & away & ~owner[least vertex of S & away] is nonzero.
 
 	PairIndex(graph, members) is the member-free index (domination rows,
-	plain components) refined by members. An index is never changed once
+	plain components) refined by members. In the member-free index,
+	vertices with one link share a row, and vertices with one star share
+	a G^x-component tuple and owner table. No table is ever changed in
+	place; refining builds fresh ones. An index is never changed once
 	built: refined(extra) returns the index of the member list joined with
 	extra. It reads only the extra members, and it carries over from this
 	index every row they do not cut, every G^x-component tuple and owner
@@ -149,31 +157,53 @@ class PairIndex:
 	__slots__ = ("graph", "rows", "down", "gv", "splits", "_closed", "_spanning")
 
 	def __init__(self, graph, members=()):
-		n = graph.n
+		full = graph.full
+		star = graph.star_masks
 		self.graph = graph
 		# u <= v when lk(u) lies in st(v), that is, when v is in the star
-		# of every neighbour of u
-		rows = []
-		down = [0] * n
-		for u in range(n):
-			row = graph.full
-			for w in bits(graph.adj[u]):
-				row &= graph.star_masks[w]
-			rows.append(row)
+		# of every neighbour of u; twins with one link share the row, and
+		# down takes each distinct row once, with all its twins
+		twins = {}  # link -> [row, the vertices with that link]
+		for u, link in enumerate(graph.adj):
+			hit = twins.get(link)
+			if hit is None:
+				row = full
+				# inline lowest-bit loop: cheaper than a bits() generator here
+				rest = link
+				while rest:
+					low = rest & -rest
+					row &= star[low.bit_length() - 1]
+					rest ^= low
+				twins[link] = [row, 1 << u]
+			else:
+				hit[1] |= 1 << u
+		down = [0] * graph.n
+		for row, us in twins.values():
 			for v in bits(row):
-				down[v] |= 1 << u
+				down[v] |= us
+		rows = [twins[link][0] for link in graph.adj]
 		self.rows, self.down = tuple(rows), tuple(down)
-		self.gv = tuple(
-			tuple(graph.components(graph.full & ~graph.star_masks[v])) for v in range(n)
-		)
-		self.splits = tuple(
-			(x, graph.full & ~graph.star_masks[x], owner_table(graph, comps))
-			for x, comps in enumerate(self.gv)
-			if len(comps) > 1
-		)
+		# the G^x-components depend on st(x) alone, so twins with one star
+		# share the component tuple and its owner table
+		split_of = {}
+		gv = []
+		splits = []
+		for x, s in enumerate(star):
+			hit = split_of.get(s)
+			if hit is None:
+				comps = tuple(graph.components(full & ~s))
+				owner = owner_table(graph, comps) if len(comps) > 1 else None
+				hit = split_of[s] = comps, owner
+			comps, owner = hit
+			gv.append(comps)
+			if owner is not None:
+				splits.append((x, full & ~s, owner))
+		self.gv, self.splits = tuple(gv), tuple(splits)
 		self._closed = {}
 		self._spanning = {}
-		self._refine(members)
+		members = tuple(members)
+		if members:
+			self._refine(members)
 
 	def refined(self, extra):
 		"""The index of this member list joined with extra.

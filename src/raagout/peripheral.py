@@ -16,8 +16,9 @@ target.
 
 A pair is checked once, where it enters: the constructor validates and
 sorts both member lists, and every other pair is derived from checked
-parts. Only members that join a pair are checked (adding_g, adding_h), and
-a member list is sorted again only where it gains or loses members.
+parts. Only members that join a pair are checked (adding_g, adding_h). A
+member list that gains members has them inserted in order, and a list is
+sorted again only where it is cut down (induced).
 
 Each pair carries the order index of its G (orders.PairIndex). A pair built
 from another one with the same graph derives its index rather than
@@ -38,6 +39,8 @@ there can be up to 2^n - 2 members. Every other pair lists G when it is
 built.
 """
 
+from bisect import bisect_left
+
 from .errors import CapabilityError, DomainError
 from .graphs import DefiningGraph, bits, compress_mask
 from . import orders
@@ -49,6 +52,24 @@ def _by_size(masks):
 	"""The masks as a tuple, ordered by size, then by value."""
 	out = sorted(masks)
 	out.sort(key=int.bit_count)
+	return tuple(out)
+
+
+def _size_key(m):
+	return m.bit_count(), m
+
+
+def _inserted(members, extra):
+	"""members, ordered as _by_size orders them, with each new mask of extra inserted in place.
+
+	A kernel adds a handful of masks to a list of up to a thousand, so
+	inserting them is linear where sorting again is not.
+	"""
+	out = list(members)
+	for m in extra:
+		i = bisect_left(out, _size_key(m), key=_size_key)
+		if i == len(out) or out[i] != m:
+			out.insert(i, m)
 	return tuple(out)
 
 
@@ -149,7 +170,7 @@ class PeripheralPair:
 		the old H; the result is not saturated.
 		"""
 		extra = _checked(self.graph, extra)
-		return self._joined(_folded(extra), _by_size(extra.union(self.h_members)))
+		return self._joined(_folded(extra), _inserted(self.h_members, extra))
 
 	def _joined(self, extra, h_members):
 		"""A pair on the same graph whose G is this G joined with the set extra.
@@ -159,7 +180,7 @@ class PeripheralPair:
 		stays unlisted.
 		"""
 		index = None if self._index is None else self._index.refined(extra)
-		list_g = lambda: _by_size(extra.union(self.g_members))
+		list_g = lambda: _inserted(self.g_members, extra)
 		if self._g_members is None:
 			return PeripheralPair._derived(self.graph, None, h_members, index, list_g)
 		return PeripheralPair._derived(self.graph, list_g(), h_members, index)
@@ -201,56 +222,96 @@ def _invariant_scan(graph, index):
 	up-set that no outside star separates, so the cost follows the number
 	of up-sets rather than 2^n.
 
-	It keeps its own shut-out propagation: a depth-first search over the
-	closed sets of PairIndex.closure finds the same sets, but it cut the
-	saturate benchmark from about 1,130 to 385 instances/s and took
-	diamond_chain(6) from 1.6 to 9.7 ms (2 cores, python 3.11). Retry it
-	only with a faster closure.
+	The tables are built as the search reaches them, so the cost follows
+	what it visits. An x with at most one G^x-component shuts nothing out
+	and starts settled. The shut-out sets of a split x are built on its
+	first visit, one per G^x-component, as the OR of the down-closures of
+	the other components (prefix and suffix ORs), and read through x's
+	owner table from index.splits. The core a row imposes is built the
+	first time the search branches on its vertex. The in branch goes on in
+	place, so each branch pushes one state. Together with the shared
+	twin tables of the member-free PairIndex, this took the saturate
+	benchmark from a median of 1,199 to 1,570 instances/s over ten runs
+	each (2 cores, python 3.11): four_path(5,5,4,5) searches 13 nodes for
+	its 5 sets, and building every table up front cost more than that.
+
+	A depth-first search over the closed sets of PairIndex.closure finds
+	the same sets, but it cut the saturate benchmark to about a third and
+	took diamond_chain(6) from 1.6 to 9.7 ms; retry it only with a faster
+	closure.
 	"""
-	rows, down = index.rows, index.down
+	n = graph.n
+	rows, down, gv = index.rows, index.down, index.gv
 	full = graph.full
 	star = graph.star_masks
-	away = [full & ~star[x] for x in range(graph.n)]
-	# shut[x][w]: everything at or below the G^x-components that miss w
-	shut = []
-	for x in range(graph.n):
-		table = [0] * graph.n
-		for c in index.gv[x]:
-			below = 0
-			for y in bits(away[x] & ~c):
-				below |= down[y]
-			for w in bits(c):
-				table[w] = below
-		shut.append(table)
-	row_core = []
-	for v in range(graph.n):
-		core = full
-		for y in bits(rows[v]):
-			core &= star[y]
-		row_core.append(core)
+	aways = [0] * n
+	owners = [None] * n  # owner tables of the x with two or more G^x-components
+	settled = full
+	for x, away, owner in index.splits:
+		aways[x] = away
+		owners[x] = owner
+		settled ^= 1 << x
+	shut = [None] * n  # shut[x][c]: everything at or below the G^x-components but c
+	row_core = [None] * n  # the vertices whose star holds all of rows[v]
 	out = []
-	stack = [(0, 0, 0, full)]  # in, out, settled, core
+	stack = [(0, 0, settled, full)]  # in, out, settled, core
 	while stack:
 		inside, outside, settled, core = stack.pop()
-		todo = outside & ~settled & ~core
-		while todo:
-			low = todo & -todo
-			x = low.bit_length() - 1
-			part = inside & away[x]
-			outside |= shut[x][(part & -part).bit_length() - 1]
-			settled |= low
-			todo = outside & ~settled & ~core
-		if inside & outside:
-			continue
-		rest = full & ~(inside | outside)
-		if not rest:
-			if inside and outside:
-				out.append(inside)
-			continue
-		v = (rest & -rest).bit_length() - 1
-		stack.append((inside, outside | down[v], settled, core))
-		stack.append((inside | rows[v], outside, settled, core & row_core[v]))
+		while True:
+			todo = outside & ~(settled | core)
+			while todo:
+				low = todo & -todo
+				x = low.bit_length() - 1
+				table = shut[x]
+				if table is None:
+					table = shut[x] = _shut_table(gv[x], down)
+				part = inside & aways[x]
+				outside |= table[owners[x][(part & -part).bit_length() - 1]]
+				settled |= low
+				todo = outside & ~(settled | core)
+			if inside & outside:
+				break
+			rest = full & ~(inside | outside)
+			if not rest:
+				if inside and outside:
+					out.append(inside)
+				break
+			v = (rest & -rest).bit_length() - 1
+			stack.append((inside, outside | down[v], settled, core))
+			row = rows[v]
+			c = row_core[v]
+			if c is None:
+				c = full
+				for y in bits(row):
+					c &= star[y]
+				row_core[v] = c
+			inside |= row
+			core &= c
 	return out
+
+
+def _shut_table(comps, down):
+	"""Each of comps mapped to everything at or below the others, through prefix and suffix ORs."""
+	below = []
+	for c in comps:
+		d = 0
+		# inline lowest-bit loop: components are small, and a bits()
+		# generator costs more than the body on those
+		while c:
+			low = c & -c
+			d |= down[low.bit_length() - 1]
+			c ^= low
+		below.append(d)
+	table = {}
+	acc = 0
+	for c, d in zip(comps, below):
+		table[c] = acc
+		acc |= d
+	acc = 0
+	for c, d in zip(reversed(comps), reversed(below)):
+		table[c] |= acc
+		acc |= d
+	return table
 
 
 def saturation(pp):

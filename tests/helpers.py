@@ -233,6 +233,70 @@ def graph_from_edges(n, edges):
 	return DefiningGraph(names, [[names[i], names[j]] for i, j in edges])
 
 
+def twin_blowup(rng, max_base=5, max_n=15):
+	"""A random graph on at most max_base vertices, each vertex replaced by 1-3 twins.
+
+	Each group of twins is either a clique (one star) or edgeless (one
+	link), and its members copy every edge of the vertex they replace.
+	Groups are drawn one by one and stop growing at max_n vertices in all.
+	Returns the graph and its twin groups as masks.
+	"""
+	base = rng.randrange(1, max_base + 1)
+	density = rng.random()
+	base_edges = [(i, j) for i in range(base) for j in range(i + 1, base) if rng.random() < density]
+	groups = []
+	n = 0
+	for i in range(base):
+		size = min(rng.randrange(1, 4), max_n - (base - i - 1) - n)
+		groups.append((list(range(n, n + size)), rng.random() < 0.5))
+		n += size
+	edges = []
+	for vs, clique in groups:
+		if clique:
+			edges.extend((a, b) for a in vs for b in vs if a < b)
+	for i, j in base_edges:
+		edges.extend((a, b) for a in groups[i][0] for b in groups[j][0])
+	return graph_from_edges(n, edges), [mask_of(vs) for vs, _ in groups]
+
+
+def split_twin_members(rng, graph, groups, count):
+	"""count random proper members, most holding one twin of some group and not another.
+
+	Refining by such a member cuts the row or glues the G^x-components of
+	one twin but not of its partner.
+	"""
+	out = []
+	pairs = [g for g in groups if g.bit_count() > 1]
+	for _ in range(count):
+		m = rng.randrange(1, graph.full + 1)
+		if pairs and rng.random() < 0.75:
+			a, b = rng.sample(list(bits(rng.choice(pairs))), 2)
+			m = (m | 1 << a) & ~(1 << b)
+		if 0 < m < graph.full:
+			out.append(m)
+	return out
+
+
+def reference_index(graph, members):
+	"""rows, down, gv and splits of PairIndex(graph, members), built vertex by vertex.
+
+	Rows come from leq_rel, gv from gv_components and owner tables from
+	owner_table, one for each vertex, so no table is shared between twins.
+	"""
+	n = graph.n
+	rows = tuple(
+		mask_of(v for v in range(n) if orders.leq_rel(graph, members, u, v)) for u in range(n)
+	)
+	down = tuple(mask_of(u for u in range(n) if rows[u] >> v & 1) for v in range(n))
+	gv = tuple(tuple(orders.gv_components(graph, members, v)) for v in range(n))
+	splits = tuple(
+		(x, graph.full & ~graph.star_masks[x], orders.owner_table(graph, comps))
+		for x, comps in enumerate(gv)
+		if len(comps) > 1
+	)
+	return rows, down, gv, splits
+
+
 def random_peripheral(graph, rng, max_members=3):
 	"""A random (G, H) pair of proper special subgroups, H inside G."""
 	full = graph.full

@@ -2,11 +2,19 @@ import itertools
 import random
 
 from raagout.decompose import Leaf, RestrictionStep
-from raagout.graphs import DefiningGraph, compress_mask, mask_of
+from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout import orders
 from raagout.peripheral import PeripheralPair, induced, saturate
 
-from helpers import auto_tree_nodes, brute_invariant, connected_graphs_upto_iso, graph_from_edges
+from helpers import (
+	auto_tree_nodes,
+	brute_invariant,
+	connected_graphs_upto_iso,
+	graph_from_edges,
+	reference_index,
+	split_twin_members,
+	twin_blowup,
+)
 
 
 def path3():
@@ -227,6 +235,31 @@ def test_refined_index_matches_fresh_build():
 		assert not kernel.saturated
 		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra)).normalize()
 		assert (kernel.g_members, kernel.h_members) == (again.g_members, again.h_members)
+	# twin blow-ups: in a member-free index, twins with one link share a
+	# row and twins with one star share a G^x-component tuple and owner
+	# table; members holding one twin and not its partner cut or glue the
+	# tables of one of them only, so every field, owner tables included,
+	# must equal a per-vertex reference build, the shared index's too
+	rng = random.Random(59)
+	for trial in range(200):
+		g, groups = twin_blowup(rng)
+		glist = split_twin_members(rng, g, groups, rng.randrange(4))
+		hlist = [m for m in glist if rng.random() < 0.5]
+		extra = split_twin_members(rng, g, groups, rng.randrange(1, 4))
+		bare = orders.PairIndex(g)
+		for group in groups:
+			x, *twins = bits(group)
+			for y in twins:
+				assert (bare.gv[x] is bare.gv[y]) == (g.star_masks[x] == g.star_masks[y])
+		index = orders.PairIndex(g, glist)
+		assert _fields(index) == reference_index(g, glist)
+		assert _fields(index.refined(extra)) == reference_index(g, glist + extra)
+		assert _fields(bare.refined(glist + extra)) == reference_index(g, glist + extra)
+		pp = PeripheralPair(g, glist, hlist)
+		assert pp.index is not None
+		kernel = pp.adding_h(extra)
+		assert _fields(kernel.index) == reference_index(g, kernel.g_members)
+		assert _fields(bare) == reference_index(g, ())
 	# the closure-built index of a pair induced from a saturated one, on
 	# every subgraph, against a fresh build over the induced member list
 	rng = random.Random(53)

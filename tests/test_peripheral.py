@@ -4,7 +4,7 @@ import random
 import pytest
 
 from raagout.errors import CapabilityError, DomainError
-from raagout.families import four_path
+from raagout.families import four_path, four_path_classes
 from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout.load import build_pair
 from raagout import orders
@@ -25,6 +25,8 @@ from helpers import (
 	connected_graphs_upto_iso,
 	graph_from_edges,
 	random_peripheral,
+	split_twin_members,
+	twin_blowup,
 )
 
 
@@ -242,7 +244,13 @@ def test_saturate_idempotent():
 		assert set(again.g_members) == set(sat.g_members)
 
 
-def test_saturate_matches_every_proper_mask_checked():
+def _saturate_cases():
+	"""Random pairs on random graphs, then on twin blow-ups of at most 8 vertices.
+
+	Members of the blow-ups mostly hold one twin and not another, so the
+	tables twins share in the member-free index are cut or glued for one
+	of them only.
+	"""
 	rng = random.Random(2031)
 	for trial in range(300):
 		n = rng.randrange(1, 8)
@@ -251,7 +259,17 @@ def test_saturate_matches_every_proper_mask_checked():
 		density = rng.random()
 		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
 		glist = [rng.randrange(1, full) for _ in range(rng.randrange(5))] if n > 1 else []
-		hlist = [m for m in glist if rng.random() < 0.5]
+		yield g, glist, [m for m in glist if rng.random() < 0.5]
+	rng = random.Random(2039)
+	for trial in range(100):
+		g, groups = twin_blowup(rng, max_n=8)
+		glist = split_twin_members(rng, g, groups, rng.randrange(5))
+		yield g, glist, [m for m in glist if rng.random() < 0.5]
+
+
+def test_saturate_matches_every_proper_mask_checked():
+	for g, glist, hlist in _saturate_cases():
+		full = g.full
 		pp = PeripheralPair(g, glist, hlist).normalize()
 		invariant = {m for m in range(1, full) if brute_invariant(pp, m)}
 		assert {m for m in range(1, full) if is_invariant(pp, m)} == invariant
@@ -330,6 +348,16 @@ def test_saturate_counts_four_path():
 		["x1", "y1", "z1"],
 		["y1"],
 	]
+	# the same five on larger classes, up to the 19 vertices of the
+	# benchmark's shape: the two middle cliques, their union, and that
+	# union with either free end class
+	for sizes in ((2, 3, 2, 3), (5, 5, 4, 5)):
+		g = four_path(*sizes)
+		w, x, y, z = four_path_classes(*sizes)
+		sat = saturate(normalized(g))
+		assert names_of(g, sat.g_members) == sorted(
+			sorted(m) for m in (x, y, x + y, w + x + y, x + y + z)
+		)
 
 
 def test_saturate_cap():
