@@ -35,6 +35,13 @@ def mask_of(indices):
 	return m
 
 
+def by_size(masks):
+	"""The masks as a tuple, ordered by size, then by value."""
+	out = sorted(masks)
+	out.sort(key=int.bit_count)
+	return tuple(out)
+
+
 def compress_mask(mask, within):
 	"""Reindex mask & within against the bit positions of within.
 

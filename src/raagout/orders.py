@@ -23,7 +23,7 @@ row and split. Along a restriction chain each kernel adds one trivial-action
 target D, so only the closures that meet D are worked out again.
 """
 
-from .graphs import bits
+from .graphs import bits, by_size
 
 
 def leq_rel(graph, members, u, v):
@@ -334,7 +334,7 @@ class PairIndex:
 				if vb & apart and ca & ~cb and cb & ~ca:
 					found.add(self.closure(ca | cb))
 		found.discard(full)
-		out = self._spanning[mask] = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+		out = self._spanning[mask] = by_size(found)
 		return out
 
 	def _refine(self, extra):

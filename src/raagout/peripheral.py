@@ -42,17 +42,10 @@ built.
 from bisect import bisect_left
 
 from .errors import CapabilityError, DomainError
-from .graphs import DefiningGraph, bits, compress_mask
+from .graphs import DefiningGraph, bits, by_size, compress_mask
 from . import orders
 
 SATURATE_CAP = 20
-
-
-def _by_size(masks):
-	"""The masks as a tuple, ordered by size, then by value."""
-	out = sorted(masks)
-	out.sort(key=int.bit_count)
-	return tuple(out)
 
 
 def _size_key(m):
@@ -60,7 +53,7 @@ def _size_key(m):
 
 
 def _inserted(members, extra):
-	"""members, ordered as _by_size orders them, with each new mask of extra inserted in place.
+	"""members, ordered as by_size orders them, with each new mask of extra inserted in place.
 
 	A kernel adds a handful of masks to a list of up to a thousand, so
 	inserting them is linear where sorting again is not.
@@ -97,15 +90,15 @@ class PeripheralPair:
 
 	def __init__(self, graph, g_members=(), h_members=()):
 		self.graph = graph
-		self.h_members = _by_size(_checked(graph, h_members))
-		self._g_members = _by_size(_checked(graph, g_members) | _folded(self.h_members))
+		self.h_members = by_size(_checked(graph, h_members))
+		self._g_members = by_size(_checked(graph, g_members) | _folded(self.h_members))
 		self._list_g = None
 		self.saturated = False
 		self._index = None
 
 	@classmethod
 	def _derived(cls, graph, g_members, h_members, index, list_g=None, saturated=False):
-		"""A pair from checked parts: member tuples as _by_size gives them, H folded into G.
+		"""A pair from checked parts: member tuples as by_size gives them, H folded into G.
 
 		With list_g, g_members is None and G is list_g(), called on the
 		first read of g_members; index must then be G's, since building it
@@ -333,7 +326,7 @@ def saturation(pp):
 				"has %d: the invariant subgraphs can number up to 2^n - 2; vcd does "
 				"not list them, printing a decomposition tree does" % (SATURATE_CAP, graph.n)
 			)
-		return _by_size(_invariant_scan(graph, index))
+		return by_size(_invariant_scan(graph, index))
 
 	return PeripheralPair._derived(graph, None, pp.h_members, index, list_g, saturated=True)
 
@@ -377,7 +370,7 @@ def induced(pp, dmask):
 	same index as cutting all of G.
 	"""
 	sub = pp.graph.induced(dmask)
-	cut = lambda ms: _by_size(
+	cut = lambda ms: by_size(
 		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
 	)
 	h_members = cut(pp.h_members)
@@ -411,7 +404,7 @@ def fast_periphery(pp, dmask):
 			cut = orders.n_g(graph, gx, theta) & dmask
 			if cut and cut != dmask:
 				out.add(cut)
-	return _by_size(out)
+	return by_size(out)
 
 
 def cone_graph(graph, g_members):
@@ -426,7 +419,7 @@ def cone_graph(graph, g_members):
 			raise DomainError("cone members must be proper subgraphs")
 	names = list(graph.vertices)
 	edges = [list(e) for e in graph.to_json_obj()["edges"]]
-	cones = [("@%d" % i, m) for i, m in enumerate(_by_size(set(g_members)))]
+	cones = [("@%d" % i, m) for i, m in enumerate(by_size(set(g_members)))]
 	cones.append(("@G", graph.full))
 	cones.append(("@*", graph.full))
 	if set(names).intersection(cname for cname, _ in cones):

@@ -15,7 +15,6 @@ from collections import namedtuple
 from math import gcd, lcm
 
 from .autos import (
-	Automorphism,
 	LaurenceGenerator,
 	gen_in_relative,
 	images_through,
@@ -173,19 +172,18 @@ class _Echelon:
 
 
 def _h1_action(ctx, images):
-	"""Integer matrix of the action on the abelianized group of a letter table."""
-	n = ctx.graph.n
-	rows = []
-	for v in range(n):
-		row = [0] * n
-		for letter in images[2 * v]:
-			row[letter >> 1] += -1 if letter & 1 else 1
-		rows.append(tuple(row))
-	return tuple(rows)
+	"""M - 1 for the matrix M of a letter table's action on the abelianized group.
 
-
-def _identity_matrix(n):
-	return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+	Sparse as {(v, w): nonzero entry}, row v read off the image of v, so
+	it is empty exactly when the action is trivial.
+	"""
+	out = {}
+	for v, word in enumerate(images[::2]):
+		out[v, v] = -1
+		for letter in word:
+			key = (v, letter >> 1)
+			out[key] = out.get(key, 0) + (-1 if letter & 1 else 1)
+	return {key: x for key, x in out.items() if x}
 
 
 def _product(a, b):
@@ -207,24 +205,18 @@ def _bracket(a, b):
 	return {key: x for key, x in out.items() if x}
 
 
-def _log_unipotent(m, what):
-	"""A positive multiple of the logarithm of a unipotent integer matrix.
+def _log_unipotent(nil, n, what):
+	"""A positive multiple of the logarithm of a unipotent integer n x n matrix M.
 
-	Raises when the matrix is not unipotent; finite-order actions are
-	exactly the ones a polycyclic certificate must not count. The powers
-	of m - 1 are integer matrices; the series is summed over the lcm of
-	its denominators 1..k and divided by the gcd of the entries, so the
-	result is the primitive integer matrix on the logarithm's rational
-	line, sparse as {(i, j): nonzero entry}. Ranks and the rational Lie
-	algebra a list generates depend only on those lines.
+	nil is M - 1, sparse as {(i, j): nonzero entry}. Raises when M is not
+	unipotent; finite-order actions are exactly the ones a polycyclic
+	certificate must not count. The powers of M - 1 are integer matrices;
+	the series is summed over the lcm of its denominators 1..k and
+	divided by the gcd of the entries, so the result is the primitive
+	integer matrix on the logarithm's rational line, sparse as nil is.
+	Ranks and the rational Lie algebra a list generates depend only on
+	those lines.
 	"""
-	n = len(m)
-	nil = {
-		(i, j): x - (i == j)
-		for i, row in enumerate(m)
-		for j, x in enumerate(row)
-		if x != (i == j)
-	}
 	powers = []
 	power = nil
 	while power:
@@ -294,10 +286,11 @@ def _lie_closure(logs):
 # ---- the first Johnson homomorphism ----
 
 
-def _johnson(ctx, phi):
+def _johnson(ctx, words):
 	"""First Johnson image of an automorphism acting trivially on homology.
 
-	For each vertex v the word v^-1 phi(v) lies in the commutator subgroup
+	words[v] is the image phi(v) of vertex v, reduced or not. For each
+	vertex v the word v^-1 phi(v) lies in the commutator subgroup
 	gamma2, and gamma2/gamma3 is free abelian on the non-edges {a < b}. The
 	coordinate on {a, b} is the degree-2 Magnus coefficient mu(ab), the
 	sum of e*f over letter pairs a^e before b^f; one pass over the word
@@ -312,7 +305,7 @@ def _johnson(ctx, phi):
 	out = {}
 	for v in range(graph.n):
 		sums = [0] * graph.n
-		for lt in (2 * v + 1,) + phi.images[2 * v]:
+		for lt in (2 * v + 1, *words[v]):
 			b = lt >> 1
 			e = -1 if lt & 1 else 1
 			for a in bits(below[b]):
@@ -321,13 +314,6 @@ def _johnson(ctx, phi):
 					out[key] = out.get(key, 0) + sums[a] * e
 			sums[b] += e
 	return {key: c for key, c in out.items() if c}
-
-
-def _conjugation(ctx, c):
-	"""The inner automorphism v -> c v c^-1."""
-	forward = [(2 * c, 2 * v, 2 * c + 1) for v in range(ctx.graph.n)]
-	backward = [(2 * c + 1, 2 * v, 2 * c) for v in range(ctx.graph.n)]
-	return Automorphism.from_images(ctx, forward, backward)
 
 
 def _certify_johnson_independent(ctx, phis, names):
@@ -341,8 +327,10 @@ def _certify_johnson_independent(ctx, phis, names):
 	"""
 	if not phis:
 		return
-	inner = [_johnson(ctx, _conjugation(ctx, c)) for c in range(ctx.graph.n)]
-	images = [_johnson(ctx, phi) for phi in phis]
+	n = ctx.graph.n
+	# conjugation by c, v -> c v c^-1, from its unreduced vertex words
+	inner = [_johnson(ctx, [(2 * c, 2 * v, 2 * c + 1) for v in range(n)]) for c in range(n)]
+	images = [_johnson(ctx, phi.images[::2]) for phi in phis]
 	ech = _Echelon()
 	for tau in inner:
 		ech.add(tau)
@@ -443,13 +431,8 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 				)
 			noninner[i, j] = c
 
-	ident = _identity_matrix(graph.n)
 	mats = [_h1_action(ctx, phi.images) for phi in phis]
-	logs = [
-		_log_unipotent(mat, gen)
-		for gen, mat in zip(gens, mats)
-		if mat != ident
-	]
+	logs = [_log_unipotent(mat, graph.n, gen) for gen, mat in zip(gens, mats) if mat]
 	lie_dim = len(_lie_closure(logs))
 
 	inv_mats = [_h1_action(ctx, phi.back) for phi in phis] if noninner else []
@@ -482,7 +465,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 						% (gens[k], gens[i])
 					)
 
-	j_all = [i for i in range(len(gens)) if mats[i] == ident]
+	j_all = [i for i in range(len(gens)) if not mats[i]]
 	_certify_johnson_independent(
 		ctx, [phis[i] for i in j_all], [str(gens[i]) for i in j_all]
 	)
@@ -493,17 +476,17 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 
 
 def _triangle_list(descriptor):
-	"""Transvections below the diagonal that the peripheral pair allows."""
+	"""Transvections below the diagonal that the peripheral pair allows.
+
+	trv j^i with i < j, wherever row j of the pair's order index holds i.
+	"""
 	graph = descriptor.graph
-	out = []
-	for j in range(graph.n):
-		for i in range(j):
-			gen = LaurenceGenerator.transvection(
-				graph, graph.vertices[j], graph.vertices[i]
-			)
-			if gen_in_relative(gen, descriptor.pair):
-				out.append(gen)
-	return out
+	rows = descriptor.pair.index.rows
+	return [
+		LaurenceGenerator.transvection(graph, j, i)
+		for j in range(graph.n)
+		for i in bits(rows[j] & ((1 << j) - 1))
+	]
 
 
 def _derive_generators(descriptor):

@@ -152,22 +152,20 @@ def strip_front(letters, smask, adj):
 
 	Returns (prefix, remainder): prefix has support inside smask, the
 	original word is prefix * remainder, and no further smask-letter of
-	the remainder can be commuted to its front.
+	the remainder can be commuted to its front. One pass suffices: a
+	letter moves exactly when it commutes with every letter left behind
+	before it, and moving a letter changes that set for no earlier letter.
 	"""
-	rem = list(letters)
 	prefix = []
-	changed = True
-	while changed:
-		changed = False
-		seen = 0
-		for p, lt in enumerate(rem):
-			v = lt >> 1
-			if seen & ~adj[v] == 0 and smask >> v & 1:
-				prefix.append(lt)
-				del rem[p]
-				changed = True
-				break
-			seen |= 1 << v
+	rem = []
+	left = 0
+	for lt in letters:
+		v = lt >> 1
+		if smask >> v & 1 and not left & ~adj[v]:
+			prefix.append(lt)
+		else:
+			rem.append(lt)
+			left |= 1 << v
 	return tuple(prefix), tuple(rem)
 
 

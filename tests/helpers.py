@@ -309,6 +309,30 @@ def random_peripheral(graph, rng, max_members=3):
 	return g_list, h_list
 
 
+def strip_front_rescanning(letters, smask, adj):
+	"""(prefix, remainder) of words.strip_front by rescanning from the front.
+
+	Moves the first smask-letter that commutes with every letter before it
+	to the prefix, then scans the rest again from its front, until no
+	letter moves.
+	"""
+	rem = list(letters)
+	prefix = []
+	changed = True
+	while changed:
+		changed = False
+		seen = 0
+		for p, lt in enumerate(rem):
+			v = lt >> 1
+			if seen & ~adj[v] == 0 and smask >> v & 1:
+				prefix.append(lt)
+				del rem[p]
+				changed = True
+				break
+			seen |= 1 << v
+	return tuple(prefix), tuple(rem)
+
+
 def magnus2(word, a, b):
 	"""Degree-2 Magnus coefficient of the letter pair (a, b), a != b.
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from raagout.errors import DomainError
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.peripheral import PeripheralPair
-from raagout.vcd import _conjugation
 from raagout.words import WordContext, enc, inverse
 from raagout.autos import (
 	Automorphism,
@@ -248,7 +247,12 @@ def test_a_wrong_witness_is_refused(monkeypatch):
 	# of a nontrivial conjugation; the exact check must refuse it
 	g = diamond()
 	ctx = WordContext(g)
-	phi = _conjugation(ctx, g.index["c0"])
+	c = g.index["c0"]
+	phi = Automorphism.from_images(
+		ctx,
+		[(2 * c, 2 * v, 2 * c + 1) for v in range(g.n)],
+		[(2 * c + 1, 2 * v, 2 * c) for v in range(g.n)],
+	)
 	assert is_inner(ctx, phi.images).status == "yes"
 	monkeypatch.setattr(ctx, "strip_front", lambda letters, smask: ((), ()))
 	with pytest.raises(RuntimeError, match="witness failed verification"):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from raagout.autos import (
+	Automorphism,
 	LaurenceGenerator,
 	enumerate_generators,
+	gen_in_relative,
 	images_through,
 	is_inner,
 	realize,
@@ -42,9 +44,11 @@ from raagout.vcd import (
 	_commutator,
 	_commuting_pairs,
 	_certify_johnson_independent,
+	_h1_action,
 	_johnson,
 	_lie_closure,
 	_log_unipotent,
+	_triangle_list,
 	bound_to_json_obj,
 	certify_lower_bound,
 	fold,
@@ -179,6 +183,38 @@ def test_vertex_image_commutator_matches_composition():
 				check(images_through(ctx, z.back, c), composed.compose(z.invert()))
 				check(images_through(ctx, z.images, c), composed.compose(z))
 	assert statuses == {"yes", "no"}
+
+
+def dense_h1_minus_identity(g, table):
+	"""{(v, w): entry} of M - I, from the dense n x n matrix M of the action on homology."""
+	m = [[0] * g.n for _ in range(g.n)]
+	for v in range(g.n):
+		for lt in table[2 * v]:
+			m[v][lt >> 1] += -1 if lt & 1 else 1
+	return {(v, w): m[v][w] - (v == w) for v in range(g.n) for w in range(g.n) if m[v][w] != (v == w)}
+
+
+def test_h1_action_is_the_dense_matrix_minus_identity():
+	# of realized generators, their inverses and their commutators
+	rng = random.Random(37)
+	graphs = [graph_from_edges(4, edges) for edges in connected_graphs_upto_iso(4)]
+	graphs += [random_graph(rng, 5) for _ in range(6)] + [diamond_chain(2), four_path(2, 1, 2, 1)]
+	trivial = moved = 0
+	for g in graphs:
+		ctx = WordContext(g)
+		pairs = [PeripheralPair(g, [], [])]
+		pairs += [PeripheralPair(g, *random_peripheral(g, rng)) for _ in range(2)]
+		for pp in pairs:
+			phis = [realize(ctx, gen) for gen in enumerate_generators(pp)]
+			tables = [phi.images for phi in phis] + [phi.back for phi in phis]
+			for _ in range(min(len(phis), 6)):
+				tables.append(_commutator(ctx, rng.choice(phis), rng.choice(phis)))
+			for table in tables:
+				sparse = _h1_action(ctx, table)
+				assert sparse == dense_h1_minus_identity(g, table)
+				trivial += not sparse
+				moved += bool(sparse)
+	assert trivial > 50 and moved > 50, (trivial, moved)
 
 
 # ---- commuting in Aut before the commutator ----
@@ -412,7 +448,7 @@ def test_johnson_matches_magnus_definition():
 					c = magnus2(word, a, b)
 					if c and not g.adj[a] >> b & 1:
 						want[(v, a, b)] = c
-		assert _johnson(ctx, phi) == want
+		assert _johnson(ctx, phi.images[::2]) == want
 
 
 def test_johnson_additive_under_compose():
@@ -426,11 +462,11 @@ def test_johnson_additive_under_compose():
 		ctx = WordContext(g)
 		phi = random_product(ctx, gens, rng)
 		psi = random_product(ctx, gens, rng)
-		assert _johnson(ctx, phi.compose(psi)) == tau_sum(
-			_johnson(ctx, phi), _johnson(ctx, psi)
+		assert _johnson(ctx, phi.compose(psi).images[::2]) == tau_sum(
+			_johnson(ctx, phi.images[::2]), _johnson(ctx, psi.images[::2])
 		)
-		assert tau_sum(_johnson(ctx, phi), _johnson(ctx, phi.invert())) == {}
-		checked += bool(_johnson(ctx, phi))
+		assert tau_sum(_johnson(ctx, phi.images[::2]), _johnson(ctx, phi.back[::2])) == {}
+		checked += bool(_johnson(ctx, phi.images[::2]))
 	assert checked > 20
 
 
@@ -451,7 +487,25 @@ def test_johnson_of_conjugation_on_non_neighbours():
 				for v in range(g.n)
 				if away >> v & 1
 			}
-			assert _johnson(ctx, phi) == want
+			assert _johnson(ctx, phi.images[::2]) == want
+
+
+def test_inner_johnson_images_from_unreduced_words():
+	# conjugation by c read off the words c v c^-1 as written, and off the
+	# reduced tables Automorphism.from_images builds from them
+	rng = random.Random(43)
+	graphs = [random_graph(rng, rng.randrange(2, 8)) for _ in range(40)] + [diamond_chain(3)]
+	nonzero = 0
+	for g in graphs:
+		ctx = WordContext(g)
+		for c in range(g.n):
+			words = [(2 * c, 2 * v, 2 * c + 1) for v in range(g.n)]
+			back = [(2 * c + 1, 2 * v, 2 * c) for v in range(g.n)]
+			phi = Automorphism.from_images(ctx, words, back)
+			tau = _johnson(ctx, words)
+			assert tau == _johnson(ctx, phi.images[::2])
+			nonzero += bool(tau)
+	assert nonzero > 100
 
 
 def test_johnson_certificate_agrees_with_box_scan():
@@ -487,6 +541,19 @@ def triangle_list(g):
 		for j in range(g.n)
 		for i in range(j)
 	]
+
+
+def test_triangle_list_reads_the_order_rows():
+	# against the by-name build filtered by gen_in_relative
+	rng = random.Random(47)
+	cut = set()
+	for _ in range(60):
+		g = clique(rng.randrange(2, 6))
+		pp = PeripheralPair(g, *random_peripheral(g, rng))
+		want = [gen for gen in triangle_list(g) if gen_in_relative(gen, pp)]
+		assert _triangle_list(GroupDescriptor(g, pp)) == want
+		cut.add(len(want) < len(triangle_list(g)))
+	assert cut == {True, False}
 
 
 def test_nilpotent_cliques():
@@ -590,8 +657,8 @@ def test_rank_matches_rational_elimination():
 
 def test_lie_closure_half_entry():
 	# log of the 3x3 Jordan block is E12 + E23 - E13/2; E13 is central
-	jordan = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-	log = _log_unipotent(jordan, "J")
+	jordan = {(0, 1): 1, (1, 2): 1}  # minus the identity
+	log = _log_unipotent(jordan, 3, "J")
 	# a positive multiple of it, with integer entries: 2 E12 + 2 E23 - E13
 	assert log == {(0, 1): 2, (1, 2): 2, (0, 2): -1}
 	e12 = {(0, 1): 1}
@@ -634,7 +701,7 @@ def test_lie_closure_series_starts_from_the_closing_brackets(monkeypatch):
 	# no outcome, on the cases above, a non-nilpotent pair and every list
 	# that certification hands to the closure, the four-path ones included
 	e = lambda i, j: {(i, j): 1}
-	jordan = _log_unipotent(((1, 1, 0), (0, 1, 1), (0, 0, 1)), "J")
+	jordan = _log_unipotent({(0, 1): 1, (1, 2): 1}, 3, "J")
 	cases = [
 		[],
 		[e(0, 1), e(1, 2)],

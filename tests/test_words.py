@@ -169,6 +169,30 @@ def test_strip_front_sound_and_complete():
 		assert ctx.supp(rem) & ~tmask == 0, (g.to_json_obj(), s, t, u, prefix, rem)
 
 
+def test_strip_front_one_pass_matches_rescanning():
+	rng = random.Random(31)
+	graphs = list(POOL)
+	for n in (5, 6):
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		graphs += [helpers.graph_from_edges(n, [e for e in pairs if rng.random() < 0.5]) for _ in range(4)]
+	for _ in range(3000):
+		g = rng.choice(graphs)
+		ctx = WordContext(g)
+		smask = rng.randrange(g.full + 1)
+		u = random_word(rng, g, 12)
+		assert ctx.strip_front(u, smask) == helpers.strip_front_rescanning(u, smask, g.adj), (
+			g.to_json_obj(),
+			u,
+			smask,
+		)
+	# a long word on an edge: every a moves, across the b's left behind
+	g = DefiningGraph(["a", "b"], [["a", "b"]])
+	u = (0, 2) * 2000
+	prefix, rem = WordContext(g).strip_front(u, 1)
+	assert (prefix, rem) == helpers.strip_front_rescanning(u, 1, g.adj)
+	assert (prefix, rem) == ((0,) * 2000, (2,) * 2000)
+
+
 def test_strip_front_negative_agrees_with_search():
 	# when strip_front leaves a remainder outside A_T, no factorization exists
 	rng = random.Random(29)
