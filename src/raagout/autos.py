@@ -129,24 +129,6 @@ class LaurenceGenerator:
 	def __repr__(self):
 		return "<%s>" % self
 
-	# ---- closed-form action tests ----
-
-	def acts_trivially_on(self, dmask):
-		"""Does the realized map agree with a conjugation on dmask?
-
-		Inversions and transvections act trivially exactly when the moved
-		vertex is outside; a partial conjugation does when its region
-		misses dmask or swallows all of dmask away from the acting star
-		(then conjugating by the acting letter itself matches it); a
-		symmetry must fix dmask pointwise.
-		"""
-		g = self.graph
-		if self.kind in ("inv", "trv"):
-			return not dmask >> self.data[0] & 1
-		if self.kind == "pc":
-			acting, region = self.data
-			return not region & dmask or not dmask & ~g.star_masks[acting] & ~region
-		return all(self.data[v] == v for v in bits(dmask))
 
 def parse_generator(graph, text):
 	"""Parse the text syntax emitted by str(gen).
@@ -236,9 +218,6 @@ class Automorphism:
 
 	def apply(self, letters):
 		return self.ctx.apply_map(letters, self.images)
-
-	def apply_back(self, letters):
-		return self.ctx.apply_map(letters, self.back)
 
 	def compose(self, other):
 		"""self after other: the composite sends w to self(other(w))."""
@@ -402,71 +381,6 @@ def acts_trivially_word(ctx, phi, dmask):
 	"""
 	rep, _ = _common_conjugator(ctx, phi.images, dmask)
 	return rep is not None, rep
-
-
-def preserves_word(ctx, phi, dmask):
-	"""Word-level test: does phi carry the subgroup on dmask to a conjugate?
-
-	Returns (verdict, witness): (True, g) with g^-1 phi(.) g inside the
-	subgroup, (False, None) on a refutation, (None, None) otherwise.
-
-	A cyclically reduced image support leaving dmask refutes outright.
-	Failing that, the conjugators valid for vertex v form k_v C(core_v)
-	A_dmask; centralizers of cyclically reduced words only use the core's
-	support and its common links, so when the offset k_u^-1 k_v of a pair
-	of vertices needs letters beyond dmask and those links, no common
-	conjugator exists. Candidate witnesses are the cyclic-reduction
-	conjugators, their pairwise offsets and single letters.
-	"""
-	graph = ctx.graph
-	cores = {}
-	ks = {}
-	for v in bits(dmask):
-		core, k = ctx.cyc_reduce(phi.images[2 * v])
-		if mask_word(core) & ~dmask:
-			return False, None
-		cores[v] = core
-		ks[v] = k
-
-	def carried_by(g):
-		return all(
-			not ctx.supp(inverse(g) + phi.images[2 * v] + g) & ~dmask for v in bits(dmask)
-		)
-
-	cands = [()]
-	for k in ks.values():
-		cands.append(ctx.canonical(k))
-		cands.append(ctx.canonical(inverse(k)))
-	lmask = 0
-	for v in bits(dmask):
-		lmask |= ctx.supp(phi.images[2 * v])
-	for x in bits(lmask):
-		cands.append((enc(x, 1),))
-		cands.append((enc(x, -1),))
-	items = list(ks.values())
-	for i, ku in enumerate(items):
-		for kv in items[i + 1 :]:
-			cands.append(ctx.canonical(ku + inverse(kv)))
-			cands.append(ctx.canonical(kv + inverse(ku)))
-	tried = set()
-	for g in cands:
-		if g in tried:
-			continue
-		tried.add(g)
-		if carried_by(g):
-			return True, g
-	vs = list(ks)
-	for i, u in enumerate(vs):
-		for v in vs[i + 1 :]:
-			allowed = (
-				dmask
-				| graph.link_of_set(mask_word(cores[u]))
-				| graph.link_of_set(mask_word(cores[v]))
-			)
-			off = ctx.reduce(inverse(ks[u]) + ks[v])
-			if mask_word(off) & ~allowed:
-				return False, None
-	return None, None
 
 
 # ---- relative membership and enumeration ----

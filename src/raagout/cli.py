@@ -157,12 +157,7 @@ def cmd_saturate(args):
 def cmd_periphery(args):
 	graph = _graph(args)
 	pair = _pair(graph, args)
-	dmask = _target_mask(graph, args)
-	if dmask not in pair.g_members:
-		if not is_invariant(pair, dmask):
-			raise DomainError("target is not invariant for this pair")
-		pair = pair.adding_g([dmask])
-	members = fast_periphery(pair, dmask)
+	members = fast_periphery(pair, _target_mask(graph, args))
 	if args.format == "json":
 		_emit_json([graph.names(m) for m in members])
 	else:
@@ -291,7 +286,7 @@ def cmd_check_exact(args):
 		checks += 1
 		try:
 			lifted = lift_generator(desc, image, dmask, gen)
-			back = word_restriction(ctx, sub_ctx, dmask, realize(ctx, lifted))
+			back = word_restriction(sub_ctx, dmask, realize(ctx, lifted))
 			disc = back.compose(realize(sub_ctx, gen).invert())
 			res = is_inner(sub_ctx, disc.images)
 		except DomainError as exc:

@@ -15,14 +15,13 @@ from collections import namedtuple
 from .errors import DomainError, ScriptError
 from .graphs import bits, compress_mask, mask_of
 from . import orders
-from .words import WordContext, enc, inverse
+from .words import WordContext, mask_word
 from .peripheral import PeripheralPair, fast_periphery, induced, is_invariant, saturation
 from .autos import (
 	Automorphism,
 	LaurenceGenerator,
 	enumerate_generators,
 	gen_in_relative,
-	preserves_word,
 )
 
 
@@ -35,7 +34,8 @@ class GroupDescriptor:
 	__slots__ = ("graph", "pair", "_ctx", "_gens", "_pivot")
 
 	def __init__(self, graph, pair):
-		if pair.graph is not graph and pair.graph.vertices != graph.vertices:
+		other = pair.graph
+		if other is not graph and (other.vertices, other.adj) != (graph.vertices, graph.adj):
 			raise DomainError("pair belongs to a different graph")
 		self.graph = graph
 		self.pair = pair
@@ -346,6 +346,10 @@ def restriction_step(d, dmask, mode="fast"):
 	G is every proper invariant set, every invariant target is a member;
 	neither the kernel nor the image of a saturated pair lists G (see
 	peripheral.saturation and induced).
+
+	A target outside G is not joined to the pair's G: the kernel folds it
+	in through H, induced would drop its cut (all of dmask), and
+	fast_periphery reads only the members that avoid a vertex of dmask.
 	"""
 	graph = d.graph
 	if not 0 < dmask < graph.full:
@@ -362,8 +366,6 @@ def restriction_step(d, dmask, mode="fast"):
 			"restriction target %s is not invariant for this pair"
 			% "".join(graph.names(dmask))
 		)
-	if not pair.saturated and dmask not in pair.g_members:
-		pair = pair.adding_g([dmask])
 	sub_pair = induced(pair, dmask)
 	if mode == "fast":
 		per = fast_periphery(pair, dmask)
@@ -403,28 +405,25 @@ def lift_generator(source, image, dmask, gen):
 	raise DomainError("symmetries have no canonical lift")
 
 
-def word_restriction(ctx, sub_ctx, dmask, phi):
-	"""phi as an explicit automorphism of the subgroup on dmask.
+def word_restriction(sub_ctx, dmask, phi):
+	"""phi as an explicit automorphism of the subgroup on dmask, on the induced graph.
 
-	Conjugates by a preserving witness first, so the letter images all
-	live inside dmask, then recodes them onto the induced graph.
+	Lemma: for a generator lift_generator builds, phi.images[2s] and
+	phi.back[2s] lie in A_dmask for every letter s of dmask. The lift is
+	inv keep[v], trv keep[m]^keep[a] or pc keep[a]:region, with keep[v],
+	keep[m] and keep[a] in dmask, so either way s goes to s, s^-1,
+	s y^(+-1) or y^(+-1) s y^(-+1) with y = keep[a]. Those words are
+	recoded onto the induced graph as they are, with no conjugator to
+	find; a map that sends a letter of dmask outside A_dmask is refused.
 	"""
-	ok, g = preserves_word(ctx, phi, dmask)
-	if not ok:
-		raise DomainError("map does not carry the subgroup to a conjugate")
 	pos = {s: i for i, s in enumerate(bits(dmask))}
-
-	def recode(word):
-		return tuple(2 * pos[lt >> 1] | lt & 1 for lt in word)
-
-	fwd = []
-	bwd = []
-	for s in bits(dmask):
-		inside = ctx.reduce(inverse(g) + phi.images[2 * s] + g)
-		fwd.append(recode(inside))
-		back = phi.apply_back(ctx.conjugate(g, (enc(s, 1),)))
-		bwd.append(recode(back))
-	return Automorphism.from_images(sub_ctx, fwd, bwd)
+	tables = []
+	for table in (phi.images, phi.back):
+		words = [table[2 * s] for s in bits(dmask)]
+		if any(mask_word(w) & ~dmask for w in words):
+			raise DomainError("map sends a letter of the subgroup outside it")
+		tables.append([tuple(2 * pos[lt >> 1] | lt & 1 for lt in w) for w in words])
+	return Automorphism.from_images(sub_ctx, *tables)
 
 
 def projection_step(d):

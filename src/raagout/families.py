@@ -117,13 +117,11 @@ def _pc_component(graph, acting, inside):
 	return LaurenceGenerator.partial_conj(graph, acting, region)
 
 
-def diamond_generators(graph, d, twisted=False, labels=None):
+def diamond_generators(graph, d, labels=None):
 	"""The commuting generator list whose span has rank 4d - 1.
 
-	With twisted set, the transvection pushing the top corner off its
-	diamond is dropped, matching the group that holds that corner fixed;
-	the rank drops to 4d - 2. labels translates the builder's vertex
-	names for a chain recognized inside another graph.
+	labels translates the builder's vertex names for a chain recognized
+	inside another graph.
 	"""
 	look = labels.__getitem__ if labels else lambda s: s
 	gens = []
@@ -138,12 +136,7 @@ def diamond_generators(graph, d, twisted=False, labels=None):
 	for i in range(1, d):
 		gens.append(_pc_component(graph, look("c%d" % i), look("c0")))
 	gens.append(LaurenceGenerator.transvection(graph, look("c0"), look("c1")))
-	if not twisted:
-		gens.append(
-			LaurenceGenerator.transvection(
-				graph, look("c%d" % d), look("c%d" % (d - 1))
-			)
-		)
+	gens.append(LaurenceGenerator.transvection(graph, look("c%d" % d), look("c%d" % (d - 1))))
 	return gens
 
 

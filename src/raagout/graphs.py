@@ -112,13 +112,6 @@ class DefiningGraph:
 					edges.append((names[a], names[b]))
 		return DefiningGraph(names, edges)
 
-	def link_of_set(self, mask):
-		"""Common link of a set of vertices; the empty set links to everything."""
-		out = self.full
-		for v in bits(mask):
-			out &= self.adj[v]
-		return out
-
 	# ---- connectivity ----
 
 	def components(self, mask=None):

@@ -98,16 +98,26 @@ def build_pair(obj, graph):
 
 
 def build_script(obj, graph, path=""):
-	"""The script, each target named in graph and each "image" a script in turn."""
+	"""The script, each op known, each target named in graph and each "image" a script in turn.
+
+	Only a restrict step takes "target", "mode" and "image"; a project or
+	leaf step is its op alone.
+	"""
 	_check(obj, [STEP], path)
 	for i, step in enumerate(obj):
 		at = "%s[%d]" % (path, i)
-		if step.get("op") == "restrict":
-			_require(step, at, "target")
+		_require(step, at, "op")
+		if step["op"] not in ("restrict", "project", "leaf"):
+			_fail(at + '"op"', "must be restrict, project or leaf")
+		if step["op"] != "restrict":
+			for key in step:
+				if key != "op":
+					_fail(at + json.dumps(key), "only a restrict step takes this key")
+			continue
+		_require(step, at, "target")
 		if step.get("mode", "fast") not in ("fast", "saturated"):
 			_fail(at + '"mode"', "must be fast or saturated")
-		if "target" in step:
-			_at(at + '"target"', graph.mask, step["target"])
+		_at(at + '"target"', graph.mask, step["target"])
 		build_script(step.get("image", []), graph, at + '"image"')
 	return obj
 

@@ -386,12 +386,18 @@ def fast_periphery(pp, dmask):
 	Two sources: links of outside vertices cut down to dmask, and relative
 	neighbourhoods of the maximal relative-connected subgraphs (away from
 	each inside vertex's star) that avoid dmask. Empty and full cuts are
-	dropped. Requires dmask to be a member of G, since that is what makes
-	the restriction map defined in the first place.
+	dropped. Requires dmask to be a proper nonempty invariant set, since
+	that is what makes the restriction map defined in the first place. It
+	need not be a member of G: the members read are those avoiding a
+	vertex of dmask, and dmask is never one of them.
 	"""
 	graph = pp.graph
-	if dmask not in pp.g_members:
-		raise DomainError("fast_periphery target must be a member of G")
+	if dmask == graph.full:
+		raise DomainError("peripheral members must be proper subgraphs")
+	if not dmask:
+		raise DomainError("the periphery target must be nonempty")
+	if not is_invariant(pp, dmask):
+		raise DomainError("target is not invariant for this pair")
 	out = set()
 	for x in bits(graph.full & ~dmask):
 		cut = graph.adj[x] & dmask

@@ -191,16 +191,6 @@ class WordContext:
 	def strip_front(self, letters, smask):
 		return strip_front(letters, smask, self.adj)
 
-	def supp(self, letters):
-		m = 0
-		for lt in self.reduce(letters):
-			m |= 1 << (lt >> 1)
-		return m
-
-	def conjugate(self, g, w):
-		"""Reduced form of g w g^-1."""
-		return self.reduce(tuple(g) + tuple(w) + inverse(g))
-
 	# ---- text form ----
 
 	def parse(self, text):

@@ -15,6 +15,7 @@ from raagout.autos import Automorphism, is_inner
 from raagout.decompose import GroupDescriptor, decompose
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.peripheral import PeripheralPair, _invariant_scan, saturate
+from raagout.words import enc, inverse, mask_word
 
 
 def word_closure(word, graph, cap=200000):
@@ -138,6 +139,109 @@ def preserves_closed_form(gen, dmask):
 			return True
 		return not region & dmask or not dmask & ~g.star_masks[acting] & ~region
 	return mask_of(gen.data[v] for v in bits(dmask)) == dmask
+
+
+def acts_trivially_on(gen, dmask):
+	"""Does the realized generator agree with a conjugation on dmask?
+
+	Inversions and transvections act trivially exactly when the moved
+	vertex is outside; a partial conjugation does when its region misses
+	dmask or swallows all of dmask away from the acting star (then
+	conjugating by the acting letter itself matches it); a symmetry must
+	fix dmask pointwise.
+	"""
+	g = gen.graph
+	if gen.kind in ("inv", "trv"):
+		return not dmask >> gen.data[0] & 1
+	if gen.kind == "pc":
+		acting, region = gen.data
+		return not region & dmask or not dmask & ~g.star_masks[acting] & ~region
+	return all(gen.data[v] == v for v in bits(dmask))
+
+
+def supp(ctx, letters):
+	"""The vertices of the reduced form of letters, as a mask."""
+	return mask_word(ctx.reduce(letters))
+
+
+def conjugate(ctx, g, w):
+	"""Reduced form of g w g^-1."""
+	return ctx.reduce(tuple(g) + tuple(w) + inverse(g))
+
+
+def link_of_set(graph, mask):
+	"""Common link of a set of vertices; the empty set links to everything."""
+	out = graph.full
+	for v in bits(mask):
+		out &= graph.adj[v]
+	return out
+
+
+def preserves_word(ctx, phi, dmask):
+	"""Word-level test: does phi carry the subgroup on dmask to a conjugate?
+
+	Returns (verdict, witness): (True, g) with g^-1 phi(.) g inside the
+	subgroup, (False, None) on a refutation, (None, None) otherwise. The
+	oracle that preserves_closed_form and gen_in_relative are checked
+	against.
+
+	A cyclically reduced image support leaving dmask refutes outright.
+	Failing that, the conjugators valid for vertex v form k_v C(core_v)
+	A_dmask; centralizers of cyclically reduced words only use the core's
+	support and its common links, so when the offset k_u^-1 k_v of a pair
+	of vertices needs letters beyond dmask and those links, no common
+	conjugator exists. Candidate witnesses are the cyclic-reduction
+	conjugators, their pairwise offsets and single letters.
+	"""
+	graph = ctx.graph
+	cores = {}
+	ks = {}
+	for v in bits(dmask):
+		core, k = ctx.cyc_reduce(phi.images[2 * v])
+		if mask_word(core) & ~dmask:
+			return False, None
+		cores[v] = core
+		ks[v] = k
+
+	def carried_by(g):
+		return all(
+			not supp(ctx, inverse(g) + phi.images[2 * v] + g) & ~dmask for v in bits(dmask)
+		)
+
+	cands = [()]
+	for k in ks.values():
+		cands.append(ctx.canonical(k))
+		cands.append(ctx.canonical(inverse(k)))
+	lmask = 0
+	for v in bits(dmask):
+		lmask |= supp(ctx, phi.images[2 * v])
+	for x in bits(lmask):
+		cands.append((enc(x, 1),))
+		cands.append((enc(x, -1),))
+	items = list(ks.values())
+	for i, ku in enumerate(items):
+		for kv in items[i + 1 :]:
+			cands.append(ctx.canonical(ku + inverse(kv)))
+			cands.append(ctx.canonical(kv + inverse(ku)))
+	tried = set()
+	for g in cands:
+		if g in tried:
+			continue
+		tried.add(g)
+		if carried_by(g):
+			return True, g
+	vs = list(ks)
+	for i, u in enumerate(vs):
+		for v in vs[i + 1 :]:
+			allowed = (
+				dmask
+				| link_of_set(graph, mask_word(cores[u]))
+				| link_of_set(graph, mask_word(cores[v]))
+			)
+			off = ctx.reduce(inverse(ks[u]) + ks[v])
+			if mask_word(off) & ~allowed:
+				return False, None
+	return None, None
 
 
 def brute_invariant(pp, dmask):
@@ -374,7 +478,7 @@ def pivot_by_generators(d):
 	"""
 	gens = d.gens()
 	for m in sorted(d.pair.g_members, key=lambda m: (m.bit_count(), m)):
-		if any(not gen.acts_trivially_on(m) for gen in gens):
+		if any(not acts_trivially_on(gen, m) for gen in gens):
 			return m
 	return None
 

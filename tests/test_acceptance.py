@@ -10,7 +10,13 @@ import itertools
 import random
 import time
 
-from helpers import checked_saturate, connected_graphs_upto_iso, graph_from_edges, same_map
+from helpers import (
+	checked_saturate,
+	connected_graphs_upto_iso,
+	graph_from_edges,
+	preserves_word,
+	same_map,
+)
 
 from raagout.autos import (
 	Automorphism,
@@ -19,7 +25,6 @@ from raagout.autos import (
 	gen_in_relative,
 	is_inner,
 	parse_generator,
-	preserves_word,
 	product_of,
 	realize,
 )
@@ -241,7 +246,7 @@ def test_08_suite_c_exact_sequence():
 		sub_ctx = image.ctx
 		for gen in image.gens():
 			lift = lift_generator(desc, image, dmask, gen)
-			back = word_restriction(ctx, sub_ctx, dmask, realize(ctx, lift))
+			back = word_restriction(sub_ctx, dmask, realize(ctx, lift))
 			disc = back.compose(realize(sub_ctx, gen).invert())
 			res = is_inner(sub_ctx, disc.images)
 			assert res.status == "yes", (g.to_json_obj(), sat.to_json_obj(), str(gen))

@@ -16,18 +16,21 @@ from raagout.autos import (
 	gen_in_relative,
 	is_inner,
 	parse_generator,
-	preserves_word,
 	product_of,
 	realize,
 )
 
 from helpers import (
+	acts_trivially_on,
+	conjugate,
 	connected_graphs_upto_iso,
 	foata,
 	graph_from_edges,
 	inverts,
 	preserves_closed_form,
+	preserves_word,
 	same_map,
+	supp,
 )
 
 
@@ -208,13 +211,13 @@ def test_inner_conjugation():
 	rng = random.Random(13)
 	for _ in range(20):
 		w = tuple(rng.randrange(2 * g.n) for _ in range(rng.randrange(6)))
-		images = [ctx.conjugate(w, (enc(v, 1),)) for v in range(g.n)]
-		back = [ctx.conjugate(inverse(w), (enc(v, 1),)) for v in range(g.n)]
+		images = [conjugate(ctx, w, (enc(v, 1),)) for v in range(g.n)]
+		back = [conjugate(ctx, inverse(w), (enc(v, 1),)) for v in range(g.n)]
 		phi = Automorphism.from_images(ctx, images, back)
 		res = is_inner(ctx, phi.images)
 		assert res.status == "yes"
 		for v in range(g.n):
-			assert foata(ctx.conjugate(res.witness, (enc(v, 1),)), g) == foata(phi.images[2 * v], g)
+			assert foata(conjugate(ctx, res.witness, (enc(v, 1),)), g) == foata(phi.images[2 * v], g)
 
 
 def test_not_inner():
@@ -286,7 +289,7 @@ def test_trivial_action_closed_forms():
 			phi = realize(ctx, gen)
 			for d in range(1, g.full + 1):
 				got, _ = acts_trivially_word(ctx, phi, d)
-				assert got == gen.acts_trivially_on(d), (g.to_json_obj(), str(gen), d)
+				assert got == acts_trivially_on(gen, d), (g.to_json_obj(), str(gen), d)
 
 
 def test_preserve_closed_forms():
@@ -300,8 +303,8 @@ def test_preserve_closed_forms():
 				assert got == preserves_closed_form(gen, d), (g.to_json_obj(), str(gen), d)
 				if got:
 					for v in bits(d):
-						conj = ctx.conjugate(inverse(witness), phi.images[2 * v])
-						assert not ctx.supp(conj) & ~d
+						conj = conjugate(ctx, inverse(witness), phi.images[2 * v])
+						assert not supp(ctx, conj) & ~d
 
 
 @settings(max_examples=150, deadline=None)
@@ -322,13 +325,13 @@ def test_preserve_word_random_products(data):
 	got, witness = preserves_word(ctx, phi, d)
 	if got:
 		for v in bits(d):
-			conj = ctx.conjugate(inverse(witness), phi.images[2 * v])
-			assert not ctx.supp(conj) & ~d
+			conj = conjugate(ctx, inverse(witness), phi.images[2 * v])
+			assert not supp(ctx, conj) & ~d
 	elif got is False:
 		# a refutation means no generator-built witness works either
 		for cand in [()] + [phi.images[2 * v] for v in bits(d)]:
 			carried = all(
-				not ctx.supp(ctx.conjugate(inverse(cand), phi.images[2 * v])) & ~d
+				not supp(ctx, conjugate(ctx, inverse(cand), phi.images[2 * v])) & ~d
 				for v in bits(d)
 			)
 			assert not carried

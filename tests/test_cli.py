@@ -421,12 +421,21 @@ def test_no_command_prints_help(capsys):
 			'[0]"image"[0]"target": unknown vertex \'a\'',
 		),
 		("--script", [{"op": "restrict", "target": ["a"]}], '[0]"target": restriction target a is not invariant'),
+		# a leaf step takes no restrict key, so loading stops before the bogus nested op
+		(
+			"--script",
+			[{"op": "restrict", "target": ["b"], "image": [
+				{"op": "leaf", "target": ["b"], "mode": "saturated", "image": [{"op": "bogus"}]},
+			]}],
+			'[0]"image"[0]"target": only a restrict step takes this key',
+		),
+		("--script", [{"op": "leaf"}, {"op": "spin"}], '[1]"op": must be restrict, project or leaf'),
 	],
 	ids=[
 		"periph-list", "restrict-no-target", "script-object", "step-not-object", "image-object",
 		"member-not-list", "members-string", "target-string", "target-name-not-string",
 		"periph-unknown-key", "step-unknown-key", "mode-unknown", "image-target-not-in-image",
-		"target-not-invariant",
+		"target-not-invariant", "leaf-with-restrict-keys", "op-unknown",
 	],
 )
 def test_decompose_malformed_input_is_a_domain_error(capsys, tmp_path, p3, flag, obj, key):

@@ -5,10 +5,17 @@ import pytest
 
 from raagout.errors import DomainError, ScriptError
 from raagout.families import four_path
-from raagout.graphs import DefiningGraph
+from raagout.graphs import DefiningGraph, compress_mask
 from raagout.load import build_pair
-from raagout.peripheral import PeripheralPair, saturate
-from raagout.autos import acts_trivially_word, enumerate_generators, is_inner, realize
+from raagout.peripheral import PeripheralPair, fast_periphery, induced, is_invariant, saturate
+from raagout.autos import (
+	Automorphism,
+	LaurenceGenerator,
+	acts_trivially_word,
+	enumerate_generators,
+	is_inner,
+	realize,
+)
 from raagout import decompose as decompose_module
 from raagout.decompose import (
 	Complexity,
@@ -34,6 +41,7 @@ from raagout.decompose import (
 from raagout.vcd import vcd_upper
 
 from helpers import (
+	acts_trivially_on,
 	auto_tree_nodes,
 	connected_graphs_upto_iso,
 	graph_from_edges,
@@ -88,6 +96,18 @@ def test_descriptor_normalizes_and_counts():
 	assert d.complexity() == Complexity(3, 7)
 	assert d.complexity() < Complexity(3, 8)
 	assert d.complexity() < Complexity(4, 0)
+
+
+def test_descriptor_refuses_a_pair_on_another_graph():
+	# same vertex names, other edges: the pair's order index is the triangle's
+	path = path3()
+	triangle = DefiningGraph(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
+	with pytest.raises(DomainError, match="^pair belongs to a different graph$"):
+		GroupDescriptor(path, PeripheralPair(triangle))
+	with pytest.raises(DomainError, match="^pair belongs to a different graph$"):
+		GroupDescriptor(path, PeripheralPair(DefiningGraph(["a", "b", "x"], [])))
+	twin = path3()
+	assert GroupDescriptor(twin, PeripheralPair(path3())).graph is twin
 
 
 def test_absolute_descriptor():
@@ -146,13 +166,66 @@ def test_restriction_requires_invariance():
 		restriction_step(d, g.mask(["b"]), mode="lazy")
 
 
+def join_first_restriction(d, dmask):
+	"""The fast restriction as it was built when the target joined G first."""
+	pair = d.pair
+	if dmask not in pair.g_members:
+		pair = pair.adding_g([dmask])
+	per = fast_periphery(pair, dmask)
+	sub = induced(pair, dmask).adding_g(compress_mask(m, dmask) for m in per)
+	return pair.adding_h([dmask]), sub
+
+
+def test_fast_restriction_matches_the_join_first_construction():
+	rng = random.Random(41)
+	checked = 0
+	for _ in range(60):
+		n = rng.randrange(2, 7)
+		density = rng.random()
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
+		d = GroupDescriptor(g, PeripheralPair(g, *random_peripheral(g, rng)))
+		for dmask in range(1, g.full):
+			if not is_invariant(d.pair, dmask) or dmask in d.pair.h_members:
+				continue
+			kernel, image = restriction_step(d, dmask, mode="fast")
+			ref_kernel, ref_image = join_first_restriction(d, dmask)
+			case = (g.to_json_obj(), d.pair.to_json_obj(), dmask)
+			assert kernel.pair.to_json_obj() == ref_kernel.to_json_obj(), case
+			assert image.to_json_obj() == {
+				"graph": ref_image.graph.to_json_obj(),
+				"pair": ref_image.to_json_obj(),
+			}, case
+			assert kernel.pair.index.rows == ref_kernel.index.rows, case
+			assert kernel.pair.index.gv == ref_kernel.index.gv, case
+			checked += dmask not in d.pair.g_members
+	assert checked > 100
+
+
+def test_word_restriction_refuses_a_letter_sent_outside():
+	# pc c0 conjugates the whole top diamond: a conjugate of it, not a lift
+	g = diamond_chain(2)
+	d = GroupDescriptor.absolute(g)
+	b = g.mask(["c1", "a2", "b2", "c2"])
+	_, image = restriction_step(d, b, mode="fast")
+	phi = realize(d.ctx, LaurenceGenerator.partial_conj(g, "c0", b))
+	with pytest.raises(DomainError, match="^map sends a letter of the subgroup outside it$"):
+		word_restriction(image.ctx, b, phi)
+	# the back table is read too: only its image of c2 leaves the diamond
+	fwd = [(2 * v,) for v in range(g.n)]
+	bwd = list(fwd)
+	bwd[g.index["c2"]] = (2 * g.index["c2"], 2 * g.index["c0"])
+	with pytest.raises(DomainError, match="^map sends a letter of the subgroup outside it$"):
+		word_restriction(image.ctx, b, Automorphism.from_images(d.ctx, fwd, bwd))
+
+
 def test_restriction_kernel_gens_trivial_on_target():
 	g = diamond_chain(2)
 	d = GroupDescriptor.absolute(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	kernel, _ = restriction_step(d, b, mode="fast")
 	for gen in kernel.gens():
-		assert gen.acts_trivially_on(b)
+		assert acts_trivially_on(gen, b)
 		if gen.kind != "sym":
 			flag, _ = acts_trivially_word(kernel.ctx, realize(kernel.ctx, gen), b)
 			assert flag, str(gen)
@@ -169,7 +242,7 @@ def test_lift_roundtrip_mod_inner():
 			continue
 		lift = lift_generator(d, image, b, gen)
 		phi = realize(d.ctx, lift)
-		back = word_restriction(d.ctx, image.ctx, b, phi)
+		back = word_restriction(image.ctx, b, phi)
 		diff = back.compose(realize(image.ctx, gen).invert())
 		assert is_inner(image.ctx, diff.images).status == "yes", str(gen)
 		lifted += 1
@@ -203,8 +276,6 @@ def test_lift_rejects_outsiders():
 	d = GroupDescriptor.absolute(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	_, image = restriction_step(d, b, mode="fast")
-	from raagout.autos import LaurenceGenerator
-
 	bad = LaurenceGenerator.transvection(image.graph, "c1", "c2")
 	with pytest.raises(DomainError):
 		lift_generator(d, image, b, bad)
@@ -263,7 +334,7 @@ def test_projection_refuses_exactly_when_a_generator_moves_the_center():
 		if not z or z == g.full:
 			continue
 		pair = PeripheralPair(g, *random_peripheral(g, rng)).normalize()
-		refused = any(not gen.acts_trivially_on(z) for gen in enumerate_generators(pair))
+		refused = any(not acts_trivially_on(gen, z) for gen in enumerate_generators(pair))
 		try:
 			projection_step(GroupDescriptor(g, pair))
 		except DomainError as exc:

@@ -4,7 +4,8 @@ Each example writes a graph, a peripheral pair, a script and a generator
 list, some shaped like the real formats and some arbitrary JSON, and runs
 one command on them; every command gets the same number of examples.
 About one example in four slips on purpose: its pair or its script steps
-carry a misspelled key, or its restrict steps leave out the target, so
+carry a misspelled key, its restrict steps leave out the target, or its
+project and leaf steps carry an unknown op or a key only restrict takes, so
 the loader's checks are reached while most examples get past the loader
 to the tree builder. Half of the examples of a command that reads a
 generator list (vcd) instead bound the graph's absolute group in auto
@@ -43,7 +44,7 @@ KEYS = [
 	# misspelled keys, which every format rejects
 	"g", "moed",
 ]
-SLIPS = [None] * 9 + ["g", "moed", "target"]
+SLIPS = [None] * 12 + ["g", "moed", "target", "op"]
 scalars = st.one_of(
 	st.none(),
 	st.booleans(),
@@ -136,8 +137,8 @@ def invocations(draw, command):
 		target = {} if slip == "target" else {"target": st.sampled_from(targets)}
 		# leaf first, so the simplest draw is a step that can end a branch
 		other = st.fixed_dictionaries(
-			{"op": st.sampled_from(["leaf", "project", "spin"]), **typo},
-			optional={"target": name_lists, **mode},
+			{"op": st.sampled_from(["leaf", "project"] + ["spin"] * (slip == "op")), **typo},
+			optional={"target": name_lists, **mode} if slip == "op" else {},
 		)
 		if not targets:
 			return shaped(st.lists(other, min_size=1, max_size=3))

@@ -408,11 +408,40 @@ def test_induced_cuts_members():
 # ---- fast periphery ----
 
 
-def test_fast_periphery_needs_membership():
+def test_fast_periphery_needs_an_invariant_target():
+	# a lies below b in the order, so <a> is not invariant; <b> is, and
+	# it need not be a member of G
 	g = path3()
 	pp = normalized(g)
-	with pytest.raises(DomainError):
-		fast_periphery(pp, g.mask(["b"]))
+	with pytest.raises(DomainError, match="^target is not invariant for this pair$"):
+		fast_periphery(pp, g.mask(["a"]))
+	with pytest.raises(DomainError, match="^peripheral members must be proper subgraphs$"):
+		fast_periphery(pp, g.full)
+	with pytest.raises(DomainError, match="nonempty"):
+		fast_periphery(pp, 0)
+	assert g.mask(["b"]) not in pp.g_members
+	assert fast_periphery(pp, g.mask(["b"])) == ()
+
+
+def test_fast_periphery_asks_no_membership():
+	# an invariant target outside G gives the periphery it gives once joined to G
+	rng = random.Random(23)
+	checked = 0
+	for _ in range(60):
+		n = rng.randrange(2, 7)
+		density = rng.random()
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
+		pp = PeripheralPair(g, *random_peripheral(g, rng))
+		for d in range(1, g.full):
+			if is_invariant(pp, d):
+				assert fast_periphery(pp, d) == fast_periphery(pp.adding_g([d]), d), (
+					g.to_json_obj(),
+					pp.to_json_obj(),
+					d,
+				)
+				checked += d not in pp.g_members
+	assert checked > 100
 
 
 @pytest.mark.parametrize("d", [2, 3])
