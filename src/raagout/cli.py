@@ -22,13 +22,12 @@ from .autos import (
 )
 from .decompose import (
 	GroupDescriptor,
-	Leaf,
-	ProjectionStep,
-	RestrictionStep,
 	decompose,
+	dot_escape,
 	lift_generator,
 	restriction_step,
 	tree_dot,
+	tree_text,
 	word_restriction,
 )
 from .errors import CapabilityError, DomainError, ScriptError
@@ -69,13 +68,10 @@ def _emit_json(obj):
 
 
 def _graph_dot(graph):
+	obj = graph.to_json_obj()
 	lines = ["graph G {"]
-	for name in graph.vertices:
-		lines.append('  "%s";' % name)
-	for i, name in enumerate(graph.vertices):
-		for j in range(i + 1, graph.n):
-			if graph.adj[i] >> j & 1:
-				lines.append('  "%s" -- "%s";' % (name, graph.vertices[j]))
+	lines.extend('  "%s";' % dot_escape(name) for name in obj["vertices"])
+	lines.extend('  "%s" -- "%s";' % (dot_escape(a), dot_escape(b)) for a, b in obj["edges"])
 	lines.append("}")
 	return "\n".join(lines)
 
@@ -86,7 +82,7 @@ def _graph_dot(graph):
 def cmd_info(args):
 	graph = _graph(args)
 	pair = _pair(graph, args)
-	desc = GroupDescriptor(graph, pair)
+	desc = GroupDescriptor(pair)
 	edges = sum(bin(m).count("1") for m in graph.adj) // 2
 	if args.format == "json":
 		_emit_json(
@@ -168,7 +164,7 @@ def cmd_periphery(args):
 
 def cmd_restrict(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(graph, _pair(graph, args))
+	desc = GroupDescriptor(_pair(graph, args))
 	dmask = _target_mask(graph, args)
 	kernel, image = restriction_step(desc, dmask, mode=args.mode)
 	if args.format == "json":
@@ -179,32 +175,9 @@ def cmd_restrict(args):
 	return 0
 
 
-def _tree_text(root):
-	lines = []
-	for path, node, parent in root.walk():
-		pad = "  " * path.count(".")
-		if isinstance(parent, RestrictionStep):
-			role = "kernel" if path.endswith("k") else "image"
-			lines.append("%s %s:" % (pad[2:], role))
-		step = node.step
-		summary = node.descriptor.summary()
-		if isinstance(step, Leaf):
-			lines.append("%sleaf %r  [%s]" % (pad, step.shape, summary))
-		elif isinstance(step, ProjectionStep):
-			names = ",".join(node.descriptor.graph.names(step.zmask))
-			lines.append(
-				"%sproject out <%s>, kernel rank %d  [%s]"
-				% (pad, names, step.kernel_rank, summary)
-			)
-		else:
-			names = ",".join(node.descriptor.graph.names(step.dmask))
-			lines.append("%srestrict to <%s>  [%s]" % (pad, names, summary))
-	return "\n".join(lines)
-
-
 def cmd_decompose(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(graph, _pair(graph, args))
+	desc = GroupDescriptor(_pair(graph, args))
 	script = load(args.script, "script", build_script, graph) if args.script else None
 	root = decompose(desc, mode="script", script=script)
 	if args.format == "json":
@@ -212,14 +185,14 @@ def cmd_decompose(args):
 	elif args.format == "dot":
 		print(tree_dot(root))
 	else:
-		print(_tree_text(root))
+		print(tree_text(root))
 		print("leaves: %s" % "; ".join(repr(s) for s in root.leaves()))
 	return 0
 
 
 def cmd_vcd(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(graph, _pair(graph, args))
+	desc = GroupDescriptor(_pair(graph, args))
 	script = load(args.script, "script", build_script, graph) if args.script else None
 	gens = load(args.gens, "generator list", build_generators, graph) if args.gens else None
 	bound = vcd_report(desc, script=script, gens=gens, nilpotent=args.nilpotent)
@@ -272,7 +245,7 @@ def cmd_apply(args):
 
 def cmd_check_exact(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(graph, _pair(graph, args))
+	desc = GroupDescriptor(_pair(graph, args))
 	dmask = _target_mask(graph, args)
 	kernel, image = restriction_step(desc, dmask, mode=args.mode)
 	ctx = desc.ctx
@@ -280,9 +253,6 @@ def cmd_check_exact(args):
 	failures = 0
 	checks = 0
 	for gen in image.gens():
-		if gen.kind == "sym":
-			print("skip lift %s (no canonical lift)" % gen)
-			continue
 		checks += 1
 		try:
 			lifted = lift_generator(desc, image, dmask, gen)

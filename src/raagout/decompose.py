@@ -1,6 +1,6 @@
 """Subnormal decomposition of relative outer automorphism groups.
 
-A descriptor ties a defining graph to a peripheral pair and stands for one
+A descriptor holds a peripheral pair, graph included, and stands for one
 relative group. Three moves take it apart: restricting to an invariant
 subgraph (the kernel keeps the graph with the target turned into a
 trivial-action member, the image moves onto the subgraph), projecting away
@@ -29,15 +29,12 @@ Complexity = namedtuple("Complexity", ["n", "m"])
 
 
 class GroupDescriptor:
-	"""A relative outer automorphism group: a graph plus a peripheral pair, taken as given."""
+	"""A relative outer automorphism group: a peripheral pair, taken as given, on its graph."""
 
 	__slots__ = ("graph", "pair", "_ctx", "_gens", "_pivot")
 
-	def __init__(self, graph, pair):
-		other = pair.graph
-		if other is not graph and (other.vertices, other.adj) != (graph.vertices, graph.adj):
-			raise DomainError("pair belongs to a different graph")
-		self.graph = graph
+	def __init__(self, pair):
+		self.graph = pair.graph
 		self.pair = pair
 		self._ctx = None
 		self._gens = None
@@ -45,7 +42,7 @@ class GroupDescriptor:
 
 	@classmethod
 	def absolute(cls, graph):
-		return cls(graph, PeripheralPair(graph, [], []))
+		return cls(PeripheralPair(graph, [], []))
 
 	@property
 	def ctx(self):
@@ -247,24 +244,24 @@ class DecompositionNode:
 		self.step = step
 
 	def walk(self):
-		"""(path, node, parent step) for every node, in pre-order.
+		"""(path, depth, role, node, parent step) for every node, in pre-order.
 
-		The path is "root" here, and each child extends its parent's path
-		by ".k" for a kernel branch or ".i" for an image branch; the
-		parent step of this node is None. Children come in step.children
-		order, kernel before image.
+		The root is ("root", 0, None, self, None). A child is one deeper
+		than its parent, has the role "kernel" or "image" its parent's step
+		gives it, and extends its parent's path by ".k" or ".i"; children
+		come in step.children order. The path is a ledger id only.
 		"""
-		stack = [("root", self, None)]
+		stack = [("root", 0, None, self, None)]
 		while stack:
-			path, node, parent = stack.pop()
-			yield path, node, parent
-			for role, child in reversed(node.step.children):
-				stack.append(("%s.%s" % (path, role[0]), child, node.step))
+			path, depth, role, node, parent = stack.pop()
+			yield path, depth, role, node, parent
+			for branch, child in reversed(node.step.children):
+				stack.append(("%s.%s" % (path, branch[0]), depth + 1, branch, child, node.step))
 
 	def leaves(self):
 		"""Leaf shapes and projection kernels, left to right."""
 		out = []
-		for _, node, _ in self.walk():
+		for _, _, _, node, _ in self.walk():
 			step = node.step
 			if isinstance(step, Leaf):
 				out.append(step.shape)
@@ -273,58 +270,88 @@ class DecompositionNode:
 		return out
 
 	def to_json_obj(self):
-		"""The tree as nested objects, built along walk() so its depth costs no stack."""
-		bodies = {}
-		for path, node, parent in self.walk():
+		"""The tree as nested objects, built along walk() so its depth costs no stack.
+
+		Children go by role into bodies[k + 1], the open step body at depth k.
+		"""
+		bodies = [{}]
+		for _, depth, role, node, _ in self.walk():
 			d = node.descriptor
 			step = node.step
-			obj = d.to_json_obj()
-			if parent is None:
-				root = obj
-			else:
-				up, role = path.rsplit(".", 1)
-				bodies[up]["kernel" if role == "k" else "image"] = obj
+			obj = bodies[depth][role] = d.to_json_obj()
+			del bodies[depth + 1:]
 			if isinstance(step, Leaf):
 				obj["leaf"] = step.shape.to_json_obj()
 			elif isinstance(step, RestrictionStep):
-				bodies[path] = obj["restrict"] = {"target": d.graph.names(step.dmask)}
+				obj["restrict"] = {"target": d.graph.names(step.dmask)}
+				bodies.append(obj["restrict"])
 			else:
-				bodies[path] = obj["project"] = {
+				obj["project"] = {
 					"center": d.graph.names(step.zmask),
 					"kernel_rank": step.kernel_rank,
 				}
-		return root
+				bodies.append(obj["project"])
+		return bodies[0][None]
+
+
+def dot_escape(text):
+	"""text made safe inside a DOT quoted string: backslashes, then quotes, escaped."""
+	return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def tree_dot(root):
 	"""The tree in DOT form, nodes labeled by descriptor summaries.
 
 	Nodes are numbered in pre-order, and the edge into a node follows its
-	whole subtree; the pending edges wait on a stack until the walk leaves
-	their child's subtree.
+	whole subtree; ids[k] is the id of the node at depth k on the branch,
+	and the edges wait on a stack until the walk is back at their child's
+	depth or above.
 	"""
 	lines = ["digraph decomposition {", "\tnode [shape=box];"]
-	ids = {}
+	ids = []
 	pending = []
-	for path, node, parent in root.walk():
-		while pending and not path.startswith(pending[-1][0] + "."):
+	for number, (_, depth, role, node, _) in enumerate(root.walk()):
+		while pending and pending[-1][0] >= depth:
 			lines.append(pending.pop()[1])
-		my = ids[path] = "n%d" % len(ids)
+		my = "n%d" % number
+		ids[depth:] = [my]
 		step = node.step
 		label = node.descriptor.summary()
 		if isinstance(step, Leaf):
-			label += "\\n%r" % step.shape
+			label += "\\n%s" % dot_escape(repr(step.shape))
 		elif isinstance(step, RestrictionStep):
-			label += "\\nrestrict %s" % ",".join(node.descriptor.graph.names(step.dmask))
+			label += "\\nrestrict %s" % dot_escape(",".join(node.descriptor.graph.names(step.dmask)))
 		else:
 			label += "\\nproject, ker Z^%d" % step.kernel_rank
 		lines.append('\t%s [label="%s"];' % (my, label))
-		if parent is not None:
-			up, role = path.rsplit(".", 1)
-			edge = '\t%s -> %s [label="%s"];' % (ids[up], my, "ker" if role == "k" else "im")
-			pending.append((path, edge))
+		if depth:
+			edge = '\t%s -> %s [label="%s"];' % (ids[depth - 1], my, "ker" if role == "kernel" else "im")
+			pending.append((depth, edge))
 	lines.extend(edge for _, edge in reversed(pending))
 	lines.append("}")
+	return "\n".join(lines)
+
+
+def tree_text(root):
+	"""The tree as indented text: a line per step, and a role line above each restriction branch."""
+	lines = []
+	for _, depth, role, node, parent in root.walk():
+		pad = "  " * depth
+		if isinstance(parent, RestrictionStep):
+			lines.append("%s %s:" % (pad[2:], role))
+		step = node.step
+		summary = node.descriptor.summary()
+		if isinstance(step, Leaf):
+			lines.append("%sleaf %r  [%s]" % (pad, step.shape, summary))
+		elif isinstance(step, ProjectionStep):
+			names = ",".join(node.descriptor.graph.names(step.zmask))
+			lines.append(
+				"%sproject out <%s>, kernel rank %d  [%s]"
+				% (pad, names, step.kernel_rank, summary)
+			)
+		else:
+			names = ",".join(node.descriptor.graph.names(step.dmask))
+			lines.append("%srestrict to <%s>  [%s]" % (pad, names, summary))
 	return "\n".join(lines)
 
 
@@ -370,8 +397,8 @@ def restriction_step(d, dmask, mode="fast"):
 	if mode == "fast":
 		per = fast_periphery(pair, dmask)
 		sub_pair = sub_pair.adding_g(compress_mask(m, dmask) for m in per)
-	image = GroupDescriptor(sub_pair.graph, sub_pair)
-	kernel = GroupDescriptor(graph, pair.adding_h([dmask]))
+	image = GroupDescriptor(sub_pair)
+	kernel = GroupDescriptor(pair.adding_h([dmask]))
 	return kernel, image
 
 
@@ -432,7 +459,8 @@ def projection_step(d):
 	Sound whenever the graph is connected, the center is nonempty and
 	proper, and the group acts trivially on the center's subgroup; the
 	kernel is free abelian, spanned by the transvections from outside
-	letters onto central ones that the relative order admits.
+	letters onto central ones that the relative order admits. Returns
+	the center's mask, the kernel rank and the image descriptor.
 
 	Lemma: a partial conjugation is trivial on the center z. Every central
 	vertex is adjacent to every other one, so z lies in st(x) for every
@@ -453,8 +481,7 @@ def projection_step(d):
 		)
 	rows = d.pair.index.rows
 	rank = sum(1 for vc in bits(z) for w in bits(graph.full & ~z) if rows[w] >> vc & 1)
-	image_pair = induced(d.pair, graph.full & ~z)
-	return rank, GroupDescriptor(image_pair.graph, image_pair)
+	return z, rank, GroupDescriptor(induced(d.pair, graph.full & ~z))
 
 
 def classify_irreducible(d):
@@ -560,7 +587,7 @@ def decompose(d, mode="auto", script=None):
 		d = node.descriptor
 		scripted = i < len(steps)
 		if not scripted and not d.pair.saturated:
-			d = node.descriptor = GroupDescriptor(d.graph, saturation(d.pair))
+			d = node.descriptor = GroupDescriptor(saturation(d.pair))
 		step = steps[i] if scripted else _auto_step(d)
 		at = "%s[%d]" % (path, i)
 		op = step.get("op")
@@ -575,8 +602,8 @@ def decompose(d, mode="auto", script=None):
 				kernel, image = restriction_step(d, dmask, mode=step.get("mode", "fast"))
 				node.step = RestrictionStep(dmask, _child(d, kernel), _child(d, image))
 			elif op == "project":
-				rank, image = projection_step(d)
-				node.step = ProjectionStep(d.graph.subgraph_center(d.graph.full), rank, _child(d, image))
+				zmask, rank, image = projection_step(d)
+				node.step = ProjectionStep(zmask, rank, _child(d, image))
 			elif op == "leaf":
 				if i + 1 < len(steps):
 					raise DomainError("leaf must be the last step of its branch")
@@ -603,7 +630,7 @@ def _auto_step(d):
 	if pivot is not None:
 		return {"op": "restrict", "target": d.graph.names(pivot), "mode": "saturated"}
 	graph = d.graph
-	if graph.is_connected() and not graph.is_clique(graph.full) and graph.subgraph_center(graph.full):
+	if graph.is_connected() and 0 < graph.subgraph_center(graph.full) < graph.full:
 		return {"op": "project"}
 	return {"op": "leaf"}
 

@@ -164,7 +164,7 @@ def diamond_quartet():
 		gens = [LaurenceGenerator.transvection(graph, "b1", "a1")]
 		if dim == 2:
 			gens.append(LaurenceGenerator.transvection(graph, "c0", "c1"))
-		out.append((name, GroupDescriptor(graph, pair), gens, dim))
+		out.append((name, GroupDescriptor(pair), gens, dim))
 	return out
 
 

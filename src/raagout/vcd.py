@@ -106,7 +106,7 @@ def fold(tree):
 	projection kernel. The bound is the sum of the contributions.
 	"""
 	rows = []
-	for path, node, _ in tree.walk():
+	for path, _, _, node, _ in tree.walk():
 		step = node.step
 		if isinstance(step, Leaf):
 			rows.append((path, *leaf_dimension(step.shape)))

@@ -510,8 +510,8 @@ def auto_tree_nodes(seed=5):
 		descriptors.append(GroupDescriptor.absolute(g))
 		for _ in range(2):
 			glist, hlist = random_peripheral(g, rng)
-			descriptors.append(GroupDescriptor(g, PeripheralPair(g, glist, hlist).normalize()))
+			descriptors.append(GroupDescriptor(PeripheralPair(g, glist, hlist)))
 	out = []
 	for d in descriptors:
-		out.extend(node for _, node, _ in decompose(d).walk())
+		out.extend(node for _, _, _, node, _ in decompose(d).walk())
 	return out

@@ -122,14 +122,14 @@ def test_04_four_path_family():
 
 def test_05_saturation_oracle():
 	p3 = DefiningGraph(["a", "b", "c"], [["a", "b"], ["b", "c"]])
-	sat = checked_saturate(PeripheralPair(p3, [], []).normalize())
+	sat = checked_saturate(PeripheralPair(p3, [], []))
 	b = p3.mask(["b"])
 	assert set(sat.g_members) == {b} and sat.h_members == ()
 
 	# re-derive by brute force: a proper subgraph survives exactly when all
 	# seven generators preserve it word-level
 	ctx = WordContext(p3)
-	gens = enumerate_generators(PeripheralPair(p3, [], []).normalize())
+	gens = enumerate_generators(PeripheralPair(p3, [], []))
 	assert len(gens) == 7
 	survivors = set()
 	for dmask in range(1, p3.full):
@@ -143,7 +143,7 @@ def test_05_saturation_oracle():
 	assert got is False and witness is None
 
 	f2 = DefiningGraph(["a", "b"], [])
-	sat2 = checked_saturate(PeripheralPair(f2, [], []).normalize())
+	sat2 = checked_saturate(PeripheralPair(f2, [], []))
 	assert sat2.g_members == () and sat2.h_members == ()
 	_ok(5, "saturation gives {<b>} on the path and nothing on F2, brute-force confirmed")
 
@@ -157,7 +157,7 @@ def test_06_suite_a_generator_criteria():
 		for edges in connected_graphs_upto_iso(n):
 			g = graph_from_edges(n, edges)
 			ctx = WordContext(g)
-			gens = enumerate_generators(PeripheralPair(g, [], []).normalize())
+			gens = enumerate_generators(PeripheralPair(g, [], []))
 			phis = [realize(ctx, x) for x in gens]
 			# word-oracle verdicts per (generator index, mask): the 200 pairs
 			# of one graph ask about the same few masks again and again
@@ -166,7 +166,7 @@ def test_06_suite_a_generator_criteria():
 			for _ in range(200):
 				glist = [rng.randrange(1, g.full) for _ in range(rng.randrange(3))]
 				hlist = [m for m in glist if rng.random() < 0.5]
-				pp = PeripheralPair(g, glist, hlist).normalize()
+				pp = PeripheralPair(g, glist, hlist)
 				for i, (gen, phi) in enumerate(zip(gens, phis)):
 					expect = True
 					for m in pp.g_members:
@@ -202,7 +202,7 @@ def test_07_suite_b_invariance():
 		ctx = WordContext(g)
 		glist = [rng.randrange(1, full) for _ in range(rng.randrange(3))]
 		hlist = [m for m in glist if rng.random() < 0.5]
-		pp = PeripheralPair(g, glist, hlist).normalize()
+		pp = PeripheralPair(g, glist, hlist)
 		gens = enumerate_generators(pp)
 		phis = [realize(ctx, x) for x in gens]
 		invariant = []
@@ -235,12 +235,12 @@ def test_08_suite_c_exact_sequence():
 		g = graph_from_edges(n, edges)
 		glist = [rng.randrange(1, full) for _ in range(rng.randrange(3))]
 		hlist = [m for m in glist if rng.random() < 0.5]
-		sat = saturate(PeripheralPair(g, glist, hlist).normalize())
+		sat = saturate(PeripheralPair(g, glist, hlist))
 		members = [m for m in sat.g_members if 0 < m < full]
 		if not members:
 			continue
 		dmask = rng.choice(members)
-		desc = GroupDescriptor(g, sat)
+		desc = GroupDescriptor(sat)
 		kernel, image = restriction_step(desc, dmask, mode="saturated")
 		ctx = desc.ctx
 		sub_ctx = image.ctx

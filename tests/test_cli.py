@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from raagout.cli import main
+from raagout.families import diamond_chain
 from raagout.load import build_graph
 
 
@@ -514,3 +515,138 @@ def test_seed_flag_is_gone(capsys, p3):
 		main(["info", "--graph", p3, "--seed", "1"])
 	assert exc.value.code == 1
 	assert "--seed" in capsys.readouterr().err
+
+
+# small inputs by file name, written to a fresh directory per test
+EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+INPUTS = {
+	"p3.json": P3,
+	"p3-b.json": {"G": [["b"]], "H": [["b"]]},
+	"edge.json": EDGE,
+	"edge-ab.json": {"G": [], "H": [["a"], ["b"]]},
+	"edge-trv.json": ["trv a^b"],
+	"c4.json": {
+		"vertices": ["a", "b", "c", "d"],
+		"edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
+	},
+	"d3.json": diamond_chain(3).to_json_obj(),
+}
+
+
+@pytest.mark.parametrize(
+	"argv, code, out, err",
+	[
+		(
+			["periphery", "--graph", "d3.json", "--target", "c2,a3,b3,c3", "--format", "json"],
+			0, '[\n  [\n    "c2"\n  ]\n]\n', "",
+		),
+		(
+			["restrict", "--graph", "p3.json", "--target", "b"],
+			0, "kernel: n=3 |G|=1 |H|=1\nimage:  n=1 |G|=0 |H|=0\n", "",
+		),
+		(
+			["info", "--graph", "p3.json", "--periph", "p3-b.json"],
+			0,
+			"3 vertices, 2 edges, connected\nclique number 2\nclasses: [a,c] [b]\n"
+			"G <b>\nH <b>\ncomplexity (3, 7)\n",
+			"",
+		),
+		(["saturate", "--graph", "p3.json", "--periph", "p3-b.json"], 0, "G <b>\nH <b>\n", ""),
+		(
+			["vcd", "--graph", "edge.json", "--periph", "edge-ab.json", "--gens", "edge-trv.json"],
+			1, "", "error: trv a^b is not in the group being bounded\n",
+		),
+		(
+			# the 4-cycle is the diamond chain of length 1, whose list vcd derives
+			["vcd", "--graph", "c4.json"],
+			0,
+			"upper: 2\nlower: 2\n"
+			"  root.k.k                 0        free-abelian rank\n"
+			"  root.k.i                 1        free group outer\n"
+			"  root.i                   1        free group outer\n",
+			"",
+		),
+		(
+			["decompose", "--graph", "edge.json", "--periph", "edge-ab.json"],
+			0, "leaf Trivial  [n=2 |G|=2 |H|=2]\nleaves: Trivial\n", "",
+		),
+		(
+			["decompose", "--graph", "edge.json", "--periph", "edge-ab.json", "--format", "json"],
+			0,
+			json.dumps(
+				{
+					"graph": EDGE,
+					"pair": {"G": [["a"], ["b"]], "H": [["a"], ["b"]]},
+					"leaf": {"class": "trivial"},
+				},
+				indent=2,
+				sort_keys=True,
+			)
+			+ "\n",
+			"",
+		),
+		(
+			["decompose", "--graph", "edge.json", "--periph", "edge-ab.json", "--format", "dot"],
+			0,
+			'digraph decomposition {\n\tnode [shape=box];\n'
+			'\tn0 [label="n=2 |G|=2 |H|=2\\nTrivial"];\n}\n',
+			"",
+		),
+	],
+	ids=[
+		"periphery-json", "restrict-text", "info-with-h", "saturate-with-h",
+		"vcd-gen-outside-group", "vcd-four-cycle", "trivial-leaf-text", "trivial-leaf-json",
+		"trivial-leaf-dot",
+	],
+)
+def test_pinned_output(capsys, tmp_path, argv, code, out, err):
+	for name, obj in INPUTS.items():
+		write_json(tmp_path, name, obj)
+	argv = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+	assert run(capsys, *argv) == (code, out, err)
+
+
+def dot_strings(text):
+	"""The quoted strings of DOT text with \\\\ and \\" undone; fails on one left open."""
+	out = []
+	for line in text.splitlines():
+		i = line.find('"')
+		while i >= 0:
+			chars = []
+			i += 1
+			while True:
+				assert i < len(line), "quoted string not closed: %r" % line
+				if line[i] == '"':
+					break
+				if line[i] == "\\" and line[i + 1 : i + 2] in ('"', "\\"):
+					i += 1
+				chars.append(line[i])
+				i += 1
+			out.append("".join(chars))
+			i = line.find('"', i + 1)
+	return out
+
+
+def test_dot_quotes_names_with_quotes_and_backslashes(capsys, tmp_path):
+	# vertex names a"x and b\: DOT needs both escaped inside a quoted string
+	ax, b = 'a"x', "b\\"
+	path = write_json(tmp_path, "p.json", {"vertices": [ax, b, "c"], "edges": [[ax, b], [b, "c"]]})
+	code, out, _ = run(capsys, "cone-graph", "--graph", path, "--format", "dot")
+	assert code == 0
+	cone = [ax, b, "c", "@G", "@*"]
+	edges = [(ax, b), (ax, "@G"), (ax, "@*"), (b, "c"), (b, "@G"), (b, "@*"), ("c", "@G"), ("c", "@*")]
+	assert dot_strings(out) == cone + [name for e in edges for name in e]
+	code, out, _ = run(capsys, "decompose", "--graph", path, "--format", "dot")
+	assert code == 0
+	assert dot_strings(out)[0] == "n=3 |G|=1 |H|=0\\nrestrict b\\"
+	# an isolated c: the restriction names both letters, the FR leaf holds them
+	edge = write_json(tmp_path, "e.json", {"vertices": [ax, b, "c"], "edges": [[ax, b]]})
+	code, out, _ = run(capsys, "decompose", "--graph", edge, "--format", "dot")
+	assert code == 0
+	assert dot_strings(out) == [
+		'n=3 |G|=1 |H|=0\\nrestrict a"x,b\\',
+		'n=3 |G|=3 |H|=1\\nFR(factors=[<a"x,b\\>!], m=1)',
+		"ker",
+		"n=2 |G|=0 |H|=0\\nGL(2,Z) ext 0",
+		"im",
+	]

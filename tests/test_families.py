@@ -56,7 +56,7 @@ def test_diamond_generator_counts():
 def test_diamond_generators_in_group():
 	for d in (2, 3):
 		g = diamond_chain(d)
-		pair = PeripheralPair(g, [], []).normalize()
+		pair = PeripheralPair(g, [], [])
 		for gen in diamond_generators(g, d):
 			assert gen_in_relative(gen, pair), str(gen)
 
@@ -64,7 +64,7 @@ def test_diamond_generators_in_group():
 def test_diamond_twisted_generators_fix_top_corner():
 	g = diamond_chain(2)
 	top = g.mask(["c2"])
-	pair = PeripheralPair(g, [], [top]).normalize()
+	pair = PeripheralPair(g, [], [top])
 	for gen in twisted_generators(g, 2):
 		assert gen_in_relative(gen, pair), str(gen)
 	extra = diamond_generators(g, 2)[-1]
@@ -117,7 +117,7 @@ def test_four_path_dimension_values():
 def test_four_path_generators_in_group():
 	for tup in [(1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2)]:
 		g = four_path(*tup)
-		pair = PeripheralPair(g, [], []).normalize()
+		pair = PeripheralPair(g, [], [])
 		gens = four_path_generators(g, *tup)
 		assert len(gens) == len(set(map(str, gens)))
 		for gen in gens:
@@ -139,7 +139,7 @@ def test_four_path_script_leaf_shapes():
 
 	ranks = [
 		node.step.kernel_rank
-		for _, node, _ in root.walk()
+		for _, _, _, node, _ in root.walk()
 		if isinstance(node.step, ProjectionStep)
 	]
 	assert sorted(ranks) == sorted([p * q, r * s])

@@ -84,7 +84,7 @@ def shaped(strategy):
 def pair_of(graph, periph):
 	"""The normalized pair periph gives on graph, None when it gives none."""
 	try:
-		return build_pair({} if periph is None else periph, build_graph(graph)).normalize()
+		return build_pair({} if periph is None else periph, build_graph(graph))
 	except DomainError:
 		return None
 
@@ -180,7 +180,7 @@ def invocations(draw, command):
 	formats = ["text", "json"] + (["dot"] if command in ("decompose", "cone-graph") else [])
 	argv = [command, "--format", draw(st.sampled_from(formats))]
 	if "--gens" in FLAGS[command] and draw(st.booleans()):
-		absolute = PeripheralPair(DefiningGraph(vertices, edges), [], []).normalize()
+		absolute = PeripheralPair(DefiningGraph(vertices, edges), [], [])
 		files = {"graph.json": graph, "gens.json": draw(own_generators(absolute))}
 		argv += ["--graph", "graph.json", "--gens", "gens.json"]
 		return argv + ["--nilpotent"] * draw(st.booleans()), files

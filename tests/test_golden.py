@@ -208,7 +208,7 @@ def case_digest(name, tmp_path):
 		pair = PeripheralPair(graph, [], [])
 	else:
 		pair = build_pair(periph_obj, graph)
-	desc = GroupDescriptor(graph, pair.normalize())
+	desc = GroupDescriptor(pair)
 	tree = decompose(desc, mode="script" if script is not None else "auto", script=script)
 	text = "%s\n%s\nupper=%s\n" % (tree_json, saturated_json, vcd_upper(tree))
 	return _digest(text)

@@ -214,7 +214,7 @@ def _fields(index):
 
 def test_refined_index_matches_fresh_build():
 	# PairIndex.refined directly, and through the pairs that derive their
-	# index: adding_g, adding_h (the kernel edge) and normalize
+	# index, adding_g and adding_h (the kernel edge), and the pair itself
 	rng = random.Random(47)
 	for trial in range(300):
 		n = rng.randrange(1, 8)
@@ -225,15 +225,15 @@ def test_refined_index_matches_fresh_build():
 		index = orders.PairIndex(g, glist)
 		assert _fields(index.refined(extra)) == _fields(orders.PairIndex(g, glist + extra))
 		assert _fields(index) == _fields(orders.PairIndex(g, glist))
-		pp = PeripheralPair(g, glist, hlist).normalize()
+		pp = PeripheralPair(g, glist, hlist)
 		assert pp.index is not None  # built now, so the pairs below refine it
-		for derived in (pp.adding_g(extra), pp.adding_h(extra), pp.normalize()):
+		for derived in (pp.adding_g(extra), pp.adding_h(extra), pp):
 			assert derived._index is not None
 			fresh = orders.PairIndex(g, derived.g_members)
 			assert _fields(derived.index) == _fields(fresh)
 		kernel = pp.adding_h(extra)
 		assert not kernel.saturated
-		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra)).normalize()
+		again = PeripheralPair(g, pp.g_members, pp.h_members + tuple(extra))
 		assert (kernel.g_members, kernel.h_members) == (again.g_members, again.h_members)
 	# twin blow-ups: in a member-free index, twins with one link share a
 	# row and twins with one star share a G^x-component tuple and owner
@@ -268,7 +268,7 @@ def test_refined_index_matches_fresh_build():
 		g = _random_graph(rng, n)
 		glist = _random_members(rng, n, rng.randrange(4))
 		hlist = [m for m in glist if rng.random() < 0.5]
-		sat = saturate(PeripheralPair(g, glist, hlist).normalize())
+		sat = saturate(PeripheralPair(g, glist, hlist))
 		for dmask in range(1, g.full + 1):
 			cut = induced(sat, dmask)
 			assert _fields(cut.index) == _fields(orders.PairIndex(cut.graph, cut.g_members))
@@ -304,7 +304,7 @@ def test_refined_index_carries_closures_a_fresh_build_agrees_with():
 		g = _random_graph(rng, n)
 		glist = _random_members(rng, n, rng.randrange(5))
 		hlist = [m for m in glist if rng.random() < 0.5]
-		pp = PeripheralPair(g, glist, hlist).normalize()
+		pp = PeripheralPair(g, glist, hlist)
 		source = pp.index
 		for m in [1 << v for v in range(n)] + _random_members(rng, n, 8):
 			source.closure(m)
@@ -343,7 +343,7 @@ def test_spanning_sets_stand_for_every_invariant_set():
 		g = _random_graph(rng, n)
 		glist = _random_members(rng, n, rng.randrange(5))
 		hlist = [m for m in glist if rng.random() < 0.5]
-		pp = PeripheralPair(g, glist, hlist).normalize()
+		pp = PeripheralPair(g, glist, hlist)
 		invariant = {m for m in range(1, g.full) if brute_invariant(pp, m)}
 		for dmask in range(1, g.full + 1):
 			spanning = pp.index.spanning(dmask)

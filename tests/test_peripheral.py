@@ -54,7 +54,7 @@ def diamond_chain(d):
 
 
 def normalized(graph, g=(), h=()):
-	return PeripheralPair(graph, g, h).normalize()
+	return PeripheralPair(graph, g, h)
 
 
 def names_of(graph, masks):
@@ -179,7 +179,7 @@ def test_members_with_two_vertices_invariant():
 		g = graph_from_edges(4, edges)
 		for _ in range(10):
 			glist, hlist = random_peripheral(g, rng)
-			pp = PeripheralPair(g, glist, hlist).normalize()
+			pp = PeripheralPair(g, glist, hlist)
 			for comp in orders.g_components(g, pp.g_members, g.full):
 				if comp.bit_count() >= 2 and comp != g.full:
 					assert is_invariant(pp, comp)
@@ -270,7 +270,7 @@ def _saturate_cases():
 def test_saturate_matches_every_proper_mask_checked():
 	for g, glist, hlist in _saturate_cases():
 		full = g.full
-		pp = PeripheralPair(g, glist, hlist).normalize()
+		pp = PeripheralPair(g, glist, hlist)
 		invariant = {m for m in range(1, full) if brute_invariant(pp, m)}
 		assert {m for m in range(1, full) if is_invariant(pp, m)} == invariant
 		sat = checked_saturate(pp)
@@ -530,7 +530,7 @@ def _saturated_cases(nmax=4, seed=3):
 	for edges in connected_graphs_upto_iso(nmax):
 		g = graph_from_edges(nmax, edges)
 		glist, hlist = random_peripheral(g, rng)
-		pp = PeripheralPair(g, glist, hlist).normalize()
+		pp = PeripheralPair(g, glist, hlist)
 		yield g, saturate(pp)
 
 
