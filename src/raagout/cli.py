@@ -21,6 +21,9 @@ from .autos import (
 	realize,
 )
 from .decompose import (
+	RESTRICT_DEFAULT,
+	RESTRICT_MODES,
+	SATURATED,
 	GroupDescriptor,
 	decompose,
 	dot_escape,
@@ -247,7 +250,9 @@ def cmd_check_exact(args):
 	graph = _graph(args)
 	desc = GroupDescriptor(_pair(graph, args))
 	dmask = _target_mask(graph, args)
-	kernel, image = restriction_step(desc, dmask, mode=args.mode)
+	# the modes give the same groups (restriction_step), and every line
+	# below reads only the groups
+	kernel, image = restriction_step(desc, dmask, mode=SATURATED)
 	ctx = desc.ctx
 	sub_ctx = image.ctx
 	failures = 0
@@ -317,7 +322,7 @@ def build_parser():
 
 	p = add("restrict", cmd_restrict, help="one restriction step")
 	p.add_argument("--target", metavar="V,V,...", required=True)
-	p.add_argument("--mode", choices=("fast", "saturated"), default="fast")
+	p.add_argument("--mode", choices=RESTRICT_MODES, default=RESTRICT_DEFAULT)
 
 	p = add("decompose", cmd_decompose, formats=DOT_FORMATS, help="full decomposition tree")
 	p.add_argument("--script", metavar="F", help="script JSON file")
@@ -337,7 +342,6 @@ def build_parser():
 
 	p = add("check-exact", cmd_check_exact, help="lift and kernel checks for one step")
 	p.add_argument("--target", metavar="V,V,...", required=True)
-	p.add_argument("--mode", choices=("fast", "saturated"), default="saturated")
 
 	return parser
 

@@ -27,6 +27,10 @@ from .autos import (
 
 Complexity = namedtuple("Complexity", ["n", "m"])
 
+# the constructions of a restriction step, and the one taken when none is named
+FAST, SATURATED = RESTRICT_MODES = ("fast", "saturated")
+RESTRICT_DEFAULT = FAST
+
 
 class GroupDescriptor:
 	"""A relative outer automorphism group: a peripheral pair, taken as given, on its graph."""
@@ -358,35 +362,42 @@ def tree_text(root):
 # ---- the three moves ----
 
 
-def restriction_step(d, dmask, mode="fast"):
+def restriction_step(d, dmask, mode=RESTRICT_DEFAULT):
 	"""Split off the restriction to an invariant subgraph.
 
 	Fast mode keeps the pair as given and completes the image with the
 	computed periphery; saturated mode saturates first, which makes the
-	induced members alone already sufficient. Both give the same image
-	group. Fast mode reads all of G, so a pair whose G is unlisted (one
-	derived from a saturation) takes the saturated construction. Either
-	way the kernel keeps the whole graph and gains dmask as a
-	trivial-action member, folded into G so the new member's pieces join
-	the preserved side; its order index is the pair's refined by those
-	pieces. Every member of G is invariant, and on a saturated pair, whose
-	G is every proper invariant set, every invariant target is a member;
-	neither the kernel nor the image of a saturated pair lists G (see
-	peripheral.saturation and induced).
+	induced members alone already sufficient. Fast mode reads all of G, so
+	a pair whose G is unlisted (one derived from a saturation) takes the
+	saturated construction. Either way the kernel keeps the whole graph
+	and gains dmask as a trivial-action member, folded into G so the new
+	member's pieces join the preserved side; its order index is the
+	pair's refined by those pieces. Every member of G is invariant, and
+	on a saturated pair, whose G is every proper invariant set, every
+	invariant target is a member; neither the kernel nor the image of a
+	saturated pair lists G (see peripheral.saturation and induced).
 
 	A target outside G is not joined to the pair's G: the kernel folds it
 	in through H, induced would drop its cut (all of dmask), and
 	fast_periphery reads only the members that avoid a vertex of dmask.
+
+	Lemma: the modes differ only in the members they list, as their
+	kernels have one group and index, and so do their images. Saturation
+	hands over the pair's index, so both kernels refine one index by the
+	same masks. Both images are the restriction image, which the periphery
+	makes exact, and a relative group fixes its index: trv v^w lies in it
+	exactly when w is in row v, and pc x:R when R is a union of
+	G^x-components. check-exact, bounds and leaf shapes read only those.
 	"""
 	graph = d.graph
 	if not 0 < dmask < graph.full:
 		raise DomainError("restriction target must be a proper nonempty subgraph")
-	if mode not in ("fast", "saturated"):
-		raise DomainError("restriction mode must be fast or saturated")
+	if mode not in RESTRICT_MODES:
+		raise DomainError("restriction mode must be %s" % " or ".join(RESTRICT_MODES))
 	pair = d.pair
-	if mode == "fast" and not pair.listed:
-		mode = "saturated"
-	if mode == "saturated" and not pair.saturated:
+	if mode == FAST and not pair.listed:
+		mode = SATURATED
+	if mode == SATURATED and not pair.saturated:
 		pair = saturation(pair)
 	if not is_invariant(pair, dmask):
 		raise DomainError(
@@ -394,7 +405,7 @@ def restriction_step(d, dmask, mode="fast"):
 			% "".join(graph.names(dmask))
 		)
 	sub_pair = induced(pair, dmask)
-	if mode == "fast":
+	if mode == FAST:
 		per = fast_periphery(pair, dmask)
 		sub_pair = sub_pair.adding_g(compress_mask(m, dmask) for m in per)
 	image = GroupDescriptor(sub_pair)
@@ -471,7 +482,7 @@ def projection_step(d):
 	graph = d.graph
 	if not graph.is_connected():
 		raise DomainError("projection needs a connected graph")
-	z = graph.subgraph_center(graph.full)
+	z = graph.center
 	if not z or z == graph.full:
 		raise DomainError("projection needs a nonempty proper center")
 	if _moved(d.pair) & z:
@@ -509,7 +520,7 @@ def classify_irreducible(d):
 			% "".join(graph.names(pending))
 		)
 	members = pair.index.spanning(graph.full)
-	if graph.is_clique(graph.full):
+	if graph.center == graph.full:
 		covered = 0
 		for m in members:
 			covered |= m
@@ -518,7 +529,7 @@ def classify_irreducible(d):
 			return Trivial()
 		return GeneralLinear(free, free * (graph.n - free))
 	if graph.is_connected():
-		if graph.subgraph_center(graph.full):
+		if graph.center:
 			raise DomainError("nontrivial center: use a projection step")
 		gens = d.gens()
 		trv = sum(1 for gen in gens if gen.kind == "trv")
@@ -599,7 +610,7 @@ def decompose(d, mode="auto", script=None):
 						"restriction target %s is already in H, so the step makes no progress"
 						% "".join(d.graph.names(dmask))
 					)
-				kernel, image = restriction_step(d, dmask, mode=step.get("mode", "fast"))
+				kernel, image = restriction_step(d, dmask, mode=step.get("mode", RESTRICT_DEFAULT))
 				node.step = RestrictionStep(dmask, _child(d, kernel), _child(d, image))
 			elif op == "project":
 				zmask, rank, image = projection_step(d)
@@ -628,9 +639,9 @@ def _auto_step(d):
 	"""The step auto mode takes on a saturated descriptor, in script form."""
 	pivot = d.pivot()
 	if pivot is not None:
-		return {"op": "restrict", "target": d.graph.names(pivot), "mode": "saturated"}
+		return {"op": "restrict", "target": d.graph.names(pivot), "mode": SATURATED}
 	graph = d.graph
-	if graph.is_connected() and 0 < graph.subgraph_center(graph.full) < graph.full:
+	if graph.is_connected() and 0 < graph.center < graph.full:
 		return {"op": "project"}
 	return {"op": "leaf"}
 

@@ -179,10 +179,7 @@ def four_path(p, q, r, s):
 	"""
 	if min(p, q, r, s) < 1:
 		raise DomainError("class sizes must be positive")
-	w = ["w%d" % i for i in range(1, p + 1)]
-	x = ["x%d" % i for i in range(1, q + 1)]
-	y = ["y%d" % i for i in range(1, r + 1)]
-	z = ["z%d" % i for i in range(1, s + 1)]
+	w, x, y, z = four_path_classes(p, q, r, s)
 	edges = []
 	for block in (x, y):
 		edges += [[a, b] for a in block for b in block if a < b]
@@ -192,6 +189,7 @@ def four_path(p, q, r, s):
 
 
 def four_path_classes(p, q, r, s):
+	"""The vertex names of the four classes of four_path(p, q, r, s), in path order."""
 	w = ["w%d" % i for i in range(1, p + 1)]
 	x = ["x%d" % i for i in range(1, q + 1)]
 	y = ["y%d" % i for i in range(1, r + 1)]

@@ -71,6 +71,8 @@ class DefiningGraph:
 		self.adj = tuple(adj)
 		# st(v) masks; used constantly by the word kernel and the orders.
 		self.star_masks = tuple(adj[i] | (1 << i) for i in range(self.n))
+		# the vertices adjacent to every other vertex
+		self.center = mask_of(i for i, s in enumerate(self.star_masks) if s == self.full)
 		self._classes = None
 
 	# ---- serialization ----

@@ -10,6 +10,7 @@ descriptor, such as the invariance of a target, stay with it.
 import json
 
 from .autos import parse_generator
+from .decompose import RESTRICT_DEFAULT, RESTRICT_MODES
 from .errors import DomainError
 from .graphs import DefiningGraph
 from .peripheral import PeripheralPair
@@ -115,8 +116,8 @@ def build_script(obj, graph, path=""):
 					_fail(at + json.dumps(key), "only a restrict step takes this key")
 			continue
 		_require(step, at, "target")
-		if step.get("mode", "fast") not in ("fast", "saturated"):
-			_fail(at + '"mode"', "must be fast or saturated")
+		if step.get("mode", RESTRICT_DEFAULT) not in RESTRICT_MODES:
+			_fail(at + '"mode"', "must be %s" % " or ".join(RESTRICT_MODES))
 		_at(at + '"target"', graph.mask, step["target"])
 		build_script(step.get("image", []), graph, at + '"image"')
 	return obj

@@ -32,11 +32,11 @@ The invariant sets are closed under intersection, so each set has a least
 invariant superset (PairIndex.closure), and the closures of single
 vertices and non-adjacent pairs (PairIndex.spanning) stand for a saturated
 G in the pivot search, the induced index and the leaf shapes. G is
-therefore unlisted exactly when the pair derives from a saturation
-(saturation(), and the pairs adding_g, adding_h and induced derive from
-one): such a pair carries its index and lists G only when it is read, as
-there can be up to 2^n - 2 members. Every other pair lists G when it is
-built.
+therefore unlisted only when the pair derives from a saturation
+(saturation(), adding_g and adding_h of an unlisted pair, and induced of
+a saturated pair, or of an unlisted one on a join target): such a pair
+carries its index and lists G only when it is read, as there can be up
+to 2^n - 2 members. Every other pair lists G when it is built.
 """
 
 from bisect import bisect_left
@@ -364,17 +364,31 @@ def induced(pp, dmask):
 	of intersections are intersections of deleted-vertex subsets), but the
 	result is not saturated.
 
-	On a saturated pair, G is every proper invariant set, and the result
-	leaves G unlisted: its G is cut from pp's on first read, and its index
-	is built from PairIndex.spanning(dmask) cut to dmask, which gives the
-	same index as cutting all of G.
+	A listed pair is cut now. The result of a saturated pair, or of an
+	unlisted one on a join target (every vertex outside dmask adjacent to
+	every vertex of it, as the complement of a center is), leaves G
+	unlisted, cut from pp's on first read, and builds its index from
+	PairIndex.spanning(dmask) cut to dmask. That is the index cutting all
+	of G gives: on a saturated pair G is every proper invariant set
+	(spanning says why). On a join target D, for u and v in D, lk(u) lies
+	in st(v) in the induced graph exactly when it does in the whole graph,
+	as both stars hold V - D, and a member through u misses v exactly when
+	its cut does; for x in D, V - st(x) lies inside D, so the
+	G^x-components are the same sets. The closures add only up-sets that
+	meet one G^x-component away from st(x) for each x outside them, which
+	change no row and merge no component. So the cut index is the pair's
+	own rows and components on D, whichever list it is cut from.
 	"""
-	sub = pp.graph.induced(dmask)
+	graph = pp.graph
+	sub = graph.induced(dmask)
 	cut = lambda ms: by_size(
 		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
 	)
 	h_members = cut(pp.h_members)
-	if not pp.saturated:
+	lazy = pp.saturated or not pp.listed and all(
+		graph.adj[x] & dmask == dmask for x in bits(graph.full & ~dmask)
+	)
+	if not lazy:
 		return PeripheralPair._derived(sub, cut(pp.g_members), h_members, None)
 	index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
 	return PeripheralPair._derived(sub, None, h_members, index, lambda: cut(pp.g_members))

@@ -83,10 +83,10 @@ def leaf_dimension(shape):
 		factors, m = shape.factors, shape.free_rank
 		if not factors:
 			return max(2 * m - 3, 0), "free group outer"
-		if len(factors) == 1 and shape.held[0] and m >= 1 and factors[0].is_clique(factors[0].full):
+		if len(factors) == 1 and shape.held[0] and m >= 1 and factors[0].center == factors[0].full:
 			return factors[0].n * (2 * m - 1), "held clique by free"
 		if len(factors) == 2 and m == 0 and all(shape.held):
-			dim = sum(f.clique_number() - f.subgraph_center(f.full).bit_count() for f in factors)
+			dim = sum(f.clique_number() - f.center.bit_count() for f in factors)
 			return dim, "two held factors"
 		return "unknown", "free product with no formula"
 	raise DomainError("unknown leaf shape %r" % (shape,))
@@ -456,7 +456,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 				% (gens[i], gens[j])
 			)
 		derived.add(match)
-	if not graph.is_clique(graph.full):
+	if graph.center != graph.full:
 		for k in sorted(derived):
 			for i in range(len(gens)):
 				if (min(i, k), max(i, k)) in noninner:
@@ -496,7 +496,7 @@ def _derive_generators(descriptor):
 	chain gets its commuting list, and any other shape the empty list.
 	"""
 	graph = descriptor.graph
-	if graph.is_clique(graph.full):
+	if graph.center == graph.full:
 		return _triangle_list(descriptor)
 	pair = descriptor.pair
 	if pair.g_members or pair.h_members:

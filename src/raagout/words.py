@@ -38,7 +38,7 @@ def inverse(letters):
 
 
 def push_letter(out, lt, adj):
-	"""Append letter lt to the reduced stack out, cancelling if possible."""
+	"""Append letter lt to the reduced stack out, cancelling if possible; True when it cancelled."""
 	v = lt >> 1
 	i = len(out) - 1
 	while i >= 0:
@@ -47,12 +47,13 @@ def push_letter(out, lt, adj):
 		if u == v:
 			if m == lt ^ 1:
 				del out[i]
-				return
+				return True
 			break
 		if not adj[u] >> v & 1:
 			break
 		i -= 1
 	out.append(lt)
+	return False
 
 
 def reduce_word(letters, adj):
@@ -106,45 +107,23 @@ def canonical_word(letters, adj):
 
 
 def cyc_reduce_word(letters, adj):
-	"""Cyclically reduced core and conjugator.
+	"""Cyclically reduced core and conjugator, in one pass.
 
 	Returns (core, conj) with the input word equal to conj * core * conj^-1
-	and core of minimal length in the conjugacy class.
+	and core of minimal length in the conjugacy class. A second copy of
+	the reduced word w is pushed onto w; the letters of the copy that
+	cancel are conj, in order, and core is conj^-1 w conj reduced. Lemma:
+	write w = u c u^-1 with c cyclically reduced. A letter of the copy
+	cancels only by commuting past the letters of the copy that survive
+	before it, so the cancelled letters form a prefix of w, and there are
+	(2|w| - |reduce(ww)|) / 2 = |u| of them, as ww = u c c u^-1.
 	"""
-	core = list(reduce_word(letters, adj))
-	conj = []
-	while True:
-		# letters movable to the front, and to the back
-		front = []
-		seen = 0
-		for p, lt in enumerate(core):
-			v = lt >> 1
-			if seen & ~adj[v] == 0:
-				front.append((p, lt))
-			seen |= 1 << v
-		back = []
-		seen = 0
-		for q in range(len(core) - 1, -1, -1):
-			lt = core[q]
-			v = lt >> 1
-			if seen & ~adj[v] == 0:
-				back.append((q, lt))
-			seen |= 1 << v
-		hit = None
-		for p, lt in front:
-			want = lt ^ 1
-			for q, m in back:
-				if m == want and q != p:
-					hit = (p, q, lt)
-					break
-			if hit:
-				break
-		if hit is None:
-			return tuple(core), tuple(conj)
-		p, q, lt = hit
-		conj.append(lt)
-		core = [core[i] for i in range(len(core)) if i != p and i != q]
-		core = list(reduce_word(core, adj))
+	w = reduce_word(letters, adj)
+	out = list(w)
+	conj = tuple(lt for lt in w if push_letter(out, lt, adj))
+	if not conj:
+		return w, ()
+	return reduce_word(inverse(conj) + w + conj, adj), conj
 
 
 def strip_front(letters, smask, adj):
@@ -236,16 +215,3 @@ def mask_word(letters):
 		m |= 1 << (lt >> 1)
 	return m
 
-
-__all__ = [
-	"WordContext",
-	"apply_map",
-	"canonical_word",
-	"cyc_reduce_word",
-	"enc",
-	"inverse",
-	"mask_word",
-	"push_letter",
-	"reduce_word",
-	"strip_front",
-]

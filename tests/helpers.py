@@ -15,7 +15,7 @@ from raagout.autos import Automorphism, is_inner
 from raagout.decompose import GroupDescriptor, decompose
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.peripheral import PeripheralPair, _invariant_scan, saturate
-from raagout.words import enc, inverse, mask_word
+from raagout.words import enc, inverse, mask_word, reduce_word
 
 
 def word_closure(word, graph, cap=200000):
@@ -435,6 +435,49 @@ def strip_front_rescanning(letters, smask, adj):
 				break
 			seen |= 1 << v
 	return tuple(prefix), tuple(rem)
+
+
+def cyc_reduce_rescanning(letters, adj):
+	"""(core, conj) of words.cyc_reduce_word by cancelling one pair at a time.
+
+	Scans for the letters movable to the front and to the back, cancels
+	the first front letter whose inverse is a distinct back letter,
+	reduces again, and rescans, until no such pair is left; each cancelled
+	front letter joins conj.
+	"""
+	core = list(reduce_word(letters, adj))
+	conj = []
+	while True:
+		front = []
+		seen = 0
+		for p, lt in enumerate(core):
+			v = lt >> 1
+			if seen & ~adj[v] == 0:
+				front.append((p, lt))
+			seen |= 1 << v
+		back = []
+		seen = 0
+		for q in range(len(core) - 1, -1, -1):
+			lt = core[q]
+			v = lt >> 1
+			if seen & ~adj[v] == 0:
+				back.append((q, lt))
+			seen |= 1 << v
+		hit = None
+		for p, lt in front:
+			want = lt ^ 1
+			for q, m in back:
+				if m == want and q != p:
+					hit = (p, q, lt)
+					break
+			if hit:
+				break
+		if hit is None:
+			return tuple(core), tuple(conj)
+		p, q, lt = hit
+		conj.append(lt)
+		core = [core[i] for i in range(len(core)) if i != p and i != q]
+		core = list(reduce_word(core, adj))
 
 
 def magnus2(word, a, b):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from raagout.cli import main
+from raagout.errors import DomainError
 from raagout.families import diamond_chain
 from raagout.load import build_graph
 
@@ -175,6 +176,28 @@ def test_check_exact_clean(capsys, p3):
 	assert "FAIL" not in out
 
 
+def test_check_exact_mode_flag_is_gone(capsys, p3):
+	# the modes give the same groups, and check-exact prints only what they fix
+	with pytest.raises(SystemExit) as exc:
+		main(["check-exact", "--graph", p3, "--target", "b", "--mode", "fast"])
+	err = capsys.readouterr().err
+	assert exc.value.code == 1
+	assert err == "raagout: error: unrecognized arguments: --mode fast\n"
+
+
+def test_check_exact_reports_a_failed_lift(capsys, monkeypatch, p3):
+	def broken(source, image, dmask, gen):
+		raise DomainError("no lift")
+
+	monkeypatch.setattr("raagout.cli.lift_generator", broken)
+	code, out, _ = run(capsys, "check-exact", "--graph", p3, "--target", "b")
+	lines = out.splitlines()
+	fails = [line for line in lines if line.startswith("FAIL lift ")]
+	assert code == 1
+	assert fails and all(line.endswith(": no lift") for line in fails)
+	assert lines[-1] == "%d checks, %d failures" % (len(lines) - 1, len(fails))
+
+
 def test_exit_code_domain_errors(capsys, tmp_path, p3):
 	code, _, err = run(capsys, "gens", "--graph", str(tmp_path / "missing.json"))
 	assert code == 1 and "error" in err
@@ -290,6 +313,22 @@ def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_pa
 		assert out.splitlines()[:2] == ["upper: 31", "lower: 31"]
 		outs.append(out)
 	assert outs[0] == outs[1]
+
+
+def test_vcd_projection_below_a_saturated_step_past_the_listing_cap(capsys, tmp_path):
+	# the cone over the 21-cycle has 22 vertices: the kernel of the
+	# saturated step keeps G unlisted, and its projection image reads its
+	# index off the kernel's, since the complement of the apex is a join
+	# target, so nothing lists G; a fast first step gives the same bound
+	names = ["v%d" % i for i in range(21)]
+	edges = [[names[i], names[(i + 1) % 21]] for i in range(21)] + [[v, "z"] for v in names]
+	graph = write_json(tmp_path, "cone.json", {"vertices": names + ["z"], "edges": edges})
+	for mode in ("saturated", "fast"):
+		steps = [{"op": "restrict", "target": ["z"], "mode": mode}, {"op": "project"}]
+		script = write_json(tmp_path, "cone.%s.json" % mode, steps)
+		code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
+		assert (code, err) == (0, "")
+		assert out.splitlines()[0] == "upper: 21"
 
 
 @pytest.mark.parametrize("edges, clique", [(True, 2), (False, 1)])
@@ -571,6 +610,22 @@ INPUTS = {
 			0, "leaf Trivial  [n=2 |G|=2 |H|=2]\nleaves: Trivial\n", "",
 		),
 		(
+			["apply", "--graph", "p3.json", "--gen", "inv a", "--word", "a^x"],
+			1, "", "error: bad exponent in 'a^x'\n",
+		),
+		(
+			["apply", "--graph", "p3.json", "--gen", "sym ((a c))", "--word", "a"],
+			1, "", "error: nested cycle in symmetry\n",
+		),
+		(
+			["apply", "--graph", "p3.json", "--gen", "sym (a c", "--word", "a"],
+			1, "", "error: unbalanced cycle in symmetry\n",
+		),
+		(
+			["apply", "--graph", "p3.json", "--gen", "sym (a c))", "--word", "a"],
+			1, "", "error: unbalanced cycle in symmetry\n",
+		),
+		(
 			["decompose", "--graph", "edge.json", "--periph", "edge-ab.json", "--format", "json"],
 			0,
 			json.dumps(
@@ -595,7 +650,8 @@ INPUTS = {
 	],
 	ids=[
 		"periphery-json", "restrict-text", "info-with-h", "saturate-with-h",
-		"vcd-gen-outside-group", "vcd-four-cycle", "trivial-leaf-text", "trivial-leaf-json",
+		"vcd-gen-outside-group", "vcd-four-cycle", "trivial-leaf-text", "apply-bad-exponent",
+		"apply-nested-cycle", "apply-open-cycle", "apply-extra-close", "trivial-leaf-json",
 		"trivial-leaf-dot",
 	],
 )

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from raagout.errors import DomainError, ScriptError
-from raagout.families import four_path
+from raagout.families import four_path, four_path_script
 from raagout.graphs import DefiningGraph, compress_mask
 from raagout.load import build_pair
 from raagout.peripheral import PeripheralPair, fast_periphery, induced, is_invariant, saturate
@@ -34,11 +34,12 @@ from raagout.decompose import (
 	projection_step,
 	restriction_step,
 	tree_dot,
+	tree_text,
 	word_restriction,
 	_pivot,
 )
 
-from raagout.vcd import vcd_upper
+from raagout.vcd import fold, vcd_upper
 
 from helpers import (
 	acts_trivially_on,
@@ -561,6 +562,52 @@ def test_walk_is_pre_order_with_paths():
 		("root.i", 1, "image", image, root.step),
 	]
 	assert root.leaves() == [FreeAbelian(2, 2), Trivial(), FreeAbelian(1, 1)]
+
+
+def test_free_abelian_leaf_with_unequal_bounds_renders_as_a_range():
+	d = GroupDescriptor.absolute(path3())
+	root = DecompositionNode(d, Leaf(FreeAbelian(1, 2)))
+	assert tree_text(root) == "leaf FreeAbelian(1..2)  [n=3 |G|=0 |H|=0]"
+	assert "\\nFreeAbelian(1..2)" in tree_dot(root)
+	assert root.to_json_obj()["leaf"] == {"class": "free_abelian", "rank_lower": 1, "rank_upper": 2}
+	assert fold(root) == (2, [("root", 2, "free-abelian rank upper (lower 1 differs)")])
+
+
+def test_restriction_modes_give_equal_indexes():
+	# both constructions give kernels with one group and images with one
+	# group, so equal order rows and G^v-components (restriction_step)
+	rng = random.Random(41)
+	checked = 0
+	for _ in range(150):
+		n = rng.randint(2, 6)
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		g = graph_from_edges(n, [e for e in pairs if rng.random() < rng.random()])
+		pair = PeripheralPair(g, *random_peripheral(g, rng))
+		d = GroupDescriptor(pair)
+		for dmask in saturate(pair).g_members:
+			fast = restriction_step(d, dmask, mode="fast")
+			sat = restriction_step(d, dmask, mode="saturated")
+			for a, b in zip(fast, sat):
+				assert a.pair.index.rows == b.pair.index.rows, (g.to_json_obj(), pair, dmask)
+				assert a.pair.index.gv == b.pair.index.gv, (g.to_json_obj(), pair, dmask)
+			checked += 1
+	assert checked > 200
+
+
+def test_trees_read_each_graph_center_off_the_graph(monkeypatch):
+	# every graph computes its center once, when it is built; the moves
+	# and leaf shapes read that rather than working it out again
+	calls = []
+	original = DefiningGraph.subgraph_center
+	monkeypatch.setattr(
+		DefiningGraph, "subgraph_center", lambda g, mask: calls.append(g) or original(g, mask)
+	)
+	for mode, script in (("auto", None), ("script", four_path_script(2, 1, 2, 1))):
+		root = decompose(GroupDescriptor.absolute(four_path(2, 1, 2, 1)), mode=mode, script=script)
+		assert calls == []
+		for _, _, _, node, _ in root.walk():
+			g = node.descriptor.graph
+			assert g.center == original(g, g.full)
 
 
 def test_pivot_is_smallest_member_with_nontrivial_restriction():

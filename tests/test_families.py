@@ -15,6 +15,7 @@ from raagout.errors import DomainError
 from raagout.families import (
 	diamond_chain,
 	diamond_generators,
+	diamond_labels,
 	diamond_quartet,
 	diamond_script,
 	four_path,
@@ -23,7 +24,36 @@ from raagout.families import (
 	four_path_generators,
 	four_path_script,
 )
+from raagout.graphs import DefiningGraph
 from raagout.peripheral import PeripheralPair
+
+
+def cycle(n):
+	names = ["v%d" % i for i in range(n)]
+	return DefiningGraph(names, [[names[i], names[(i + 1) % n]] for i in range(n)])
+
+
+def with_edge(graph, a, b):
+	return DefiningGraph(graph.vertices, graph.to_json_obj()["edges"] + [[a, b]])
+
+
+def test_diamond_labels_of_a_diamond_chain_name_its_vertices():
+	g = diamond_chain(3)
+	assert diamond_labels(g) == {name: name for name in g.vertices}
+
+
+@pytest.mark.parametrize(
+	"graph",
+	[
+		cycle(5),
+		with_edge(diamond_chain(2), "c0", "c2"),
+		# 7 vertices and 8 edges, as diamond_chain(2) has
+		with_edge(cycle(7), "v0", "v3"),
+	],
+	ids=["vertex-count", "degree-sum", "right-counts-not-a-chain"],
+)
+def test_diamond_labels_reject_other_graphs(graph):
+	assert diamond_labels(graph) is None
 
 
 def test_diamond_chain_shape():

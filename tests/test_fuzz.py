@@ -72,7 +72,7 @@ FLAGS = {
 	"vcd": ("--script", "--gens", "--nilpotent"),
 	"cone-graph": (),
 	"apply": ("--gen", "--word"),
-	"check-exact": ("--target", "--mode"),
+	"check-exact": ("--target",),
 }
 
 

@@ -152,6 +152,32 @@ def test_cyc_core_minimal_length():
 		assert len(core) == helpers.brute_cyc_core_length(w, g, letters)
 
 
+def test_cyc_reduce_one_pass_matches_rescanning():
+	# random words and conjugates k w k^-1, on graphs with 1 to 7 vertices:
+	# the one-pass core has the length the rescanning loop finds, and on
+	# short words the length of the shortest conjugate
+	rng = random.Random(37)
+	graphs = list(POOL)
+	for n in (5, 6, 7):
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		graphs += [helpers.graph_from_edges(n, [e for e in pairs if rng.random() < 0.5]) for _ in range(4)]
+	for t in range(2000):
+		g = rng.choice(graphs)
+		ctx = WordContext(g)
+		w = random_word(rng, g, 8)
+		if t % 2:
+			k = random_word(rng, g, 4)
+			w = k + w + inverse(k)
+		core, conj = ctx.cyc_reduce(w)
+		ref_core, _ = helpers.cyc_reduce_rescanning(w, g.adj)
+		assert len(core) == len(ref_core), (g.to_json_obj(), w)
+		assert ctx.canonical(conj + core + inverse(conj)) == ctx.canonical(w)
+		assert helpers.cyc_reduce_rescanning(core, g.adj)[1] == ()
+		red = ctx.reduce(w)
+		if t < 200 and g.n <= 4 and len(red) <= 5:
+			assert len(core) == helpers.brute_cyc_core_length(red, g, tuple(range(2 * g.n)))
+
+
 def test_strip_front_sound_and_complete():
 	rng = random.Random(23)
 	for _ in range(400):
