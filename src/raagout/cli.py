@@ -24,9 +24,9 @@ from .decompose import (
 	RESTRICT_DEFAULT,
 	RESTRICT_MODES,
 	SATURATED,
-	GroupDescriptor,
 	decompose,
 	dot_escape,
+	group_to_json_obj,
 	lift_generator,
 	restriction_step,
 	tree_dot,
@@ -85,7 +85,6 @@ def _graph_dot(graph):
 def cmd_info(args):
 	graph = _graph(args)
 	pair = _pair(graph, args)
-	desc = GroupDescriptor(pair)
 	edges = sum(bin(m).count("1") for m in graph.adj) // 2
 	if args.format == "json":
 		_emit_json(
@@ -96,11 +95,11 @@ def cmd_info(args):
 				"clique_number": graph.clique_number(),
 				"classes": [graph.names(c) for c in graph.vertex_classes()],
 				"pair": pair.to_json_obj(),
-				"complexity": list(desc.complexity()),
+				"complexity": list(pair.complexity()),
 			}
 		)
 		return 0
-	comp = desc.complexity()
+	comp = pair.complexity()
 	print("%d vertices, %d edges, %s" % (
 		graph.n, edges, "connected" if graph.is_connected() else "disconnected"
 	))
@@ -167,11 +166,10 @@ def cmd_periphery(args):
 
 def cmd_restrict(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(_pair(graph, args))
 	dmask = _target_mask(graph, args)
-	kernel, image = restriction_step(desc, dmask, mode=args.mode)
+	kernel, image = restriction_step(_pair(graph, args), dmask, mode=args.mode)
 	if args.format == "json":
-		_emit_json({"kernel": kernel.to_json_obj(), "image": image.to_json_obj()})
+		_emit_json({"kernel": group_to_json_obj(kernel), "image": group_to_json_obj(image)})
 		return 0
 	print("kernel: %s" % kernel.summary())
 	print("image:  %s" % image.summary())
@@ -180,9 +178,9 @@ def cmd_restrict(args):
 
 def cmd_decompose(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(_pair(graph, args))
+	pair = _pair(graph, args)
 	script = load(args.script, "script", build_script, graph) if args.script else None
-	root = decompose(desc, mode="script", script=script)
+	root = decompose(pair, mode="script", script=script)
 	if args.format == "json":
 		_emit_json(root.to_json_obj())
 	elif args.format == "dot":
@@ -195,10 +193,10 @@ def cmd_decompose(args):
 
 def cmd_vcd(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(_pair(graph, args))
+	pair = _pair(graph, args)
 	script = load(args.script, "script", build_script, graph) if args.script else None
 	gens = load(args.gens, "generator list", build_generators, graph) if args.gens else None
-	bound = vcd_report(desc, script=script, gens=gens, nilpotent=args.nilpotent)
+	bound = vcd_report(pair, script=script, gens=gens, nilpotent=args.nilpotent)
 	if args.format == "json":
 		_emit_json(bound_to_json_obj(bound))
 		return 0
@@ -248,19 +246,19 @@ def cmd_apply(args):
 
 def cmd_check_exact(args):
 	graph = _graph(args)
-	desc = GroupDescriptor(_pair(graph, args))
+	pair = _pair(graph, args)
 	dmask = _target_mask(graph, args)
 	# the modes give the same groups (restriction_step), and every line
 	# below reads only the groups
-	kernel, image = restriction_step(desc, dmask, mode=SATURATED)
-	ctx = desc.ctx
-	sub_ctx = image.ctx
+	kernel, image = restriction_step(pair, dmask, mode=SATURATED)
+	ctx = WordContext(graph)
+	sub_ctx = WordContext(image.graph)
 	failures = 0
 	checks = 0
 	for gen in image.gens():
 		checks += 1
 		try:
-			lifted = lift_generator(desc, image, dmask, gen)
+			lifted = lift_generator(pair, image, dmask, gen)
 			back = word_restriction(sub_ctx, dmask, realize(ctx, lifted))
 			disc = back.compose(realize(sub_ctx, gen).invert())
 			res = is_inner(sub_ctx, disc.images)

@@ -1,89 +1,38 @@
 """Subnormal decomposition of relative outer automorphism groups.
 
-A descriptor holds a peripheral pair, graph included, and stands for one
-relative group. Three moves take it apart: restricting to an invariant
-subgraph (the kernel keeps the graph with the target turned into a
-trivial-action member, the image moves onto the subgraph), projecting away
-a nontrivial center (the kernel is free abelian of a computable rank), and
-classifying what remains as a terminal shape. A decomposition tree records
-the moves, and a complexity measure drops strictly along every edge, so
-the construction terminates no matter which invariant subgraphs get picked.
+A peripheral pair, graph included, stands for one relative group. Three
+moves take it apart: restricting to an invariant subgraph (the kernel
+keeps the graph with the target turned into a trivial-action member, the
+image moves onto the subgraph), projecting away a nontrivial center (the
+kernel is free abelian of a computable rank), and classifying what
+remains as a terminal shape. A decomposition tree records the moves, and
+a complexity measure drops strictly along every edge, so the construction
+terminates no matter which invariant subgraphs get picked.
 """
-
-from collections import namedtuple
 
 from .errors import DomainError, ScriptError
 from .graphs import bits, compress_mask, mask_of
 from . import orders
-from .words import WordContext, mask_word
-from .peripheral import PeripheralPair, fast_periphery, induced, is_invariant, saturation
-from .autos import (
-	Automorphism,
-	LaurenceGenerator,
-	enumerate_generators,
-	gen_in_relative,
+from .words import mask_word
+from .peripheral import (
+	PeripheralPair,
+	_moved,
+	fast_periphery,
+	induced,
+	is_invariant,
+	saturation,
 )
+from .autos import Automorphism, LaurenceGenerator, gen_in_relative
 
-
-Complexity = namedtuple("Complexity", ["n", "m"])
 
 # the constructions of a restriction step, and the one taken when none is named
 FAST, SATURATED = RESTRICT_MODES = ("fast", "saturated")
 RESTRICT_DEFAULT = FAST
 
-
-class GroupDescriptor:
-	"""A relative outer automorphism group: a peripheral pair, taken as given, on its graph."""
-
-	__slots__ = ("graph", "pair", "_ctx", "_gens", "_pivot")
-
-	def __init__(self, pair):
-		self.graph = pair.graph
-		self.pair = pair
-		self._ctx = None
-		self._gens = None
-		self._pivot = None
-
-	@classmethod
-	def absolute(cls, graph):
-		return cls(PeripheralPair(graph, [], []))
-
-	@property
-	def ctx(self):
-		if self._ctx is None:
-			self._ctx = WordContext(self.graph)
-		return self._ctx
-
-	def gens(self):
-		if self._gens is None:
-			self._gens = enumerate_generators(self.pair)
-		return self._gens
-
-	def pivot(self):
-		"""The least invariant set some generator restricts nontrivially to, None if none (_pivot).
-
-		Worked out once, as auto mode reads it for the step and again for a
-		leaf's precondition; 0 stands for none in the cache.
-		"""
-		if self._pivot is None:
-			self._pivot = _pivot(self) or 0
-		return self._pivot or None
-
-	def complexity(self):
-		return Complexity(self.graph.n, (1 << self.graph.n) - len(self.pair.h_members))
-
-	def to_json_obj(self):
-		return {"graph": self.graph.to_json_obj(), "pair": self.pair.to_json_obj()}
-
-	def summary(self):
-		return "n=%d |G|=%d |H|=%d" % (
-			self.graph.n,
-			len(self.pair.g_members),
-			len(self.pair.h_members),
-		)
-
-	def __repr__(self):
-		return "<descriptor %s>" % self.summary()
+# The pair is the group. The old name stays for callers outside the package
+# that still spell it (perfbench builds GroupDescriptor.absolute and wraps
+# GroupDescriptor.gens); nothing in the package does.
+GroupDescriptor = PeripheralPair
 
 
 # ---- terminal shapes ----
@@ -156,10 +105,8 @@ class FouxeRabinovitch:
 
 	__slots__ = ("factors", "free_rank", "held")
 
-	def __init__(self, factors, free_rank, held=None):
+	def __init__(self, factors, free_rank, held):
 		self.factors = tuple(factors)
-		if held is None:
-			held = (False,) * len(self.factors)
 		self.held = tuple(bool(x) for x in held)
 		if len(self.held) != len(self.factors):
 			raise DomainError("held flags must match the factor list")
@@ -241,10 +188,10 @@ class Leaf:
 
 
 class DecompositionNode:
-	__slots__ = ("descriptor", "step")
+	__slots__ = ("pair", "step")
 
-	def __init__(self, descriptor, step):
-		self.descriptor = descriptor
+	def __init__(self, pair, step):
+		self.pair = pair
 		self.step = step
 
 	def walk(self):
@@ -280,22 +227,27 @@ class DecompositionNode:
 		"""
 		bodies = [{}]
 		for _, depth, role, node, _ in self.walk():
-			d = node.descriptor
+			graph = node.pair.graph
 			step = node.step
-			obj = bodies[depth][role] = d.to_json_obj()
+			obj = bodies[depth][role] = group_to_json_obj(node.pair)
 			del bodies[depth + 1:]
 			if isinstance(step, Leaf):
 				obj["leaf"] = step.shape.to_json_obj()
 			elif isinstance(step, RestrictionStep):
-				obj["restrict"] = {"target": d.graph.names(step.dmask)}
+				obj["restrict"] = {"target": graph.names(step.dmask)}
 				bodies.append(obj["restrict"])
 			else:
 				obj["project"] = {
-					"center": d.graph.names(step.zmask),
+					"center": graph.names(step.zmask),
 					"kernel_rank": step.kernel_rank,
 				}
 				bodies.append(obj["project"])
 		return bodies[0][None]
+
+
+def group_to_json_obj(pp):
+	"""A pair with its graph: a node of the tree JSON, or a kernel or image restrict prints."""
+	return {"graph": pp.graph.to_json_obj(), "pair": pp.to_json_obj()}
 
 
 def dot_escape(text):
@@ -304,7 +256,7 @@ def dot_escape(text):
 
 
 def tree_dot(root):
-	"""The tree in DOT form, nodes labeled by descriptor summaries.
+	"""The tree in DOT form, nodes labeled by pair summaries.
 
 	Nodes are numbered in pre-order, and the edge into a node follows its
 	whole subtree; ids[k] is the id of the node at depth k on the branch,
@@ -320,11 +272,11 @@ def tree_dot(root):
 		my = "n%d" % number
 		ids[depth:] = [my]
 		step = node.step
-		label = node.descriptor.summary()
+		label = node.pair.summary()
 		if isinstance(step, Leaf):
 			label += "\\n%s" % dot_escape(repr(step.shape))
 		elif isinstance(step, RestrictionStep):
-			label += "\\nrestrict %s" % dot_escape(",".join(node.descriptor.graph.names(step.dmask)))
+			label += "\\nrestrict %s" % dot_escape(",".join(node.pair.graph.names(step.dmask)))
 		else:
 			label += "\\nproject, ker Z^%d" % step.kernel_rank
 		lines.append('\t%s [label="%s"];' % (my, label))
@@ -344,17 +296,17 @@ def tree_text(root):
 		if isinstance(parent, RestrictionStep):
 			lines.append("%s %s:" % (pad[2:], role))
 		step = node.step
-		summary = node.descriptor.summary()
+		summary = node.pair.summary()
 		if isinstance(step, Leaf):
 			lines.append("%sleaf %r  [%s]" % (pad, step.shape, summary))
 		elif isinstance(step, ProjectionStep):
-			names = ",".join(node.descriptor.graph.names(step.zmask))
+			names = ",".join(node.pair.graph.names(step.zmask))
 			lines.append(
 				"%sproject out <%s>, kernel rank %d  [%s]"
 				% (pad, names, step.kernel_rank, summary)
 			)
 		else:
-			names = ",".join(node.descriptor.graph.names(step.dmask))
+			names = ",".join(node.pair.graph.names(step.dmask))
 			lines.append("%srestrict to <%s>  [%s]" % (pad, names, summary))
 	return "\n".join(lines)
 
@@ -362,7 +314,7 @@ def tree_text(root):
 # ---- the three moves ----
 
 
-def restriction_step(d, dmask, mode=RESTRICT_DEFAULT):
+def restriction_step(pair, dmask, mode=RESTRICT_DEFAULT):
 	"""Split off the restriction to an invariant subgraph.
 
 	Fast mode keeps the pair as given and completes the image with the
@@ -389,12 +341,11 @@ def restriction_step(d, dmask, mode=RESTRICT_DEFAULT):
 	exactly when w is in row v, and pc x:R when R is a union of
 	G^x-components. check-exact, bounds and leaf shapes read only those.
 	"""
-	graph = d.graph
+	graph = pair.graph
 	if not 0 < dmask < graph.full:
 		raise DomainError("restriction target must be a proper nonempty subgraph")
 	if mode not in RESTRICT_MODES:
 		raise DomainError("restriction mode must be %s" % " or ".join(RESTRICT_MODES))
-	pair = d.pair
 	if mode == FAST and not pair.listed:
 		mode = SATURATED
 	if mode == SATURATED and not pair.saturated:
@@ -408,9 +359,7 @@ def restriction_step(d, dmask, mode=RESTRICT_DEFAULT):
 	if mode == FAST:
 		per = fast_periphery(pair, dmask)
 		sub_pair = sub_pair.adding_g(compress_mask(m, dmask) for m in per)
-	image = GroupDescriptor(sub_pair)
-	kernel = GroupDescriptor(pair.adding_h([dmask]))
-	return kernel, image
+	return pair.adding_h([dmask]), sub_pair
 
 
 def lift_generator(source, image, dmask, gen):
@@ -422,7 +371,7 @@ def lift_generator(source, image, dmask, gen):
 	to the subgraph recovers the region. Symmetries are not enumerated
 	and have no canonical lift.
 	"""
-	if not gen_in_relative(gen, image.pair):
+	if not gen_in_relative(gen, image):
 		raise DomainError("generator is not in the image group")
 	graph = source.graph
 	keep = list(bits(dmask))
@@ -436,7 +385,7 @@ def lift_generator(source, image, dmask, gen):
 		x = keep[acting]
 		target = mask_of(keep[i] for i in bits(region))
 		lifted = 0
-		for comp in source.pair.index.gv[x]:
+		for comp in source.index.gv[x]:
 			if comp & target:
 				lifted |= comp
 		return LaurenceGenerator.partial_conj(graph, x, lifted)
@@ -464,14 +413,14 @@ def word_restriction(sub_ctx, dmask, phi):
 	return Automorphism.from_images(sub_ctx, *tables)
 
 
-def projection_step(d):
+def projection_step(pp):
 	"""Quotient by the transvection kernel onto the center's complement.
 
 	Sound whenever the graph is connected, the center is nonempty and
 	proper, and the group acts trivially on the center's subgroup; the
 	kernel is free abelian, spanned by the transvections from outside
 	letters onto central ones that the relative order admits. Returns
-	the center's mask, the kernel rank and the image descriptor.
+	the center's mask, the kernel rank and the image pair.
 
 	Lemma: a partial conjugation is trivial on the center z. Every central
 	vertex is adjacent to every other one, so z lies in st(x) for every
@@ -479,24 +428,24 @@ def projection_step(d):
 	group therefore acts trivially on z exactly when no inversion or
 	transvection moves a vertex of z, that is, when z misses _moved.
 	"""
-	graph = d.graph
+	graph = pp.graph
 	if not graph.is_connected():
 		raise DomainError("projection needs a connected graph")
 	z = graph.center
 	if not z or z == graph.full:
 		raise DomainError("projection needs a nonempty proper center")
-	if _moved(d.pair) & z:
+	if _moved(pp) & z:
 		raise DomainError(
 			"restriction to the center is nontrivial; restrict to %s first"
 			% "".join(graph.names(z))
 		)
-	rows = d.pair.index.rows
+	rows = pp.index.rows
 	rank = sum(1 for vc in bits(z) for w in bits(graph.full & ~z) if rows[w] >> vc & 1)
-	return z, rank, GroupDescriptor(induced(d.pair, graph.full & ~z))
+	return z, rank, induced(pp, graph.full & ~z)
 
 
-def classify_irreducible(d):
-	"""Sort a no-more-restrictions descriptor into its terminal shape.
+def classify_irreducible(pair):
+	"""Sort a no-more-restrictions pair into its terminal shape.
 
 	Requires the restriction to every invariant subgraph, listed in G or
 	not, to already be trivial, which is what _pivot finding nothing
@@ -511,9 +460,8 @@ def classify_irreducible(d):
 	projection instead. The invariant subgraphs are read through
 	PairIndex.spanning, which covers and glues what all of them do.
 	"""
-	graph = d.graph
-	pair = d.pair
-	pending = d.pivot()
+	graph = pair.graph
+	pending = pair.pivot()
 	if pending is not None:
 		raise DomainError(
 			"restriction to %s is still nontrivial; restrict first"
@@ -531,7 +479,7 @@ def classify_irreducible(d):
 	if graph.is_connected():
 		if graph.center:
 			raise DomainError("nontrivial center: use a projection step")
-		gens = d.gens()
+		gens = pair.gens()
 		trv = sum(1 for gen in gens if gen.kind == "trv")
 		return FreeAbelian(trv, len(gens))
 	comps = orders.g_components(graph, members, graph.full)
@@ -567,8 +515,8 @@ def _child(parent, child):
 	return DecompositionNode(child, None)
 
 
-def decompose(d, mode="auto", script=None):
-	"""Build the full decomposition tree below a descriptor.
+def decompose(pair, mode="auto", script=None):
+	"""Build the full decomposition tree below a pair.
 
 	Auto mode saturates, then always restricts to the smallest invariant
 	member with a nontrivial restriction, falling back to projection and
@@ -590,35 +538,35 @@ def decompose(d, mode="auto", script=None):
 	"""
 	if mode not in ("auto", "script"):
 		raise DomainError("decompose mode must be auto or script")
-	root = DecompositionNode(d, None)
+	root = DecompositionNode(pair, None)
 	# (node whose step is still to take, its branch's script, step index, key path)
 	stack = [(root, (script or []) if mode == "script" else [], 0, "")]
 	while stack:
 		node, steps, i, path = stack.pop()
-		d = node.descriptor
+		pair = node.pair
 		scripted = i < len(steps)
-		if not scripted and not d.pair.saturated:
-			d = node.descriptor = GroupDescriptor(saturation(d.pair))
-		step = steps[i] if scripted else _auto_step(d)
+		if not scripted and not pair.saturated:
+			pair = node.pair = saturation(pair)
+		step = steps[i] if scripted else _auto_step(pair)
 		at = "%s[%d]" % (path, i)
 		op = step.get("op")
 		try:
 			if op == "restrict":
-				dmask = d.graph.mask(step["target"])
-				if dmask in d.pair.h_members:
+				dmask = pair.graph.mask(step["target"])
+				if dmask in pair.h_members:
 					raise DomainError(
 						"restriction target %s is already in H, so the step makes no progress"
-						% "".join(d.graph.names(dmask))
+						% "".join(pair.graph.names(dmask))
 					)
-				kernel, image = restriction_step(d, dmask, mode=step.get("mode", RESTRICT_DEFAULT))
-				node.step = RestrictionStep(dmask, _child(d, kernel), _child(d, image))
+				kernel, image = restriction_step(pair, dmask, mode=step.get("mode", RESTRICT_DEFAULT))
+				node.step = RestrictionStep(dmask, _child(pair, kernel), _child(pair, image))
 			elif op == "project":
-				zmask, rank, image = projection_step(d)
-				node.step = ProjectionStep(zmask, rank, _child(d, image))
+				zmask, rank, image = projection_step(pair)
+				node.step = ProjectionStep(zmask, rank, _child(pair, image))
 			elif op == "leaf":
 				if i + 1 < len(steps):
 					raise DomainError("leaf must be the last step of its branch")
-				node.step = Leaf(classify_irreducible(d))
+				node.step = Leaf(classify_irreducible(pair))
 			else:
 				raise DomainError("unknown script op %r" % op)
 		except DomainError as exc:
@@ -635,63 +583,12 @@ def decompose(d, mode="auto", script=None):
 	return root
 
 
-def _auto_step(d):
-	"""The step auto mode takes on a saturated descriptor, in script form."""
-	pivot = d.pivot()
+def _auto_step(pair):
+	"""The step auto mode takes on a saturated pair, in script form."""
+	pivot = pair.pivot()
 	if pivot is not None:
-		return {"op": "restrict", "target": d.graph.names(pivot), "mode": SATURATED}
-	graph = d.graph
+		return {"op": "restrict", "target": pair.graph.names(pivot), "mode": SATURATED}
+	graph = pair.graph
 	if graph.is_connected() and 0 < graph.center < graph.full:
 		return {"op": "project"}
 	return {"op": "leaf"}
-
-
-def _moved(pair):
-	"""The vertices some inversion or transvection of the pair moves.
-
-	Lemma: these are the moved vertices of the inversions and
-	transvections enumerate_generators lists, read off the index without
-	listing them. The inversion of v is listed exactly when no member of
-	H holds v, and a transvection moving v exactly when row v of the
-	relative order holds a vertex besides v.
-	"""
-	held = 0
-	for m in pair.h_members:
-		held |= m
-	moved = pair.graph.full & ~held
-	for v, row in enumerate(pair.index.rows):
-		if row & ~(1 << v):
-			moved |= 1 << v
-	return moved
-
-
-def _pivot(d):
-	"""The least invariant set, by size then mask, some generator restricts nontrivially to.
-
-	An inversion or transvection acts nontrivially exactly on the sets
-	holding its moved vertex, so those generators collapse into one mask:
-	the vertices in no member of H, moved by their inversions, and those
-	whose order row holds another vertex, moved by transvections. _moved
-	reads it off the index without listing the generators. The listed
-	partial conjugations with acting letter x are one per G^x-component
-	but one; some of them acts nontrivially on m exactly when m meets two
-	G^x-components, which one lookup in the owner table of those
-	components tells. The generator list holds no symmetries.
-	Only the sets of PairIndex.spanning are tried, which hold the least
-	qualifying one; on a saturated pair that is the least such member,
-	and on any other pair the least such member of its saturation. Those
-	sets are invariant, so no x outside one sees it meet two
-	G^x-components, and only the x inside it are looked up.
-	"""
-	index = d.pair.index
-	moved = _moved(d.pair)
-	splits = index.splits
-	for m in index.spanning(d.graph.full):
-		if m & moved:
-			return m
-		for x, away, owner in splits:
-			if m >> x & 1:
-				part = m & away
-				if part & ~owner[(part & -part).bit_length() - 1]:
-					return m
-	return None

@@ -10,8 +10,6 @@ generator list certifying the matching lower bound.
 from .errors import DomainError
 from .graphs import DefiningGraph, bits
 from .autos import LaurenceGenerator
-from .peripheral import PeripheralPair
-from .decompose import GroupDescriptor
 
 
 # ---- diamond chains ----
@@ -138,34 +136,6 @@ def diamond_generators(graph, d, labels=None):
 	gens.append(LaurenceGenerator.transvection(graph, look("c0"), look("c1")))
 	gens.append(LaurenceGenerator.transvection(graph, look("c%d" % d), look("c%d" % (d - 1))))
 	return gens
-
-
-def diamond_quartet():
-	"""The four single-diamond groups with their expected dimensions.
-
-	Returns (name, descriptor, lower-bound generator list, dimension)
-	tuples; the first three groups have dimension 2, the last 1.
-	"""
-	out = []
-	for name, g_names, h_names, dim in [
-		("plain", [], [], 2),
-		("preserved-corner", [["c1"]], [], 2),
-		("fixed-corner", [], [["c1"]], 2),
-		("both-corners", [["c0"]], [["c1"]], 1),
-	]:
-		graph = diamond_chain(1)
-		pair = PeripheralPair(
-			graph,
-			[graph.mask(n) for n in g_names],
-			[graph.mask(n) for n in h_names],
-		)
-		# pc a1 on {b1} is the whole conjugation by a1 here, hence inner;
-		# the two disjoint transvections carry the rank instead.
-		gens = [LaurenceGenerator.transvection(graph, "b1", "a1")]
-		if dim == 2:
-			gens.append(LaurenceGenerator.transvection(graph, "c0", "c1"))
-		out.append((name, GroupDescriptor(pair), gens, dim))
-	return out
 
 
 # ---- four-class paths ----

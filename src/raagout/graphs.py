@@ -150,17 +150,6 @@ class DefiningGraph:
 			return True
 		return len(self.components(mask)) == 1
 
-	def subgraph_center(self, mask):
-		"""Vertices of the induced subgraph adjacent to all its other vertices."""
-		z = 0
-		for v in bits(mask):
-			if mask & ~self.star_masks[v] == 0:
-				z |= 1 << v
-		return z
-
-	def is_clique(self, mask):
-		return self.subgraph_center(mask) == mask
-
 	def clique_number(self, mask=None):
 		"""Size of a largest clique in the induced subgraph, by branch and bound.
 

@@ -4,7 +4,7 @@ Each builder checks a JSON value against its format's shape table (a dict
 lists the keys allowed, a one-item list is a list of that item, a type is
 a value of that type), then what a shape cannot say, and builds. Errors
 name the file and the key path, like [0]"image"[2]. Checks that need a
-descriptor, such as the invariance of a target, stay with it.
+pair, such as the invariance of a target, stay with it.
 """
 
 import json

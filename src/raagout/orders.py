@@ -306,7 +306,7 @@ class PairIndex:
 		they lie in two components, and closure({a, b}) glues or meets the
 		same two and misses all that S misses. A set some generator
 		restricts nontrivially to holds a moved vertex v or meets two
-		G^x-components at a and b (decompose._pivot), so it holds
+		G^x-components at a and b (peripheral._pivot), so it holds
 		closure({v}) or closure({a, b}), which qualifies as well.
 
 		closure({a, b}) is the closure of closure({a}) | closure({b}), so

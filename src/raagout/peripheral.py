@@ -40,12 +40,16 @@ to 2^n - 2 members. Every other pair lists G when it is built.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 
+from .autos import enumerate_generators
 from .errors import CapabilityError, DomainError
 from .graphs import DefiningGraph, bits, by_size, compress_mask
 from . import orders
 
 SATURATE_CAP = 20
+
+Complexity = namedtuple("Complexity", ["n", "m"])
 
 
 def _size_key(m):
@@ -78,15 +82,17 @@ def _checked(graph, members):
 class PeripheralPair:
 	"""The pair (G, H), members stored as vertex masks, H folded into G.
 
-	The constructor checks both member lists and folds H into G; derived
-	pairs come from _derived. Pairs are never changed in place (adding_g,
-	adding_h and induced all build new ones). The order index of G is
-	built on first use, unless the pair was derived from one whose index
-	was built. A pair whose G is unlisted (see listed) has its index from
-	the start and lists G on first read.
+	A pair on its graph fixes one relative outer automorphism group, and
+	the decomposition takes pairs for their groups. The constructor checks
+	both member lists and folds H into G; derived pairs come from
+	_derived. Pairs are never changed in place (adding_g, adding_h and
+	induced all build new ones), so the pivot is cached on them. The order
+	index of G is built on first use, unless the pair was derived from one
+	whose index was built. A pair whose G is unlisted (see listed) has its
+	index from the start and lists G on first read.
 	"""
 
-	__slots__ = ("graph", "_g_members", "_list_g", "h_members", "saturated", "_index")
+	__slots__ = ("graph", "_g_members", "_list_g", "h_members", "saturated", "_index", "_pivot")
 
 	def __init__(self, graph, g_members=(), h_members=()):
 		self.graph = graph
@@ -95,6 +101,16 @@ class PeripheralPair:
 		self._list_g = None
 		self.saturated = False
 		self._index = None
+		self._pivot = None
+
+	@classmethod
+	def absolute(cls, graph):
+		"""The pair with no members, as PeripheralPair(graph) builds it.
+
+		Kept for callers written when a group wrapped its pair
+		(perfbench/workloads.py calls it); nothing in the package does.
+		"""
+		return cls(graph)
 
 	@classmethod
 	def _derived(cls, graph, g_members, h_members, index, list_g=None, saturated=False):
@@ -111,6 +127,7 @@ class PeripheralPair:
 		out.h_members = h_members
 		out.saturated = saturated
 		out._index = index
+		out._pivot = None
 		return out
 
 	@property
@@ -146,6 +163,26 @@ class PeripheralPair:
 		if self._index is None:
 			self._index = orders.PairIndex(self.graph, self.g_members)
 		return self._index
+
+	def gens(self):
+		"""The Laurence generators of the pair's group (autos.enumerate_generators)."""
+		return enumerate_generators(self)
+
+	def pivot(self):
+		"""The least invariant set some generator restricts nontrivially to, None if none (_pivot).
+
+		Worked out once, as auto mode reads it for the step and again for a
+		leaf's precondition; 0 stands for none in the cache.
+		"""
+		if self._pivot is None:
+			self._pivot = _pivot(self) or 0
+		return self._pivot or None
+
+	def complexity(self):
+		return Complexity(self.graph.n, (1 << self.graph.n) - len(self.h_members))
+
+	def summary(self):
+		return "n=%d |G|=%d |H|=%d" % (self.graph.n, len(self.g_members), len(self.h_members))
 
 	def adding_g(self, extra):
 		"""Same pair with extra masks joined into G; the result is not saturated.
@@ -200,6 +237,57 @@ def is_invariant(pp, dmask):
 	(orders.PairIndex.closure, which states the rule).
 	"""
 	return pp.index.closure(dmask) == dmask
+
+
+def _moved(pp):
+	"""The vertices some inversion or transvection of the pair moves.
+
+	Lemma: these are the moved vertices of the inversions and
+	transvections enumerate_generators lists, read off the index without
+	listing them. The inversion of v is listed exactly when no member of
+	H holds v, and a transvection moving v exactly when row v of the
+	relative order holds a vertex besides v.
+	"""
+	held = 0
+	for m in pp.h_members:
+		held |= m
+	moved = pp.graph.full & ~held
+	for v, row in enumerate(pp.index.rows):
+		if row & ~(1 << v):
+			moved |= 1 << v
+	return moved
+
+
+def _pivot(pp):
+	"""The least invariant set, by size then mask, some generator restricts nontrivially to.
+
+	An inversion or transvection acts nontrivially exactly on the sets
+	holding its moved vertex, so those generators collapse into one mask:
+	the vertices in no member of H, moved by their inversions, and those
+	whose order row holds another vertex, moved by transvections. _moved
+	reads it off the index without listing the generators. The listed
+	partial conjugations with acting letter x are one per G^x-component
+	but one; some of them acts nontrivially on m exactly when m meets two
+	G^x-components, which one lookup in the owner table of those
+	components tells. The generator list holds no symmetries.
+	Only the sets of PairIndex.spanning are tried, which hold the least
+	qualifying one; on a saturated pair that is the least such member,
+	and on any other pair the least such member of its saturation. Those
+	sets are invariant, so no x outside one sees it meet two
+	G^x-components, and only the x inside it are looked up.
+	"""
+	index = pp.index
+	moved = _moved(pp)
+	splits = index.splits
+	for m in index.spanning(pp.graph.full):
+		if m & moved:
+			return m
+		for x, away, owner in splits:
+			if m >> x & 1:
+				part = m & away
+				if part & ~owner[(part & -part).bit_length() - 1]:
+					return m
+	return None
 
 
 def _invariant_scan(graph, index):

@@ -475,13 +475,13 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 # ---- report ----
 
 
-def _triangle_list(descriptor):
+def _triangle_list(pair):
 	"""Transvections below the diagonal that the peripheral pair allows.
 
 	trv j^i with i < j, wherever row j of the pair's order index holds i.
 	"""
-	graph = descriptor.graph
-	rows = descriptor.pair.index.rows
+	graph = pair.graph
+	rows = pair.index.rows
 	return [
 		LaurenceGenerator.transvection(graph, j, i)
 		for j in range(graph.n)
@@ -489,16 +489,15 @@ def _triangle_list(descriptor):
 	]
 
 
-def _derive_generators(descriptor):
+def _derive_generators(pair):
 	"""A certifiable list for the shapes the package knows cold.
 
 	Cliques get their below-diagonal transvections, an absolute diamond
 	chain gets its commuting list, and any other shape the empty list.
 	"""
-	graph = descriptor.graph
+	graph = pair.graph
 	if graph.center == graph.full:
-		return _triangle_list(descriptor)
-	pair = descriptor.pair
+		return _triangle_list(pair)
 	if pair.g_members or pair.h_members:
 		return []
 	labels = diamond_labels(graph)
@@ -513,28 +512,28 @@ def _derive_generators(descriptor):
 	return diamond_generators(graph, d, labels=labels)
 
 
-def vcd_report(descriptor, script=None, gens=None, nilpotent=False):
+def vcd_report(pair, script=None, gens=None, nilpotent=False):
 	"""Decompose, fold the upper bound, and certify a lower bound.
 
-	A supplied generator list must lie in the descriptor's group and
+	A supplied generator list must lie in the pair's group and
 	drives certification directly; nilpotent lets its members fail to
 	commute. Without one, cliques and absolute diamond chains get a list
 	derived automatically; any other graph settles for a certified lower
 	bound of zero. Both bounds are proofs, so a certified lower bound
 	above the upper bound is a bug in the package and raises RuntimeError.
 	"""
-	tree = decompose(descriptor, mode="script", script=script)
+	tree = decompose(pair, mode="script", script=script)
 	upper, per_leaf = fold(tree)
 	if gens is None:
-		gens = _derive_generators(descriptor)
+		gens = _derive_generators(pair)
 		nilpotent = True
 	else:
 		for gen in gens:
-			if not gen_in_relative(gen, descriptor.pair):
+			if not gen_in_relative(gen, pair):
 				raise DomainError(
 					"%s is not in the group being bounded" % (gen,)
 				)
-	lower = certify_lower_bound(descriptor.graph, gens, nilpotent) if gens else 0
+	lower = certify_lower_bound(pair.graph, gens, nilpotent) if gens else 0
 	if upper != "unknown" and lower > upper:
 		raise RuntimeError(
 			"certified lower bound %d exceeds the upper bound %d" % (lower, upper)

@@ -11,8 +11,8 @@ from collections import deque
 from functools import lru_cache
 
 from raagout import families, orders
-from raagout.autos import Automorphism, is_inner
-from raagout.decompose import GroupDescriptor, decompose
+from raagout.autos import Automorphism, LaurenceGenerator, is_inner
+from raagout.decompose import decompose
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.peripheral import PeripheralPair, _invariant_scan, saturate
 from raagout.words import enc, inverse, mask_word, reduce_word
@@ -513,14 +513,14 @@ def box_inner_vector(ctx, phis, box):
 	return None
 
 
-def pivot_by_generators(d):
+def pivot_by_generators(pp):
 	"""The first member, by size then mask, some listed generator restricts nontrivially to.
 
-	Asks every generator of the descriptor about every member through
+	Asks every generator of the pair about every member through
 	acts_trivially_on, with no order index.
 	"""
-	gens = d.gens()
-	for m in sorted(d.pair.g_members, key=lambda m: (m.bit_count(), m)):
+	gens = pp.gens()
+	for m in sorted(pp.g_members, key=lambda m: (m.bit_count(), m)):
 		if any(not acts_trivially_on(gen, m) for gen in gens):
 			return m
 	return None
@@ -542,7 +542,7 @@ def auto_tree_nodes(seed=5):
 		families.four_path(1, 1, 1, 1),
 		families.four_path(2, 1, 2, 1),
 	]
-	descriptors = [GroupDescriptor.absolute(g) for g in graphs]
+	inputs = [PeripheralPair(g) for g in graphs]
 	graphs = [graph_from_edges(4, edges) for edges in connected_graphs_upto_iso(4)]
 	for _ in range(40):
 		n = rng.choice((5, 6))
@@ -550,11 +550,52 @@ def auto_tree_nodes(seed=5):
 		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 		graphs.append(graph_from_edges(n, [e for e in pairs if rng.random() < density]))
 	for g in graphs:
-		descriptors.append(GroupDescriptor.absolute(g))
+		inputs.append(PeripheralPair(g))
 		for _ in range(2):
 			glist, hlist = random_peripheral(g, rng)
-			descriptors.append(GroupDescriptor(PeripheralPair(g, glist, hlist)))
+			inputs.append(PeripheralPair(g, glist, hlist))
 	out = []
-	for d in descriptors:
-		out.extend(node for _, _, _, node, _ in decompose(d).walk())
+	for pp in inputs:
+		out.extend(node for _, _, _, node, _ in decompose(pp).walk())
+	return out
+
+
+def subgraph_center(graph, mask):
+	"""Vertices of the induced subgraph adjacent to all its other vertices."""
+	z = 0
+	for v in bits(mask):
+		if mask & ~graph.star_masks[v] == 0:
+			z |= 1 << v
+	return z
+
+
+def is_clique(graph, mask):
+	return subgraph_center(graph, mask) == mask
+
+
+def diamond_quartet():
+	"""The four single-diamond groups with their expected dimensions.
+
+	Returns (name, pair, lower-bound generator list, dimension) tuples;
+	the first three groups have dimension 2, the last 1.
+	"""
+	out = []
+	for name, g_names, h_names, dim in [
+		("plain", [], [], 2),
+		("preserved-corner", [["c1"]], [], 2),
+		("fixed-corner", [], [["c1"]], 2),
+		("both-corners", [["c0"]], [["c1"]], 1),
+	]:
+		graph = families.diamond_chain(1)
+		pair = PeripheralPair(
+			graph,
+			[graph.mask(n) for n in g_names],
+			[graph.mask(n) for n in h_names],
+		)
+		# pc a1 on {b1} is the whole conjugation by a1 here, hence inner;
+		# the two disjoint transvections carry the rank instead.
+		gens = [LaurenceGenerator.transvection(graph, "b1", "a1")]
+		if dim == 2:
+			gens.append(LaurenceGenerator.transvection(graph, "c0", "c1"))
+		out.append((name, pair, gens, dim))
 	return out

@@ -13,6 +13,7 @@ import time
 from helpers import (
 	checked_saturate,
 	connected_graphs_upto_iso,
+	diamond_quartet,
 	graph_from_edges,
 	preserves_word,
 	same_map,
@@ -29,7 +30,6 @@ from raagout.autos import (
 	realize,
 )
 from raagout.decompose import (
-	GroupDescriptor,
 	decompose,
 	lift_generator,
 	restriction_step,
@@ -38,7 +38,6 @@ from raagout.decompose import (
 from raagout.families import (
 	diamond_chain,
 	diamond_generators,
-	diamond_quartet,
 	diamond_script,
 	four_path,
 	four_path_dimension,
@@ -59,15 +58,11 @@ def _ok(n, text):
 	print("PASS criterion %d: %s" % (n, text))
 
 
-def _absolute(graph):
-	return GroupDescriptor.absolute(graph)
-
-
 def test_01_diamond_chain_uppers():
 	# scripted decomposition gives the exact dimension 4d - 1
 	t0 = time.monotonic()
 	for d in (2, 3, 4):
-		tree = decompose(_absolute(diamond_chain(d)), mode="script", script=diamond_script(d))
+		tree = decompose(PeripheralPair(diamond_chain(d)), mode="script", script=diamond_script(d))
 		assert vcd_upper(tree) == 4 * d - 1, d
 	took = time.monotonic() - t0
 	assert took < 60.0, took
@@ -95,8 +90,8 @@ def test_02_diamond_chain_abelian_lowers():
 
 def test_03_single_diamond_quartet():
 	dims = []
-	for name, desc, gens, dim in diamond_quartet():
-		bound = vcd_report(desc, gens=gens)
+	for name, pair, gens, dim in diamond_quartet():
+		bound = vcd_report(pair, gens=gens)
 		assert bound.upper == dim, (name, bound)
 		assert bound.lower == dim, (name, bound)
 		dims.append(dim)
@@ -109,7 +104,7 @@ def test_04_four_path_family():
 	for p, q, r, s in tuples:
 		want = four_path_dimension(p, q, r, s)
 		bound = vcd_report(
-			_absolute(four_path(p, q, r, s)), script=four_path_script(p, q, r, s)
+			PeripheralPair(four_path(p, q, r, s)), script=four_path_script(p, q, r, s)
 		)
 		assert bound.upper == want, ((p, q, r, s), bound.upper, want)
 	for p, q, r, s in [(1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 2)]:
@@ -240,12 +235,11 @@ def test_08_suite_c_exact_sequence():
 		if not members:
 			continue
 		dmask = rng.choice(members)
-		desc = GroupDescriptor(sat)
-		kernel, image = restriction_step(desc, dmask, mode="saturated")
-		ctx = desc.ctx
-		sub_ctx = image.ctx
+		kernel, image = restriction_step(sat, dmask, mode="saturated")
+		ctx = WordContext(g)
+		sub_ctx = WordContext(image.graph)
 		for gen in image.gens():
-			lift = lift_generator(desc, image, dmask, gen)
+			lift = lift_generator(sat, image, dmask, gen)
 			back = word_restriction(sub_ctx, dmask, realize(ctx, lift))
 			disc = back.compose(realize(sub_ctx, gen).invert())
 			res = is_inner(sub_ctx, disc.images)
@@ -256,7 +250,7 @@ def test_08_suite_c_exact_sequence():
 			assert flag, (g.to_json_obj(), sat.to_json_obj(), str(gen))
 			kernel_checked += 1
 		done += 1
-	_ok(8, "exact sequence on %d descriptors: %d lifts matched mod inner, %d kernel gens trivial"
+	_ok(8, "exact sequence on %d pairs: %d lifts matched mod inner, %d kernel gens trivial"
 		% (done, lifted, kernel_checked))
 
 

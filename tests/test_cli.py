@@ -569,6 +569,9 @@ INPUTS = {
 		"edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
 	},
 	"d3.json": diamond_chain(3).to_json_obj(),
+	"abc.json": {"vertices": ["a", "b", "c"], "edges": []},
+	"p3-a.json": {"G": [["a"]], "H": []},
+	"p3-sym.json": ["sym (a c)"],
 }
 
 
@@ -647,12 +650,22 @@ INPUTS = {
 			'\tn0 [label="n=2 |G|=2 |H|=2\\nTrivial"];\n}\n',
 			"",
 		),
+		(
+			# the inverse of the 3-cycle a -> b -> c -> a sends a to c and b to a
+			["apply", "--graph", "abc.json", "--gen", "sym (a b c)^-1", "--word", "a b^2"],
+			0, "c a a\n", "",
+		),
+		(
+			# the symmetry moves the member {a} of G onto {c}
+			["vcd", "--graph", "p3.json", "--periph", "p3-a.json", "--gens", "p3-sym.json"],
+			1, "", "error: sym (a c) is not in the group being bounded\n",
+		),
 	],
 	ids=[
 		"periphery-json", "restrict-text", "info-with-h", "saturate-with-h",
 		"vcd-gen-outside-group", "vcd-four-cycle", "trivial-leaf-text", "apply-bad-exponent",
 		"apply-nested-cycle", "apply-open-cycle", "apply-extra-close", "trivial-leaf-json",
-		"trivial-leaf-dot",
+		"trivial-leaf-dot", "apply-inverse-symmetry", "vcd-symmetry-moves-a-member",
 	],
 )
 def test_pinned_output(capsys, tmp_path, argv, code, out, err):

@@ -7,7 +7,16 @@ from raagout.errors import DomainError, ScriptError
 from raagout.families import four_path, four_path_script
 from raagout.graphs import DefiningGraph, compress_mask
 from raagout.load import build_pair
-from raagout.peripheral import PeripheralPair, fast_periphery, induced, is_invariant, saturate
+from raagout import peripheral
+from raagout.peripheral import (
+	Complexity,
+	PeripheralPair,
+	_pivot,
+	fast_periphery,
+	induced,
+	is_invariant,
+	saturate,
+)
 from raagout.autos import (
 	Automorphism,
 	LaurenceGenerator,
@@ -16,38 +25,38 @@ from raagout.autos import (
 	is_inner,
 	realize,
 )
-from raagout import decompose as decompose_module
 from raagout.decompose import (
-	Complexity,
 	DecompositionNode,
 	FouxeRabinovitch,
 	FreeAbelian,
 	GeneralLinear,
-	GroupDescriptor,
 	Leaf,
 	ProjectionStep,
 	RestrictionStep,
 	Trivial,
 	classify_irreducible,
 	decompose,
+	group_to_json_obj,
 	lift_generator,
 	projection_step,
 	restriction_step,
 	tree_dot,
 	tree_text,
 	word_restriction,
-	_pivot,
 )
 
 from raagout.vcd import fold, vcd_upper
+from raagout.words import WordContext
 
 from helpers import (
 	acts_trivially_on,
 	auto_tree_nodes,
 	connected_graphs_upto_iso,
 	graph_from_edges,
+	is_clique,
 	pivot_by_generators,
 	random_peripheral,
+	subgraph_center,
 )
 
 
@@ -79,20 +88,16 @@ def diamond_chain(d):
 	return DefiningGraph(names, edges)
 
 
-def descriptor(graph, g=(), h=()):
-	return GroupDescriptor(PeripheralPair(graph, g, h))
-
-
 def names_of(graph, masks):
 	return sorted(sorted(graph.names(m)) for m in masks)
 
 
-# ---- descriptors and complexity ----
+# ---- pairs as groups, and complexity ----
 
 
 def test_descriptor_normalizes_and_counts():
 	g = path3()
-	d = GroupDescriptor(PeripheralPair(g, [], [g.mask(["a", "b"])]))
+	d = PeripheralPair(g, [], [g.mask(["a", "b"])])
 	# 2^3 minus the single trivial-action member
 	assert d.complexity() == Complexity(3, 7)
 	assert d.complexity() < Complexity(3, 8)
@@ -100,8 +105,8 @@ def test_descriptor_normalizes_and_counts():
 
 
 def test_absolute_descriptor():
-	d = GroupDescriptor.absolute(path3())
-	assert d.pair.g_members == ()
+	d = PeripheralPair.absolute(path3())
+	assert d.g_members == ()
 	assert d.complexity() == Complexity(3, 8)
 
 
@@ -110,38 +115,38 @@ def test_absolute_descriptor():
 
 def test_restriction_diamond_first_step():
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	kernel, image = restriction_step(d, b, mode="fast")
 	# kernel keeps the graph; the target becomes a trivial-action member
 	assert kernel.graph is g
-	assert b in kernel.pair.h_members
-	assert b in kernel.pair.g_members
+	assert b in kernel.h_members
+	assert b in kernel.g_members
 	# the image moves onto the subgraph with its computed periphery
 	assert image.graph.vertices == ("c1", "a2", "b2", "c2")
-	assert names_of(image.graph, image.pair.g_members) == [["c1"]]
-	assert image.pair.h_members == ()
+	assert names_of(image.graph, image.g_members) == [["c1"]]
+	assert image.h_members == ()
 
 
 def test_restriction_diamond_second_step():
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	a1 = g.mask(["c0", "a1", "b1", "c1"])
 	kernel, _ = restriction_step(d, b, mode="fast")
 	inner, image = restriction_step(kernel, a1, mode="fast")
 	# both diamonds now held pointwise up to conjugacy: the inner kernel
-	assert set(inner.pair.h_members) == {b, a1}
+	assert set(inner.h_members) == {b, a1}
 	# the image inherits the shared vertex pointwise
 	assert image.graph.vertices == ("c0", "a1", "b1", "c1")
 	c1 = image.graph.mask(["c1"])
-	assert c1 in image.pair.h_members
-	assert c1 in image.pair.g_members
+	assert c1 in image.h_members
+	assert c1 in image.g_members
 
 
 def test_restriction_requires_invariance():
 	g = path3()
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	with pytest.raises(DomainError):
 		restriction_step(d, g.mask(["a", "c"]))
 	for target in (["a", "c"], ["a"], ["a", "b"]):
@@ -155,9 +160,8 @@ def test_restriction_requires_invariance():
 		restriction_step(d, g.mask(["b"]), mode="lazy")
 
 
-def join_first_restriction(d, dmask):
+def join_first_restriction(pair, dmask):
 	"""The fast restriction as it was built when the target joined G first."""
-	pair = d.pair
 	if dmask not in pair.g_members:
 		pair = pair.adding_g([dmask])
 	per = fast_periphery(pair, dmask)
@@ -173,67 +177,70 @@ def test_fast_restriction_matches_the_join_first_construction():
 		density = rng.random()
 		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
-		d = GroupDescriptor(PeripheralPair(g, *random_peripheral(g, rng)))
+		d = PeripheralPair(g, *random_peripheral(g, rng))
 		for dmask in range(1, g.full):
-			if not is_invariant(d.pair, dmask) or dmask in d.pair.h_members:
+			if not is_invariant(d, dmask) or dmask in d.h_members:
 				continue
 			kernel, image = restriction_step(d, dmask, mode="fast")
 			ref_kernel, ref_image = join_first_restriction(d, dmask)
-			case = (g.to_json_obj(), d.pair.to_json_obj(), dmask)
-			assert kernel.pair.to_json_obj() == ref_kernel.to_json_obj(), case
-			assert image.to_json_obj() == {
+			case = (g.to_json_obj(), d.to_json_obj(), dmask)
+			assert kernel.to_json_obj() == ref_kernel.to_json_obj(), case
+			assert group_to_json_obj(image) == {
 				"graph": ref_image.graph.to_json_obj(),
 				"pair": ref_image.to_json_obj(),
 			}, case
-			assert kernel.pair.index.rows == ref_kernel.index.rows, case
-			assert kernel.pair.index.gv == ref_kernel.index.gv, case
-			checked += dmask not in d.pair.g_members
+			assert kernel.index.rows == ref_kernel.index.rows, case
+			assert kernel.index.gv == ref_kernel.index.gv, case
+			checked += dmask not in d.g_members
 	assert checked > 100
 
 
 def test_word_restriction_refuses_a_letter_sent_outside():
 	# pc c0 conjugates the whole top diamond: a conjugate of it, not a lift
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	_, image = restriction_step(d, b, mode="fast")
-	phi = realize(d.ctx, LaurenceGenerator.partial_conj(g, "c0", b))
+	ctx, sub_ctx = WordContext(g), WordContext(image.graph)
+	phi = realize(ctx, LaurenceGenerator.partial_conj(g, "c0", b))
 	with pytest.raises(DomainError, match="^map sends a letter of the subgroup outside it$"):
-		word_restriction(image.ctx, b, phi)
+		word_restriction(sub_ctx, b, phi)
 	# the back table is read too: only its image of c2 leaves the diamond
 	fwd = [(2 * v,) for v in range(g.n)]
 	bwd = list(fwd)
 	bwd[g.index["c2"]] = (2 * g.index["c2"], 2 * g.index["c0"])
 	with pytest.raises(DomainError, match="^map sends a letter of the subgroup outside it$"):
-		word_restriction(image.ctx, b, Automorphism.from_images(d.ctx, fwd, bwd))
+		word_restriction(sub_ctx, b, Automorphism.from_images(ctx, fwd, bwd))
 
 
 def test_restriction_kernel_gens_trivial_on_target():
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	kernel, _ = restriction_step(d, b, mode="fast")
+	ctx = WordContext(g)
 	for gen in kernel.gens():
 		assert acts_trivially_on(gen, b)
 		if gen.kind != "sym":
-			flag, _ = acts_trivially_word(kernel.ctx, realize(kernel.ctx, gen), b)
+			flag, _ = acts_trivially_word(ctx, realize(ctx, gen), b)
 			assert flag, str(gen)
 
 
 def test_lift_roundtrip_mod_inner():
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	_, image = restriction_step(d, b, mode="fast")
+	ctx, sub_ctx = WordContext(g), WordContext(image.graph)
 	lifted = 0
 	for gen in image.gens():
 		if gen.kind == "sym":
 			continue
 		lift = lift_generator(d, image, b, gen)
-		phi = realize(d.ctx, lift)
-		back = word_restriction(image.ctx, b, phi)
-		diff = back.compose(realize(image.ctx, gen).invert())
-		assert is_inner(image.ctx, diff.images).status == "yes", str(gen)
+		phi = realize(ctx, lift)
+		back = word_restriction(sub_ctx, b, phi)
+		diff = back.compose(realize(sub_ctx, gen).invert())
+		assert is_inner(sub_ctx, diff.images).status == "yes", str(gen)
 		lifted += 1
 	assert lifted == len(image.gens())
 
@@ -241,7 +248,7 @@ def test_lift_roundtrip_mod_inner():
 def test_lift_partial_conjugation_region():
 	# lifting widens the region to whole relative components of the source
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	saturated_kernel, image = restriction_step(d, b, mode="saturated")
 	for gen in image.gens():
@@ -262,7 +269,7 @@ def test_lift_partial_conjugation_region():
 
 def test_lift_rejects_outsiders():
 	g = diamond_chain(2)
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	_, image = restriction_step(d, b, mode="fast")
 	bad = LaurenceGenerator.transvection(image.graph, "c1", "c2")
@@ -279,30 +286,30 @@ def test_lift_rejects_outsiders():
 def test_projection_path3_relative():
 	g = path3()
 	b = g.mask(["b"])
-	d = descriptor(g, g=[b], h=[b])
+	d = PeripheralPair(g, [b], [b])
 	zmask, rank, image = projection_step(d)
 	assert zmask == b
 	assert rank == 2
 	assert image.graph.vertices == ("a", "c")
-	assert image.pair.g_members == ()
+	assert image.g_members == ()
 
 
 def test_projection_needs_connected():
 	with pytest.raises(DomainError):
-		projection_step(GroupDescriptor.absolute(edgeless(2)))
+		projection_step(PeripheralPair(edgeless(2)))
 
 
 def test_projection_needs_proper_center():
 	with pytest.raises(DomainError):
-		projection_step(GroupDescriptor.absolute(clique(3)))
+		projection_step(PeripheralPair(clique(3)))
 	g = DefiningGraph(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]])
 	with pytest.raises(DomainError):
-		projection_step(GroupDescriptor.absolute(g))
+		projection_step(PeripheralPair(g))
 
 
 def test_projection_needs_trivial_center_action():
 	# the absolute group of a path moves the center by inversions
-	d = GroupDescriptor.absolute(path3())
+	d = PeripheralPair(path3())
 	with pytest.raises(DomainError):
 		projection_step(d)
 
@@ -320,13 +327,13 @@ def test_projection_refuses_exactly_when_a_generator_moves_the_center():
 		g = graph_from_edges(
 			n, [e for e in pairs if cone in e or rng.random() < density]
 		)
-		z = g.subgraph_center(g.full)
+		z = subgraph_center(g, g.full)
 		if not z or z == g.full:
 			continue
 		pair = PeripheralPair(g, *random_peripheral(g, rng))
 		refused = any(not acts_trivially_on(gen, z) for gen in enumerate_generators(pair))
 		try:
-			projection_step(GroupDescriptor(pair))
+			projection_step(pair)
 		except DomainError as exc:
 			assert refused and "restriction to the center is nontrivial" in str(exc)
 			outcomes.append(True)
@@ -343,14 +350,14 @@ def test_auto_tree_lists_generators_only_at_connected_free_abelian_leaves(monkey
 		calls.append(pair)
 		return enumerate_generators(pair)
 
-	monkeypatch.setattr(decompose_module, "enumerate_generators", counted)
-	tree = decompose(GroupDescriptor.absolute(diamond_chain(3)))
+	monkeypatch.setattr(peripheral, "enumerate_generators", counted)
+	tree = decompose(PeripheralPair(diamond_chain(3)))
 	leaves = [
 		node
 		for _, _, _, node, _ in tree.walk()
 		if isinstance(node.step, Leaf)
 		and isinstance(node.step.shape, FreeAbelian)
-		and node.descriptor.graph.is_connected()
+		and node.pair.graph.is_connected()
 	]
 	assert len(calls) <= len(leaves)
 	assert len(tree.leaves()) > 10
@@ -360,31 +367,29 @@ def test_auto_tree_lists_generators_only_at_connected_free_abelian_leaves(monkey
 
 
 def test_classify_clique_general_linear():
-	assert classify_irreducible(GroupDescriptor.absolute(clique(3))) == GeneralLinear(3, 0)
-	assert classify_irreducible(GroupDescriptor.absolute(clique(1))) == GeneralLinear(1, 0)
+	assert classify_irreducible(PeripheralPair(clique(3))) == GeneralLinear(3, 0)
+	assert classify_irreducible(PeripheralPair(clique(1))) == GeneralLinear(1, 0)
 
 
 def test_classify_clique_partial_cover():
 	g = clique(3)
 	x = g.mask(["x0"])
-	d = descriptor(g, g=[x], h=[x])
+	d = PeripheralPair(g, [x], [x])
 	assert classify_irreducible(d) == GeneralLinear(2, 2)
 
 
 def test_classify_trivial():
 	g = clique(2)
-	d = descriptor(g, g=[g.mask(["x0"]), g.mask(["x1"])], h=[g.mask(["x0"]), g.mask(["x1"])])
+	d = PeripheralPair(g, [g.mask(["x0"]), g.mask(["x1"])], [g.mask(["x0"]), g.mask(["x1"])])
 	assert list(d.gens()) == []
 	assert classify_irreducible(d) == Trivial()
 
 
 def test_classify_free_product():
-	assert classify_irreducible(GroupDescriptor.absolute(edgeless(3))) == FouxeRabinovitch(
-		(), 3
-	)
+	assert classify_irreducible(PeripheralPair(edgeless(3))) == FouxeRabinovitch((), 3, ())
 	g = edgeless(2)
 	u, v = g.mask(["x0"]), g.mask(["x1"])
-	d = descriptor(g, g=[u, v], h=[u, v])
+	d = PeripheralPair(g, [u, v], [u, v])
 	shape = classify_irreducible(d)
 	assert isinstance(shape, FouxeRabinovitch)
 	assert shape.free_rank == 0
@@ -397,7 +402,7 @@ def test_classify_glued_free_abelian():
 	g = edgeless(3)
 	uv = g.mask(["x0", "x1"])
 	vw = g.mask(["x1", "x2"])
-	d = descriptor(g, g=[uv, vw], h=[uv, vw])
+	d = PeripheralPair(g, [uv, vw], [uv, vw])
 	assert [str(x) for x in d.gens()] == ["pc x1:[x2]"]
 	assert classify_irreducible(d) == FreeAbelian(1, 1)
 
@@ -406,21 +411,21 @@ def test_classify_refuses_pending_restriction():
 	g = path3()
 	b = g.mask(["b"])
 	with pytest.raises(DomainError):
-		classify_irreducible(descriptor(g, g=[b]))
+		classify_irreducible(PeripheralPair(g, [b]))
 
 
 def test_classify_signals_projection():
 	g = path3()
 	b = g.mask(["b"])
 	with pytest.raises(DomainError):
-		classify_irreducible(descriptor(g, g=[b], h=[b]))
+		classify_irreducible(PeripheralPair(g, [b], [b]))
 
 
 # ---- full decomposition ----
 
 
 def test_decompose_clique_single_leaf():
-	node = decompose(GroupDescriptor.absolute(clique(4)))
+	node = decompose(PeripheralPair(clique(4)))
 	assert isinstance(node.step, Leaf)
 	assert node.leaves() == [GeneralLinear(4, 0)]
 
@@ -428,10 +433,10 @@ def test_decompose_clique_single_leaf():
 def test_decompose_path3_relative():
 	g = path3()
 	b = g.mask(["b"])
-	node = decompose(descriptor(g, g=[b], h=[b]))
+	node = decompose(PeripheralPair(g, [b], [b]))
 	assert isinstance(node.step, ProjectionStep)
 	assert node.step.kernel_rank == 2
-	assert node.leaves() == [FreeAbelian(2, 2), FouxeRabinovitch((), 2)]
+	assert node.leaves() == [FreeAbelian(2, 2), FouxeRabinovitch((), 2, ())]
 
 
 def test_decompose_diamond_script():
@@ -442,20 +447,20 @@ def test_decompose_diamond_script():
 		{"op": "restrict", "target": b, "mode": "fast"},
 		{"op": "restrict", "target": a1, "mode": "fast"},
 	]
-	node = decompose(GroupDescriptor.absolute(g), mode="script", script=script)
+	node = decompose(PeripheralPair(g), mode="script", script=script)
 	step = node.step
 	assert isinstance(step, RestrictionStep)
 	assert step.dmask == g.mask(b)
 	inner = step.kernel.step
 	assert isinstance(inner, RestrictionStep)
 	assert inner.dmask == g.mask(a1)
-	assert set(inner.kernel.descriptor.pair.h_members) == {g.mask(b), g.mask(a1)}
+	assert set(inner.kernel.pair.h_members) == {g.mask(b), g.mask(a1)}
 	# both restriction images carry the shared vertex as periphery;
 	# the recorded image node is saturated, so membership, not equality
-	im = step.image.descriptor
-	assert im.graph.mask(["c1"]) in im.pair.g_members
-	im2 = inner.image.descriptor
-	assert im2.graph.mask(["c1"]) in im2.pair.h_members
+	im = step.image.pair
+	assert im.graph.mask(["c1"]) in im.g_members
+	im2 = inner.image.pair
+	assert im2.graph.mask(["c1"]) in im2.h_members
 
 
 def test_decompose_script_nested_image():
@@ -468,15 +473,15 @@ def test_decompose_script_nested_image():
 			"image": [{"op": "restrict", "target": ["c1"], "mode": "fast"}],
 		},
 	]
-	node = decompose(GroupDescriptor.absolute(g), mode="script", script=script)
+	node = decompose(PeripheralPair(g), mode="script", script=script)
 	istep = node.step.image.step
 	assert isinstance(istep, RestrictionStep)
-	assert istep.image.descriptor.graph.vertices == ("c1",)
+	assert istep.image.pair.graph.vertices == ("c1",)
 
 
 def test_decompose_script_errors():
 	g = path3()
-	d = GroupDescriptor.absolute(g)
+	d = PeripheralPair(g)
 	with pytest.raises(DomainError):
 		decompose(d, mode="script", script=[{"op": "restrict", "target": ["a", "c"]}])
 	with pytest.raises(DomainError):
@@ -489,13 +494,13 @@ def test_decompose_script_errors():
 	b = g.mask(["b"])
 	script = [{"op": "restrict", "target": ["b"]}]
 	with pytest.raises(DomainError, match="already in H"):
-		decompose(descriptor(g, g=[b], h=[b]), mode="script", script=script)
+		decompose(PeripheralPair(g, [b], [b]), mode="script", script=script)
 
 
 def test_decompose_script_image_error_wins_over_a_later_step():
 	# the top-level [1] fails on its own, but the image branch of [0] is
 	# built first, so its error is the one reported
-	d = GroupDescriptor.absolute(path3())
+	d = PeripheralPair(path3())
 	later = {"op": "restrict", "target": ["a"]}
 	with pytest.raises(ScriptError, match=r'^\[1\]"target": '):
 		decompose(d, mode="script", script=[{"op": "restrict", "target": ["b"]}, later])
@@ -520,7 +525,7 @@ def test_scripted_leaves_have_no_invariant_subgraph_left_to_restrict():
 			n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
 		)
 		glist, hlist = random_peripheral(g, rng)
-		d = descriptor(g, g=glist, h=hlist)
+		d = PeripheralPair(g, glist, hlist)
 		target = g.names(rng.randrange(1, g.full))
 		image = {"op": "restrict", "target": target, "mode": "fast", "image": [{"op": "leaf"}]}
 		for script in ([{"op": "leaf"}], [image]):
@@ -532,8 +537,8 @@ def test_scripted_leaves_have_no_invariant_subgraph_left_to_restrict():
 			accepted += 1
 			for _, _, _, node, _ in root.walk():
 				if isinstance(node.step, Leaf):
-					leaf = node.descriptor
-					assert pivot_by_generators(GroupDescriptor(saturate(leaf.pair))) is None
+					leaf = node.pair
+					assert pivot_by_generators(saturate(leaf)) is None
 			if script[0]["op"] == "leaf":
 				assert decompose(d).step.shape == root.step.shape
 	assert accepted > 100 and refused > 100
@@ -542,16 +547,16 @@ def test_scripted_leaves_have_no_invariant_subgraph_left_to_restrict():
 def test_decompose_complexity_strictly_drops():
 	g = diamond_chain(2)
 	edges = 0
-	for _, _, _, n, _ in decompose(GroupDescriptor.absolute(g)).walk():
+	for _, _, _, n, _ in decompose(PeripheralPair(g)).walk():
 		for _, child in n.step.children:
-			assert child.descriptor.complexity() < n.descriptor.complexity()
+			assert child.pair.complexity() < n.pair.complexity()
 			edges += 1
 	assert edges > 0
 
 
 def test_walk_is_pre_order_with_paths():
 	# restrict at the root; its kernel projects onto a leaf, its image is a leaf
-	d = GroupDescriptor.absolute(path3())
+	d = PeripheralPair(path3())
 	kernel = DecompositionNode(d, ProjectionStep(2, 2, DecompositionNode(d, Leaf(Trivial()))))
 	image = DecompositionNode(d, Leaf(FreeAbelian(1, 1)))
 	root = DecompositionNode(d, RestrictionStep(1, kernel, image))
@@ -565,7 +570,7 @@ def test_walk_is_pre_order_with_paths():
 
 
 def test_free_abelian_leaf_with_unequal_bounds_renders_as_a_range():
-	d = GroupDescriptor.absolute(path3())
+	d = PeripheralPair(path3())
 	root = DecompositionNode(d, Leaf(FreeAbelian(1, 2)))
 	assert tree_text(root) == "leaf FreeAbelian(1..2)  [n=3 |G|=0 |H|=0]"
 	assert "\\nFreeAbelian(1..2)" in tree_dot(root)
@@ -583,31 +588,24 @@ def test_restriction_modes_give_equal_indexes():
 		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 		g = graph_from_edges(n, [e for e in pairs if rng.random() < rng.random()])
 		pair = PeripheralPair(g, *random_peripheral(g, rng))
-		d = GroupDescriptor(pair)
 		for dmask in saturate(pair).g_members:
-			fast = restriction_step(d, dmask, mode="fast")
-			sat = restriction_step(d, dmask, mode="saturated")
+			fast = restriction_step(pair, dmask, mode="fast")
+			sat = restriction_step(pair, dmask, mode="saturated")
 			for a, b in zip(fast, sat):
-				assert a.pair.index.rows == b.pair.index.rows, (g.to_json_obj(), pair, dmask)
-				assert a.pair.index.gv == b.pair.index.gv, (g.to_json_obj(), pair, dmask)
+				assert a.index.rows == b.index.rows, (g.to_json_obj(), pair, dmask)
+				assert a.index.gv == b.index.gv, (g.to_json_obj(), pair, dmask)
 			checked += 1
 	assert checked > 200
 
 
-def test_trees_read_each_graph_center_off_the_graph(monkeypatch):
-	# every graph computes its center once, when it is built; the moves
-	# and leaf shapes read that rather than working it out again
-	calls = []
-	original = DefiningGraph.subgraph_center
-	monkeypatch.setattr(
-		DefiningGraph, "subgraph_center", lambda g, mask: calls.append(g) or original(g, mask)
-	)
+def test_trees_read_each_graph_center_off_the_graph():
+	# every graph computes its center once, when it is built, and the moves
+	# and leaf shapes read that; no package code can work it out again
 	for mode, script in (("auto", None), ("script", four_path_script(2, 1, 2, 1))):
-		root = decompose(GroupDescriptor.absolute(four_path(2, 1, 2, 1)), mode=mode, script=script)
-		assert calls == []
+		root = decompose(PeripheralPair(four_path(2, 1, 2, 1)), mode=mode, script=script)
 		for _, _, _, node, _ in root.walk():
-			g = node.descriptor.graph
-			assert g.center == original(g, g.full)
+			g = node.pair.graph
+			assert g.center == subgraph_center(g, g.full)
 
 
 def test_pivot_is_smallest_member_with_nontrivial_restriction():
@@ -623,13 +621,13 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 			g = graph_from_edges(n, edges)
 			glist, hlist = random_peripheral(g, rng)
 			pair = PeripheralPair(g, glist, hlist)
-			sat = GroupDescriptor(saturate(pair))
-			cases.append((GroupDescriptor(pair), sat))
+			sat = saturate(pair)
+			cases.append((pair, sat))
 			cases.append((sat, sat))
 	nodes = auto_tree_nodes()
-	assert all(node.descriptor.pair.saturated for node in nodes)
-	assert sum(node.descriptor.pair._g_members is None for node in nodes) > len(nodes) // 2
-	cases.extend((node.descriptor, node.descriptor) for node in nodes)
+	assert all(node.pair.saturated for node in nodes)
+	assert sum(node.pair._g_members is None for node in nodes) > len(nodes) // 2
+	cases.extend((node.pair, node.pair) for node in nodes)
 	for d, sat in cases:
 		assert _pivot(d) == pivot_by_generators(sat)
 	assert sum(_pivot(d) is None for d, _ in cases) not in (0, len(cases))
@@ -638,9 +636,9 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 def test_auto_nodes_search_for_a_pivot_once(monkeypatch):
 	# an auto leaf's step and its precondition read the same cached pivot
 	calls = []
-	search = decompose_module._pivot
-	monkeypatch.setattr(decompose_module, "_pivot", lambda d: calls.append(d) or search(d))
-	root = decompose(GroupDescriptor.absolute(diamond_chain(3)))
+	search = peripheral._pivot
+	monkeypatch.setattr(peripheral, "_pivot", lambda d: calls.append(d) or search(d))
+	root = decompose(PeripheralPair(diamond_chain(3)))
 	nodes = [node for _, _, _, node, _ in root.walk()]
 	assert len(calls) == len(nodes) == len({id(d) for d in calls})
 	assert any(isinstance(node.step, Leaf) for node in nodes)
@@ -659,13 +657,13 @@ def test_auto_upper_bound_ignores_vertex_order():
 		g = graph_from_edges(n, edges)
 		cases.append((g, PeripheralPair(g, *random_peripheral(g, rng)).to_json_obj()))
 	for g, periph in cases:
-		expect = vcd_upper(decompose(GroupDescriptor(build_pair(periph, g))))
+		expect = vcd_upper(decompose(build_pair(periph, g)))
 		obj = g.to_json_obj()
 		for _ in range(5):
 			order = list(obj["vertices"])
 			rng.shuffle(order)
 			h = DefiningGraph(order, obj["edges"])
-			got = vcd_upper(decompose(GroupDescriptor(build_pair(periph, h))))
+			got = vcd_upper(decompose(build_pair(periph, h)))
 			assert got == expect, (obj, periph, order)
 
 
@@ -676,11 +674,10 @@ def test_leaf_shapes_match_the_listed_members():
 	leaves = [node for node in auto_tree_nodes() if isinstance(node.step, Leaf)]
 	covered_cliques = 0
 	for node in leaves:
-		d = node.descriptor
-		pair = d.pair
-		listed = PeripheralPair(d.graph, pair.g_members, pair.h_members)
-		assert classify_irreducible(GroupDescriptor(listed)) == node.step.shape
-		if d.graph.is_clique(d.graph.full) and pair.g_members:
+		pair = node.pair
+		listed = PeripheralPair(pair.graph, pair.g_members, pair.h_members)
+		assert classify_irreducible(listed) == node.step.shape
+		if is_clique(pair.graph, pair.graph.full) and pair.g_members:
 			covered_cliques += 1
 	assert covered_cliques > 10
 
@@ -689,24 +686,24 @@ def test_leaf_shapes_match_the_listed_members():
 def test_auto_diamond_chain_folds_to_4d_minus_1(d):
 	# n = 22 and 25 for d = 7 and 8, past SATURATE_CAP: the tree never
 	# lists a saturated member list, so the cap does not apply
-	assert vcd_upper(decompose(GroupDescriptor.absolute(diamond_chain(d)))) == 4 * d - 1
+	assert vcd_upper(decompose(PeripheralPair(diamond_chain(d)))) == 4 * d - 1
 
 
 def test_decompose_deterministic():
 	g = diamond_chain(2)
-	one = decompose(GroupDescriptor.absolute(g))
-	two = decompose(GroupDescriptor.absolute(g))
+	one = decompose(PeripheralPair(g))
+	two = decompose(PeripheralPair(g))
 	assert one.to_json_obj() == two.to_json_obj()
 	assert one.leaves() == two.leaves()
 	assert tree_dot(one) == tree_dot(two)
 
 
 def test_decompose_auto_diamond_leaves():
-	node = decompose(GroupDescriptor.absolute(diamond_chain(1)))
+	node = decompose(PeripheralPair(diamond_chain(1)))
 	assert node.leaves() == [
 		FreeAbelian(0, 0),
-		FouxeRabinovitch((), 2),
-		FouxeRabinovitch((), 2),
+		FouxeRabinovitch((), 2, ()),
+		FouxeRabinovitch((), 2, ()),
 	]
 
 
@@ -716,7 +713,7 @@ def test_decompose_auto_diamond_leaves():
 def test_tree_json_and_dot():
 	g = path3()
 	b = g.mask(["b"])
-	node = decompose(descriptor(g, g=[b], h=[b]))
+	node = decompose(PeripheralPair(g, [b], [b]))
 	obj = json.loads(json.dumps(node.to_json_obj()))
 	assert obj["project"]["center"] == ["b"]
 	assert obj["project"]["kernel_rank"] == 2

@@ -7,7 +7,6 @@ from raagout.decompose import (
 	FouxeRabinovitch,
 	FreeAbelian,
 	GeneralLinear,
-	GroupDescriptor,
 	ProjectionStep,
 	decompose,
 )
@@ -16,7 +15,6 @@ from raagout.families import (
 	diamond_chain,
 	diamond_generators,
 	diamond_labels,
-	diamond_quartet,
 	diamond_script,
 	four_path,
 	four_path_classes,
@@ -26,6 +24,8 @@ from raagout.families import (
 )
 from raagout.graphs import DefiningGraph
 from raagout.peripheral import PeripheralPair
+
+from helpers import diamond_quartet, is_clique
 
 
 def cycle(n):
@@ -103,8 +103,8 @@ def test_diamond_twisted_generators_fix_top_corner():
 
 def test_diamond_script_runs():
 	for d in (2, 3):
-		desc = GroupDescriptor.absolute(diamond_chain(d))
-		root = decompose(desc, mode="script", script=diamond_script(d))
+		pp = PeripheralPair(diamond_chain(d))
+		root = decompose(pp, mode="script", script=diamond_script(d))
 		leaves = root.leaves()
 		assert all(
 			isinstance(s, (FreeAbelian, GeneralLinear, FouxeRabinovitch))
@@ -120,10 +120,10 @@ def test_quartet():
 	rows = diamond_quartet()
 	assert [dim for _, _, _, dim in rows] == [2, 2, 2, 1]
 	assert len({name for name, _, _, _ in rows}) == 4
-	for name, desc, gens, dim in rows:
+	for name, pp, gens, dim in rows:
 		assert len(gens) == dim
 		for gen in gens:
-			assert gen_in_relative(gen, desc.pair), "%s: %s" % (name, gen)
+			assert gen_in_relative(gen, pp), "%s: %s" % (name, gen)
 
 
 def test_four_path_shape():
@@ -131,7 +131,7 @@ def test_four_path_shape():
 	assert g.n == 6
 	w, x, y, z = four_path_classes(2, 1, 2, 1)
 	assert g.mask(w) | g.mask(x) | g.mask(y) | g.mask(z) == g.full
-	assert g.is_clique(g.mask(y))
+	assert is_clique(g, g.mask(y))
 	assert not g.adj[g.index["w1"]] >> g.index["y1"] & 1
 	with pytest.raises(DomainError):
 		four_path(0, 1, 1, 1)
@@ -156,8 +156,8 @@ def test_four_path_generators_in_group():
 
 def test_four_path_script_leaf_shapes():
 	p, q, r, s = 2, 1, 2, 1
-	desc = GroupDescriptor.absolute(four_path(p, q, r, s))
-	root = decompose(desc, mode="script", script=four_path_script(p, q, r, s))
+	pp = PeripheralPair(four_path(p, q, r, s))
+	root = decompose(pp, mode="script", script=four_path_script(p, q, r, s))
 	leaves = root.leaves()
 	gl = [sh for sh in leaves if isinstance(sh, GeneralLinear)]
 	assert sorted(sh.m for sh in gl) == [q, r]
@@ -176,9 +176,9 @@ def test_four_path_script_leaf_shapes():
 
 
 def test_four_path_innermost_kernel_trivial():
-	desc = GroupDescriptor.absolute(four_path(2, 1, 2, 1))
-	root = decompose(desc, mode="script", script=four_path_script(2, 1, 2, 1))
+	pp = PeripheralPair(four_path(2, 1, 2, 1))
+	root = decompose(pp, mode="script", script=four_path_script(2, 1, 2, 1))
 	outer = root.step.kernel
 	inner = outer.step.kernel
 	assert inner.step.shape == FreeAbelian(0, 0)
-	assert list(enumerate_generators(inner.descriptor.pair)) == []
+	assert list(enumerate_generators(inner.pair)) == []

@@ -25,7 +25,7 @@ import pytest
 
 from raagout import families
 from raagout.cli import main
-from raagout.decompose import GroupDescriptor, decompose
+from raagout.decompose import decompose
 from raagout.load import build_graph, build_pair
 from raagout.peripheral import PeripheralPair
 from raagout.vcd import vcd_upper
@@ -208,8 +208,7 @@ def case_digest(name, tmp_path):
 		pair = PeripheralPair(graph, [], [])
 	else:
 		pair = build_pair(periph_obj, graph)
-	desc = GroupDescriptor(pair)
-	tree = decompose(desc, mode="script" if script is not None else "auto", script=script)
+	tree = decompose(pair, mode="script" if script is not None else "auto", script=script)
 	text = "%s\n%s\nupper=%s\n" % (tree_json, saturated_json, vcd_upper(tree))
 	return _digest(text)
 

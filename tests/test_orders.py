@@ -276,18 +276,18 @@ def test_refined_index_matches_fresh_build():
 	# projection is induced from the saturated node, the kernel refined
 	# from its index
 	for node in auto_tree_nodes():
-		d, step = node.descriptor, node.step
+		d, step = node.pair, node.step
 		if isinstance(step, Leaf):
 			continue
 		if isinstance(step, RestrictionStep):
 			target = step.dmask
-			kernel = step.kernel.descriptor.pair
+			kernel = step.kernel.pair
 			assert _fields(kernel.index) == _fields(orders.PairIndex(d.graph, kernel.g_members))
 		else:
 			target = d.graph.full & ~step.zmask
-		image = step.image.descriptor
-		fresh = orders.PairIndex(image.graph, induced(d.pair, target).g_members)
-		assert _fields(image.pair.index) == _fields(fresh)
+		image = step.image.pair
+		fresh = orders.PairIndex(image.graph, induced(d, target).g_members)
+		assert _fields(image.index) == _fields(fresh)
 
 
 def test_refined_index_carries_closures_a_fresh_build_agrees_with():

@@ -307,21 +307,21 @@ def test_closures_on_tree_indexes_are_least_invariant_supersets():
 	rng = random.Random(7)
 	checked = large = 0
 	for node in auto_tree_nodes():
-		d = node.descriptor
-		graph, index = d.graph, d.pair.index
+		d = node.pair
+		graph, index = d.graph, d.index
 		full = graph.full
 		pairs = [(1 << u) | (1 << v) for u in range(graph.n) for v in range(u, graph.n)]
 		if graph.n > 10:
 			# too many sets to list, but these are the kernel chains that
 			# carry the most closures: against a fresh build of the listed G
-			fresh = orders.PairIndex(graph, d.pair.g_members)
+			fresh = orders.PairIndex(graph, d.g_members)
 			for m in pairs:
 				assert index.closure(m) == fresh.closure(m)
 			large += 1
 			continue
 		invariant = [s for s in range(1, full) if index_invariant(index, s)]
 		if graph.n <= 6:
-			assert invariant == [s for s in range(1, full) if brute_invariant(d.pair, s)]
+			assert invariant == [s for s in range(1, full) if brute_invariant(d, s)]
 		for m in pairs + [rng.randrange(1, full + 1) for _ in range(10)]:
 			least = full
 			for s in invariant:

@@ -19,7 +19,6 @@ from raagout.decompose import (
 	FouxeRabinovitch,
 	FreeAbelian,
 	GeneralLinear,
-	GroupDescriptor,
 	Leaf,
 	RestrictionStep,
 	Trivial,
@@ -87,7 +86,7 @@ def test_leaf_dimensions_builtin():
 	assert dim == 1 and "lower 0" in tag
 	assert leaf_dimension(GeneralLinear(3, 2))[0] == 2 + 3
 	for m, expect in [(0, 0), (1, 0), (2, 1), (3, 3)]:
-		assert leaf_dimension(FouxeRabinovitch((), m)) == (expect, "free group outer")
+		assert leaf_dimension(FouxeRabinovitch((), m, ())) == (expect, "free group outer")
 	shape = FouxeRabinovitch((clique(2),), 2, (True,))
 	assert leaf_dimension(shape) == (2 * (2 * 2 - 1), "held clique by free")
 
@@ -114,13 +113,13 @@ def test_leaf_dimension_unknown_shapes():
 
 
 def test_fold_unknown_propagates():
-	desc = GroupDescriptor.absolute(edgeless(3))
+	pp = PeripheralPair(edgeless(3))
 	single = DefiningGraph(["u"], [])
 	bad = DecompositionNode(
-		desc, Leaf(FouxeRabinovitch((single, single, single), 0, (True,) * 3))
+		pp, Leaf(FouxeRabinovitch((single, single, single), 0, (True,) * 3))
 	)
-	good = DecompositionNode(desc, Leaf(FreeAbelian(2, 2)))
-	tree = DecompositionNode(desc, RestrictionStep(1, bad, good))
+	good = DecompositionNode(pp, Leaf(FreeAbelian(2, 2)))
+	tree = DecompositionNode(pp, RestrictionStep(1, bad, good))
 	assert vcd_upper(tree) == "unknown"
 	total, rows = fold(tree)
 	assert total == "unknown"
@@ -132,7 +131,7 @@ def test_fold_unknown_propagates():
 
 def test_vcd_upper_diamond_script():
 	tree = decompose(
-		GroupDescriptor.absolute(diamond_chain(2)),
+		PeripheralPair(diamond_chain(2)),
 		mode="script",
 		script=diamond_script(2),
 	)
@@ -142,7 +141,7 @@ def test_vcd_upper_diamond_script():
 def test_vcd_upper_four_path():
 	tup = (2, 1, 2, 1)
 	tree = decompose(
-		GroupDescriptor.absolute(four_path(*tup)),
+		PeripheralPair(four_path(*tup)),
 		mode="script",
 		script=four_path_script(*tup),
 	)
@@ -551,7 +550,7 @@ def test_triangle_list_reads_the_order_rows():
 		g = clique(rng.randrange(2, 6))
 		pp = PeripheralPair(g, *random_peripheral(g, rng))
 		want = [gen for gen in triangle_list(g) if gen_in_relative(gen, pp)]
-		assert _triangle_list(GroupDescriptor(pp)) == want
+		assert _triangle_list(pp) == want
 		cut.add(len(want) < len(triangle_list(g)))
 	assert cut == {True, False}
 
@@ -743,20 +742,20 @@ def test_lie_closure_series_starts_from_the_closing_brackets(monkeypatch):
 
 
 def test_report_clique_auto_lower():
-	b = vcd_report(GroupDescriptor.absolute(clique(3)))
+	b = vcd_report(PeripheralPair(clique(3)))
 	assert b.upper == b.lower == 3
 	assert any(tag == "unipotent block plus extension" for _, _, tag in b.per_leaf)
 
 
 def test_report_json():
-	b = vcd_report(GroupDescriptor.absolute(clique(2)))
+	b = vcd_report(PeripheralPair(clique(2)))
 	obj = bound_to_json_obj(b)
 	assert obj["upper"] == obj["lower"] == 1
 	assert all({"leaf", "dim", "why"} <= set(row) for row in obj["per_leaf"])
 
 
 def test_report_plain_graph_defaults_to_zero_lower():
-	b = vcd_report(GroupDescriptor.absolute(edgeless(2)))
+	b = vcd_report(PeripheralPair(edgeless(2)))
 	assert b.lower == 0
 	assert b.upper == 1
 
