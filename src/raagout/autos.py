@@ -265,10 +265,18 @@ def _letter_table(ctx, words):
 
 
 def realize(ctx, gen, sign=1):
-	"""The explicit automorphism of a generator or (sign -1) of its inverse."""
-	n = ctx.graph.n
-	forward = [(enc(v, 1),) for v in range(n)]
-	backward = [(enc(v, 1),) for v in range(n)]
+	"""The explicit automorphism of a generator or (sign -1) of its inverse.
+
+	The letter tables are written directly, with no reduce: every word a
+	generator writes is reduced by construction. Inversions and
+	symmetries write single letters. A transvection writes m a^±1 with
+	m != a, two letters on different vertices. A partial conjugation
+	writes x^±1 u x^∓1 with u outside st(x), so u neither equals x nor
+	commutes with it, and the two x letters can never meet. The inverse
+	of a reduced word is reduced.
+	"""
+	forward = {}
+	backward = {}
 	if gen.kind == "inv":
 		(v,) = gen.data
 		forward[v] = backward[v] = (enc(v, -1),)
@@ -285,10 +293,20 @@ def realize(ctx, gen, sign=1):
 		perm = gen.data
 		if sign < 0:
 			perm = _invert_perm(perm)
-		iperm = _invert_perm(perm)
-		forward = [(enc(perm[v], 1),) for v in range(n)]
-		backward = [(enc(iperm[v], 1),) for v in range(n)]
-	return Automorphism.from_images(ctx, forward, backward)
+		for v, w in enumerate(perm):
+			forward[v] = (enc(w, 1),)
+			backward[w] = (enc(v, 1),)
+	n = ctx.graph.n
+	return Automorphism(ctx, _reduced_table(n, forward), _reduced_table(n, backward))
+
+
+def _reduced_table(n, words):
+	"""Letter table fixing every vertex but those in words, whose words are reduced."""
+	table = [(lt,) for lt in range(2 * n)]
+	for v, w in words.items():
+		table[2 * v] = w
+		table[2 * v + 1] = inverse(w)
+	return tuple(table)
 
 
 def _invert_perm(perm):

@@ -307,7 +307,7 @@ def build_parser():
 		p.add_argument("--format", choices=formats, default="text")
 		return p
 
-	add("info", cmd_info, help="graph and descriptor summary")
+	add("info", cmd_info, help="graph and peripheral pair summary")
 	add("gens", cmd_gens, help="generators of the relative outer group")
 
 	p = add("invariant", cmd_invariant, help="test a special subgroup for invariance")

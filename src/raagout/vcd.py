@@ -6,12 +6,15 @@ lists spanning a nilpotent group, commuting ones included: the
 generators acting on homology count through the dimension of the Lie
 algebra their unipotent image generates, and the generators acting
 trivially count once their first Johnson images are independent modulo
-the inner automorphisms. All of it is exact integer linear algebra. A
-failed certificate raises; it never degrades into a smaller number
-silently.
+the inner automorphisms. The homology action and the Johnson image of a
+listed generator are read off its kind, and so are those of the inner
+automorphisms; words are built only for commutators and the innerness
+tests. All of it is exact integer linear algebra. A failed certificate
+raises; it never degrades into a smaller number silently.
 """
 
 from collections import namedtuple
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .autos import (
@@ -128,43 +131,58 @@ def vcd_upper(tree):
 class _Echelon:
 	"""Rational row space of sparse integer vectors, kept fraction-free.
 
-	A vector is a dict {column: entry} over sortable columns. Rows
-	are primitive with a positive entry at their pivot, the least column
-	they use, and are kept sorted by pivot; reducing a vector scales the
-	vector, never a row, so every entry stays an integer.
+	A vector is a dict {column: entry} over sortable columns. Rows are
+	primitive with a positive entry at their pivot, the least column they
+	use, and are kept in a dict keyed by pivot. Reducing a vector scales
+	the vector, never a row, so every entry stays an integer. It
+	eliminates only the pivots the vector uses, smallest first; a row
+	adds only columns above its pivot, so each pivot is eliminated at most
+	once.
 	"""
 
 	__slots__ = ("rows",)
 
 	def __init__(self):
-		self.rows = []
+		self.rows = {}
 
 	def _reduce(self, vec):
+		rows = self.rows
 		vec = {key: x for key, x in vec.items() if x}
-		for pivot, row in self.rows:
+		todo = [key for key in vec if key in rows]
+		heapify(todo)
+		while todo:
+			pivot = heappop(todo)
 			c = vec.get(pivot)
-			if c:
-				g = gcd(c, row[pivot])
-				a, b = row[pivot] // g, c // g
+			if not c:
+				continue
+			row = rows[pivot]
+			g = gcd(c, row[pivot])
+			a, b = row[pivot] // g, c // g
+			if a != 1:
 				for key in vec:
 					vec[key] *= a
-				for key, y in row.items():
-					x = vec.get(key, 0) - b * y
-					if x:
-						vec[key] = x
-					else:
-						del vec[key]
+			for key, y in row.items():
+				x = vec.get(key)
+				if x is None:
+					vec[key] = -b * y
+					if key in rows:
+						heappush(todo, key)
+				elif x == b * y:
+					del vec[key]
+				else:
+					vec[key] = x - b * y
 		return vec
 
 	def add(self, vec):
 		"""Add a vector; whether it enlarged the space."""
+		if not vec:
+			return False
 		vec = self._reduce(vec)
 		if not vec:
 			return False
 		pivot = min(vec)
 		g = gcd(*vec.values()) * (1 if vec[pivot] > 0 else -1)
-		self.rows.append((pivot, {key: x // g for key, x in vec.items()}))
-		self.rows.sort(key=lambda pr: pr[0])
+		self.rows[pivot] = {key: x // g for key, x in vec.items()}
 		return True
 
 
@@ -186,11 +204,36 @@ def _h1_action(ctx, images):
 	return {key: x for key, x in out.items() if x}
 
 
+def _generator_h1(gen, sign=1):
+	"""M - 1 of a generator (sign -1: of its inverse), read off its kind.
+
+	The same sparse matrix _h1_action reads off the realized letter
+	table. An inversion negates its vertex, a transvection m^a adds
+	sign * a to the row of m, a partial conjugation acts trivially, and a
+	symmetry permutes the vertices.
+	"""
+	if gen.kind == "inv":
+		(v,) = gen.data
+		return {(v, v): -2}
+	if gen.kind == "trv":
+		moved, acting = gen.data
+		return {(moved, acting): sign}
+	if gen.kind == "pc":
+		return {}
+	perm = gen.data
+	if sign < 0:
+		perm = {w: v for v, w in enumerate(perm)}
+	out = {}
+	for v in range(len(perm)):
+		if perm[v] != v:
+			out[v, v] = -1
+			out[v, perm[v]] = 1
+	return out
+
+
 def _product(a, b):
 	"""Product of sparse matrices {(i, j): nonzero entry}."""
-	rows = {}
-	for (k, j), y in b.items():
-		rows.setdefault(k, []).append((j, y))
+	rows = _rows(b)
 	out = {}
 	for (i, k), x in a.items():
 		for j, y in rows.get(k, ()):
@@ -198,10 +241,24 @@ def _product(a, b):
 	return {key: x for key, x in out.items() if x}
 
 
+def _rows(a):
+	"""A sparse matrix grouped by row: {i: [(j, entry), ...]}."""
+	rows = {}
+	for (i, j), x in a.items():
+		rows.setdefault(i, []).append((j, x))
+	return rows
+
+
 def _bracket(a, b):
-	out = _product(a, b)
-	for key, y in _product(b, a).items():
-		out[key] = out.get(key, 0) - y
+	"""ab - ba, with each operand grouped by rows once."""
+	a_rows, b_rows = _rows(a), _rows(b)
+	out = {}
+	for (i, k), x in a.items():
+		for j, y in b_rows.get(k, ()):
+			out[i, j] = out.get((i, j), 0) + x * y
+	for (i, k), y in b.items():
+		for j, x in a_rows.get(k, ()):
+			out[i, j] = out.get((i, j), 0) - y * x
 	return {key: x for key, x in out.items() if x}
 
 
@@ -286,60 +343,44 @@ def _lie_closure(logs):
 # ---- the first Johnson homomorphism ----
 
 
-def _johnson(ctx, words):
-	"""First Johnson image of an automorphism acting trivially on homology.
+def _conjugation_johnson(x, region):
+	"""First Johnson image of u -> x u x^-1 on a region away from st(x).
 
-	words[v] is the image phi(v) of vertex v, reduced or not. For each
-	vertex v the word v^-1 phi(v) lies in the commutator subgroup
-	gamma2, and gamma2/gamma3 is free abelian on the non-edges {a < b}. The
-	coordinate on {a, b} is the degree-2 Magnus coefficient mu(ab), the
-	sum of e*f over letter pairs a^e before b^f; one pass over the word
-	with running exponent sums finds it. Swapping two commuting letters
-	only moves edge pairs and a cancelling pair adds e*f - e*f, so the
-	value is well defined on the group; it is additive on gamma2 and kills
-	gamma3, which makes phi -> image a homomorphism on IA. Returns
-	{(v, a, b): coefficient} without zeros.
+	The image lives in gamma2/gamma3, free abelian on the non-edges
+	{a < b}, and the coordinate of v on {a, b} is the degree-2 Magnus
+	coefficient of v^-1 phi(v). For u in the region that word is
+	u^-1 x u x^-1, the commutator on the non-edge {u, x}: its coefficient
+	is -1 when u < x and +1 when x < u. Vertices outside the region are
+	fixed and count 0. Returns {(u, a, b): coefficient}.
 	"""
-	graph = ctx.graph
-	below = [((1 << b) - 1) & ~graph.star_masks[b] for b in range(graph.n)]
-	out = {}
-	for v in range(graph.n):
-		sums = [0] * graph.n
-		for lt in (2 * v + 1, *words[v]):
-			b = lt >> 1
-			e = -1 if lt & 1 else 1
-			for a in bits(below[b]):
-				if sums[a]:
-					key = (v, a, b)
-					out[key] = out.get(key, 0) + sums[a] * e
-			sums[b] += e
-	return {key: c for key, c in out.items() if c}
+	return {(u, min(u, x), max(u, x)): -1 if u < x else 1 for u in bits(region)}
 
 
-def _certify_johnson_independent(ctx, phis, names):
-	"""Raise unless the Johnson images of phis are independent modulo Inn.
+def _certify_johnson_independent(graph, gens):
+	"""Raise unless the Johnson images of gens are independent modulo Inn.
 
-	Johnson images add under composition, so a product of the phis with
-	exponent vector e, taken in any order, has image sum(e_i tau(phi_i)).
-	When each tau(phi_i) leaves the span of the inner images and of the
-	earlier ones, that sum is never an inner image for e != 0: the phis
-	span a free abelian group of rank len(phis) in IA/Inn.
+	gens act trivially on homology, so each is a partial conjugation or
+	the identity symmetry, whose image is 0. Conjugation by c is the
+	partial conjugation of everything away from st(c), since it fixes
+	st(c). Johnson images add under composition, so a product of the
+	gens with exponent vector e, taken in any order, has image
+	sum(e_i tau(gen_i)). When each tau(gen_i) leaves the span of the
+	inner images and of the earlier ones, that sum is never an inner
+	image for e != 0: the gens span a free abelian group of rank
+	len(gens) in IA/Inn.
 	"""
-	if not phis:
+	if not gens:
 		return
-	n = ctx.graph.n
-	# conjugation by c, v -> c v c^-1, from its unreduced vertex words
-	inner = [_johnson(ctx, [(2 * c, 2 * v, 2 * c + 1) for v in range(n)]) for c in range(n)]
-	images = [_johnson(ctx, phi.images[::2]) for phi in phis]
 	ech = _Echelon()
-	for tau in inner:
-		ech.add(tau)
-	for i, tau in enumerate(images):
+	for c in range(graph.n):
+		ech.add(_conjugation_johnson(c, graph.full & ~graph.star_masks[c]))
+	for i, gen in enumerate(gens):
+		tau = _conjugation_johnson(*gen.data) if gen.kind == "pc" else {}
 		if not ech.add(tau):
 			raise CertificationError(
 				"%s is dependent on {%s} modulo inner automorphisms under the "
 				"Johnson homomorphism, so an inner product is not excluded"
-				% (names[i], ", ".join(names[:i]))
+				% (gen, ", ".join(map(str, gens[:i])))
 			)
 
 
@@ -410,7 +451,9 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	apply_map calls, and is_inner reads the words that come out; no
 	composite automorphism is built. A non-inner commutator c is matched
 	against a listed phi_k the same way, through the vertex images of
-	c phi_k^-1 and c phi_k.
+	c phi_k^-1 and c phi_k. The homology action of a listed generator and
+	of its inverse comes from _generator_h1, so _h1_action reads only
+	commutator tables.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
@@ -431,11 +474,11 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 				)
 			noninner[i, j] = c
 
-	mats = [_h1_action(ctx, phi.images) for phi in phis]
+	mats = [_generator_h1(gen) for gen in gens]
 	logs = [_log_unipotent(mat, graph.n, gen) for gen, mat in zip(gens, mats) if mat]
 	lie_dim = len(_lie_closure(logs))
 
-	inv_mats = [_h1_action(ctx, phi.back) for phi in phis] if noninner else []
+	inv_mats = [_generator_h1(gen, -1) for gen in gens] if noninner else []
 	derived = set()
 	for (i, j), c in noninner.items():
 		cmat = _h1_action(ctx, c)
@@ -465,10 +508,8 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 						% (gens[k], gens[i])
 					)
 
-	j_all = [i for i in range(len(gens)) if not mats[i]]
-	_certify_johnson_independent(
-		ctx, [phis[i] for i in j_all], [str(gens[i]) for i in j_all]
-	)
+	j_all = [gen for gen, mat in zip(gens, mats) if not mat]
+	_certify_johnson_independent(graph, j_all)
 	return lie_dim + len(j_all)
 
 

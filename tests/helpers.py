@@ -494,6 +494,37 @@ def magnus2(word, a, b):
 	return total
 
 
+def word_johnson(ctx, words):
+	"""First Johnson image of an automorphism acting trivially on homology, from words.
+
+	words[v] is the image phi(v) of vertex v, reduced or not. For each
+	vertex v the word v^-1 phi(v) lies in the commutator subgroup
+	gamma2, and gamma2/gamma3 is free abelian on the non-edges {a < b}. The
+	coordinate on {a, b} is the degree-2 Magnus coefficient mu(ab), the
+	sum of e*f over letter pairs a^e before b^f; one pass over the word
+	with running exponent sums finds it. Swapping two commuting letters
+	only moves edge pairs and a cancelling pair adds e*f - e*f, so the
+	value is well defined on the group; it is additive on gamma2 and kills
+	gamma3, which makes phi -> image a homomorphism on IA. Returns
+	{(v, a, b): coefficient} without zeros. The oracle for the closed
+	forms the certificate reads off generator kinds.
+	"""
+	graph = ctx.graph
+	below = [((1 << b) - 1) & ~graph.star_masks[b] for b in range(graph.n)]
+	out = {}
+	for v in range(graph.n):
+		sums = [0] * graph.n
+		for lt in (2 * v + 1, *words[v]):
+			b = lt >> 1
+			e = -1 if lt & 1 else 1
+			for a in bits(below[b]):
+				if sums[a]:
+					key = (v, a, b)
+					out[key] = out.get(key, 0) + sums[a] * e
+			sums[b] += e
+	return {key: c for key, c in out.items() if c}
+
+
 def box_inner_vector(ctx, phis, box):
 	"""A nonzero exponent vector in [-box, box]^k whose product is inner.
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from raagout.autos import InnerResult
 from raagout.cli import main
 from raagout.errors import DomainError
 from raagout.families import diamond_chain
@@ -196,6 +197,40 @@ def test_check_exact_reports_a_failed_lift(capsys, monkeypatch, p3):
 	assert code == 1
 	assert fails and all(line.endswith(": no lift") for line in fails)
 	assert lines[-1] == "%d checks, %d failures" % (len(lines) - 1, len(fails))
+
+
+def check_exact_lines(capsys, p3):
+	code, out, _ = run(capsys, "check-exact", "--graph", p3, "--target", "b")
+	return code, out.splitlines()
+
+
+def test_check_exact_reports_a_lift_that_is_not_inner(capsys, monkeypatch, p3):
+	# every lift of a clean run, with its discrepancy declared not inner
+	_, clean = check_exact_lines(capsys, p3)
+	lifts = [line[len("ok   lift ") :] for line in clean if line.startswith("ok   lift ")]
+	assert lifts
+	monkeypatch.setattr(
+		"raagout.cli.is_inner", lambda ctx, images: InnerResult("no", None, "not a conjugation")
+	)
+	code, lines = check_exact_lines(capsys, p3)
+	assert code == 1
+	assert [line for line in lines if " lift " in line] == [
+		"FAIL lift %s: not a conjugation" % gen for gen in lifts
+	]
+	assert lines[-1] == "%d checks, %d failures" % (len(clean) - 1, len(lifts))
+
+
+def test_check_exact_reports_a_kernel_generator_acting_nontrivially(capsys, monkeypatch, p3):
+	_, clean = check_exact_lines(capsys, p3)
+	kernel = [line[len("ok   kernel ") :] for line in clean if line.startswith("ok   kernel ")]
+	assert kernel
+	monkeypatch.setattr("raagout.cli.acts_trivially_word", lambda ctx, phi, dmask: (False, None))
+	code, lines = check_exact_lines(capsys, p3)
+	assert code == 1
+	assert [line for line in lines if " kernel " in line] == [
+		"FAIL kernel %s does not act trivially" % gen for gen in kernel
+	]
+	assert lines[-1] == "%d checks, %d failures" % (len(clean) - 1, len(kernel))
 
 
 def test_exit_code_domain_errors(capsys, tmp_path, p3):
@@ -437,6 +472,14 @@ def test_no_command_prints_help(capsys):
 	code, out, _ = run(capsys)
 	assert code == 1
 	assert "command" in out
+
+
+def test_help_names_info_a_peripheral_pair_summary(capsys):
+	with pytest.raises(SystemExit) as exc:
+		main(["--help"])
+	assert exc.value.code == 0
+	lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+	assert "info graph and peripheral pair summary" in lines
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Dimension folding and lower-bound certificates."""
 
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from raagout.autos import (
 	gen_in_relative,
 	images_through,
 	is_inner,
+	parse_generator,
 	realize,
 )
 from raagout.decompose import (
@@ -43,8 +47,9 @@ from raagout.vcd import (
 	_commutator,
 	_commuting_pairs,
 	_certify_johnson_independent,
+	_conjugation_johnson,
+	_generator_h1,
 	_h1_action,
-	_johnson,
 	_lie_closure,
 	_log_unipotent,
 	_triangle_list,
@@ -64,6 +69,7 @@ from helpers import (
 	graph_from_edges,
 	magnus2,
 	random_peripheral,
+	word_johnson,
 )
 
 
@@ -216,6 +222,94 @@ def test_h1_action_is_the_dense_matrix_minus_identity():
 	assert trivial > 50 and moved > 50, (trivial, moved)
 
 
+# ---- generator data against the word routes ----
+
+
+def graph_symmetries(g):
+	"""Every vertex permutation that preserves adjacency, by exhaustion."""
+	pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+	return [
+		perm
+		for perm in itertools.permutations(range(g.n))
+		if all((g.adj[u] >> v & 1) == (g.adj[perm[u]] >> perm[v] & 1) for u, v in pairs)
+	]
+
+
+def data_route_cases():
+	"""(graph, generators) over every kind: the enumerated lists of an
+	absolute and two random pairs, and every graph symmetry. Random
+	graphs on at most 6 vertices, diamond_chain(2), four_path(2, 1, 2, 1)
+	and the 3-path with its swap written out."""
+	rng = random.Random(53)
+	graphs = [random_graph(rng, rng.randrange(2, 7)) for _ in range(24)]
+	graphs += [diamond_chain(2), four_path(2, 1, 2, 1)]
+	cases = []
+	for g in graphs:
+		pairs = [PeripheralPair(g, [], [])]
+		pairs += [PeripheralPair(g, *random_peripheral(g, rng)) for _ in range(2)]
+		gens = {gen for pp in pairs for gen in enumerate_generators(pp)}
+		gens.update(LaurenceGenerator.symmetry(g, perm) for perm in graph_symmetries(g))
+		cases.append((g, sorted(gens, key=LaurenceGenerator.key)))
+	p3 = DefiningGraph(list("abc"), [["a", "b"], ["b", "c"]])
+	cases.append((p3, [parse_generator(p3, "sym (a c)")]))
+	return cases
+
+
+def written_words(gen, sign):
+	"""The vertex words a generator (sign -1: its inverse) writes, read off its data."""
+	n = gen.graph.n
+	words = [(2 * v,) for v in range(n)]
+	if gen.kind == "inv":
+		(v,) = gen.data
+		words[v] = (2 * v + 1,)
+	elif gen.kind == "trv":
+		moved, acting = gen.data
+		words[moved] = (2 * moved, 2 * acting + (sign < 0))
+	elif gen.kind == "pc":
+		acting, region = gen.data
+		for u in range(n):
+			if region >> u & 1:
+				words[u] = (2 * acting + (sign < 0), 2 * u, 2 * acting + (sign > 0))
+	else:
+		perm = gen.data
+		for v in range(n):
+			words[v] = (2 * (perm[v] if sign > 0 else perm.index(v)),)
+	return words
+
+
+def test_realize_writes_the_reduced_tables_of_the_written_words():
+	# against Automorphism.from_images, which reduces every word; its
+	# tables are the reduced ones, so equal tuples mean realize writes
+	# reduced words
+	kinds = set()
+	for g, gens in data_route_cases():
+		ctx = WordContext(g)
+		for gen in gens:
+			for sign in (1, -1):
+				phi = realize(ctx, gen, sign)
+				ref = Automorphism.from_images(
+					ctx, written_words(gen, sign), written_words(gen, -sign)
+				)
+				assert (phi.images, phi.back) == (ref.images, ref.back), (str(gen), sign)
+				kinds.add(gen.kind)
+	assert kinds == {"inv", "trv", "pc", "sym"}
+
+
+def test_generator_h1_is_the_dense_matrix_of_the_realized_tables():
+	kinds = set()
+	moved_syms = 0
+	for g, gens in data_route_cases():
+		ctx = WordContext(g)
+		for gen in gens:
+			for sign in (1, -1):
+				phi = realize(ctx, gen, sign)
+				assert _generator_h1(gen, sign) == dense_h1_minus_identity(g, phi.images)
+				assert _generator_h1(gen, -sign) == dense_h1_minus_identity(g, phi.back)
+				kinds.add(gen.kind)
+				moved_syms += gen.kind == "sym" and bool(_generator_h1(gen, sign))
+	assert kinds == {"inv", "trv", "pc", "sym"} and moved_syms > 10
+
+
 # ---- commuting in Aut before the commutator ----
 
 
@@ -325,6 +419,38 @@ def test_commuting_pre_test_changes_no_outcome(monkeypatch, nilpotent):
 	assert {type(x) for x in with_test} == {int, str}
 	if nilpotent:
 		assert "reached as a commutator but does not commute" in with_test[-1]
+
+
+# The four-path tuples with closed forms 22, 37, 54, 16, 25, 57 and 22.
+FOUR_PATH_TUPLES = (
+	(1, 3, 2, 2),
+	(2, 3, 2, 3),
+	(3, 3, 3, 3),
+	(1, 4, 1, 1),
+	(3, 1, 3, 1),
+	(4, 2, 4, 2),
+	(2, 2, 2, 2),
+)
+
+# certify_outcome on every list below, both values of nilpotent, as the
+# certificate gave it when every homology action and Johnson image was
+# still read off words
+CERTIFY_OUTCOMES = "9f15252d00c96d34"
+
+
+def test_certificate_outcomes_are_pinned():
+	cases = certify_cases()
+	for d in range(2, 7):
+		g = diamond_chain(d)
+		cases.append((g, diamond_generators(g, d)))
+	for tup in FOUR_PATH_TUPLES:
+		g = four_path(*tup)
+		cases.append((g, four_path_generators(g, *tup)))
+	outcomes = [certify_outcome(g, gens, nilpotent) for nilpotent in (False, True) for g, gens in cases]
+	assert len(outcomes) == 156
+	assert outcomes[-12:-7] == [7, 11, 15, 19, 23]
+	digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16]
+	assert digest == CERTIFY_OUTCOMES
 
 
 # ---- abelian certificates ----
@@ -447,7 +573,7 @@ def test_johnson_matches_magnus_definition():
 					c = magnus2(word, a, b)
 					if c and not g.adj[a] >> b & 1:
 						want[(v, a, b)] = c
-		assert _johnson(ctx, phi.images[::2]) == want
+		assert word_johnson(ctx, phi.images[::2]) == want
 
 
 def test_johnson_additive_under_compose():
@@ -461,11 +587,11 @@ def test_johnson_additive_under_compose():
 		ctx = WordContext(g)
 		phi = random_product(ctx, gens, rng)
 		psi = random_product(ctx, gens, rng)
-		assert _johnson(ctx, phi.compose(psi).images[::2]) == tau_sum(
-			_johnson(ctx, phi.images[::2]), _johnson(ctx, psi.images[::2])
+		assert word_johnson(ctx, phi.compose(psi).images[::2]) == tau_sum(
+			word_johnson(ctx, phi.images[::2]), word_johnson(ctx, psi.images[::2])
 		)
-		assert tau_sum(_johnson(ctx, phi.images[::2]), _johnson(ctx, phi.back[::2])) == {}
-		checked += bool(_johnson(ctx, phi.images[::2]))
+		assert tau_sum(word_johnson(ctx, phi.images[::2]), word_johnson(ctx, phi.back[::2])) == {}
+		checked += bool(word_johnson(ctx, phi.images[::2]))
 	assert checked > 20
 
 
@@ -486,7 +612,7 @@ def test_johnson_of_conjugation_on_non_neighbours():
 				for v in range(g.n)
 				if away >> v & 1
 			}
-			assert _johnson(ctx, phi.images[::2]) == want
+			assert word_johnson(ctx, phi.images[::2]) == want
 
 
 def test_inner_johnson_images_from_unreduced_words():
@@ -501,10 +627,32 @@ def test_inner_johnson_images_from_unreduced_words():
 			words = [(2 * c, 2 * v, 2 * c + 1) for v in range(g.n)]
 			back = [(2 * c + 1, 2 * v, 2 * c) for v in range(g.n)]
 			phi = Automorphism.from_images(ctx, words, back)
-			tau = _johnson(ctx, words)
-			assert tau == _johnson(ctx, phi.images[::2])
+			tau = word_johnson(ctx, words)
+			assert tau == word_johnson(ctx, phi.images[::2])
 			nonzero += bool(tau)
 	assert nonzero > 100
+
+
+def test_closed_form_johnson_images_match_the_word_route():
+	# every listed partial conjugation, its inverse and every inner
+	# automorphism, against the Magnus coefficients of their words
+	pcs = inner = 0
+	for g, gens in data_route_cases():
+		ctx = WordContext(g)
+		for gen in gens:
+			if gen.kind != "pc":
+				continue
+			phi = realize(ctx, gen)
+			tau = _conjugation_johnson(*gen.data)
+			assert tau == word_johnson(ctx, phi.images[::2]), str(gen)
+			assert tau_sum(tau, word_johnson(ctx, phi.back[::2])) == {}
+			pcs += 1
+		for c in range(g.n):
+			words = [(2 * c, 2 * v, 2 * c + 1) for v in range(g.n)]
+			tau = _conjugation_johnson(c, g.full & ~g.star_masks[c])
+			assert tau == word_johnson(ctx, words)
+			inner += bool(tau)
+	assert pcs > 50 and inner > 50, (pcs, inner)
 
 
 def test_johnson_certificate_agrees_with_box_scan():
@@ -520,7 +668,7 @@ def test_johnson_certificate_agrees_with_box_scan():
 		ctx = WordContext(g)
 		phis = [realize(ctx, gen) for gen in gens]
 		try:
-			_certify_johnson_independent(ctx, phis, [str(x) for x in gens])
+			_certify_johnson_independent(g, gens)
 			accepted = True
 		except CertificationError:
 			accepted = False
