@@ -299,11 +299,12 @@ def build_parser():
 	parser = _Parser(prog="raagout", description=__doc__.splitlines()[0])
 	sub = parser.add_subparsers(dest="command", metavar="command")
 
-	def add(name, func, formats=("text", "json"), **kwargs):
+	def add(name, func, formats=("text", "json"), pair=True, **kwargs):
 		p = sub.add_parser(name, **kwargs)
 		p.set_defaults(func=func)
 		p.add_argument("--graph", metavar="F", required=True, help="graph JSON file")
-		p.add_argument("--periph", metavar="F", help="peripheral pair JSON file")
+		if pair:
+			p.add_argument("--periph", metavar="F", help="peripheral pair JSON file")
 		p.add_argument("--format", choices=formats, default="text")
 		return p
 
@@ -332,7 +333,7 @@ def build_parser():
 
 	add("cone-graph", cmd_cone_graph, formats=DOT_FORMATS, help="cone off the preserved members")
 
-	p = add("apply", cmd_apply, help="apply generators to a word")
+	p = add("apply", cmd_apply, pair=False, help="apply generators to a word")
 	p.add_argument(
 		"--gen", action="append", required=True, metavar="TEXT", help="generator, first applied last"
 	)

@@ -74,11 +74,7 @@ def leaf_dimension(shape):
 	if isinstance(shape, Trivial):
 		return 0, "trivial"
 	if isinstance(shape, FreeAbelian):
-		if shape.rank_lower != shape.rank_upper:
-			return shape.rank_upper, "free-abelian rank upper (lower %d differs)" % (
-				shape.rank_lower
-			)
-		return shape.rank_upper, "free-abelian rank"
+		return shape.rank, "free-abelian rank"
 	if isinstance(shape, GeneralLinear):
 		dim = shape.extension_rank + shape.m * (shape.m - 1) // 2
 		return dim, "unipotent block plus extension"

@@ -397,8 +397,9 @@ def test_scripted_leaf_below_an_unlisted_invariant_subgraph_is_refused(capsys, t
 
 
 def test_scripted_leaf_at_the_root_of_a_four_path_is_refused(capsys, tmp_path):
-	# the absolute four_path(2, 2, 2, 2) certifies a lower bound of 22, so
-	# a root leaf, FreeAbelian(24..40), would claim a rank it does not have
+	# the absolute four_path(2, 2, 2, 2) folds and certifies at 22, so a
+	# root leaf, FreeAbelian(40) from its 40 generators, would claim a rank
+	# it does not have
 	from raagout.families import four_path
 
 	graph = write_json(tmp_path, "fp.json", four_path(2, 2, 2, 2).to_json_obj())
@@ -590,6 +591,17 @@ def test_apply_product_over_the_letter_cap_is_a_capability_limit(capsys, monkeyp
 	code, out, err = run(capsys, "apply", "--graph", graph, *gens, "--word", "a")
 	assert (code, out) == (2, "")
 	assert err.startswith("capability limit: ") and err.count("\n") == 1
+
+
+def test_apply_takes_no_periphery(capsys, p3, tmp_path):
+	# apply reads no pair, so a periphery file, even a missing one, is a
+	# usage error and not silently ignored
+	missing = str(tmp_path / "missing.json")
+	with pytest.raises(SystemExit) as exc:
+		main(["apply", "--graph", p3, "--periph", missing, "--gen", "inv a", "--word", "a"])
+	out = capsys.readouterr()
+	assert (exc.value.code, out.out) == (1, "")
+	assert "unrecognized arguments: --periph" in out.err and out.err.count("\n") == 1
 
 
 def test_seed_flag_is_gone(capsys, p3):

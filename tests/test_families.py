@@ -180,5 +180,5 @@ def test_four_path_innermost_kernel_trivial():
 	root = decompose(pp, mode="script", script=four_path_script(2, 1, 2, 1))
 	outer = root.step.kernel
 	inner = outer.step.kernel
-	assert inner.step.shape == FreeAbelian(0, 0)
+	assert inner.step.shape == FreeAbelian(0)
 	assert list(enumerate_generators(inner.pair)) == []

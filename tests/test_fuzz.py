@@ -61,18 +61,20 @@ any_json = st.recursive(
 )
 
 
+# the flags each command takes besides --graph and --format; --periph
+# comes first, as the --script and --gens draws read the pair it gives
 FLAGS = {
-	"info": (),
-	"gens": (),
-	"invariant": ("--target",),
-	"saturate": (),
-	"periphery": ("--target",),
-	"restrict": ("--target", "--mode"),
-	"decompose": ("--script",),
-	"vcd": ("--script", "--gens", "--nilpotent"),
-	"cone-graph": (),
+	"info": ("--periph",),
+	"gens": ("--periph",),
+	"invariant": ("--periph", "--target"),
+	"saturate": ("--periph",),
+	"periphery": ("--periph", "--target"),
+	"restrict": ("--periph", "--target", "--mode"),
+	"decompose": ("--periph", "--script"),
+	"vcd": ("--periph", "--script", "--gens", "--nilpotent"),
+	"cone-graph": ("--periph",),
 	"apply": ("--gen", "--word"),
-	"check-exact": ("--target",),
+	"check-exact": ("--periph", "--target"),
 }
 
 
@@ -185,7 +187,7 @@ def invocations(draw, command):
 		argv += ["--graph", "graph.json", "--gens", "gens.json"]
 		return argv + ["--nilpotent"] * draw(st.booleans()), files
 	files = {}
-	for flag in ("--graph", "--periph") + FLAGS[command]:
+	for flag in ("--graph",) + FLAGS[command]:
 		if flag != "--graph" and draw(st.integers(0, 3)) == 3:
 			continue
 		if flag in ("--script", "--gens"):

@@ -94,23 +94,23 @@ CASES = {
 
 # First 16 hex digits of each case's digest.
 GOLDEN = {
-	'diamond_chain(2)': '1cca02147b34d8d0',
-	'diamond_chain(2)+script': '308f946519028613',
-	'diamond_chain(3)': '7ba6c7382e022e2c',
-	'diamond_chain(3)+script': '3f207e14db3b5d14',
-	'diamond_chain(4)': 'd43345c99369cfe1',
-	'diamond_chain(4)+script': 'fc512b3a3598efb4',
-	'diamonds_d3': '7ba6c7382e022e2c',
-	'diamonds_d3+corner': '10546d52ff88ac37',
-	'diamonds_d3+corner+script': '24b2cda63e1f06e3',
-	'diamonds_d3+empty': '7ba6c7382e022e2c',
-	'diamonds_d3+script': '3f207e14db3b5d14',
-	'four_path(2,1,2,1)': 'ea769db426c0bf4f',
-	'four_path(2,1,2,1)+script': 'ae9af57b7c6b1d9d',
-	'four_path(2,2,2,2)+script': '0b6f020ac76f8645',
-	'four_path(4,4,4,4)': '0b39e424f57d323c',
-	'fourpath_2121': 'ea769db426c0bf4f',
-	'fourpath_2121+script': 'ae9af57b7c6b1d9d',
+	'diamond_chain(2)': '3fbd8e3570e2c4f5',
+	'diamond_chain(2)+script': '3a6e8117ad9bd1be',
+	'diamond_chain(3)': '36b7c1edecb21a75',
+	'diamond_chain(3)+script': '93ebc2af30df8353',
+	'diamond_chain(4)': '533852bb0cfc2caa',
+	'diamond_chain(4)+script': 'dfd1cc06cd2f4704',
+	'diamonds_d3': '36b7c1edecb21a75',
+	'diamonds_d3+corner': '6b37919140c69a58',
+	'diamonds_d3+corner+script': '0ce18672fdae88e4',
+	'diamonds_d3+empty': '36b7c1edecb21a75',
+	'diamonds_d3+script': '93ebc2af30df8353',
+	'four_path(2,1,2,1)': '6c7f61d75f0c9bc0',
+	'four_path(2,1,2,1)+script': '33cc6b9551f58b68',
+	'four_path(2,2,2,2)+script': '7c98b58d91e9d0e9',
+	'four_path(4,4,4,4)': '2d8f9b608226797b',
+	'fourpath_2121': '6c7f61d75f0c9bc0',
+	'fourpath_2121+script': '33cc6b9551f58b68',
 	'p3': 'fad2df5829257f2d',
 	'p3+empty': 'fad2df5829257f2d',
 }
