@@ -1,10 +1,12 @@
 """Command line surface.
 
-Each command reads JSON files, writes deterministic text, JSON, or DOT to
-stdout, and exits 0 on success, 1 on a domain error, 2 when a hard
-capability limit is hit, and 3 when an internal consistency check fails,
-which is a bug in the package, not in the input. When the reader of stdout
-closes it early (as `| head` does), the command stops quietly with exit 1.
+main reads a command's inputs (JSON files and the --target vertices) once,
+in one order, and hands the command the built objects. Each command writes
+deterministic text, JSON, or DOT to stdout, and exits 0 on success, 1 on a
+domain error, 2 when a hard capability limit is hit, and 3 when an internal
+consistency check fails, which is a bug in the package, not in the input.
+When the reader of stdout closes it early (as `| head` does), the command
+stops quietly with exit 1.
 """
 
 import argparse
@@ -46,18 +48,6 @@ from .vcd import bound_to_json_obj, vcd_report
 from .words import WordContext
 
 
-def _graph(args):
-	return load(args.graph, "graph", build_graph)
-
-
-def _pair(graph, args):
-	return load(args.periph, "periphery", build_pair, graph) if args.periph else PeripheralPair(graph)
-
-
-def _target_mask(graph, args):
-	return graph.mask([name.strip() for name in args.target.split(",")])
-
-
 def _member(graph, mask):
 	return "<%s>" % ",".join(graph.names(mask))
 
@@ -82,9 +72,7 @@ def _graph_dot(graph):
 # ---- commands ----
 
 
-def cmd_info(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
+def cmd_info(args, graph, pair):
 	edges = sum(bin(m).count("1") for m in graph.adj) // 2
 	if args.format == "json":
 		_emit_json(
@@ -98,7 +86,7 @@ def cmd_info(args):
 				"complexity": list(pair.complexity()),
 			}
 		)
-		return 0
+		return
 	comp = pair.complexity()
 	print("%d vertices, %d edges, %s" % (
 		graph.n, edges, "connected" if graph.is_connected() else "disconnected"
@@ -112,74 +100,55 @@ def cmd_info(args):
 	for m in pair.h_members:
 		print("H %s" % _member(graph, m))
 	print("complexity (%d, %d)" % (comp.n, comp.m))
-	return 0
 
 
-def cmd_gens(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
+def cmd_gens(args, graph, pair):
 	texts = [str(g) for g in enumerate_generators(pair)]
 	if args.format == "json":
 		_emit_json(texts)
 	else:
 		for text in texts:
 			print(text)
-	return 0
 
 
-def cmd_invariant(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
-	verdict = is_invariant(pair, _target_mask(graph, args))
+def cmd_invariant(args, graph, pair, dmask):
+	verdict = is_invariant(pair, dmask)
 	if args.format == "json":
 		_emit_json({"invariant": verdict})
 	else:
 		print("invariant" if verdict else "not invariant")
-	return 0
 
 
-def cmd_saturate(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
+def cmd_saturate(args, graph, pair):
 	full = saturate(pair)
 	if args.format == "json":
 		_emit_json(full.to_json_obj())
-		return 0
+		return
 	for m in full.g_members:
 		print("G %s" % _member(graph, m))
 	for m in full.h_members:
 		print("H %s" % _member(graph, m))
-	return 0
 
 
-def cmd_periphery(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
-	members = fast_periphery(pair, _target_mask(graph, args))
+def cmd_periphery(args, graph, pair, dmask):
+	members = fast_periphery(pair, dmask)
 	if args.format == "json":
 		_emit_json([graph.names(m) for m in members])
 	else:
 		for m in members:
 			print(_member(graph, m))
-	return 0
 
 
-def cmd_restrict(args):
-	graph = _graph(args)
-	dmask = _target_mask(graph, args)
-	kernel, image = restriction_step(_pair(graph, args), dmask, mode=args.mode)
+def cmd_restrict(args, graph, pair, dmask):
+	kernel, image = restriction_step(pair, dmask, mode=args.mode)
 	if args.format == "json":
 		_emit_json({"kernel": group_to_json_obj(kernel), "image": group_to_json_obj(image)})
-		return 0
+		return
 	print("kernel: %s" % kernel.summary())
 	print("image:  %s" % image.summary())
-	return 0
 
 
-def cmd_decompose(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
-	script = load(args.script, "script", build_script, graph) if args.script else None
+def cmd_decompose(args, graph, pair, script):
 	root = decompose(pair, mode="script", script=script)
 	if args.format == "json":
 		_emit_json(root.to_json_obj())
@@ -188,28 +157,20 @@ def cmd_decompose(args):
 	else:
 		print(tree_text(root))
 		print("leaves: %s" % "; ".join(repr(s) for s in root.leaves()))
-	return 0
 
 
-def cmd_vcd(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
-	script = load(args.script, "script", build_script, graph) if args.script else None
-	gens = load(args.gens, "generator list", build_generators, graph) if args.gens else None
+def cmd_vcd(args, graph, pair, script, gens):
 	bound = vcd_report(pair, script=script, gens=gens, nilpotent=args.nilpotent)
 	if args.format == "json":
 		_emit_json(bound_to_json_obj(bound))
-		return 0
+		return
 	print("upper: %s" % bound.upper)
 	print("lower: %s" % bound.lower)
 	for leaf, dim, why in bound.per_leaf:
 		print("  %-24s %-8s %s" % (leaf, dim, why))
-	return 0
 
 
-def cmd_cone_graph(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
+def cmd_cone_graph(args, graph, pair):
 	cone = cone_graph(graph, pair.g_members)
 	if args.format == "json":
 		_emit_json(cone.to_json_obj())
@@ -220,7 +181,6 @@ def cmd_cone_graph(args):
 		print("vertices: %s" % " ".join(obj["vertices"]))
 		for a, b in obj["edges"]:
 			print("%s -- %s" % (a, b))
-	return 0
 
 
 def _signed_gen(graph, text):
@@ -231,8 +191,7 @@ def _signed_gen(graph, text):
 	return parse_generator(graph, text), sign
 
 
-def cmd_apply(args):
-	graph = _graph(args)
+def cmd_apply(args, graph):
 	ctx = WordContext(graph)
 	phi = product_of(ctx, [_signed_gen(graph, text) for text in args.gen])
 	word = ctx.parse(args.word or "")
@@ -241,13 +200,9 @@ def cmd_apply(args):
 		_emit_json({"word": ctx.format(word), "image": ctx.format(image)})
 	else:
 		print(ctx.format(image))
-	return 0
 
 
-def cmd_check_exact(args):
-	graph = _graph(args)
-	pair = _pair(graph, args)
-	dmask = _target_mask(graph, args)
+def cmd_check_exact(args, graph, pair, dmask):
 	# the modes give the same groups (restriction_step), and every line
 	# below reads only the groups
 	kernel, image = restriction_step(pair, dmask, mode=SATURATED)
@@ -345,6 +300,24 @@ def build_parser():
 	return parser
 
 
+def _inputs(args):
+	"""The command's inputs by parameter name, built in one order (graph,
+	periphery, script, generator list, --target mask), so the first bad
+	input in that order is the one reported.
+	"""
+	graph = load(args.graph, "graph", build_graph)
+	built = {"graph": graph}
+	if "periph" in args:
+		built["pair"] = load(args.periph, "periphery", build_pair, graph) if args.periph else PeripheralPair(graph)
+	if "script" in args:
+		built["script"] = load(args.script, "script", build_script, graph) if args.script else None
+	if "gens" in args:
+		built["gens"] = load(args.gens, "generator list", build_generators, graph) if args.gens else None
+	if "target" in args:
+		built["dmask"] = graph.mask([name.strip() for name in args.target.split(",")])
+	return built
+
+
 def main(argv=None):
 	parser = build_parser()
 	args = parser.parse_args(argv)
@@ -352,9 +325,9 @@ def main(argv=None):
 		parser.print_help()
 		return 1
 	try:
-		code = args.func(args)
+		code = args.func(args, **_inputs(args))
 		sys.stdout.flush()
-		return code
+		return code or 0
 	except BrokenPipeError:
 		# the reader is gone: send what is still buffered to devnull, so
 		# the flush at exit does not fail again

@@ -521,15 +521,17 @@ def decompose(pair, mode="auto", script=None):
 	lists its invariant subgraphs or not. A restrict step may carry a
 	nested script for its image branch. A script may have any length,
 	and a branch whose script is empty or exhausted goes on in auto
-	mode: auto mode is the empty script. Branches wait on a stack, image
-	branches taken before kernel branches, so of two failing steps the
-	image branch's is reported.
+	mode: auto mode is the empty script, and refuses any other. Branches
+	wait on a stack, image branches taken before kernel branches, so of
+	two failing steps the image branch's is reported.
 	"""
 	if mode not in ("auto", "script"):
 		raise DomainError("decompose mode must be auto or script")
+	if mode == "auto" and script is not None:
+		raise DomainError("decompose takes a script only in script mode")
 	root = DecompositionNode(pair, None)
 	# (node whose step is still to take, its branch's script, step index, key path)
-	stack = [(root, (script or []) if mode == "script" else [], 0, "")]
+	stack = [(root, script or [], 0, "")]
 	while stack:
 		node, steps, i, path = stack.pop()
 		pair = node.pair

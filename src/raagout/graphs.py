@@ -116,13 +116,11 @@ class DefiningGraph:
 
 	# ---- connectivity ----
 
-	def components(self, mask=None):
+	def components(self, mask):
 		"""Connected components of the induced subgraph, as masks.
 
 		Ordered by least vertex index.
 		"""
-		if mask is None:
-			mask = self.full
 		adj = self.adj
 		out = []
 		rest = mask
@@ -143,22 +141,16 @@ class DefiningGraph:
 			rest &= ~comp
 		return out
 
-	def is_connected(self, mask=None):
-		if mask is None:
-			mask = self.full
-		if mask == 0:
-			return True
-		return len(self.components(mask)) == 1
+	def is_connected(self):
+		return len(self.components(self.full)) <= 1
 
-	def clique_number(self, mask=None):
-		"""Size of a largest clique in the induced subgraph, by branch and bound.
+	def clique_number(self):
+		"""Size of a largest clique, by branch and bound.
 
 		Branches wait on a list, so the depth is not bound by the recursion limit.
 		"""
-		if mask is None:
-			mask = self.full
 		best = 0
-		stack = [(0, mask)]
+		stack = [(0, self.full)]
 		while stack:
 			clique_size, candidates = stack.pop()
 			if clique_size + candidates.bit_count() <= best:

@@ -627,6 +627,7 @@ INPUTS = {
 	"abc.json": {"vertices": ["a", "b", "c"], "edges": []},
 	"p3-a.json": {"G": [["a"]], "H": []},
 	"p3-sym.json": ["sym (a c)"],
+	"c4-rot.json": ["sym (a b c d)"],
 }
 
 
@@ -715,15 +716,30 @@ INPUTS = {
 			["vcd", "--graph", "p3.json", "--periph", "p3-a.json", "--gens", "p3-sym.json"],
 			1, "", "error: sym (a c) is not in the group being bounded\n",
 		),
+		(
+			# the rotation moves the class {a,c} onto {b,d}
+			["vcd", "--graph", "c4.json", "--gens", "c4-rot.json"],
+			1, "", "error: sym (a b c d) is not in the group being bounded\n",
+		),
+		(
+			# inputs are read graph, periphery, script, generators, target,
+			# so the periphery error comes first in every command
+			["restrict", "--graph", "p3.json", "--periph", "missing.json", "--target", "z"],
+			1, "", "error: periphery file missing.json: cannot read: No such file or directory\n",
+		),
+		(["invariant", "--graph", "p3.json", "--target", ""], 1, "", "error: unknown vertex ''\n"),
 	],
 	ids=[
 		"periphery-json", "restrict-text", "info-with-h", "saturate-with-h",
 		"vcd-gen-outside-group", "vcd-four-cycle", "trivial-leaf-text", "apply-bad-exponent",
 		"apply-nested-cycle", "apply-open-cycle", "apply-extra-close", "trivial-leaf-json",
 		"trivial-leaf-dot", "apply-inverse-symmetry", "vcd-symmetry-moves-a-member",
+		"vcd-symmetry-moves-a-class", "periphery-read-before-target", "empty-target",
 	],
 )
-def test_pinned_output(capsys, tmp_path, argv, code, out, err):
+def test_pinned_output(capsys, monkeypatch, tmp_path, argv, code, out, err):
+	# a name not in INPUTS, like missing.json, names no file
+	monkeypatch.chdir(tmp_path)
 	for name, obj in INPUTS.items():
 		write_json(tmp_path, name, obj)
 	argv = [str(tmp_path / a) if a in INPUTS else a for a in argv]

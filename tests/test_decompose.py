@@ -7,6 +7,7 @@ from raagout.errors import DomainError, ScriptError
 from raagout.families import diamond_script, four_path, four_path_script
 from raagout.graphs import DefiningGraph, compress_mask
 from raagout.load import build_pair
+from raagout.orders import PairIndex
 from raagout import peripheral
 from raagout.peripheral import (
 	Complexity,
@@ -286,7 +287,9 @@ def test_every_generator_restricts_into_the_image_group():
 	# each generator phi of a saturated random pair and each invariant D,
 	# take g with g^-1 phi(A_D) g = A_D, restrict that conjugate to D and
 	# recode it on the image graph: it must preserve every G-member of the
-	# image up to conjugacy and act trivially on every H-member
+	# image up to conjugacy and act trivially on every H-member. The image's
+	# index must be the one its members give, so that an index bug cannot
+	# hide behind a correct listing
 	rng = random.Random(41)
 	checked = 0
 	for _ in range(40):
@@ -310,6 +313,8 @@ def test_every_generator_restricts_into_the_image_group():
 			for mode in ("fast", "saturated"):
 				_, image = restriction_step(sat, dmask, mode=mode)
 				assert image.graph.vertices == sub_ctx.graph.vertices
+				ref = PairIndex(image.graph, image.g_members)
+				assert (image.index.rows, image.index.gv) == (ref.rows, ref.gv), mode
 				for psi in psis:
 					for m in image.g_members:
 						assert preserves_word(sub_ctx, psi, m)[0], (mode, image.to_json_obj())
@@ -500,6 +505,17 @@ def test_decompose_diamond_script():
 	assert im.graph.mask(["c1"]) in im.g_members
 	im2 = inner.image.pair
 	assert im2.graph.mask(["c1"]) in im2.h_members
+
+
+def test_auto_mode_refuses_a_script():
+	# a script is read only in script mode, so auto mode refuses one
+	# rather than build the auto tree without a word
+	g = diamond_chain(3)
+	with pytest.raises(DomainError, match="^decompose takes a script only in script mode$"):
+		decompose(PeripheralPair(g), script=diamond_script(3))
+	assert decompose(PeripheralPair(g), mode="script", script=diamond_script(3)).to_json_obj() != (
+		decompose(PeripheralPair(g)).to_json_obj()
+	)
 
 
 def test_decompose_script_nested_image():

@@ -66,10 +66,13 @@ def test_links_and_stars():
 
 def test_components():
 	g = DefiningGraph(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])
-	assert g.components() == [0b0011, 0b1100]
+	assert g.components(g.full) == [0b0011, 0b1100]
 	assert not g.is_connected()
-	assert g.is_connected(0b0011)
+	assert len(g.components(0b0011)) == 1
 	assert g.components(0b0111) == [0b0011, 0b0100]
+	# the empty graph has no component and counts as connected
+	empty = DefiningGraph([], [])
+	assert empty.components(empty.full) == [] and empty.is_connected()
 
 
 def test_center_and_cliques():
