@@ -11,13 +11,12 @@ terminates no matter which invariant subgraphs get picked.
 """
 
 from .errors import DomainError, ScriptError
-from .graphs import bits, compress_mask, mask_of
+from .graphs import bits, mask_of
 from . import orders
 from .words import mask_word
 from .peripheral import (
 	PeripheralPair,
 	_moved,
-	fast_periphery,
 	induced,
 	is_invariant,
 	saturation,
@@ -305,17 +304,17 @@ def tree_text(root):
 def restriction_step(pair, dmask, mode=RESTRICT_DEFAULT):
 	"""Split off the restriction to an invariant subgraph.
 
-	Fast mode keeps the pair as given and completes the image with the
-	computed periphery; saturated mode saturates first, which makes the
-	induced members alone already sufficient. Fast mode reads all of G, so
-	a pair whose G is unlisted (one derived from a saturation) takes the
-	saturated construction. Either way the kernel keeps the whole graph
-	and gains dmask as a trivial-action member, folded into G so the new
-	member's pieces join the preserved side; its order index is the
-	pair's refined by those pieces. Every member of G is invariant, and
-	on a saturated pair, whose G is every proper invariant set, every
-	invariant target is a member; neither the kernel nor the image of a
-	saturated pair lists G (see peripheral.saturation and induced).
+	The kernel keeps the whole graph and gains dmask as a trivial-action
+	member, folded into G so the new member's pieces join the preserved
+	side; its order index is the pair's refined by those pieces. The
+	image is the pair induced on dmask, its index cut from the pair's
+	closures (peripheral.induced). The mode picks only the members the
+	kernel and image list, on their first read: fast mode keeps the pair
+	as given and completes the image with the computed periphery;
+	saturated mode saturates first, which makes the induced members alone
+	already sufficient. Every member of G is invariant, and on a
+	saturated pair, whose G is every proper invariant set, every
+	invariant target is a member.
 
 	A target outside G is not joined to the pair's G: the kernel folds it
 	in through H, induced would drop its cut (all of dmask), and
@@ -334,8 +333,6 @@ def restriction_step(pair, dmask, mode=RESTRICT_DEFAULT):
 		raise DomainError("restriction target must be a proper nonempty subgraph")
 	if mode not in RESTRICT_MODES:
 		raise DomainError("restriction mode must be %s" % " or ".join(RESTRICT_MODES))
-	if mode == FAST and not pair.listed:
-		mode = SATURATED
 	if mode == SATURATED and not pair.saturated:
 		pair = saturation(pair)
 	if not is_invariant(pair, dmask):
@@ -343,11 +340,7 @@ def restriction_step(pair, dmask, mode=RESTRICT_DEFAULT):
 			"restriction target %s is not invariant for this pair"
 			% "".join(graph.names(dmask))
 		)
-	sub_pair = induced(pair, dmask)
-	if mode == FAST:
-		per = fast_periphery(pair, dmask)
-		sub_pair = sub_pair.adding_g(compress_mask(m, dmask) for m in per)
-	return pair.adding_h([dmask]), sub_pair
+	return pair.adding_h([dmask]), induced(pair, dmask, periphery=mode == FAST)
 
 
 def lift_generator(source, image, dmask, gen):

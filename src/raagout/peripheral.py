@@ -31,12 +31,11 @@ adds one invariant target, recomputes only the closures that meet it.
 The invariant sets are closed under intersection, so each set has a least
 invariant superset (PairIndex.closure), and the closures of single
 vertices and non-adjacent pairs (PairIndex.spanning) stand for a saturated
-G in the pivot search, the induced index and the leaf shapes. G is
-therefore unlisted only when the pair derives from a saturation
-(saturation(), adding_g and adding_h of an unlisted pair, and induced of
-a saturated pair, or of an unlisted one on a join target): such a pair
-carries its index and lists G only when it is read, as there can be up
-to 2^n - 2 members. Every other pair lists G when it is built.
+G in the pivot search, the induced index and the leaf shapes. Only the
+constructor lists G when it builds a pair. Every derived pair carries
+what it needs to list its G and lists it on first read, as a saturated G
+can hold up to 2^n - 2 members; which members a derived pair lists is
+fixed when it is built, not by what was read before.
 """
 
 from bisect import bisect_left
@@ -88,8 +87,7 @@ class PeripheralPair:
 	_derived. Pairs are never changed in place (adding_g, adding_h and
 	induced all build new ones), so the pivot is cached on them. The order
 	index of G is built on first use, unless the pair was derived from one
-	whose index was built. A pair whose G is unlisted (see listed) has its
-	index from the start and lists G on first read.
+	whose index was built. A derived pair lists G on first read.
 	"""
 
 	__slots__ = ("graph", "_g_members", "_list_g", "h_members", "saturated", "_index", "_pivot")
@@ -113,16 +111,16 @@ class PeripheralPair:
 		return cls(graph)
 
 	@classmethod
-	def _derived(cls, graph, g_members, h_members, index, list_g=None, saturated=False):
-		"""A pair from checked parts: member tuples as by_size gives them, H folded into G.
+	def _derived(cls, graph, h_members, index, list_g, saturated=False):
+		"""A pair from checked parts: H as by_size gives it, G as list_g() lists it.
 
-		With list_g, g_members is None and G is list_g(), called on the
-		first read of g_members; index must then be G's, since building it
-		would list G.
+		list_g is called on the first read of g_members and returns G
+		ordered by by_size, with H folded in; index is G's, or None to
+		build it from G on first use.
 		"""
 		out = cls.__new__(cls)
 		out.graph = graph
-		out._g_members = g_members
+		out._g_members = None
 		out._list_g = list_g
 		out.h_members = h_members
 		out.saturated = saturated
@@ -132,16 +130,11 @@ class PeripheralPair:
 
 	@property
 	def g_members(self):
-		"""G as masks, by size then value; an unlisted G is listed here."""
+		"""G as masks, by size then value; a derived pair lists G here."""
 		if self._g_members is None:
 			self._g_members = self._list_g()
 			self._list_g = None
 		return self._g_members
-
-	@property
-	def listed(self):
-		"""Is G listed yet? Only a pair derived from a saturation starts without it."""
-		return self._g_members is not None
 
 	def to_json_obj(self):
 		return {
@@ -206,14 +199,12 @@ class PeripheralPair:
 		"""A pair on the same graph whose G is this G joined with the set extra.
 
 		When this pair's index is built, the new one is refined from it by
-		extra alone; members already in G refine nothing. An unlisted G
-		stays unlisted.
+		extra alone; members already in G refine nothing.
 		"""
 		index = None if self._index is None else self._index.refined(extra)
-		list_g = lambda: _inserted(self.g_members, extra)
-		if self._g_members is None:
-			return PeripheralPair._derived(self.graph, None, h_members, index, list_g)
-		return PeripheralPair._derived(self.graph, list_g(), h_members, index)
+		return PeripheralPair._derived(
+			self.graph, h_members, index, lambda: _inserted(self.g_members, extra)
+		)
 
 	def __repr__(self):
 		fmt = lambda ms: [self.graph.names(m) for m in ms]
@@ -416,7 +407,7 @@ def saturation(pp):
 			)
 		return by_size(_invariant_scan(graph, index))
 
-	return PeripheralPair._derived(graph, None, pp.h_members, index, list_g, saturated=True)
+	return PeripheralPair._derived(graph, pp.h_members, index, list_g, saturated=True)
 
 
 def saturate(pp):
@@ -443,43 +434,47 @@ def saturate(pp):
 	return out
 
 
-def induced(pp, dmask):
+def induced(pp, dmask, periphery=False):
 	"""The peripheral pair induced on the subgraph dmask.
 
 	Members intersect down; intersections that are empty or all of dmask
 	are dropped. The result lives on the induced graph, with masks
 	compressed accordingly. H stays folded into G (deleted-vertex subsets
 	of intersections are intersections of deleted-vertex subsets), but the
-	result is not saturated.
+	result is not saturated. With periphery, G also holds the members of
+	fast_periphery(pp, dmask), which lie inside dmask: the image of a fast
+	restriction step. G is cut from pp's on first read, and so is the
+	periphery worked out.
 
-	A listed pair is cut now. The result of a saturated pair, or of an
-	unlisted one on a join target (every vertex outside dmask adjacent to
-	every vertex of it, as the complement of a center is), leaves G
-	unlisted, cut from pp's on first read, and builds its index from
-	PairIndex.spanning(dmask) cut to dmask. That is the index cutting all
-	of G gives: on a saturated pair G is every proper invariant set
-	(spanning says why). On a join target D, for u and v in D, lk(u) lies
-	in st(v) in the induced graph exactly when it does in the whole graph,
-	as both stars hold V - D, and a member through u misses v exactly when
-	its cut does; for x in D, V - st(x) lies inside D, so the
-	G^x-components are the same sets. The closures add only up-sets that
-	meet one G^x-component away from st(x) for each x outside them, which
-	change no row and merge no component. So the cut index is the pair's
-	own rows and components on D, whichever list it is cut from.
+	The index is built from PairIndex.spanning(dmask) cut to dmask when
+	the periphery is added, when pp is saturated, or when dmask is a join
+	target (every vertex outside dmask adjacent to every vertex of it, as
+	the complement of a center is); otherwise it is built from G on first
+	use. The cut closures give the index cutting all of G gives: on a
+	saturated pair G is every proper invariant set (spanning says why),
+	and with the periphery the image is the restriction image, whose
+	index is that of the saturated one (decompose.restriction_step). On a
+	join target D, for u and v in D, lk(u) lies in st(v) in the induced
+	graph exactly when it does in the whole graph, as both stars hold
+	V - D, and a member through u misses v exactly when its cut does; for
+	x in D, V - st(x) lies inside D, so the G^x-components are the same
+	sets. The closures add only up-sets that meet one G^x-component away
+	from st(x) for each x outside them, which change no row and merge no
+	component. So the cut index is the pair's own rows and components on
+	D, whichever list it is cut from.
 	"""
 	graph = pp.graph
 	sub = graph.induced(dmask)
 	cut = lambda ms: by_size(
 		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
 	)
-	h_members = cut(pp.h_members)
-	lazy = pp.saturated or not pp.listed and all(
+	list_g = lambda: cut(pp.g_members + (fast_periphery(pp, dmask) if periphery else ()))
+	index = None
+	if periphery or pp.saturated or all(
 		graph.adj[x] & dmask == dmask for x in bits(graph.full & ~dmask)
-	)
-	if not lazy:
-		return PeripheralPair._derived(sub, cut(pp.g_members), h_members, None)
-	index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
-	return PeripheralPair._derived(sub, None, h_members, index, lambda: cut(pp.g_members))
+	):
+		index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
+	return PeripheralPair._derived(sub, cut(pp.h_members), index, list_g)
 
 
 def fast_periphery(pp, dmask):

@@ -332,8 +332,9 @@ def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
 
 def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_path):
 	# diamond_chain(8) has 25 vertices: the kernel of the saturated step
-	# keeps G unlisted, so the fast step below it takes the saturated
-	# construction rather than listing G, and gives what two fast steps give
+	# lists G only when read, and the fast step below it cuts its image's
+	# index from the closures, so nothing lists G; it gives what two fast
+	# steps give
 	from raagout.families import diamond_chain
 
 	graph = write_json(tmp_path, "d8.json", diamond_chain(8).to_json_obj())
@@ -352,9 +353,9 @@ def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_pa
 
 def test_vcd_projection_below_a_saturated_step_past_the_listing_cap(capsys, tmp_path):
 	# the cone over the 21-cycle has 22 vertices: the kernel of the
-	# saturated step keeps G unlisted, and its projection image reads its
-	# index off the kernel's, since the complement of the apex is a join
-	# target, so nothing lists G; a fast first step gives the same bound
+	# saturated step lists G only when read, and its projection image reads
+	# its index off the kernel's, since the complement of the apex is a
+	# join target, so nothing lists G; a fast first step gives the same bound
 	names = ["v%d" % i for i in range(21)]
 	edges = [[names[i], names[(i + 1) % 21]] for i in range(21)] + [[v, "z"] for v in names]
 	graph = write_json(tmp_path, "cone.json", {"vertices": names + ["z"], "edges": edges})
@@ -628,7 +629,59 @@ INPUTS = {
 	"p3-a.json": {"G": [["a"]], "H": []},
 	"p3-sym.json": ["sym (a c)"],
 	"c4-rot.json": ["sym (a b c d)"],
+	"g5.json": {
+		"vertices": ["a", "b", "c", "d", "e"],
+		"edges": [["a", "e"], ["b", "d"], ["b", "e"], ["c", "d"], ["c", "e"], ["d", "e"]],
+	},
+	"g5-mixed.json": [
+		{"op": "restrict", "target": ["b", "c", "d", "e"], "mode": "saturated"},
+		{
+			"op": "restrict",
+			"target": ["c", "d", "e"],
+			"mode": "fast",
+			"image": [{"op": "restrict", "target": ["c"], "mode": "saturated"}],
+		},
+	],
 }
+
+# a fast step below a saturated one: its image lists G cut to <c,d,e>
+# with the computed periphery, 4 members, the first time it is read
+G5_MIXED_TREE = """\
+restrict to <b,c,d,e>  [n=5 |G|=0 |H|=0]
+ kernel:
+  restrict to <c,d,e>  [n=5 |G|=7 |H|=1]
+   kernel:
+    project out <e>, kernel rank 1  [n=5 |G|=15 |H|=2]
+      leaf FR(factors=[<b,c,d>!], m=1)  [n=4 |G|=7 |H|=2]
+   image:
+    restrict to <c>  [n=3 |G|=4 |H|=0]
+     kernel:
+      restrict to <d>  [n=3 |G|=6 |H|=1]
+       kernel:
+        restrict to <e>  [n=3 |G|=6 |H|=2]
+         kernel:
+          leaf Trivial  [n=3 |G|=6 |H|=3]
+         image:
+          leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
+       image:
+        leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
+     image:
+      leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
+ image:
+  restrict to <e>  [n=4 |G|=2 |H|=0]
+   kernel:
+    restrict to <d,e>  [n=4 |G|=2 |H|=1]
+     kernel:
+      project out <d,e>, kernel rank 4  [n=4 |G|=3 |H|=2]
+        leaf FR(factors=[], m=2)  [n=2 |G|=0 |H|=0]
+     image:
+      leaf GL(1,Z) ext 1  [n=2 |G|=1 |H|=1]
+   image:
+    leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
+leaves: FreeAbelian(1); FR(factors=[<b,c,d>!], m=1); Trivial; GL(1,Z) ext 0; \
+GL(1,Z) ext 0; GL(1,Z) ext 0; FreeAbelian(4); FR(factors=[], m=2); GL(1,Z) ext 1; \
+GL(1,Z) ext 0
+"""
 
 
 @pytest.mark.parametrize(
@@ -728,6 +781,23 @@ INPUTS = {
 			1, "", "error: periphery file missing.json: cannot read: No such file or directory\n",
 		),
 		(["invariant", "--graph", "p3.json", "--target", ""], 1, "", "error: unknown vertex ''\n"),
+		(["decompose", "--graph", "g5.json", "--script", "g5-mixed.json"], 0, G5_MIXED_TREE, ""),
+		(
+			["vcd", "--graph", "g5.json", "--script", "g5-mixed.json"],
+			0,
+			"upper: unknown\nlower: 0\n"
+			"  root.k.k.z               1        projection kernel\n"
+			"  root.k.k.i               unknown  free product with no formula\n"
+			"  root.k.i.k.k.k           0        trivial\n"
+			"  root.k.i.k.k.i           0        unipotent block plus extension\n"
+			"  root.k.i.k.i             0        unipotent block plus extension\n"
+			"  root.k.i.i               0        unipotent block plus extension\n"
+			"  root.i.k.k.z             4        projection kernel\n"
+			"  root.i.k.k.i             1        free group outer\n"
+			"  root.i.k.i               1        unipotent block plus extension\n"
+			"  root.i.i                 0        unipotent block plus extension\n",
+			"",
+		),
 	],
 	ids=[
 		"periphery-json", "restrict-text", "info-with-h", "saturate-with-h",
@@ -735,6 +805,7 @@ INPUTS = {
 		"apply-nested-cycle", "apply-open-cycle", "apply-extra-close", "trivial-leaf-json",
 		"trivial-leaf-dot", "apply-inverse-symmetry", "vcd-symmetry-moves-a-member",
 		"vcd-symmetry-moves-a-class", "periphery-read-before-target", "empty-target",
+		"decompose-fast-below-saturated", "vcd-fast-below-saturated",
 	],
 )
 def test_pinned_output(capsys, monkeypatch, tmp_path, argv, code, out, err):

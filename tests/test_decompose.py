@@ -4,8 +4,8 @@ import random
 import pytest
 
 from raagout.errors import DomainError, ScriptError
-from raagout.families import diamond_script, four_path, four_path_script
-from raagout.graphs import DefiningGraph, compress_mask
+from raagout.families import diamond_chain, diamond_script, four_path, four_path_script
+from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout.load import build_pair
 from raagout.orders import PairIndex
 from raagout import peripheral
@@ -23,6 +23,7 @@ from raagout.autos import (
 	LaurenceGenerator,
 	acts_trivially_word,
 	enumerate_generators,
+	gen_in_relative,
 	is_inner,
 	realize,
 )
@@ -45,7 +46,7 @@ from raagout.decompose import (
 	word_restriction,
 )
 
-from raagout.vcd import vcd_upper
+from raagout.vcd import certify_lower_bound, vcd_upper
 from raagout.words import WordContext, inverse
 
 from helpers import (
@@ -72,21 +73,6 @@ def clique(n):
 
 def edgeless(n):
 	return DefiningGraph(["x%d" % i for i in range(n)], [])
-
-
-def diamond_chain(d):
-	names = ["c0"]
-	edges = []
-	for i in range(1, d + 1):
-		names += ["a%d" % i, "b%d" % i, "c%d" % i]
-		prev = "c%d" % (i - 1)
-		edges += [
-			[prev, "a%d" % i],
-			[prev, "b%d" % i],
-			["a%d" % i, "c%d" % i],
-			["b%d" % i, "c%d" % i],
-		]
-	return DefiningGraph(names, edges)
 
 
 def names_of(graph, masks):
@@ -336,6 +322,51 @@ def test_projection_path3_relative():
 	assert rank == 2
 	assert image.graph.vertices == ("a", "c")
 	assert image.g_members == ()
+
+
+def test_projection_kernel_certifies_and_generators_project_into_the_image():
+	# at every projection node of the auto trees of random relative pairs,
+	# the transvections w^z onto the center that the kernel rank counts
+	# certify at exactly that rank, and every generator of the node's pair
+	# whose support misses the center Z, renamed onto V - Z, lies in the
+	# image pair; the others are those transvections, trivial there
+	rng = random.Random(29)
+	checked = 0
+	for _ in range(300):
+		n = rng.randint(3, 6)
+		density = rng.random()
+		g = graph_from_edges(
+			n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+		)
+		for _, _, _, node, _ in decompose(PeripheralPair(g, *random_peripheral(g, rng))).walk():
+			step = node.step
+			if not isinstance(step, ProjectionStep):
+				continue
+			pair, z = node.pair, step.zmask
+			graph, image = pair.graph, step.image.pair
+			keep = graph.full & ~z
+			rows = pair.index.rows
+			kernel = [
+				LaurenceGenerator.transvection(graph, w, c)
+				for c in bits(z)
+				for w in bits(keep)
+				if rows[w] >> c & 1
+			]
+			assert certify_lower_bound(graph, kernel) == step.kernel_rank, graph.to_json_obj()
+			at = lambda v: compress_mask(1 << v, keep).bit_length() - 1
+			for gen in pair.gens():
+				if gen.kind == "pc":
+					acting, region = gen.data
+					support, data = 1 << acting | region, (at(acting), compress_mask(region, keep))
+				else:
+					support, data = mask_of(gen.data), tuple(at(v) for v in gen.data)
+				if support & z:
+					assert gen in kernel
+					continue
+				renamed = LaurenceGenerator(image.graph, gen.kind, data)
+				assert gen_in_relative(renamed, image), (graph.to_json_obj(), str(gen))
+			checked += 1
+	assert checked > 150
 
 
 def test_projection_needs_connected():
@@ -642,6 +673,30 @@ def test_restriction_modes_give_equal_indexes():
 				assert a.index.gv == b.index.gv, (g.to_json_obj(), pair, dmask)
 			checked += 1
 	assert checked > 200
+
+
+def test_fast_step_below_a_saturated_one_lists_members_whatever_was_read():
+	# a-e, b-d, b-e, c-d, c-e, d-e: the kernel of the saturated step
+	# lists G on first read, and the fast step below it lists its own
+	# members whether or not that read came first (the image lists 4, with
+	# the computed periphery), with the index of the saturated step
+	g = DefiningGraph(
+		list("abcde"),
+		[["a", "e"], ["b", "d"], ["b", "e"], ["c", "d"], ["c", "e"], ["d", "e"]],
+	)
+	pair = PeripheralPair(g)
+	cde = g.mask(["c", "d", "e"])
+	outs = []
+	for read in (False, True):
+		k, _ = restriction_step(pair, g.mask(["b", "c", "d", "e"]), "saturated")
+		if read:
+			k.g_members
+		kernel, image = restriction_step(k, cde, "fast")
+		outs.append((kernel.g_members, image.g_members))
+		sat_image = restriction_step(k, cde, "saturated")[1]
+		assert (image.index.rows, image.index.gv) == (sat_image.index.rows, sat_image.index.gv)
+	assert outs[0] == outs[1]
+	assert len(outs[0][1]) == 4
 
 
 def test_trees_read_each_graph_center_off_the_graph():

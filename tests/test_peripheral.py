@@ -4,7 +4,7 @@ import random
 import pytest
 
 from raagout.errors import CapabilityError, DomainError
-from raagout.families import four_path, four_path_classes
+from raagout.families import diamond_chain, four_path, four_path_classes
 from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
 from raagout.load import build_pair
 from raagout import orders
@@ -36,21 +36,6 @@ def path3():
 
 def free2():
 	return DefiningGraph(["u", "v"], [])
-
-
-def diamond_chain(d):
-	names = ["c0"]
-	edges = []
-	for i in range(1, d + 1):
-		names += ["a%d" % i, "b%d" % i, "c%d" % i]
-		prev = "c%d" % (i - 1)
-		edges += [
-			[prev, "a%d" % i],
-			[prev, "b%d" % i],
-			["a%d" % i, "c%d" % i],
-			["b%d" % i, "c%d" % i],
-		]
-	return DefiningGraph(names, edges)
 
 
 def normalized(graph, g=(), h=()):
