@@ -435,7 +435,7 @@ def saturate(pp):
 
 
 def induced(pp, dmask, periphery=False):
-	"""The peripheral pair induced on the subgraph dmask.
+	"""The image of a restriction or projection step: the pair induced on dmask.
 
 	Members intersect down; intersections that are empty or all of dmask
 	are dropped. The result lives on the induced graph, with masks
@@ -446,34 +446,30 @@ def induced(pp, dmask, periphery=False):
 	restriction step. G is cut from pp's on first read, and so is the
 	periphery worked out.
 
-	The index is built from PairIndex.spanning(dmask) cut to dmask when
-	the periphery is added, when pp is saturated, or when dmask is a join
-	target (every vertex outside dmask adjacent to every vertex of it, as
-	the complement of a center is); otherwise it is built from G on first
-	use. The cut closures give the index cutting all of G gives: on a
+	The index is PairIndex.spanning(dmask) cut to dmask, which is the
+	index of G when the result is a restriction or projection image: pp
+	saturated, the periphery added, or dmask a join target. On a
 	saturated pair G is every proper invariant set (spanning says why),
 	and with the periphery the image is the restriction image, whose
-	index is that of the saturated one (decompose.restriction_step). On a
-	join target D, for u and v in D, lk(u) lies in st(v) in the induced
-	graph exactly when it does in the whole graph, as both stars hold
-	V - D, and a member through u misses v exactly when its cut does; for
-	x in D, V - st(x) lies inside D, so the G^x-components are the same
-	sets. The closures add only up-sets that meet one G^x-component away
-	from st(x) for each x outside them, which change no row and merge no
-	component. So the cut index is the pair's own rows and components on
-	D, whichever list it is cut from.
+	index is that of the saturated one (decompose.restriction_step). A
+	projection cuts to the complement of a center, a join target: every
+	vertex outside dmask is adjacent to every vertex of it. For u and v
+	in such a D, lk(u) lies in st(v) in the induced graph exactly when it
+	does in the whole graph, as both stars hold V - D, and a member
+	through u misses v exactly when its cut does; for x in D, V - st(x)
+	lies inside D, so the G^x-components are the same sets. The closures
+	add only up-sets that meet one G^x-component away from st(x) for each
+	x outside them, which change no row and merge no component. So the
+	cut index is the pair's own rows and components on D, whichever list
+	it is cut from. On any other pair and target the index need not be
+	G's.
 	"""
-	graph = pp.graph
-	sub = graph.induced(dmask)
+	sub = pp.graph.induced(dmask)
 	cut = lambda ms: by_size(
 		compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}
 	)
 	list_g = lambda: cut(pp.g_members + (fast_periphery(pp, dmask) if periphery else ()))
-	index = None
-	if periphery or pp.saturated or all(
-		graph.adj[x] & dmask == dmask for x in bits(graph.full & ~dmask)
-	):
-		index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
+	index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
 	return PeripheralPair._derived(sub, cut(pp.h_members), index, list_g)
 
 

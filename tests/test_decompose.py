@@ -148,12 +148,16 @@ def test_restriction_requires_invariance():
 
 
 def join_first_restriction(pair, dmask):
-	"""The fast restriction as it was built when the target joined G first."""
+	"""The fast restriction as it was built when the target joined G first.
+
+	The image is built afresh from its members, so its index is built
+	from its G and not cut from the pair's closures.
+	"""
 	if dmask not in pair.g_members:
 		pair = pair.adding_g([dmask])
-	per = fast_periphery(pair, dmask)
-	sub = induced(pair, dmask).adding_g(compress_mask(m, dmask) for m in per)
-	return pair.adding_h([dmask]), sub
+	per = [compress_mask(m, dmask) for m in fast_periphery(pair, dmask)]
+	sub = induced(pair, dmask)
+	return pair.adding_h([dmask]), PeripheralPair(sub.graph, sub.g_members + tuple(per), sub.h_members)
 
 
 def test_fast_restriction_matches_the_join_first_construction():
@@ -178,6 +182,8 @@ def test_fast_restriction_matches_the_join_first_construction():
 			}, case
 			assert kernel.index.rows == ref_kernel.index.rows, case
 			assert kernel.index.gv == ref_kernel.index.gv, case
+			assert image.index.rows == ref_image.index.rows, case
+			assert image.index.gv == ref_image.index.gv, case
 			checked += dmask not in d.g_members
 	assert checked > 100
 
@@ -675,11 +681,33 @@ def test_restriction_modes_give_equal_indexes():
 	assert checked > 200
 
 
+def test_restriction_images_index_their_listed_members():
+	# in both modes, on pairs that are not saturated, the image's index,
+	# cut from the pair's closures, is the index built from the members it
+	# lists, and the kernel's, refined from the pair's, is its members' too
+	rng = random.Random(43)
+	checked = 0
+	for _ in range(80):
+		n = rng.randint(2, 6)
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		g = graph_from_edges(n, [e for e in pairs if rng.random() < rng.random()])
+		pair = PeripheralPair(g, *random_peripheral(g, rng))
+		for dmask in saturate(pair).g_members:
+			for mode in ("fast", "saturated"):
+				case = (g.to_json_obj(), pair.to_json_obj(), dmask, mode)
+				for part in restriction_step(pair, dmask, mode=mode):
+					ref = PairIndex(part.graph, part.g_members)
+					assert (part.index.rows, part.index.gv) == (ref.rows, ref.gv), case
+			checked += 1
+	assert checked > 100
+
+
 def test_fast_step_below_a_saturated_one_lists_members_whatever_was_read():
 	# a-e, b-d, b-e, c-d, c-e, d-e: the kernel of the saturated step
 	# lists G on first read, and the fast step below it lists its own
 	# members whether or not that read came first (the image lists 4, with
-	# the computed periphery), with the index of the saturated step
+	# the computed periphery); each image's index is the index of the
+	# members it lists, and the two modes' indexes agree
 	g = DefiningGraph(
 		list("abcde"),
 		[["a", "e"], ["b", "d"], ["b", "e"], ["c", "d"], ["c", "e"], ["d", "e"]],
@@ -694,6 +722,9 @@ def test_fast_step_below_a_saturated_one_lists_members_whatever_was_read():
 		kernel, image = restriction_step(k, cde, "fast")
 		outs.append((kernel.g_members, image.g_members))
 		sat_image = restriction_step(k, cde, "saturated")[1]
+		for im in (image, sat_image):
+			ref = PairIndex(im.graph, im.g_members)
+			assert (im.index.rows, im.index.gv) == (ref.rows, ref.gv)
 		assert (image.index.rows, image.index.gv) == (sat_image.index.rows, sat_image.index.gv)
 	assert outs[0] == outs[1]
 	assert len(outs[0][1]) == 4
