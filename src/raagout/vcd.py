@@ -301,20 +301,46 @@ def _lie_closure(logs):
 	pair of the final basis, and they span [L, L] by bilinearity and
 	antisymmetry, so they are the series' first layer; each later layer
 	is the bracket of the one before with the basis.
+
+	A bracket is formed only when it can be nonzero. E_ij E_kl is zero
+	unless j = k, so AB = 0 when no column of A is a row of B, and
+	[A, B] = AB - BA = 0 when that holds both ways. Each basis element is
+	indexed by its rows and by its columns, and an element is bracketed
+	only with the ones its entries reach through that index, in basis
+	order. The brackets left out are zero, and a zero bracket adds
+	nothing to any span, so the basis and every layer are those of
+	bracketing every pair.
 	"""
 	ech = _Echelon()
 	derived = _Echelon()
 	basis = []
+	by_row, by_col = {}, {}
 	layer = []
+
+	def enter(m):
+		bit = 1 << len(basis)
+		basis.append(m)
+		for i, j in m:
+			by_row[i] = by_row.get(i, 0) | bit
+			by_col[j] = by_col.get(j, 0) | bit
+
+	def meeting(a):
+		"""Bit mask of the basis elements b whose bracket with a can be nonzero."""
+		near = 0
+		for i, j in a:
+			near |= by_col.get(i, 0) | by_row.get(j, 0)
+		return near
+
 	for m in logs:
 		if ech.add(m):
-			basis.append(m)
+			enter(m)
 	i = 0
 	while i < len(basis):
-		for b in basis[:i]:
-			c = _bracket(basis[i], b)
+		a = basis[i]
+		for k in bits(meeting(a) & ((1 << i) - 1)):
+			c = _bracket(a, basis[k])
 			if ech.add(c):
-				basis.append(c)
+				enter(c)
 			if derived.add(c):
 				layer.append(c)
 		i += 1
@@ -328,8 +354,8 @@ def _lie_closure(logs):
 		nxt_ech = _Echelon()
 		nxt = []
 		for a in layer:
-			for b in basis:
-				c = _bracket(a, b)
+			for k in bits(meeting(a)):
+				c = _bracket(a, basis[k])
 				if nxt_ech.add(c):
 					nxt.append(c)
 		layer = nxt
@@ -384,12 +410,26 @@ def _certify_johnson_independent(graph, gens):
 
 
 def _commutator(ctx, a, b):
-	"""Letter table of a b a^-1 b^-1: each vertex through b^-1, a^-1, b, a."""
-	return images_through(ctx, b.back, a.back, b.images, a.images)
+	"""Letter table of a b a^-1 b^-1: each vertex through b^-1, a^-1, b, a.
+
+	A vertex that neither map moves is fixed by both and by their
+	inverses, so the commutator fixes it and it is not threaded.
+	"""
+	out = []
+	for v in range(ctx.graph.n):
+		x = 2 * v
+		if a.images[x] == b.images[x] == (x,):
+			out += ((x,), (x + 1,))
+		else:
+			w = b.back[x]
+			for table in (a.back, b.images, a.images):
+				w = ctx.apply_map(w, table)
+			out += (w, inverse(w))
+	return tuple(out)
 
 
 def _commuting_pairs(ctx, phis):
-	"""Index pairs i < j whose automorphisms commute as maps.
+	"""Index pairs i < j, in order, whose automorphisms do not commute as maps.
 
 	A map moves v when its image of v is not the letter v, and its span
 	is the vertices it moves together with the vertices of their images.
@@ -399,6 +439,11 @@ def _commuting_pairs(ctx, phis):
 	vertex v that a or b moves; both maps fix every other vertex. Both
 	tests decide equality in the automorphism group, and a commuting
 	pair's commutator is the identity, inner with the empty witness.
+
+	The pairs returned are the declined ones, those that fail both
+	tests: the only ones whose commutator needs building. On a clique of
+	n vertices, whose triangle list has about n^2/2 maps, they number
+	about n^3/6, against about n^4/8 commuting pairs.
 	"""
 	moved, span = [], []
 	for phi in phis:
@@ -421,7 +466,35 @@ def _commuting_pairs(ctx, phis):
 				return False
 		return True
 
-	return {(i, j) for i in range(len(phis)) for j in range(i + 1, len(phis)) if commute(i, j)}
+	return [(i, j) for i in range(len(phis)) for j in range(i + 1, len(phis)) if not commute(i, j)]
+
+
+def _by_action(gens, phis):
+	"""The listed generators and their inverses, keyed by homology action.
+
+	Values are lists of (k, start) in list order, phi_k before phi_k^-1:
+	a commutator c is phi_k in the outer group when c phi_k^-1 is inner,
+	start being the letter table of phi_k^-1, and phi_k^-1 when c phi_k
+	is, start being that of phi_k.
+	"""
+	listed = {}
+	for k, (gen, phi) in enumerate(zip(gens, phis)):
+		for mat, start in ((_generator_h1(gen), phi.back), (_generator_h1(gen, -1), phi.images)):
+			listed.setdefault(frozenset(mat.items()), []).append((k, start))
+	return listed
+
+
+def _match(ctx, listed, c, cmat):
+	"""The first k under c's homology action cmat with c = phi_k^(+-1) in Out, or None.
+
+	An inner automorphism acts trivially on homology, so c phi_k^-1 can
+	be inner only when c acts as phi_k does: the entries under any other
+	action need no is_inner call.
+	"""
+	for k, start in listed.get(frozenset(cmat.items()), ()):
+		if is_inner(ctx, images_through(ctx, start, c)).status == "yes":
+			return k
+	return None
 
 
 def certify_lower_bound(graph, gens, nilpotent=False):
@@ -438,71 +511,67 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	generators contribute one each once their Johnson images are
 	independent modulo the inner automorphisms.
 
-	A pair (a, b) is first tested for commuting in the automorphism
-	group (_commuting_pairs): supports that miss each other, or equal
-	images a(b(v)) and b(a(v)) at every moved vertex. A pair that
-	commutes there has the identity as its commutator and needs no more.
-	Any other pair is tested on vertex images alone: each vertex is
-	threaded through the letter tables of b^-1, a^-1, b and a, three
-	apply_map calls, and is_inner reads the words that come out; no
-	composite automorphism is built. A non-inner commutator c is matched
-	against a listed phi_k the same way, through the vertex images of
-	c phi_k^-1 and c phi_k. The homology action of a listed generator and
-	of its inverse comes from _generator_h1, so _h1_action reads only
-	commutator tables.
+	Only the pairs _commuting_pairs declines get a commutator c, each
+	vertex threaded through the letter tables of b^-1, a^-1, b and a; no
+	composite automorphism is built. Two lemmas skip work whose outcome
+	the data already settles:
+
+	- an inner automorphism acts trivially on H1, so c is non-inner when
+	  its homology action (_h1_action) is nontrivial; is_inner runs only
+	  on the commutators that act trivially, and once more on one whose
+	  non-innerness raises, for the reason it gives;
+	- c phi_k^-1 (or c phi_k) can be inner only when c acts on homology
+	  as phi_k (or phi_k^-1) does, so a non-inner c is tested only
+	  against the listed generators and inverses under its own action,
+	  looked up in a dict that keeps list order (_by_action, _match): the
+	  first hit is the first k a scan of the list finds.
+
+	Each commutator is matched where it is built, and only the matched
+	index and each generator's least non-commuting partner (for the
+	class-two check) are kept. The first commutator that matches nothing
+	raises after the Lie closure, so the closure's own failures come
+	first.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
-	commuting = _commuting_pairs(ctx, phis)
-	noninner = {}
-	for i in range(len(gens)):
-		for j in range(i + 1, len(gens)):
-			if (i, j) in commuting:
-				continue
-			c = _commutator(ctx, phis[i], phis[j])
-			res = is_inner(ctx, c)
-			if res.status == "yes":
-				continue
-			if not nilpotent:
-				raise CertificationError(
-					"generators %s and %s do not commute in the outer group: %s"
-					% (gens[i], gens[j], res.reason or res.status)
-				)
-			noninner[i, j] = c
-
 	mats = [_generator_h1(gen) for gen in gens]
+	listed = _by_action(gens, phis) if nilpotent else {}
+	derived, partner, unmatched = set(), {}, None
+	for i, j in _commuting_pairs(ctx, phis):
+		c = _commutator(ctx, phis[i], phis[j])
+		cmat = _h1_action(ctx, c)
+		if not cmat and is_inner(ctx, c).status == "yes":
+			continue
+		if not nilpotent:
+			res = is_inner(ctx, c)
+			raise CertificationError(
+				"generators %s and %s do not commute in the outer group: %s"
+				% (gens[i], gens[j], res.reason or res.status)
+			)
+		match = _match(ctx, listed, c, cmat)
+		if match is None:
+			unmatched = i, j
+			break
+		derived.add(match)
+		# pairs come in order, so each generator keeps its least partner
+		partner.setdefault(i, j)
+		partner.setdefault(j, i)
+
 	logs = [_log_unipotent(mat, graph.n, gen) for gen, mat in zip(gens, mats) if mat]
 	lie_dim = len(_lie_closure(logs))
-
-	inv_mats = [_generator_h1(gen, -1) for gen in gens] if noninner else []
-	derived = set()
-	for (i, j), c in noninner.items():
-		cmat = _h1_action(ctx, c)
-		# c is phi_k in the outer group when c phi_k^-1 is inner, and
-		# phi_k^-1 when c phi_k is
-		match = next(
-			(
-				k
-				for k in range(len(gens))
-				for mat, start in ((mats[k], phis[k].back), (inv_mats[k], phis[k].images))
-				if cmat == mat and is_inner(ctx, images_through(ctx, start, c)).status == "yes"
-			),
-			None,
+	if unmatched:
+		i, j = unmatched
+		raise CertificationError(
+			"the commutator of %s and %s is neither inner nor listed"
+			% (gens[i], gens[j])
 		)
-		if match is None:
-			raise CertificationError(
-				"the commutator of %s and %s is neither inner nor listed"
-				% (gens[i], gens[j])
-			)
-		derived.add(match)
 	if graph.center != graph.full:
 		for k in sorted(derived):
-			for i in range(len(gens)):
-				if (min(i, k), max(i, k)) in noninner:
-					raise CertificationError(
-						"%s is reached as a commutator but does not commute with %s"
-						% (gens[k], gens[i])
-					)
+			if k in partner:
+				raise CertificationError(
+					"%s is reached as a commutator but does not commute with %s"
+					% (gens[k], gens[partner[k]])
+				)
 
 	j_all = [gen for gen, mat in zip(gens, mats) if not mat]
 	_certify_johnson_independent(graph, j_all)

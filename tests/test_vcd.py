@@ -339,13 +339,14 @@ def test_commuting_pairs_are_the_identity_commutators():
 		for pp in pairs:
 			gens = enumerate_generators(pp)
 			phis = [realize(ctx, gen, rng.choice((1, -1))) for gen in gens]
-			commuting = _commuting_pairs(ctx, phis)
+			declined = _commuting_pairs(ctx, phis)
+			assert declined == sorted(declined)
 			supports = [support(phi) for phi in phis]
 			for j in range(len(phis)):
 				for i in range(j):
 					c = _commutator(ctx, phis[i], phis[j])
 					identity = all(foata(c[2 * v], g) == ((2 * v,),) for v in range(g.n))
-					assert ((i, j) in commuting) == identity, (str(gens[i]), str(gens[j]))
+					assert ((i, j) not in declined) == identity, (str(gens[i]), str(gens[j]))
 					(mi, si), (mj, sj) = supports[i], supports[j]
 					if not identity:
 						branches.add("declined")
@@ -366,7 +367,7 @@ def test_inner_commutator_of_pair_not_commuting_in_aut():
 		LaurenceGenerator.partial_conj(g, "c", g.mask(["b"])),
 	]
 	phis = [realize(ctx, gen) for gen in gens]
-	assert _commuting_pairs(ctx, phis) == set()
+	assert _commuting_pairs(ctx, phis) == [(0, 1)]
 	assert is_inner(ctx, _commutator(ctx, *phis)).status == "yes"
 
 
@@ -405,13 +406,16 @@ def test_commuting_pre_test_changes_no_outcome(monkeypatch, nilpotent):
 
 	def counted(ctx, phis):
 		out = _commuting_pairs(ctx, phis)
-		accepted.append(len(out))
+		accepted.append(len(phis) * (len(phis) - 1) // 2 - len(out))
 		return out
+
+	def decline_all(ctx, phis):
+		return [(i, j) for i in range(len(phis)) for j in range(i + 1, len(phis))]
 
 	monkeypatch.setattr(vcd, "_commuting_pairs", counted)
 	with_test = [certify_outcome(g, gens, nilpotent) for g, gens in cases]
 	assert sum(accepted) > 0
-	monkeypatch.setattr(vcd, "_commuting_pairs", lambda ctx, phis: set())
+	monkeypatch.setattr(vcd, "_commuting_pairs", decline_all)
 	without = [certify_outcome(g, gens, nilpotent) for g, gens in cases]
 	assert with_test == without
 	assert {type(x) for x in with_test} == {int, str}
@@ -436,7 +440,8 @@ FOUR_PATH_TUPLES = (
 CERTIFY_OUTCOMES = "9f15252d00c96d34"
 
 
-def test_certificate_outcomes_are_pinned():
+def pinned_cases():
+	"""certify_cases with the diamond lists for d = 2..6 and the four-path lists."""
 	cases = certify_cases()
 	for d in range(2, 7):
 		g = diamond_chain(d)
@@ -444,11 +449,72 @@ def test_certificate_outcomes_are_pinned():
 	for tup in FOUR_PATH_TUPLES:
 		g = four_path(*tup)
 		cases.append((g, four_path_generators(g, *tup)))
+	return cases
+
+
+def test_certificate_outcomes_are_pinned():
+	cases = pinned_cases()
 	outcomes = [certify_outcome(g, gens, nilpotent) for nilpotent in (False, True) for g, gens in cases]
 	assert len(outcomes) == 156
 	assert outcomes[-12:-7] == [7, 11, 15, 19, 23]
 	digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16]
 	assert digest == CERTIFY_OUTCOMES
+
+
+def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first():
+	# over every pair of every pinned list: a commutator acting
+	# nontrivially on homology is not inner, and the match looked up by
+	# homology action is the first k that a plain scan of phi_k and
+	# phi_k^-1, in list order, finds through is_inner alone; the list is
+	# followed by its own reverse, so every match has a later twin
+	seen = {"acts": 0, "matched": 0, "unmatched": 0}
+	for g, gens in pinned_cases():
+		ctx = WordContext(g)
+		phis = [realize(ctx, gen) for gen in gens]
+		listed = vcd._by_action(gens + gens[::-1], phis + phis[::-1])
+		for i, j in itertools.combinations(range(len(gens)), 2):
+			c = _commutator(ctx, phis[i], phis[j])
+			cmat = _h1_action(ctx, c)
+			if cmat:
+				assert is_inner(ctx, c).status == "no"
+				seen["acts"] += 1
+			elif is_inner(ctx, c).status == "yes":
+				continue
+			scan = next(
+				(
+					k
+					for k, phi in enumerate(phis + phis[::-1])
+					for start in (phi.back, phi.images)
+					if is_inner(ctx, images_through(ctx, start, c)).status == "yes"
+				),
+				None,
+			)
+			assert vcd._match(ctx, listed, c, cmat) == scan, (str(gens[i]), str(gens[j]))
+			seen["matched" if scan is not None else "unmatched"] += 1
+	assert min(seen.values()) > 10, seen
+
+
+def test_clique_certificate_counts_brackets_and_innerness_tests(monkeypatch):
+	# K_16's triangle list: 120 transvections and 560 pairs with a
+	# nontrivial commutator. Each of those acts on homology, so it needs
+	# no innerness test of its own, and is matched with one is_inner
+	# call; the Lie closure brackets only the 4,200 pairs whose rows and
+	# columns meet, of the 74,340 it formed when it bracketed every pair
+	calls = {"bracket": 0, "is_inner": 0}
+
+	def counting(name, fn):
+		def wrapped(*args):
+			calls[name] += 1
+			return fn(*args)
+
+		return wrapped
+
+	monkeypatch.setattr(vcd, "_bracket", counting("bracket", vcd._bracket))
+	monkeypatch.setattr(vcd, "is_inner", counting("is_inner", vcd.is_inner))
+	bound = vcd_report(PeripheralPair(clique(16)))
+	assert bound.lower == bound.upper == 120
+	assert calls["bracket"] <= 5000
+	assert calls["is_inner"] <= 560
 
 
 # ---- abelian certificates ----
@@ -824,11 +890,23 @@ def lie_closure_by_layers(logs):
 	return basis, True
 
 
+def supports_meet(a, b):
+	"""Whether a column of a is a row of b or a column of b a row of a.
+
+	When neither holds, ab = ba = 0, so the bracket is zero.
+	"""
+	rows_a, cols_a = {i for i, _ in a}, {j for _, j in a}
+	rows_b, cols_b = {i for i, _ in b}, {j for _, j in b}
+	return bool(cols_a & rows_b or cols_b & rows_a)
+
+
 def test_lie_closure_series_starts_from_the_closing_brackets(monkeypatch):
-	# the closing brackets span [L, L]; reusing them as the first layer
-	# saves the k^2 brackets of the first layer and changes no basis and
-	# no outcome, on the cases above, a non-nilpotent pair and every list
-	# that certification hands to the closure, the four-path ones included
+	# the closing brackets span [L, L], so reusing them as the first layer
+	# saves the first layer's brackets, and a bracket whose operands'
+	# rows and columns miss each other is zero and never formed; neither
+	# changes the basis or the outcome, on the cases above, a
+	# non-nilpotent pair and every list that certification hands to the
+	# closure, the four-path ones included
 	e = lambda i, j: {(i, j): 1}
 	jordan = _log_unipotent({(0, 1): 1, (1, 2): 1}, 3, "J")
 	cases = [
@@ -844,28 +922,73 @@ def test_lie_closure_series_starts_from_the_closing_brackets(monkeypatch):
 		certify_outcome(g, gens, True)
 	monkeypatch.undo()
 	assert len(cases) > 20
-	calls = [0]
+	calls = [0, 0]
 	bracket = vcd._bracket
 
 	def counted(a, b):
 		calls[0] += 1
+		calls[1] += supports_meet(a, b)
 		return bracket(a, b)
 
 	monkeypatch.setattr(vcd, "_bracket", counted)
 	verdicts = set()
+	skipped = 0
 	for logs in cases:
-		calls[0] = 0
+		calls[:] = [0, 0]
 		basis, nilpotent = lie_closure_by_layers(logs)
-		by_layers = calls[0]
-		calls[0] = 0
+		by_layers, meeting = calls
+		first_layer = sum(supports_meet(a, b) for a in basis for b in basis)
+		calls[:] = [0, 0]
 		if nilpotent:
 			assert _lie_closure(logs) == basis
 		else:
 			with pytest.raises(CertificationError, match="nilpotent"):
 				_lie_closure(logs)
-		assert calls[0] == by_layers - len(basis) ** 2
+		assert calls[0] == calls[1] == meeting - first_layer
+		skipped += by_layers - meeting
 		verdicts.add(nilpotent)
 	assert verdicts == {False, True}
+	assert skipped > 0
+
+
+def test_lie_closure_skipping_keeps_the_basis_on_random_logs():
+	# multi-entry logs, Jordan ones among them, strictly upper triangular
+	# (nilpotent) or with entries on both sides of the diagonal; the
+	# closure that skips the brackets it knows are zero gives the basis
+	# and the verdict of the one that forms every bracket
+	rng = random.Random(61)
+
+	def sparse(n, entries):
+		out = {}
+		for _ in range(entries):
+			i, j = rng.sample(range(n), 2)
+			if i < j or rng.random() < 0.3:
+				out[i, j] = rng.choice((-2, -1, 1, 1, 3))
+		return out
+
+	verdicts = set()
+	multi = 0
+	for _ in range(150):
+		n = rng.randrange(2, 6)
+		logs, size = [], rng.randrange(2, 5)
+		while len(logs) < size:
+			if rng.random() < 0.4:
+				nil = {(i, j): x for (i, j), x in sparse(n, rng.randrange(1, 5)).items() if i < j}
+				if nil:
+					logs.append(_log_unipotent(nil, n, "J"))
+			else:
+				log = sparse(n, rng.randrange(1, 4))
+				if log:
+					logs.append(log)
+		multi += any(len(log) > 1 for log in logs)
+		basis, nilpotent = lie_closure_by_layers(logs)
+		if nilpotent:
+			assert _lie_closure(logs) == basis, logs
+		else:
+			with pytest.raises(CertificationError, match="nilpotent"):
+				_lie_closure(logs)
+		verdicts.add(nilpotent)
+	assert verdicts == {False, True} and multi > 50
 
 
 # ---- reports ----
