@@ -3,19 +3,20 @@
 The upper bound folds leaf dimensions, projection kernel ranks, and
 extension ranks up a tree. Lower bounds come from explicit generator
 lists spanning a nilpotent group, commuting ones included: the
-generators acting on homology count through the dimension of the Lie
-algebra their unipotent image generates, and the generators acting
-trivially count once their first Johnson images are independent modulo
-the inner automorphisms. The homology action and the Johnson image of a
-listed generator are read off its kind, and so are those of the inner
-automorphisms; words are built only for commutators and the innerness
-tests. All of it is exact integer linear algebra. A failed certificate
-raises; it never degrades into a smaller number silently.
+transvections count through the paths of the digraph their edges m -> a
+form, the dimension of the Lie algebra their logarithms generate, and
+the generators acting trivially on homology count once their first
+Johnson images are independent modulo the inner automorphisms. The
+homology action and the Johnson image of a listed generator are read off
+its kind, and so are those of the inner automorphisms; words are built
+only for commutators and the innerness tests. All of it is exact integer
+linear algebra. A failed certificate raises; it never degrades into a
+smaller number silently.
 """
 
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .autos import (
 	LaurenceGenerator,
@@ -185,7 +186,7 @@ class _Echelon:
 # ---- homology action ----
 
 
-def _h1_action(ctx, images):
+def _h1_action(images):
 	"""M - 1 for the matrix M of a letter table's action on the abelianized group.
 
 	Sparse as {(v, w): nonzero entry}, row v read off the image of v, so
@@ -227,139 +228,42 @@ def _generator_h1(gen, sign=1):
 	return out
 
 
-def _product(a, b):
-	"""Product of sparse matrices {(i, j): nonzero entry}."""
-	rows = _rows(b)
-	out = {}
-	for (i, k), x in a.items():
-		for j, y in rows.get(k, ()):
-			out[i, j] = out.get((i, j), 0) + x * y
-	return {key: x for key, x in out.items() if x}
+def _homology_dimension(n, gens, mats):
+	"""Dimension of the Lie algebra the logarithms of the homology actions generate.
 
-
-def _rows(a):
-	"""A sparse matrix grouped by row: {i: [(j, entry), ...]}."""
-	rows = {}
-	for (i, j), x in a.items():
-		rows.setdefault(i, []).append((j, x))
-	return rows
-
-
-def _bracket(a, b):
-	"""ab - ba, with each operand grouped by rows once."""
-	a_rows, b_rows = _rows(a), _rows(b)
-	out = {}
-	for (i, k), x in a.items():
-		for j, y in b_rows.get(k, ()):
-			out[i, j] = out.get((i, j), 0) + x * y
-	for (i, k), y in b.items():
-		for j, x in a_rows.get(k, ()):
-			out[i, j] = out.get((i, j), 0) - y * x
-	return {key: x for key, x in out.items() if x}
-
-
-def _log_unipotent(nil, n, what):
-	"""A positive multiple of the logarithm of a unipotent integer n x n matrix M.
-
-	nil is M - 1, sparse as {(i, j): nonzero entry}. Raises when M is not
-	unipotent; finite-order actions are exactly the ones a polycyclic
-	certificate must not count. The powers of M - 1 are integer matrices;
-	the series is summed over the lcm of its denominators 1..k and
-	divided by the gcd of the entries, so the result is the primitive
-	integer matrix on the logarithm's rational line, sparse as nil is.
-	Ranks and the rational Lie algebra a list generates depend only on
-	those lines.
+	mats[k] is gens[k]'s M - 1, from _generator_h1. A transvection m^a
+	acts as 1 + E_ma, and since E_ma^2 = 0 its logarithm is E_ma. An
+	inversion (M - 1 = -2 E_vv) and a nontrivial symmetry (finite order,
+	not 1) are not unipotent, and a partial conjugation or the identity
+	symmetry acts trivially. So the logarithms are the E_ma over the edges
+	m -> a of a digraph on the vertices. As [E_ij, E_jk] = E_ik, the
+	algebra they generate, when the digraph is acyclic, has the basis
+	{E_ik : a directed path leads from i to k}, a span closed under
+	brackets; when the digraph has a cycle it holds some E_ij and E_ji, so
+	it contains sl_2 and is not nilpotent. Raises at the first generator,
+	in list order, that acts nontrivially and is not a transvection, then
+	on a cycle; otherwise returns the number of ordered pairs joined by a
+	path, read off the bitmask transitive closure (Warshall).
 	"""
-	powers = []
-	power = nil
-	while power:
-		if len(powers) == n:
+	reach = [0] * n
+	for gen, mat in zip(gens, mats):
+		if not mat:
+			continue
+		if gen.kind != "trv":
 			raise CertificationError(
-				"the homology action of %s is not unipotent" % what
+				"the homology action of %s is not unipotent" % gen
 			)
-		powers.append(power)
-		power = _product(power, nil)
-	scale = lcm(*range(1, len(powers) + 1))
-	total = {}
-	for k, power in enumerate(powers, 1):
-		c = (-1) ** (k + 1) * (scale // k)
-		for key, x in power.items():
-			total[key] = total.get(key, 0) + c * x
-	g = gcd(*total.values())
-	return {key: x // g for key, x in total.items() if x}
-
-
-def _lie_closure(logs):
-	"""Basis of the rational Lie algebra generated by the given matrices.
-
-	The matrices are sparse integer ones, so all arithmetic is in
-	integers. Every new basis element is bracketed with every earlier
-	one, which closes the span. The algebra is then certified nilpotent
-	by driving its lower central series to zero; a list whose homology
-	image generates something free-ish fails here rather than producing
-	a bogus dimension. The closing brackets are those of every unordered
-	pair of the final basis, and they span [L, L] by bilinearity and
-	antisymmetry, so they are the series' first layer; each later layer
-	is the bracket of the one before with the basis.
-
-	A bracket is formed only when it can be nonzero. E_ij E_kl is zero
-	unless j = k, so AB = 0 when no column of A is a row of B, and
-	[A, B] = AB - BA = 0 when that holds both ways. Each basis element is
-	indexed by its rows and by its columns, and an element is bracketed
-	only with the ones its entries reach through that index, in basis
-	order. The brackets left out are zero, and a zero bracket adds
-	nothing to any span, so the basis and every layer are those of
-	bracketing every pair.
-	"""
-	ech = _Echelon()
-	derived = _Echelon()
-	basis = []
-	by_row, by_col = {}, {}
-	layer = []
-
-	def enter(m):
-		bit = 1 << len(basis)
-		basis.append(m)
-		for i, j in m:
-			by_row[i] = by_row.get(i, 0) | bit
-			by_col[j] = by_col.get(j, 0) | bit
-
-	def meeting(a):
-		"""Bit mask of the basis elements b whose bracket with a can be nonzero."""
-		near = 0
-		for i, j in a:
-			near |= by_col.get(i, 0) | by_row.get(j, 0)
-		return near
-
-	for m in logs:
-		if ech.add(m):
-			enter(m)
-	i = 0
-	while i < len(basis):
-		a = basis[i]
-		for k in bits(meeting(a) & ((1 << i) - 1)):
-			c = _bracket(a, basis[k])
-			if ech.add(c):
-				enter(c)
-			if derived.add(c):
-				layer.append(c)
-		i += 1
-	size = len(basis)
-	while layer:
-		if len(layer) >= size:
-			raise CertificationError(
-				"the homology image does not generate a nilpotent Lie algebra"
-			)
-		size = len(layer)
-		nxt_ech = _Echelon()
-		nxt = []
-		for a in layer:
-			for k in bits(meeting(a)):
-				c = _bracket(a, basis[k])
-				if nxt_ech.add(c):
-					nxt.append(c)
-		layer = nxt
-	return basis
+		moved, acting = gen.data
+		reach[moved] |= 1 << acting
+	for k in range(n):
+		for i in range(n):
+			if reach[i] >> k & 1:
+				reach[i] |= reach[k]
+	if any(reach[i] >> i & 1 for i in range(n)):
+		raise CertificationError(
+			"the homology image does not generate a nilpotent Lie algebra"
+		)
+	return sum(r.bit_count() for r in reach)
 
 
 # ---- the first Johnson homomorphism ----
@@ -505,9 +409,10 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	listed generator up to sign and inner factors; unless the graph is a
 	clique (where the homology action is faithful), generators reached as
 	commutators must have inner commutators with everything, pinning the
-	class at two. The homology part contributes the dimension of the Lie
-	algebra its logarithms generate, which must be nilpotent; for a
-	commuting list that is the rank of the logarithms. Conjugation-type
+	class at two. The homology part must be transvections with no cycle
+	of edges m -> a, and contributes the number of ordered vertex pairs
+	joined by a path: the dimension of the nilpotent Lie algebra its
+	logarithms generate. Conjugation-type
 	generators contribute one each once their Johnson images are
 	independent modulo the inner automorphisms.
 
@@ -529,8 +434,8 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	Each commutator is matched where it is built, and only the matched
 	index and each generator's least non-commuting partner (for the
 	class-two check) are kept. The first commutator that matches nothing
-	raises after the Lie closure, so the closure's own failures come
-	first.
+	raises after the homology count (_homology_dimension), so the count's
+	own failures come first.
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
@@ -539,7 +444,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	derived, partner, unmatched = set(), {}, None
 	for i, j in _commuting_pairs(ctx, phis):
 		c = _commutator(ctx, phis[i], phis[j])
-		cmat = _h1_action(ctx, c)
+		cmat = _h1_action(c)
 		if not cmat and is_inner(ctx, c).status == "yes":
 			continue
 		if not nilpotent:
@@ -557,8 +462,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 		partner.setdefault(i, j)
 		partner.setdefault(j, i)
 
-	logs = [_log_unipotent(mat, graph.n, gen) for gen, mat in zip(gens, mats) if mat]
-	lie_dim = len(_lie_closure(logs))
+	lie_dim = _homology_dimension(graph.n, gens, mats)
 	if unmatched:
 		i, j = unmatched
 		raise CertificationError(
@@ -584,15 +488,9 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 def _triangle_list(pair):
 	"""Transvections below the diagonal that the peripheral pair allows.
 
-	trv j^i with i < j, wherever row j of the pair's order index holds i.
+	The trv j^i with i < j among the pair's generators, in their order.
 	"""
-	graph = pair.graph
-	rows = pair.index.rows
-	return [
-		LaurenceGenerator.transvection(graph, j, i)
-		for j in range(graph.n)
-		for i in bits(rows[j] & ((1 << j) - 1))
-	]
+	return [gen for gen in pair.gens() if gen.kind == "trv" and gen.data[1] < gen.data[0]]
 
 
 def _derive_generators(pair):

@@ -50,8 +50,7 @@ from raagout.vcd import (
 	_conjugation_johnson,
 	_generator_h1,
 	_h1_action,
-	_lie_closure,
-	_log_unipotent,
+	_homology_dimension,
 	_triangle_list,
 	bound_to_json_obj,
 	certify_lower_bound,
@@ -213,7 +212,7 @@ def test_h1_action_is_the_dense_matrix_minus_identity():
 			for _ in range(min(len(phis), 6)):
 				tables.append(_commutator(ctx, rng.choice(phis), rng.choice(phis)))
 			for table in tables:
-				sparse = _h1_action(ctx, table)
+				sparse = _h1_action(table)
 				assert sparse == dense_h1_minus_identity(g, table)
 				trivial += not sparse
 				moved += bool(sparse)
@@ -474,7 +473,7 @@ def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first(
 		listed = vcd._by_action(gens + gens[::-1], phis + phis[::-1])
 		for i, j in itertools.combinations(range(len(gens)), 2):
 			c = _commutator(ctx, phis[i], phis[j])
-			cmat = _h1_action(ctx, c)
+			cmat = _h1_action(c)
 			if cmat:
 				assert is_inner(ctx, c).status == "no"
 				seen["acts"] += 1
@@ -494,27 +493,21 @@ def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first(
 	assert min(seen.values()) > 10, seen
 
 
-def test_clique_certificate_counts_brackets_and_innerness_tests(monkeypatch):
+def test_clique_certificate_counts_innerness_tests(monkeypatch):
 	# K_16's triangle list: 120 transvections and 560 pairs with a
 	# nontrivial commutator. Each of those acts on homology, so it needs
-	# no innerness test of its own, and is matched with one is_inner
-	# call; the Lie closure brackets only the 4,200 pairs whose rows and
-	# columns meet, of the 74,340 it formed when it bracketed every pair
-	calls = {"bracket": 0, "is_inner": 0}
+	# no innerness test of its own, and is matched with one is_inner call
+	calls = 0
 
-	def counting(name, fn):
-		def wrapped(*args):
-			calls[name] += 1
-			return fn(*args)
+	def counted(*args):
+		nonlocal calls
+		calls += 1
+		return is_inner(*args)
 
-		return wrapped
-
-	monkeypatch.setattr(vcd, "_bracket", counting("bracket", vcd._bracket))
-	monkeypatch.setattr(vcd, "is_inner", counting("is_inner", vcd.is_inner))
+	monkeypatch.setattr(vcd, "is_inner", counted)
 	bound = vcd_report(PeripheralPair(clique(16)))
 	assert bound.lower == bound.upper == 120
-	assert calls["bracket"] <= 5000
-	assert calls["is_inner"] <= 560
+	assert calls <= 560
 
 
 # ---- abelian certificates ----
@@ -803,18 +796,6 @@ def test_nilpotent_rejects_deep_class_off_clique():
 		certify_lower_bound(g, gens, nilpotent=True)
 
 
-def test_lie_closure_grows_heisenberg():
-	e12 = {(0, 1): 1}
-	e23 = {(1, 2): 1}
-	assert len(_lie_closure([e12, e23])) == 3
-
-
-def test_lie_closure_reaches_depth_three():
-	# E12, E23, E34 generate all six strictly upper triangular 4x4 units;
-	# E14 only appears as the bracket of the new element E13 with E34
-	assert len(_lie_closure([{(0, 1): 1}, {(1, 2): 1}, {(2, 3): 1}])) == 6
-
-
 def rational_rank(vectors, width):
 	"""Rank by plain Gaussian elimination over Fraction."""
 	rows = [[Fraction(vec.get(c, 0)) for c in range(width)] for vec in vectors]
@@ -850,145 +831,133 @@ def test_rank_matches_rational_elimination():
 		assert dim == rational_rank(vectors, width), vectors
 
 
-def test_lie_closure_half_entry():
-	# log of the 3x3 Jordan block is E12 + E23 - E13/2; E13 is central
-	jordan = {(0, 1): 1, (1, 2): 1}  # minus the identity
-	log = _log_unipotent(jordan, 3, "J")
-	# a positive multiple of it, with integer entries: 2 E12 + 2 E23 - E13
-	assert log == {(0, 1): 2, (1, 2): 2, (0, 2): -1}
-	e12 = {(0, 1): 1}
-	e13 = {(0, 2): 1}
-	assert len(_lie_closure([log, e13])) == 2
-	assert len(_lie_closure([log])) == 1
-	assert len(_lie_closure([log, e12])) == 3
+def bracket(a, b):
+	"""ab - ba of sparse matrices {(i, j): nonzero entry}."""
+	out = {}
+	for (i, k), x in a.items():
+		for (k2, j), y in b.items():
+			if k == k2:
+				out[i, j] = out.get((i, j), 0) + x * y
+	for (i, k), y in b.items():
+		for (k2, j), x in a.items():
+			if k == k2:
+				out[i, j] = out.get((i, j), 0) - y * x
+	return {key: x for key, x in out.items() if x}
 
 
 def lie_closure_by_layers(logs):
-	"""(basis, nilpotent) with the lower central series taken from L itself.
+	"""(basis, nilpotent) of the rational Lie algebra the sparse matrices generate.
 
-	Closes the span as _lie_closure does, then brackets every element of
-	each layer with every basis element, starting from the layer L; the
-	series must shrink at each layer until it reaches zero. Brackets go
-	through vcd._bracket, so a test can count them.
+	Every new basis element is bracketed with every earlier one, which
+	closes the span; then every element of each layer of the lower
+	central series, starting from L itself, is bracketed with every basis
+	element. The series must shrink at each layer until it reaches zero.
 	"""
 	ech = _Echelon()
 	basis = [m for m in logs if ech.add(m)]
 	i = 0
 	while i < len(basis):
 		for b in basis[:i]:
-			c = vcd._bracket(basis[i], b)
+			c = bracket(basis[i], b)
 			if ech.add(c):
 				basis.append(c)
 		i += 1
 	layer = basis
 	while layer:
 		nxt_ech = _Echelon()
-		nxt = [c for a in layer for b in basis for c in [vcd._bracket(a, b)] if nxt_ech.add(c)]
+		nxt = [c for a in layer for b in basis for c in [bracket(a, b)] if nxt_ech.add(c)]
 		if len(nxt) >= len(layer):
 			return basis, False
 		layer = nxt
 	return basis, True
 
 
-def supports_meet(a, b):
-	"""Whether a column of a is a row of b or a column of b a row of a.
+def unipotent(mat, n):
+	"""Whether (M - 1)^n = 0 for the sparse M - 1, by dense powers."""
+	nil = [[mat.get((i, j), 0) for j in range(n)] for i in range(n)]
+	power = nil
+	for _ in range(n - 1):
+		power = [[sum(row[k] * nil[k][j] for k in range(n)) for j in range(n)] for row in power]
+	return not any(map(any, power))
 
-	When neither holds, ab = ba = 0, so the bracket is zero.
+
+def homology_outcome(n, gens, mats):
+	"""_homology_dimension's count, or the text of its refusal."""
+	try:
+		return _homology_dimension(n, gens, mats)
+	except CertificationError as exc:
+		return str(exc)
+
+
+def reference_outcome(n, gens, mats):
+	"""The same outcome through dense unipotence and the reference closure.
+
+	The first generator acting non-unipotently refuses. Otherwise each
+	nontrivial M - 1 is a single +1 off the diagonal, so it squares to zero
+	and is its own logarithm, and the closure's dimension counts unless
+	the algebra is not nilpotent.
 	"""
-	rows_a, cols_a = {i for i, _ in a}, {j for _, j in a}
-	rows_b, cols_b = {i for i, _ in b}, {j for _, j in b}
-	return bool(cols_a & rows_b or cols_b & rows_a)
+	for gen, mat in zip(gens, mats):
+		if not unipotent(mat, n):
+			return "the homology action of %s is not unipotent" % gen
+	logs = [mat for mat in mats if mat]
+	for log in logs:
+		assert list(log.values()) == [1], log
+	basis, nilpotent = lie_closure_by_layers(logs)
+	if not nilpotent:
+		return "the homology image does not generate a nilpotent Lie algebra"
+	return len(basis)
 
 
-def test_lie_closure_series_starts_from_the_closing_brackets(monkeypatch):
-	# the closing brackets span [L, L], so reusing them as the first layer
-	# saves the first layer's brackets, and a bracket whose operands'
-	# rows and columns miss each other is zero and never formed; neither
-	# changes the basis or the outcome, on the cases above, a
-	# non-nilpotent pair and every list that certification hands to the
-	# closure, the four-path ones included
-	e = lambda i, j: {(i, j): 1}
-	jordan = _log_unipotent({(0, 1): 1, (1, 2): 1}, 3, "J")
-	cases = [
-		[],
-		[e(0, 1), e(1, 2)],
-		[e(0, 1), e(1, 2), e(2, 3)],
-		[jordan, e(0, 2)],
-		[jordan, e(0, 1)],
-		[e(0, 1), e(1, 0)],
-	]
-	monkeypatch.setattr(vcd, "_lie_closure", lambda logs: cases.append(logs) or _lie_closure(logs))
-	for g, gens in certify_cases():
-		certify_outcome(g, gens, True)
-	monkeypatch.undo()
-	assert len(cases) > 20
-	calls = [0, 0]
-	bracket = vcd._bracket
+def transvections(n, edges):
+	"""The trv m^a on K_n for each edge (m, a), and their homology actions."""
+	g = clique(n)
+	gens = [LaurenceGenerator.transvection(g, m, a) for m, a in edges]
+	return gens, [_generator_h1(gen) for gen in gens]
 
-	def counted(a, b):
-		calls[0] += 1
-		calls[1] += supports_meet(a, b)
-		return bracket(a, b)
 
-	monkeypatch.setattr(vcd, "_bracket", counted)
-	verdicts = set()
-	skipped = 0
-	for logs in cases:
-		calls[:] = [0, 0]
-		basis, nilpotent = lie_closure_by_layers(logs)
-		by_layers, meeting = calls
-		first_layer = sum(supports_meet(a, b) for a in basis for b in basis)
-		calls[:] = [0, 0]
-		if nilpotent:
-			assert _lie_closure(logs) == basis
+def test_lie_closure_grows_heisenberg():
+	# E12 and E23 bracket to E13
+	assert _homology_dimension(3, *transvections(3, [(0, 1), (1, 2)])) == 3
+
+
+def test_lie_closure_reaches_depth_three():
+	# E12, E23, E34 generate all six strictly upper triangular 4x4 units;
+	# E14 only appears as the bracket of the new element E13 with E34
+	assert _homology_dimension(4, *transvections(4, [(0, 1), (1, 2), (2, 3)])) == 6
+
+
+def test_homology_dimension_matches_the_lie_closure_on_random_edge_lists():
+	# seeded edge lists on 1-7 vertices, after a 3-cycle with no 2-cycle,
+	# whose E12, E23 and E31 generate sl_3 though no two edges are opposite
+	rng = random.Random(67)
+	cases = [(3, [(0, 1), (1, 2), (2, 0)])]
+	while len(cases) < 1000:
+		n = rng.randrange(1, 8)
+		pairs = [(m, a) for m in range(n) for a in range(n) if m != a]
+		k = rng.randrange(0, 2 * n + 1)
+		cases.append((n, [rng.choice(pairs) for _ in range(k)] if pairs else []))
+	verdicts = {int: 0, str: 0}
+	for n, edges in cases:
+		gens, mats = transvections(n, edges)
+		got = homology_outcome(n, gens, mats)
+		assert got == reference_outcome(n, gens, mats), (n, edges)
+		verdicts[type(got)] += 1
+	assert min(verdicts.values()) > 200, verdicts
+
+
+def test_homology_dimension_matches_the_lie_closure_on_the_pinned_lists():
+	# inversions among them, which must refuse in list order
+	verdicts = {"count": 0, "unipotent": 0, "nilpotent": 0}
+	for g, gens in pinned_cases():
+		mats = [_generator_h1(gen) for gen in gens]
+		got = homology_outcome(g.n, gens, mats)
+		assert got == reference_outcome(g.n, gens, mats), [str(gen) for gen in gens]
+		if isinstance(got, int):
+			verdicts["count"] += 1
 		else:
-			with pytest.raises(CertificationError, match="nilpotent"):
-				_lie_closure(logs)
-		assert calls[0] == calls[1] == meeting - first_layer
-		skipped += by_layers - meeting
-		verdicts.add(nilpotent)
-	assert verdicts == {False, True}
-	assert skipped > 0
-
-
-def test_lie_closure_skipping_keeps_the_basis_on_random_logs():
-	# multi-entry logs, Jordan ones among them, strictly upper triangular
-	# (nilpotent) or with entries on both sides of the diagonal; the
-	# closure that skips the brackets it knows are zero gives the basis
-	# and the verdict of the one that forms every bracket
-	rng = random.Random(61)
-
-	def sparse(n, entries):
-		out = {}
-		for _ in range(entries):
-			i, j = rng.sample(range(n), 2)
-			if i < j or rng.random() < 0.3:
-				out[i, j] = rng.choice((-2, -1, 1, 1, 3))
-		return out
-
-	verdicts = set()
-	multi = 0
-	for _ in range(150):
-		n = rng.randrange(2, 6)
-		logs, size = [], rng.randrange(2, 5)
-		while len(logs) < size:
-			if rng.random() < 0.4:
-				nil = {(i, j): x for (i, j), x in sparse(n, rng.randrange(1, 5)).items() if i < j}
-				if nil:
-					logs.append(_log_unipotent(nil, n, "J"))
-			else:
-				log = sparse(n, rng.randrange(1, 4))
-				if log:
-					logs.append(log)
-		multi += any(len(log) > 1 for log in logs)
-		basis, nilpotent = lie_closure_by_layers(logs)
-		if nilpotent:
-			assert _lie_closure(logs) == basis, logs
-		else:
-			with pytest.raises(CertificationError, match="nilpotent"):
-				_lie_closure(logs)
-		verdicts.add(nilpotent)
-	assert verdicts == {False, True} and multi > 50
+			verdicts["unipotent" if got.endswith("unipotent") else "nilpotent"] += 1
+	assert min(verdicts.values()) > 0, verdicts
 
 
 # ---- reports ----
