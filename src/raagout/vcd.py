@@ -21,7 +21,6 @@ from math import gcd
 from .autos import (
 	LaurenceGenerator,
 	gen_in_relative,
-	images_through,
 	is_inner,
 	realize,
 )
@@ -36,7 +35,7 @@ from .decompose import (
 )
 from .errors import CertificationError, DomainError
 from .families import diamond_generators, diamond_labels
-from .graphs import bits
+from .graphs import bits, mask_of
 from .words import WordContext, inverse, mask_word
 
 
@@ -186,16 +185,18 @@ class _Echelon:
 # ---- homology action ----
 
 
-def _h1_action(images):
+def _h1_action(images, vmask):
 	"""M - 1 for the matrix M of a letter table's action on the abelianized group.
 
 	Sparse as {(v, w): nonzero entry}, row v read off the image of v, so
-	it is empty exactly when the action is trivial.
+	it is empty exactly when the action is trivial. Only the rows of the
+	vertices in vmask are read: the table must fix every other vertex,
+	whose row adds -1 + 1 = 0 on the diagonal and nothing else.
 	"""
 	out = {}
-	for v, word in enumerate(images[::2]):
+	for v in bits(vmask):
 		out[v, v] = -1
-		for letter in word:
+		for letter in images[2 * v]:
 			key = (v, letter >> 1)
 			out[key] = out.get(key, 0) + (-1 if letter & 1 else 1)
 	return {key: x for key, x in out.items() if x}
@@ -313,23 +314,35 @@ def _certify_johnson_independent(graph, gens):
 # ---- lower bound certificates ----
 
 
-def _commutator(ctx, a, b):
-	"""Letter table of a b a^-1 b^-1: each vertex through b^-1, a^-1, b, a.
+def _commutator(ctx, a, b, vmask):
+	"""Letter table of a b a^-1 b^-1, and the mask of the vertices it moves.
 
-	A vertex that neither map moves is fixed by both and by their
-	inverses, so the commutator fixes it and it is not threaded.
+	vmask must hold every vertex a or b moves, and only those vertices
+	are threaded, each through b^-1, a^-1, b and a. Any other vertex is
+	fixed by both maps and by their inverses, so by the commutator, and
+	a's table holds the identity's entries there: the table starts as a
+	copy of it.
 	"""
-	out = []
-	for v in range(ctx.graph.n):
-		x = 2 * v
-		if a.images[x] == b.images[x] == (x,):
-			out += ((x,), (x + 1,))
-		else:
-			w = b.back[x]
-			for table in (a.back, b.images, a.images):
-				w = ctx.apply_map(w, table)
-			out += (w, inverse(w))
-	return tuple(out)
+	out = list(a.images)
+	moved = 0
+	for v in bits(vmask):
+		w = b.back[2 * v]
+		for table in (a.back, b.images, a.images):
+			w = ctx.apply_map(w, table)
+		out[2 * v], out[2 * v + 1] = w, inverse(w)
+		if w != (2 * v,):
+			moved |= 1 << v
+	return tuple(out), moved
+
+
+def _moved(table):
+	"""Mask of the vertices a letter table moves."""
+	return mask_of(v for v, w in enumerate(table[::2]) if w != (2 * v,))
+
+
+def _image_masks(table):
+	"""{v: mask of the vertices of table's image of v} over the vertices table moves."""
+	return {v: mask_word(w) for v, w in enumerate(table[::2]) if w != (2 * v,)}
 
 
 def _commuting_pairs(ctx, phis):
@@ -340,30 +353,37 @@ def _commuting_pairs(ctx, phis):
 	When neither of a and b moves a vertex of the other's span, each
 	fixes every letter the other touches, so ab = ba. Otherwise ab = ba
 	exactly when a(b(v)) b(a(v))^-1 reduces to the empty word at every
-	vertex v that a or b moves; both maps fix every other vertex. Both
-	tests decide equality in the automorphism group, and a commuting
-	pair's commutator is the identity, inner with the empty witness.
+	vertex v that a or b moves; both maps fix every other vertex. A
+	vertex v that b fixes, where the letters of a(v) avoid every vertex
+	b moves, needs no threading: a(b(v)) = a(v) = b(a(v)). The same
+	holds with a and b swapped. These tests decide equality in the
+	automorphism group, and a commuting pair's commutator is the
+	identity, inner with the empty witness.
 
 	The pairs returned are the declined ones, those that fail both
 	tests: the only ones whose commutator needs building. On a clique of
 	n vertices, whose triangle list has about n^2/2 maps, they number
 	about n^3/6, against about n^4/8 commuting pairs.
 	"""
+	image_masks = [_image_masks(phi.images) for phi in phis]
 	moved, span = [], []
-	for phi in phis:
-		m = s = 0
-		for v, w in enumerate(phi.images[::2]):
-			if w != (2 * v,):
-				m |= 1 << v
-				s |= 1 << v | mask_word(w)
+	for im in image_masks:
+		m = s = mask_of(im)
+		for w in im.values():
+			s |= w
 		moved.append(m)
 		span.append(s)
 
 	def commute(i, j):
-		if not (moved[i] & span[j] or moved[j] & span[i]):
+		mi, mj = moved[i], moved[j]
+		if not (mi & span[j] or mj & span[i]):
 			return True
 		a, b = phis[i], phis[j]
-		for v in bits(moved[i] | moved[j]):
+		for v in bits(mi | mj):
+			if not mj >> v & 1 and not image_masks[i][v] & mj:
+				continue
+			if not mi >> v & 1 and not image_masks[j][v] & mi:
+				continue
 			x = ctx.apply_map(b.images[2 * v], a.images)
 			y = ctx.apply_map(a.images[2 * v], b.images)
 			if x != y and ctx.reduce(x + inverse(y)):
@@ -376,27 +396,58 @@ def _commuting_pairs(ctx, phis):
 def _by_action(gens, phis):
 	"""The listed generators and their inverses, keyed by homology action.
 
-	Values are lists of (k, start) in list order, phi_k before phi_k^-1:
-	a commutator c is phi_k in the outer group when c phi_k^-1 is inner,
-	start being the letter table of phi_k^-1, and phi_k^-1 when c phi_k
-	is, start being that of phi_k.
+	Values are lists of (k, start, table, moved) in list order, phi_k
+	before phi_k^-1: a commutator c is phi_k in the outer group when
+	c phi_k^-1 is inner, start being the letter table of phi_k^-1 and
+	table that of phi_k, and phi_k^-1 when c phi_k is, with the two
+	tables swapped. moved is the mask of the vertices phi_k moves, which
+	are those phi_k^-1 moves.
 	"""
 	listed = {}
 	for k, (gen, phi) in enumerate(zip(gens, phis)):
-		for mat, start in ((_generator_h1(gen), phi.back), (_generator_h1(gen, -1), phi.images)):
-			listed.setdefault(frozenset(mat.items()), []).append((k, start))
+		moved = _moved(phi.images)
+		for mat, start, table in (
+			(_generator_h1(gen), phi.back, phi.images),
+			(_generator_h1(gen, -1), phi.images, phi.back),
+		):
+			listed.setdefault(frozenset(mat.items()), []).append((k, start, table, moved))
 	return listed
 
 
-def _match(ctx, listed, c, cmat):
+def _threaded(ctx, start, table, vmask):
+	"""images_through(ctx, start, table) for two tables that fix every vertex outside vmask.
+
+	Only the vertices in vmask are threaded: both tables fix every other
+	vertex, so their composite does, and start holds the identity's
+	entries there.
+	"""
+	out = list(start)
+	for v in bits(vmask):
+		w = ctx.apply_map(start[2 * v], table)
+		out[2 * v], out[2 * v + 1] = w, inverse(w)
+	return tuple(out)
+
+
+def _match(ctx, listed, c, moved, cmat):
 	"""The first k under c's homology action cmat with c = phi_k^(+-1) in Out, or None.
 
-	An inner automorphism acts trivially on homology, so c phi_k^-1 can
-	be inner only when c acts as phi_k does: the entries under any other
-	action need no is_inner call.
+	moved is the mask of the vertices c moves. An inner automorphism
+	acts trivially on homology, so c phi_k^-1 can be inner only when c
+	acts as phi_k does: the entries under any other action need no
+	is_inner call. Each remaining entry is tested in list order, so the
+	first hit is the first k that an is_inner scan finds:
+
+	- equal reduced letter tables are equal automorphisms, so when c
+	  moves exactly the vertices phi_k moves and its image of each is
+	  phi_k's word letter for letter, c phi_k^-1 is the identity, inner
+	  with the empty witness, and is_inner is not called;
+	- otherwise is_inner decides c phi_k^-1, whose table threads only
+	  the vertices that c or phi_k moves: both fix every other vertex.
 	"""
-	for k, start in listed.get(frozenset(cmat.items()), ()):
-		if is_inner(ctx, images_through(ctx, start, c)).status == "yes":
+	for k, start, table, tmoved in listed.get(frozenset(cmat.items()), ()):
+		if moved == tmoved and all(c[2 * v] == table[2 * v] for v in bits(moved)):
+			return k
+		if is_inner(ctx, _threaded(ctx, start, c, moved | tmoved)).status == "yes":
 			return k
 	return None
 
@@ -418,18 +469,27 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 
 	Only the pairs _commuting_pairs declines get a commutator c, each
 	vertex threaded through the letter tables of b^-1, a^-1, b and a; no
-	composite automorphism is built. Two lemmas skip work whose outcome
-	the data already settles:
+	composite automorphism is built. Each step threads only the vertices
+	the maps move, and these lemmas skip work whose outcome the data
+	already settles:
 
+	- _commuting_pairs leaves a vertex unthreaded when one map fixes it
+	  and the other's image of it avoids every vertex the first moves,
+	  as both composites then send it to that image;
 	- an inner automorphism acts trivially on H1, so c is non-inner when
-	  its homology action (_h1_action) is nontrivial; is_inner runs only
-	  on the commutators that act trivially, and once more on one whose
-	  non-innerness raises, for the reason it gives;
+	  its homology action (_h1_action, read at the vertices c moves) is
+	  nontrivial; is_inner runs only on the commutators that act
+	  trivially, and once more on one whose non-innerness raises, for
+	  the reason it gives;
 	- c phi_k^-1 (or c phi_k) can be inner only when c acts on homology
 	  as phi_k (or phi_k^-1) does, so a non-inner c is tested only
 	  against the listed generators and inverses under its own action,
 	  looked up in a dict that keeps list order (_by_action, _match): the
-	  first hit is the first k a scan of the list finds.
+	  first hit is the first k a scan of the list finds;
+	- equal reduced letter tables are equal automorphisms, so an entry
+	  whose table moves the vertices c moves, with c's words there, is a
+	  hit with no is_inner call; any other entry goes to is_inner on a
+	  table threaded at the vertices c or phi_k moves.
 
 	Each commutator is matched where it is built, and only the matched
 	index and each generator's least non-commuting partner (for the
@@ -442,9 +502,10 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	mats = [_generator_h1(gen) for gen in gens]
 	listed = _by_action(gens, phis) if nilpotent else {}
 	derived, partner, unmatched = set(), {}, None
+	moves = [_moved(phi.images) for phi in phis]
 	for i, j in _commuting_pairs(ctx, phis):
-		c = _commutator(ctx, phis[i], phis[j])
-		cmat = _h1_action(c)
+		c, moved = _commutator(ctx, phis[i], phis[j], moves[i] | moves[j])
+		cmat = _h1_action(c, moved)
 		if not cmat and is_inner(ctx, c).status == "yes":
 			continue
 		if not nilpotent:
@@ -453,7 +514,7 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 				"generators %s and %s do not commute in the outer group: %s"
 				% (gens[i], gens[j], res.reason or res.status)
 			)
-		match = _match(ctx, listed, c, cmat)
+		match = _match(ctx, listed, c, moved, cmat)
 		if match is None:
 			unmatched = i, j
 			break

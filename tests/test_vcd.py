@@ -38,8 +38,8 @@ from raagout.families import (
 	four_path_generators,
 	four_path_script,
 )
-from raagout.graphs import DefiningGraph
-from raagout import vcd
+from raagout.graphs import DefiningGraph, bits
+from raagout import autos, vcd
 from raagout.peripheral import PeripheralPair
 from raagout.vcd import (
 	VcdBound,
@@ -59,7 +59,7 @@ from raagout.vcd import (
 	vcd_report,
 	vcd_upper,
 )
-from raagout.words import WordContext
+from raagout.words import WordContext, mask_word
 
 from helpers import (
 	box_inner_vector,
@@ -180,11 +180,17 @@ def test_vertex_image_commutator_matches_composition():
 			for _ in range(4):
 				x, y, z = (realize(ctx, rng.choice(gens), rng.choice((1, -1))) for _ in range(3))
 				composed = x.compose(y).compose(x.invert()).compose(y.invert())
-				c = _commutator(ctx, x, y)
+				c, moved = commutator(x, y)
 				check(c, composed)
+				assert moved == support(composed)[0]
 				check(images_through(ctx, z.back, c), composed.compose(z.invert()))
 				check(images_through(ctx, z.images, c), composed.compose(z))
 	assert statuses == {"yes", "no"}
+
+
+def commutator(a, b):
+	"""_commutator threaded at the vertices a or b moves, read through foata."""
+	return _commutator(a.ctx, a, b, support(a)[0] | support(b)[0])
 
 
 def dense_h1_minus_identity(g, table):
@@ -208,11 +214,12 @@ def test_h1_action_is_the_dense_matrix_minus_identity():
 		pairs += [PeripheralPair(g, *random_peripheral(g, rng)) for _ in range(2)]
 		for pp in pairs:
 			phis = [realize(ctx, gen) for gen in enumerate_generators(pp)]
-			tables = [phi.images for phi in phis] + [phi.back for phi in phis]
+			# a realized table read at every row, a commutator at the rows it moves
+			tables = [(phi.images, g.full) for phi in phis] + [(phi.back, g.full) for phi in phis]
 			for _ in range(min(len(phis), 6)):
-				tables.append(_commutator(ctx, rng.choice(phis), rng.choice(phis)))
-			for table in tables:
-				sparse = _h1_action(table)
+				tables.append(commutator(rng.choice(phis), rng.choice(phis)))
+			for table, vmask in tables:
+				sparse = _h1_action(table, vmask)
 				assert sparse == dense_h1_minus_identity(g, table)
 				trivial += not sparse
 				moved += bool(sparse)
@@ -324,9 +331,23 @@ def support(phi):
 	return moved, span
 
 
+def unthreaded(a, b):
+	"""Mask of the vertices one of a and b moves while the other fixes it
+	and every vertex of the first's image of it, read through foata."""
+	(ma, _), (mb, _) = support(a), support(b)
+	out = 0
+	for phi, mine, other in ((a, ma, mb), (b, mb, ma)):
+		for v in bits(mine & ~other):
+			if not mask_word(phi.images[2 * v]) & other:
+				out |= 1 << v
+	return out
+
+
 def test_commuting_pairs_are_the_identity_commutators():
 	# every pair of generators, both signs, against the commutator's
-	# vertex images compared with the vertices themselves
+	# vertex images compared with the vertices themselves; a pair whose
+	# supports meet is split by whether _commuting_pairs may leave some
+	# vertex unthreaded, as a(b(v)) = b(a(v)) there without a word
 	rng = random.Random(37)
 	graphs = [graph_from_edges(4, edges) for edges in connected_graphs_upto_iso(4)]
 	graphs += [random_graph(rng, 5) for _ in range(6)] + [diamond_chain(2), four_path(2, 1, 2, 1)]
@@ -343,17 +364,24 @@ def test_commuting_pairs_are_the_identity_commutators():
 			supports = [support(phi) for phi in phis]
 			for j in range(len(phis)):
 				for i in range(j):
-					c = _commutator(ctx, phis[i], phis[j])
+					c, _ = commutator(phis[i], phis[j])
 					identity = all(foata(c[2 * v], g) == ((2 * v,),) for v in range(g.n))
 					assert ((i, j) not in declined) == identity, (str(gens[i]), str(gens[j]))
 					(mi, si), (mj, sj) = supports[i], supports[j]
 					if not identity:
 						branches.add("declined")
-					elif mi & sj or mj & si:
-						branches.add("equal on moved vertices")
-					else:
+					elif not (mi & sj or mj & si):
 						branches.add("disjoint supports")
-	assert branches == {"disjoint supports", "equal on moved vertices", "declined"}
+					elif unthreaded(phis[i], phis[j]):
+						branches.add("equal, some vertex left unthreaded")
+					else:
+						branches.add("equal on moved vertices")
+	assert branches == {
+		"disjoint supports",
+		"equal on moved vertices",
+		"equal, some vertex left unthreaded",
+		"declined",
+	}
 
 
 def test_inner_commutator_of_pair_not_commuting_in_aut():
@@ -367,7 +395,7 @@ def test_inner_commutator_of_pair_not_commuting_in_aut():
 	]
 	phis = [realize(ctx, gen) for gen in gens]
 	assert _commuting_pairs(ctx, phis) == [(0, 1)]
-	assert is_inner(ctx, _commutator(ctx, *phis)).status == "yes"
+	assert is_inner(ctx, commutator(*phis)[0]).status == "yes"
 
 
 def certify_outcome(g, gens, nilpotent):
@@ -465,20 +493,26 @@ def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first(
 	# nontrivially on homology is not inner, and the match looked up by
 	# homology action is the first k that a plain scan of phi_k and
 	# phi_k^-1, in list order, finds through is_inner alone; the list is
-	# followed by its own reverse, so every match has a later twin
-	seen = {"acts": 0, "matched": 0, "unmatched": 0}
+	# followed by its own reverse, so every match has a later twin. An
+	# entry whose table is c's, entry for entry, is one _match accepts
+	# with no is_inner call: c phi_k^-1 must be inner with witness ()
+	seen = {"acts": 0, "matched": 0, "unmatched": 0, "table hits": 0}
 	for g, gens in pinned_cases():
 		ctx = WordContext(g)
 		phis = [realize(ctx, gen) for gen in gens]
 		listed = vcd._by_action(gens + gens[::-1], phis + phis[::-1])
 		for i, j in itertools.combinations(range(len(gens)), 2):
-			c = _commutator(ctx, phis[i], phis[j])
-			cmat = _h1_action(c)
+			c, moved = commutator(phis[i], phis[j])
+			cmat = _h1_action(c, moved)
 			if cmat:
 				assert is_inner(ctx, c).status == "no"
 				seen["acts"] += 1
 			elif is_inner(ctx, c).status == "yes":
 				continue
+			for _, start, table, _ in listed.get(frozenset(cmat.items()), ()):
+				if c == table:
+					assert is_inner(ctx, images_through(ctx, start, c)) == ("yes", (), "")
+					seen["table hits"] += 1
 			scan = next(
 				(
 					k
@@ -488,26 +522,79 @@ def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first(
 				),
 				None,
 			)
-			assert vcd._match(ctx, listed, c, cmat) == scan, (str(gens[i]), str(gens[j]))
+			assert vcd._match(ctx, listed, c, moved, cmat) == scan, (str(gens[i]), str(gens[j]))
 			seen["matched" if scan is not None else "unmatched"] += 1
 	assert min(seen.values()) > 10, seen
 
 
+def test_table_match_needs_the_same_moved_vertices():
+	# on the free group of m, x, y, u, c = trv m^x after pc y:[u] has
+	# trv m^x's homology action and its word at m, the one vertex trv m^x
+	# moves; but c also moves u, and c (trv m^x)^-1 = pc y:[u] is not inner
+	g = DefiningGraph(list("mxyu"), [])
+	ctx = WordContext(g)
+	gens = [
+		LaurenceGenerator.transvection(g, "m", "x"),
+		LaurenceGenerator.partial_conj(g, "y", g.mask(["u"])),
+	]
+	phi, psi = (realize(ctx, gen) for gen in gens)
+	listed = vcd._by_action(gens, [phi, psi])
+	m, u = g.index["m"], g.index["u"]
+	c = phi.compose(psi).images
+	assert c[2 * m] == phi.images[2 * m] and c[2 * u] != (2 * u,)
+	cmat = _h1_action(c, g.mask(["m", "u"]))
+	assert cmat == _generator_h1(gens[0])
+	assert is_inner(ctx, psi.images).status == "no"
+	assert vcd._match(ctx, listed, c, g.mask(["m", "u"]), cmat) is None
+	assert vcd._match(ctx, listed, phi.images, g.mask(["m"]), cmat) == 0
+
+
+def clique_certificate_counts(monkeypatch, n):
+	"""vcd_report on K_n, with the calls the certificate makes counted."""
+	counts = {}
+
+	def count(owner, name):
+		f = getattr(owner, name)
+		counts[name] = 0
+
+		def counted(*args):
+			counts[name] += 1
+			return f(*args)
+
+		monkeypatch.setattr(owner, name, counted)
+
+	count(vcd, "is_inner")
+	count(autos, "images_through")
+	count(vcd, "_commutator")
+	count(WordContext, "apply_map")
+	bound = vcd_report(PeripheralPair(clique(n)))
+	assert bound.lower == bound.upper == n * (n - 1) // 2
+	return counts
+
+
 def test_clique_certificate_counts_innerness_tests(monkeypatch):
-	# K_16's triangle list: 120 transvections and 560 pairs with a
-	# nontrivial commutator. Each of those acts on homology, so it needs
-	# no innerness test of its own, and is matched with one is_inner call
-	calls = 0
+	# K_16's triangle list: 120 transvections trv j^i (i < j), declining
+	# the C(16, 3) = 560 pairs trv i^h, trv j^i with h < i < j. Each
+	# commutator is j -> j h^-1: it acts on homology, so it needs no
+	# innerness test of its own, and its table is trv j^h's inverse table
+	# letter for letter, so the match makes no is_inner call either
+	counts = clique_certificate_counts(monkeypatch, 16)
+	assert counts["_commutator"] == 560
+	assert counts["is_inner"] == 0
 
-	def counted(*args):
-		nonlocal calls
-		calls += 1
-		return is_inner(*args)
 
-	monkeypatch.setattr(vcd, "is_inner", counted)
-	bound = vcd_report(PeripheralPair(clique(16)))
-	assert bound.lower == bound.upper == 120
-	assert calls <= 560
+def test_clique_certificate_counts_on_k40(monkeypatch):
+	# K_40's 780 transvections trv j^i (i < j); every count is per
+	# triple h < i < j, of which there are C(40, 3) = 9,880:
+	# - trv j^h and trv j^i both move j and commute: 2 apply_map at j;
+	# - trv i^h and trv j^i are declined: 2 apply_map at j, none at i,
+	#   which trv j^i fixes while trv i^h's word i h avoids j, then
+	#   _commutator threads i and j through 3 tables each;
+	# every other pair has disjoint supports. The 9,880 commutators are
+	# matched by their tables, as on K_16, so 8 + 2 = 10 apply_map a
+	# triple and no is_inner or images_through call
+	counts = clique_certificate_counts(monkeypatch, 40)
+	assert counts == {"is_inner": 0, "images_through": 0, "_commutator": 9880, "apply_map": 98800}
 
 
 # ---- abelian certificates ----
