@@ -197,71 +197,88 @@ class Automorphism:
 
 	images and back are tables indexed by letter code; entry 2v+1 is the
 	inverse word of entry 2v, so substitution works letter by letter.
+	moved is the mask of the vertices whose image is not their own
+	letter; a map and its inverse move the same vertices. Every other
+	vertex has ctx.letters' one-letter words in both tables, so work on
+	a map can skip the vertices outside moved.
 	"""
 
-	__slots__ = ("ctx", "images", "back")
+	__slots__ = ("ctx", "images", "back", "moved")
 
-	def __init__(self, ctx, images, back):
+	def __init__(self, ctx, images, back, moved):
 		self.ctx = ctx
 		self.images = images
 		self.back = back
+		self.moved = moved
 
 	@classmethod
 	def identity(cls, ctx):
-		table = tuple((lt,) for lt in range(2 * ctx.graph.n))
-		return cls(ctx, table, table)
+		return cls(ctx, ctx.letters, ctx.letters, 0)
 
 	@classmethod
 	def from_images(cls, ctx, forward, backward):
 		"""Build from vertex-indexed word lists, one per direction."""
-		return cls(ctx, _letter_table(ctx, forward), _letter_table(ctx, backward))
+		images, moved = _letter_table(ctx, forward)
+		back, _ = _letter_table(ctx, backward)
+		return cls(ctx, images, back, moved)
 
 	def apply(self, letters):
 		return self.ctx.apply_map(letters, self.images)
 
 	def compose(self, other):
-		"""self after other: the composite sends w to self(other(w))."""
-		return Automorphism(
-			self.ctx,
-			images_through(self.ctx, other.images, self.images),
-			images_through(self.ctx, self.back, other.back),
-		)
+		"""self after other: the composite sends w to self(other(w)).
+
+		Only the vertices one of the two maps moves are threaded; both
+		fix every other vertex, so the composite does.
+		"""
+		vmask = self.moved | other.moved
+		images, moved = images_through(self.ctx, other.images, (self.images,), vmask)
+		back, _ = images_through(self.ctx, self.back, (other.back,), vmask)
+		return Automorphism(self.ctx, images, back, moved)
 
 	def invert(self):
-		return Automorphism(self.ctx, self.back, self.images)
+		return Automorphism(self.ctx, self.back, self.images, self.moved)
 
 	def __repr__(self):
 		ctx = self.ctx
-		parts = []
-		for v in range(ctx.graph.n):
-			im = self.images[2 * v]
-			if im != (2 * v,):
-				parts.append("%s->%s" % (ctx.graph.vertices[v], ctx.format(im)))
+		parts = [
+			"%s->%s" % (ctx.graph.vertices[v], ctx.format(self.images[2 * v]))
+			for v in bits(self.moved)
+		]
 		return "<auto %s>" % ("; ".join(parts) or "id")
 
 
-def images_through(ctx, start, *tables):
-	"""Letter table of v -> start[2v] substituted through each table in turn.
+def images_through(ctx, start, tables, vmask):
+	"""Letter table of v -> start[2v] substituted through each table in turn, and the mask it moves.
 
-	start and tables are letter tables, and the first table is applied
-	first, so images_through(ctx, b.images, a.images) is the table of a
-	after b. Only the vertex entries cost apply_map work: entry 2v+1 is the
-	inverse of the reduced entry 2v.
+	The first table is applied first, so images_through(ctx, b.images,
+	(a.images,), vmask) is the table of a after b. Only the vertices in
+	vmask are threaded and every other entry is start's, so vmask must
+	hold each vertex that start or a table moves. Only the vertex
+	entries cost apply_map work, as entry 2v+1 is the inverse of the
+	reduced entry 2v. A threaded vertex that comes back fixed gets
+	ctx.letters' words and stays out of the returned mask.
 	"""
-	out = []
-	for w in start[::2]:
+	letters = ctx.letters
+	out = list(start)
+	moved = 0
+	for v in bits(vmask):
+		w = start[2 * v]
 		for table in tables:
 			w = ctx.apply_map(w, table)
-		out += (w, inverse(w))
-	return tuple(out)
+		if w == letters[2 * v]:
+			out[2 * v], out[2 * v + 1] = letters[2 * v], letters[2 * v + 1]
+		else:
+			out[2 * v], out[2 * v + 1] = w, inverse(w)
+			moved |= 1 << v
+	return tuple(out), moved
 
 
 def _letter_table(ctx, words):
-	table = [None] * (2 * ctx.graph.n)
-	for v, w in enumerate(words):
-		table[2 * v] = ctx.reduce(w)
-		table[2 * v + 1] = inverse(table[2 * v])
-	return tuple(table)
+	"""Reduced letter table of vertex-indexed words, and the mask of the vertices it moves."""
+	reduced = {v: ctx.reduce(w) for v, w in enumerate(words)}
+	moves = {v: w for v, w in reduced.items() if w != ctx.letters[2 * v]}
+	return _reduced_table(ctx, moves), mask_of(moves)
 
 
 def realize(ctx, gen, sign=1):
@@ -274,6 +291,11 @@ def realize(ctx, gen, sign=1):
 	writes x^±1 u x^∓1 with u outside st(x), so u neither equals x nor
 	commutes with it, and the two x letters can never meet. The inverse
 	of a reduced word is reduced.
+
+	Each written word differs from its vertex's letter, so the vertices
+	written are the vertices moved: a symmetry writes none for its fixed
+	points, and both directions write the same vertices, as a
+	permutation maps the points it moves onto themselves.
 	"""
 	forward = {}
 	backward = {}
@@ -294,15 +316,20 @@ def realize(ctx, gen, sign=1):
 		if sign < 0:
 			perm = _invert_perm(perm)
 		for v, w in enumerate(perm):
-			forward[v] = (enc(w, 1),)
-			backward[w] = (enc(v, 1),)
-	n = ctx.graph.n
-	return Automorphism(ctx, _reduced_table(n, forward), _reduced_table(n, backward))
+			if v != w:
+				forward[v] = (enc(w, 1),)
+				backward[w] = (enc(v, 1),)
+	return Automorphism(
+		ctx, _reduced_table(ctx, forward), _reduced_table(ctx, backward), mask_of(forward)
+	)
 
 
-def _reduced_table(n, words):
-	"""Letter table fixing every vertex but those in words, whose words are reduced."""
-	table = [(lt,) for lt in range(2 * n)]
+def _reduced_table(ctx, words):
+	"""Letter table fixing every vertex but those in words, whose words are reduced.
+
+	The fixed vertices keep ctx.letters' entries.
+	"""
+	table = list(ctx.letters)
 	for v, w in words.items():
 		table[2 * v] = w
 		table[2 * v + 1] = inverse(w)

@@ -16,15 +16,15 @@ target.
 
 A pair is checked once, where it enters: the constructor validates and
 sorts both member lists, and every other pair is derived from checked
-parts. Only members that join a pair are checked (adding_g, adding_h). A
+parts. Only members that join a pair are checked (adding_h). A
 member list that gains members has them inserted in order, and a list is
 sorted again only where it is cut down (induced).
 
 Each pair carries the order index of its G (orders.PairIndex). A pair built
 from another one with the same graph derives its index rather than
 rebuilding it: saturation hands the index over unchanged, since the sets it
-adds change neither the order nor any G^v-component, and adding_g and
-adding_h refine it by the members they add. A refined index keeps the rows,
+adds change neither the order nor any G^v-component, and adding_h
+refines it by the members it adds. A refined index keeps the rows,
 owner tables and closures those members leave unchanged; a kernel, which
 adds one invariant target, recomputes only the closures that meet it.
 
@@ -84,8 +84,8 @@ class PeripheralPair:
 	A pair on its graph fixes one relative outer automorphism group, and
 	the decomposition takes pairs for their groups. The constructor checks
 	both member lists and folds H into G; derived pairs come from
-	_derived. Pairs are never changed in place (adding_g, adding_h and
-	induced all build new ones), so the pivot is cached on them. The order
+	_derived. Pairs are never changed in place (adding_h and induced
+	build new ones), so the pivot is cached on them. The order
 	index of G is built on first use, unless the pair was derived from one
 	whose index was built. A derived pair lists G on first read.
 	"""
@@ -177,33 +177,22 @@ class PeripheralPair:
 	def summary(self):
 		return "n=%d |G|=%d |H|=%d" % (self.graph.n, len(self.g_members), len(self.h_members))
 
-	def adding_g(self, extra):
-		"""Same pair with extra masks joined into G; the result is not saturated.
-
-		Growing G keeps H folded into it. A saturated G stays saturated
-		only when every extra mask is invariant, which no caller needs, so
-		the result never claims it.
-		"""
-		return self._joined(_checked(self.graph, extra), self.h_members)
-
 	def adding_h(self, extra):
 		"""Same pair with extra masks joined into H, and folded into G.
 
 		G gains what folding adds from extra alone, as G holds the folds of
-		the old H; the result is not saturated.
+		the old H; the result is not saturated. When this pair's index is
+		built, the new one is refined from it by those folds alone; members
+		already in G refine nothing.
 		"""
 		extra = _checked(self.graph, extra)
-		return self._joined(_folded(extra), _inserted(self.h_members, extra))
-
-	def _joined(self, extra, h_members):
-		"""A pair on the same graph whose G is this G joined with the set extra.
-
-		When this pair's index is built, the new one is refined from it by
-		extra alone; members already in G refine nothing.
-		"""
-		index = None if self._index is None else self._index.refined(extra)
+		folds = _folded(extra)
+		index = None if self._index is None else self._index.refined(folds)
 		return PeripheralPair._derived(
-			self.graph, h_members, index, lambda: _inserted(self.g_members, extra)
+			self.graph,
+			_inserted(self.h_members, extra),
+			index,
+			lambda: _inserted(self.g_members, folds),
 		)
 
 	def __repr__(self):

@@ -6,12 +6,13 @@ lists spanning a nilpotent group, commuting ones included: the
 transvections count through the paths of the digraph their edges m -> a
 form, the dimension of the Lie algebra their logarithms generate, and
 the generators acting trivially on homology count once their first
-Johnson images are independent modulo the inner automorphisms. The
-homology action and the Johnson image of a listed generator are read off
-its kind, and so are those of the inner automorphisms; words are built
-only for commutators and the innerness tests. All of it is exact integer
-linear algebra. A failed certificate raises; it never degrades into a
-smaller number silently.
+Johnson images are independent modulo the inner automorphisms. Every
+homology action, a listed generator's as a commutator's, is read off a
+realized letter table at the vertices the map moves (_h1_action). The
+Johnson images of the listed generators and of the inner automorphisms
+are read off their kind; words are built only for commutators and the
+innerness tests. All of it is exact integer linear algebra. A failed
+certificate raises; it never degrades into a smaller number silently.
 """
 
 from collections import namedtuple
@@ -21,6 +22,7 @@ from math import gcd
 from .autos import (
 	LaurenceGenerator,
 	gen_in_relative,
+	images_through,
 	is_inner,
 	realize,
 )
@@ -35,7 +37,7 @@ from .decompose import (
 )
 from .errors import CertificationError, DomainError
 from .families import diamond_generators, diamond_labels
-from .graphs import bits, mask_of
+from .graphs import bits
 from .words import WordContext, inverse, mask_word
 
 
@@ -202,37 +204,10 @@ def _h1_action(images, vmask):
 	return {key: x for key, x in out.items() if x}
 
 
-def _generator_h1(gen, sign=1):
-	"""M - 1 of a generator (sign -1: of its inverse), read off its kind.
-
-	The same sparse matrix _h1_action reads off the realized letter
-	table. An inversion negates its vertex, a transvection m^a adds
-	sign * a to the row of m, a partial conjugation acts trivially, and a
-	symmetry permutes the vertices.
-	"""
-	if gen.kind == "inv":
-		(v,) = gen.data
-		return {(v, v): -2}
-	if gen.kind == "trv":
-		moved, acting = gen.data
-		return {(moved, acting): sign}
-	if gen.kind == "pc":
-		return {}
-	perm = gen.data
-	if sign < 0:
-		perm = {w: v for v, w in enumerate(perm)}
-	out = {}
-	for v in range(len(perm)):
-		if perm[v] != v:
-			out[v, v] = -1
-			out[v, perm[v]] = 1
-	return out
-
-
 def _homology_dimension(n, gens, mats):
 	"""Dimension of the Lie algebra the logarithms of the homology actions generate.
 
-	mats[k] is gens[k]'s M - 1, from _generator_h1. A transvection m^a
+	mats[k] is gens[k]'s M - 1, from _h1_action. A transvection m^a
 	acts as 1 + E_ma, and since E_ma^2 = 0 its logarithm is E_ma. An
 	inversion (M - 1 = -2 E_vv) and a nontrivial symmetry (finite order,
 	not 1) are not unipotent, and a partial conjugation or the identity
@@ -314,35 +289,19 @@ def _certify_johnson_independent(graph, gens):
 # ---- lower bound certificates ----
 
 
-def _commutator(ctx, a, b, vmask):
+def _commutator(ctx, a, b):
 	"""Letter table of a b a^-1 b^-1, and the mask of the vertices it moves.
 
-	vmask must hold every vertex a or b moves, and only those vertices
-	are threaded, each through b^-1, a^-1, b and a. Any other vertex is
-	fixed by both maps and by their inverses, so by the commutator, and
-	a's table holds the identity's entries there: the table starts as a
-	copy of it.
+	Only the vertices a or b moves are threaded, each through b^-1,
+	a^-1, b and a; both maps and their inverses fix every other vertex,
+	so the commutator does.
 	"""
-	out = list(a.images)
-	moved = 0
-	for v in bits(vmask):
-		w = b.back[2 * v]
-		for table in (a.back, b.images, a.images):
-			w = ctx.apply_map(w, table)
-		out[2 * v], out[2 * v + 1] = w, inverse(w)
-		if w != (2 * v,):
-			moved |= 1 << v
-	return tuple(out), moved
+	return images_through(ctx, b.back, (a.back, b.images, a.images), a.moved | b.moved)
 
 
-def _moved(table):
-	"""Mask of the vertices a letter table moves."""
-	return mask_of(v for v, w in enumerate(table[::2]) if w != (2 * v,))
-
-
-def _image_masks(table):
-	"""{v: mask of the vertices of table's image of v} over the vertices table moves."""
-	return {v: mask_word(w) for v, w in enumerate(table[::2]) if w != (2 * v,)}
+def _image_masks(phi):
+	"""{v: mask of the vertices of phi's image of v} over the vertices phi moves."""
+	return {v: mask_word(phi.images[2 * v]) for v in bits(phi.moved)}
 
 
 def _commuting_pairs(ctx, phis):
@@ -365,14 +324,13 @@ def _commuting_pairs(ctx, phis):
 	n vertices, whose triangle list has about n^2/2 maps, they number
 	about n^3/6, against about n^4/8 commuting pairs.
 	"""
-	image_masks = [_image_masks(phi.images) for phi in phis]
-	moved, span = [], []
-	for im in image_masks:
-		m = s = mask_of(im)
+	image_masks = [_image_masks(phi) for phi in phis]
+	moved = [phi.moved for phi in phis]
+	span = []
+	for m, im in zip(moved, image_masks):
 		for w in im.values():
-			s |= w
-		moved.append(m)
-		span.append(s)
+			m |= w
+		span.append(m)
 
 	def commute(i, j):
 		mi, mj = moved[i], moved[j]
@@ -393,39 +351,21 @@ def _commuting_pairs(ctx, phis):
 	return [(i, j) for i in range(len(phis)) for j in range(i + 1, len(phis)) if not commute(i, j)]
 
 
-def _by_action(gens, phis):
+def _by_action(phis):
 	"""The listed generators and their inverses, keyed by homology action.
 
 	Values are lists of (k, start, table, moved) in list order, phi_k
 	before phi_k^-1: a commutator c is phi_k in the outer group when
 	c phi_k^-1 is inner, start being the letter table of phi_k^-1 and
 	table that of phi_k, and phi_k^-1 when c phi_k is, with the two
-	tables swapped. moved is the mask of the vertices phi_k moves, which
-	are those phi_k^-1 moves.
+	tables swapped. moved is phi_k.moved, the vertices both tables move.
 	"""
 	listed = {}
-	for k, (gen, phi) in enumerate(zip(gens, phis)):
-		moved = _moved(phi.images)
-		for mat, start, table in (
-			(_generator_h1(gen), phi.back, phi.images),
-			(_generator_h1(gen, -1), phi.images, phi.back),
-		):
-			listed.setdefault(frozenset(mat.items()), []).append((k, start, table, moved))
+	for k, phi in enumerate(phis):
+		for start, table in ((phi.back, phi.images), (phi.images, phi.back)):
+			mat = _h1_action(table, phi.moved)
+			listed.setdefault(frozenset(mat.items()), []).append((k, start, table, phi.moved))
 	return listed
-
-
-def _threaded(ctx, start, table, vmask):
-	"""images_through(ctx, start, table) for two tables that fix every vertex outside vmask.
-
-	Only the vertices in vmask are threaded: both tables fix every other
-	vertex, so their composite does, and start holds the identity's
-	entries there.
-	"""
-	out = list(start)
-	for v in bits(vmask):
-		w = ctx.apply_map(start[2 * v], table)
-		out[2 * v], out[2 * v + 1] = w, inverse(w)
-	return tuple(out)
 
 
 def _match(ctx, listed, c, moved, cmat):
@@ -447,7 +387,7 @@ def _match(ctx, listed, c, moved, cmat):
 	for k, start, table, tmoved in listed.get(frozenset(cmat.items()), ()):
 		if moved == tmoved and all(c[2 * v] == table[2 * v] for v in bits(moved)):
 			return k
-		if is_inner(ctx, _threaded(ctx, start, c, moved | tmoved)).status == "yes":
+		if is_inner(ctx, images_through(ctx, start, (c,), moved | tmoved)[0]).status == "yes":
 			return k
 	return None
 
@@ -467,11 +407,15 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	generators contribute one each once their Johnson images are
 	independent modulo the inner automorphisms.
 
-	Only the pairs _commuting_pairs declines get a commutator c, each
-	vertex threaded through the letter tables of b^-1, a^-1, b and a; no
-	composite automorphism is built. Each step threads only the vertices
-	the maps move, and these lemmas skip work whose outcome the data
-	already settles:
+	Every realized map carries the mask of the vertices it moves
+	(Automorphism.moved), and each step reads or threads only those
+	vertices, through autos.images_through. The homology action of a
+	listed generator, of its inverse and of a commutator is one function,
+	_h1_action, read at the rows of the vertices the map moves. Only the
+	pairs _commuting_pairs declines get a commutator c, each vertex
+	threaded through the letter tables of b^-1, a^-1, b and a; no
+	composite automorphism is built. These lemmas skip work whose
+	outcome the data already settles:
 
 	- _commuting_pairs leaves a vertex unthreaded when one map fixes it
 	  and the other's image of it avoids every vertex the first moves,
@@ -499,12 +443,11 @@ def certify_lower_bound(graph, gens, nilpotent=False):
 	"""
 	ctx = WordContext(graph)
 	phis = [realize(ctx, gen) for gen in gens]
-	mats = [_generator_h1(gen) for gen in gens]
-	listed = _by_action(gens, phis) if nilpotent else {}
+	mats = [_h1_action(phi.images, phi.moved) for phi in phis]
+	listed = _by_action(phis) if nilpotent else {}
 	derived, partner, unmatched = set(), {}, None
-	moves = [_moved(phi.images) for phi in phis]
 	for i, j in _commuting_pairs(ctx, phis):
-		c, moved = _commutator(ctx, phis[i], phis[j], moves[i] | moves[j])
+		c, moved = _commutator(ctx, phis[i], phis[j])
 		cmat = _h1_action(c, moved)
 		if not cmat and is_inner(ctx, c).status == "yes":
 			continue

@@ -149,11 +149,16 @@ def strip_front(letters, smask, adj):
 
 
 class WordContext:
-	"""Word operations over a fixed defining graph."""
+	"""Word operations over a fixed defining graph.
+
+	letters is the identity letter table, built once: entry lt is the
+	one-letter word (lt,). Tables that fix a vertex share its entries.
+	"""
 
 	def __init__(self, graph):
 		self.graph = graph
 		self.adj = graph.adj
+		self.letters = tuple((lt,) for lt in range(2 * graph.n))
 
 	def reduce(self, letters):
 		return reduce_word(letters, self.adj)

@@ -154,7 +154,7 @@ def join_first_restriction(pair, dmask):
 	from its G and not cut from the pair's closures.
 	"""
 	if dmask not in pair.g_members:
-		pair = pair.adding_g([dmask])
+		pair = PeripheralPair(pair.graph, pair.g_members + (dmask,), pair.h_members)
 	per = [compress_mask(m, dmask) for m in fast_periphery(pair, dmask)]
 	sub = induced(pair, dmask)
 	return pair.adding_h([dmask]), PeripheralPair(sub.graph, sub.g_members + tuple(per), sub.h_members)

@@ -214,7 +214,7 @@ def _fields(index):
 
 def test_refined_index_matches_fresh_build():
 	# PairIndex.refined directly, and through the pairs that derive their
-	# index, adding_g and adding_h (the kernel edge), and the pair itself
+	# index, adding_h (the kernel edge) and the pair itself
 	rng = random.Random(47)
 	for trial in range(300):
 		n = rng.randrange(1, 8)
@@ -227,7 +227,7 @@ def test_refined_index_matches_fresh_build():
 		assert _fields(index) == _fields(orders.PairIndex(g, glist))
 		pp = PeripheralPair(g, glist, hlist)
 		assert pp.index is not None  # built now, so the pairs below refine it
-		for derived in (pp.adding_g(extra), pp.adding_h(extra), pp):
+		for derived in (pp.adding_h(extra), pp):
 			assert derived._index is not None
 			fresh = orders.PairIndex(g, derived.g_members)
 			assert _fields(derived.index) == _fields(fresh)
@@ -292,7 +292,7 @@ def test_refined_index_matches_fresh_build():
 
 def test_refined_index_carries_closures_a_fresh_build_agrees_with():
 	# an index with a filled closure cache, refined by arbitrary extras
-	# (not invariant, as adding_g on the fast restriction path joins) and
+	# (not invariant, as a restriction target may be before it joins) and
 	# by the kernel edge's folds of an invariant set D: the refined tables
 	# and every closure equal a fresh build's, each carried closure is
 	# the source's, and on the kernel edge every closure missing D is

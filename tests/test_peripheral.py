@@ -42,6 +42,11 @@ def normalized(graph, g=(), h=()):
 	return PeripheralPair(graph, g, h)
 
 
+def joined(pp, extra):
+	"""pp with the masks in extra joined into G, built by the constructor."""
+	return PeripheralPair(pp.graph, pp.g_members + tuple(extra), pp.h_members)
+
+
 def names_of(graph, masks):
 	return sorted(sorted(graph.names(m)) for m in masks)
 
@@ -89,32 +94,19 @@ def test_normalize_weak():
 	assert pp.h_members == (m,)
 
 
-def test_adding_g_keeps_flags():
-	g = path3()
-	pp = normalized(g)
-	out = pp.adding_g([g.mask(["b"])])
-	assert g.mask(["b"]) in out.g_members
-	# growing G never claims saturation, even by an invariant mask
-	sat = saturate(pp)
-	assert not sat.adding_g([g.mask(["b"])]).saturated
-	assert not sat.adding_g([g.mask(["a"])]).saturated
-
-
 def test_derived_pairs_refuse_a_full_extra():
 	g = path3()
 	pp = normalized(g)
-	with pytest.raises(DomainError, match="proper subgraphs"):
-		pp.adding_g([g.full])
 	with pytest.raises(DomainError, match="proper subgraphs"):
 		pp.adding_h([g.full])
 
 
 def test_derived_pairs_pass_h_through():
-	# H was checked where the pair entered; saturation and adding_g hand
-	# the same tuple on rather than cleaning it again
+	# H was checked where the pair entered; saturation hands the same
+	# tuple on rather than cleaning it again
 	g = diamond_chain(2)
 	pp = PeripheralPair(g, [g.mask(["a1"])], [g.mask(["c0"]), g.mask(["c2"])])
-	for derived in (saturation(pp), saturate(pp), pp.adding_g([g.mask(["c1"])])):
+	for derived in (saturation(pp), saturate(pp)):
 		assert derived.h_members is pp.h_members
 
 
@@ -420,7 +412,7 @@ def test_fast_periphery_asks_no_membership():
 		pp = PeripheralPair(g, *random_peripheral(g, rng))
 		for d in range(1, g.full):
 			if is_invariant(pp, d):
-				assert fast_periphery(pp, d) == fast_periphery(pp.adding_g([d]), d), (
+				assert fast_periphery(pp, d) == fast_periphery(joined(pp, [d]), d), (
 					g.to_json_obj(),
 					pp.to_json_obj(),
 					d,
@@ -434,7 +426,7 @@ def test_fast_periphery_diamond_top(d):
 	g = diamond_chain(d)
 	top = ["c%d" % (d - 1), "a%d" % d, "b%d" % d, "c%d" % d]
 	b = g.mask(top)
-	pp = normalized(g).adding_g([b])
+	pp = joined(normalized(g), [b])
 	assert names_of(g, fast_periphery(pp, b)) == [["c%d" % (d - 1)]]
 
 
@@ -456,7 +448,7 @@ def test_fast_periphery_star_with_handle():
 	d = g.mask(["v", "w", "x", "y", "z"])
 	pp = normalized(g)
 	assert is_invariant(pp, d)
-	per = fast_periphery(pp.adding_g([d]), d)
+	per = fast_periphery(joined(pp, [d]), d)
 	assert names_of(g, per) == [["x"], ["x", "y"], ["y"]]
 
 
@@ -468,8 +460,8 @@ def test_fast_periphery_members_invariant():
 		for d in range(1, g.full):
 			if not is_invariant(pp, d):
 				continue
-			for m in fast_periphery(pp.adding_g([d]), d):
-				assert is_invariant(pp.adding_g([d]), m)
+			for m in fast_periphery(joined(pp, [d]), d):
+				assert is_invariant(joined(pp, [d]), m)
 
 
 # ---- cone graphs ----

@@ -16,6 +16,7 @@ from raagout.autos import (
 	images_through,
 	is_inner,
 	parse_generator,
+	product_of,
 	realize,
 )
 from raagout.decompose import (
@@ -39,7 +40,7 @@ from raagout.families import (
 	four_path_script,
 )
 from raagout.graphs import DefiningGraph, bits
-from raagout import autos, vcd
+from raagout import vcd
 from raagout.peripheral import PeripheralPair
 from raagout.vcd import (
 	VcdBound,
@@ -48,7 +49,6 @@ from raagout.vcd import (
 	_commuting_pairs,
 	_certify_johnson_independent,
 	_conjugation_johnson,
-	_generator_h1,
 	_h1_action,
 	_homology_dimension,
 	_triangle_list,
@@ -183,14 +183,14 @@ def test_vertex_image_commutator_matches_composition():
 				c, moved = commutator(x, y)
 				check(c, composed)
 				assert moved == support(composed)[0]
-				check(images_through(ctx, z.back, c), composed.compose(z.invert()))
-				check(images_through(ctx, z.images, c), composed.compose(z))
+				check(images_through(ctx, z.back, (c,), moved | z.moved)[0], composed.compose(z.invert()))
+				check(images_through(ctx, z.images, (c,), moved | z.moved)[0], composed.compose(z))
 	assert statuses == {"yes", "no"}
 
 
 def commutator(a, b):
-	"""_commutator threaded at the vertices a or b moves, read through foata."""
-	return _commutator(a.ctx, a, b, support(a)[0] | support(b)[0])
+	"""_commutator of two maps on one context: (letter table, mask it moves)."""
+	return _commutator(a.ctx, a, b)
 
 
 def dense_h1_minus_identity(g, table):
@@ -299,7 +299,15 @@ def test_realize_writes_the_reduced_tables_of_the_written_words():
 	assert kinds == {"inv", "trv", "pc", "sym"}
 
 
-def test_generator_h1_is_the_dense_matrix_of_the_realized_tables():
+def h1(phi):
+	"""The certificate's homology action of a map: _h1_action at the vertices it moves."""
+	return _h1_action(phi.images, phi.moved)
+
+
+def test_h1_action_of_a_realized_map_is_the_dense_matrix():
+	# every kind, both signs, and the inverse table read at the same
+	# mask, as the certificate reads it: a map and its inverse move the
+	# same vertices
 	kinds = set()
 	moved_syms = 0
 	for g, gens in data_route_cases():
@@ -307,11 +315,64 @@ def test_generator_h1_is_the_dense_matrix_of_the_realized_tables():
 		for gen in gens:
 			for sign in (1, -1):
 				phi = realize(ctx, gen, sign)
-				assert _generator_h1(gen, sign) == dense_h1_minus_identity(g, phi.images)
-				assert _generator_h1(gen, -sign) == dense_h1_minus_identity(g, phi.back)
+				assert h1(phi) == dense_h1_minus_identity(g, phi.images)
+				assert _h1_action(phi.back, phi.moved) == dense_h1_minus_identity(g, phi.back)
 				kinds.add(gen.kind)
-				moved_syms += gen.kind == "sym" and bool(_generator_h1(gen, sign))
+				moved_syms += gen.kind == "sym" and bool(h1(phi))
 	assert kinds == {"inv", "trv", "pc", "sym"} and moved_syms > 10
+
+
+def test_moved_masks_are_the_vertices_moved():
+	# a mask missing a moved vertex would leave that vertex unthreaded,
+	# so every way a map is built must set exactly the vertices foata
+	# reads as moved: realize on every kind and sign, from_images on the
+	# written words, identity, invert, compose, product_of and the
+	# commutator
+	rng = random.Random(71)
+	seen = dict.fromkeys(["fixed", "moved", "identity sym", "sym with a fixed point"], 0)
+	for g, gens in data_route_cases():
+		ctx = WordContext(g)
+		signed = [(gen, sign) for gen in gens for sign in (1, -1)]
+		realized = [realize(ctx, gen, sign) for gen, sign in signed]
+		maps = [Automorphism.identity(ctx)] + realized + [phi.invert() for phi in realized]
+		maps += [
+			Automorphism.from_images(ctx, written_words(gen, sign), written_words(gen, -sign))
+			for gen, sign in signed
+		]
+		for _ in range(6):
+			a, b = rng.choice(realized), rng.choice(realized)
+			composed = a.compose(b).compose(a.invert()).compose(b.invert())
+			assert commutator(a, b)[1] == support(composed)[0]
+			maps += [a.compose(b), composed]
+			maps.append(product_of(ctx, rng.sample(signed, min(len(signed), rng.randrange(1, 5)))))
+		for phi in maps:
+			assert phi.moved == support(phi)[0], phi
+			seen["moved" if phi.moved else "fixed"] += 1
+		for (gen, _), phi in zip(signed, realized):
+			if gen.kind == "sym":
+				seen["identity sym"] += not phi.moved
+				seen["sym with a fixed point"] += 0 < phi.moved < g.full
+	assert min(seen.values()) > 10, seen
+
+
+def test_fixed_vertices_share_the_identity_words():
+	# at each vertex a map fixes, both tables hold ctx.letters' own
+	# tuples, not copies: in realized maps, and in what compose and the
+	# commutator thread from them
+	shared = 0
+	for g, gens in data_route_cases():
+		ctx = WordContext(g)
+		phis = [realize(ctx, gen, sign) for gen in gens for sign in (1, -1)]
+		tables = [(table, phi.moved) for phi in phis for table in (phi.images, phi.back)]
+		for a, b in zip(phis, phis[1:]):
+			ab = a.compose(b)
+			tables += [(ab.images, ab.moved), (ab.back, ab.moved), commutator(a, b)]
+		for table, moved in tables:
+			for v in bits(g.full & ~moved):
+				assert table[2 * v] is ctx.letters[2 * v]
+				assert table[2 * v + 1] is ctx.letters[2 * v + 1]
+				shared += 1
+	assert shared > 1000, shared
 
 
 # ---- commuting in Aut before the commutator ----
@@ -500,7 +561,7 @@ def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first(
 	for g, gens in pinned_cases():
 		ctx = WordContext(g)
 		phis = [realize(ctx, gen) for gen in gens]
-		listed = vcd._by_action(gens + gens[::-1], phis + phis[::-1])
+		listed = vcd._by_action(phis + phis[::-1])
 		for i, j in itertools.combinations(range(len(gens)), 2):
 			c, moved = commutator(phis[i], phis[j])
 			cmat = _h1_action(c, moved)
@@ -511,14 +572,14 @@ def test_nontrivial_homology_action_is_never_inner_and_keyed_match_is_the_first(
 				continue
 			for _, start, table, _ in listed.get(frozenset(cmat.items()), ()):
 				if c == table:
-					assert is_inner(ctx, images_through(ctx, start, c)) == ("yes", (), "")
+					assert is_inner(ctx, images_through(ctx, start, (c,), g.full)[0]) == ("yes", (), "")
 					seen["table hits"] += 1
 			scan = next(
 				(
 					k
 					for k, phi in enumerate(phis + phis[::-1])
 					for start in (phi.back, phi.images)
-					if is_inner(ctx, images_through(ctx, start, c)).status == "yes"
+					if is_inner(ctx, images_through(ctx, start, (c,), g.full)[0]).status == "yes"
 				),
 				None,
 			)
@@ -538,12 +599,12 @@ def test_table_match_needs_the_same_moved_vertices():
 		LaurenceGenerator.partial_conj(g, "y", g.mask(["u"])),
 	]
 	phi, psi = (realize(ctx, gen) for gen in gens)
-	listed = vcd._by_action(gens, [phi, psi])
+	listed = vcd._by_action([phi, psi])
 	m, u = g.index["m"], g.index["u"]
 	c = phi.compose(psi).images
 	assert c[2 * m] == phi.images[2 * m] and c[2 * u] != (2 * u,)
 	cmat = _h1_action(c, g.mask(["m", "u"]))
-	assert cmat == _generator_h1(gens[0])
+	assert cmat == {(m, g.index["x"]): 1} == h1(phi)
 	assert is_inner(ctx, psi.images).status == "no"
 	assert vcd._match(ctx, listed, c, g.mask(["m", "u"]), cmat) is None
 	assert vcd._match(ctx, listed, phi.images, g.mask(["m"]), cmat) == 0
@@ -564,7 +625,7 @@ def clique_certificate_counts(monkeypatch, n):
 		monkeypatch.setattr(owner, name, counted)
 
 	count(vcd, "is_inner")
-	count(autos, "images_through")
+	count(vcd, "images_through")
 	count(vcd, "_commutator")
 	count(WordContext, "apply_map")
 	bound = vcd_report(PeripheralPair(clique(n)))
@@ -589,12 +650,14 @@ def test_clique_certificate_counts_on_k40(monkeypatch):
 	# - trv j^h and trv j^i both move j and commute: 2 apply_map at j;
 	# - trv i^h and trv j^i are declined: 2 apply_map at j, none at i,
 	#   which trv j^i fixes while trv i^h's word i h avoids j, then
-	#   _commutator threads i and j through 3 tables each;
+	#   _commutator threads i and j through 3 tables each, in one
+	#   images_through call;
 	# every other pair has disjoint supports. The 9,880 commutators are
 	# matched by their tables, as on K_16, so 8 + 2 = 10 apply_map a
-	# triple and no is_inner or images_through call
+	# triple and no is_inner call. images_through is counted where vcd
+	# binds it, since vcd imports it by name
 	counts = clique_certificate_counts(monkeypatch, 40)
-	assert counts == {"is_inner": 0, "images_through": 0, "_commutator": 9880, "apply_map": 98800}
+	assert counts == {"is_inner": 0, "images_through": 9880, "_commutator": 9880, "apply_map": 98800}
 
 
 # ---- abelian certificates ----
@@ -999,8 +1062,9 @@ def reference_outcome(n, gens, mats):
 def transvections(n, edges):
 	"""The trv m^a on K_n for each edge (m, a), and their homology actions."""
 	g = clique(n)
+	ctx = WordContext(g)
 	gens = [LaurenceGenerator.transvection(g, m, a) for m, a in edges]
-	return gens, [_generator_h1(gen) for gen in gens]
+	return gens, [h1(realize(ctx, gen)) for gen in gens]
 
 
 def test_lie_closure_grows_heisenberg():
@@ -1037,7 +1101,8 @@ def test_homology_dimension_matches_the_lie_closure_on_the_pinned_lists():
 	# inversions among them, which must refuse in list order
 	verdicts = {"count": 0, "unipotent": 0, "nilpotent": 0}
 	for g, gens in pinned_cases():
-		mats = [_generator_h1(gen) for gen in gens]
+		ctx = WordContext(g)
+		mats = [h1(realize(ctx, gen)) for gen in gens]
 		got = homology_outcome(g.n, gens, mats)
 		assert got == reference_outcome(g.n, gens, mats), [str(gen) for gen in gens]
 		if isinstance(got, int):
