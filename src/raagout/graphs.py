@@ -55,19 +55,52 @@ def compress_mask(mask, within):
 	return out
 
 
+def compress_masks(masks, within):
+	"""compress_mask(m, within) for each m of masks, through one position list of within.
+
+	Each mask then costs one step per vertex it holds, not per vertex of
+	within.
+
+	>>> [bin(m) for m in compress_masks([0b1010, 0b0101], 0b1110)]
+	['0b101', '0b10']
+	"""
+	place = [0] * within.bit_length()
+	for pos, i in enumerate(bits(within)):
+		place[i] = 1 << pos
+	out = []
+	for m in masks:
+		m &= within
+		c = 0
+		while m:
+			low = m & -m
+			c |= place[low.bit_length() - 1]
+			m ^= low
+		out.append(c)
+	return out
+
+
 class DefiningGraph:
 	"""A finite simplicial graph on distinct names in a fixed order; no loops, no repeated edges."""
 
 	def __init__(self, vertices, edges):
-		self.vertices = tuple(vertices)
-		self.n = len(self.vertices)
-		self.index = {v: i for i, v in enumerate(self.vertices)}
-		self.full = (1 << self.n) - 1
-		adj = [0] * self.n
+		vertices = tuple(vertices)
+		index = {v: i for i, v in enumerate(vertices)}
+		adj = [0] * len(vertices)
 		for a, b in edges:
-			i, j = self.index[a], self.index[b]
+			i, j = index[a], index[b]
 			adj[i] |= 1 << j
 			adj[j] |= 1 << i
+		self._build(vertices, index, adj)
+
+	def _build(self, vertices, index, adj):
+		"""Set every field from the names, their positions and the adjacency masks.
+
+		Every graph is built here, from edges (__init__) or from masks (induced).
+		"""
+		self.vertices = vertices
+		self.n = len(vertices)
+		self.index = index
+		self.full = (1 << self.n) - 1
 		self.adj = tuple(adj)
 		# st(v) masks; used constantly by the word kernel and the orders.
 		self.star_masks = tuple(adj[i] | (1 << i) for i in range(self.n))
@@ -103,16 +136,18 @@ class DefiningGraph:
 		"""The induced subgraph on mask as a graph of its own.
 
 		Vertex order is inherited, so compress_mask translates masks over
-		this graph to masks over the result.
+		this graph to masks over the result; the adjacency is the kept
+		vertices' rows of adj, compressed that way.
 		"""
 		keep = list(bits(mask))
-		names = [self.vertices[i] for i in keep]
-		edges = []
-		for a, i in enumerate(keep):
-			for b in range(a + 1, len(keep)):
-				if self.adj[i] >> keep[b] & 1:
-					edges.append((names[a], names[b]))
-		return DefiningGraph(names, edges)
+		names = tuple(self.vertices[i] for i in keep)
+		out = object.__new__(DefiningGraph)
+		out._build(
+			names,
+			{v: i for i, v in enumerate(names)},
+			compress_masks([self.adj[i] for i in keep], mask),
+		)
+		return out
 
 	# ---- connectivity ----
 

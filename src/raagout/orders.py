@@ -265,20 +265,28 @@ class PairIndex:
 		vertex of the set is already inside. The split test skips every x
 		the set holds, as it can only add outside ones. Each round thus
 		ends on the set that reading every row of the set would give, so
-		the fixed point is the same.
+		the fixed point is the same. The rounds after the first row pass
+		are _upward, which takes any up-set as its start: reading the rows
+		of an up-set's vertices gives it back, so its closure starts at the
+		split test (spanning starts its pairs there).
 		"""
 		out = self._closed.get(mask)
-		if out is not None:
-			return out
-		rows = self.rows
-		splits = self.splits
-		out = 0
-		todo = mask
-		while todo:
+		if out is None:
+			rows = self.rows
+			up = 0
+			todo = mask
 			while todo:
 				low = todo & -todo
-				out |= rows[low.bit_length() - 1]
-				todo &= todo - 1
+				up |= rows[low.bit_length() - 1]
+				todo ^= low
+			out = self._closed[mask] = self._upward(up)
+		return out
+
+	def _upward(self, out):
+		"""The closure of the up-set out (see closure): split tests, then the rows of what they add."""
+		rows = self.rows
+		splits = self.splits
+		while True:
 			grown = out
 			for x, away, owner in splits:
 				if grown >> x & 1:
@@ -287,9 +295,13 @@ class PairIndex:
 				if part & ~owner[(part & -part).bit_length() - 1]:
 					grown |= 1 << x
 			todo = grown & ~out
+			if not todo:
+				return out
 			out = grown
-		self._closed[mask] = out
-		return out
+			while todo:
+				low = todo & -todo
+				out |= rows[low.bit_length() - 1]
+				todo ^= low
 
 	def spanning(self, mask):
 		"""The proper closures of each vertex of mask and of each non-adjacent pair in it.
@@ -313,26 +325,38 @@ class PairIndex:
 		the pairs are taken over distinct single closures, one pair of them
 		whenever some vertex of one is not adjacent to some vertex of the
 		other; a closure that holds the other, or is the whole graph, adds
-		nothing. The result is kept per mask.
+		nothing. Closures are up-sets, and a union of two up-sets is an
+		up-set, so the rows of its vertices add nothing to it: the closure
+		of a pair starts from the union at the split test (_upward), with
+		no pass over its rows. It is kept under the union's mask, as
+		closure keeps it. The result is kept per mask.
 		"""
 		out = self._spanning.get(mask)
 		if out is not None:
 			return out
 		graph = self.graph
 		full = graph.full
+		closed = self._closed
 		# each single closure: the vertices of mask it is the closure of,
 		# and the vertices adjacent to all of them
 		classes = {}
 		for v in bits(mask):
-			c = self.closure(1 << v)
+			bit = 1 << v
+			c = closed.get(bit)
+			if c is None:
+				c = self.closure(bit)
 			vs, near = classes.get(c, (0, full))
-			classes[c] = vs | 1 << v, near & graph.adj[v]
+			classes[c] = vs | bit, near & graph.adj[v]
 		found = set(classes)
 		classes = [(c, vs, mask & ~near) for c, (vs, near) in classes.items() if c != full]
 		for i, (ca, _, apart) in enumerate(classes):
 			for cb, vb, _ in classes[i + 1 :]:
 				if vb & apart and ca & ~cb and cb & ~ca:
-					found.add(self.closure(ca | cb))
+					union = ca | cb
+					c = closed.get(union)
+					if c is None:
+						c = closed[union] = self._upward(union)
+					found.add(c)
 		found.discard(full)
 		out = self._spanning[mask] = by_size(found)
 		return out
@@ -354,14 +378,21 @@ class PairIndex:
 		gv = list(self.gv)
 		splits = []
 		for x, away, owner in self.splits:
-			pieces = [m & away for m in extra if not m >> x & 1]
-			if any(p & ~owner[(p & -p).bit_length() - 1] for p in pieces):
-				comps = gv[x] = tuple(_glue(graph, gv[x], pieces))
-				changed |= 1 << x
-				if len(comps) > 1:
-					splits.append((x, away, owner_table(graph, comps)))
+			# the pieces are built only for an x that some extra member
+			# merges; the test stops at the first such member
+			for m in extra:
+				if not m >> x & 1:
+					p = m & away
+					if p & ~owner[(p & -p).bit_length() - 1]:
+						break
 			else:
 				splits.append((x, away, owner))
+				continue
+			pieces = [m & away for m in extra if not m >> x & 1]
+			comps = gv[x] = tuple(_glue(graph, gv[x], pieces))
+			changed |= 1 << x
+			if len(comps) > 1:
+				splits.append((x, away, owner_table(graph, comps)))
 		self.rows, self.down = tuple(rows), tuple(down)
 		self.gv, self.splits = tuple(gv), tuple(splits)
 		if changed:

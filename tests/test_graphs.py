@@ -2,15 +2,17 @@ import doctest
 import importlib
 import json
 import pkgutil
+import random
 
 import pytest
 
 import raagout
 from raagout.errors import DomainError
+from raagout.families import diamond_chain
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.load import build_graph
 
-from helpers import is_clique, link_of_set, subgraph_center
+from helpers import graph_from_edges, is_clique, link_of_set, subgraph_center
 
 
 def diamond():
@@ -109,6 +111,29 @@ def test_vertex_classes_path4():
 	assert g.vertex_classes() == [g.mask([v]) for v in "wxyz"]
 	tri = DefiningGraph(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
 	assert tri.vertex_classes() == [tri.full]
+
+
+def test_induced_equals_the_graph_built_from_its_names_and_edges():
+	# every mask of random graphs on at most 6 vertices and of
+	# diamond_chain(2): the subgraph built from masks has the fields of
+	# DefiningGraph(names, edges among them)
+	rng = random.Random(67)
+	graphs = [diamond_chain(2)]
+	for _ in range(40):
+		n = rng.randrange(1, 7)
+		density = rng.random()
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		graphs.append(graph_from_edges(n, [e for e in pairs if rng.random() < density]))
+	for g in graphs:
+		edges = g.to_json_obj()["edges"]
+		for mask in range(g.full + 1):
+			names = g.names(mask)
+			kept = set(names)
+			ref = DefiningGraph(names, [e for e in edges if kept.issuperset(e)])
+			sub = g.induced(mask)
+			for field in ("vertices", "index", "n", "full", "adj", "star_masks", "center"):
+				assert getattr(sub, field) == getattr(ref, field), (g, mask, field)
+			assert sub.vertex_classes() == ref.vertex_classes()
 
 
 def test_source_doctests_pass():

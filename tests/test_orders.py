@@ -2,7 +2,7 @@ import itertools
 import random
 
 from raagout.decompose import Leaf, RestrictionStep
-from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
+from raagout.graphs import DefiningGraph, bits, by_size, compress_mask, mask_of
 from raagout import orders
 from raagout.peripheral import PeripheralPair, induced, saturate
 
@@ -334,16 +334,22 @@ def test_refined_index_carries_closures_a_fresh_build_agrees_with():
 	assert carried > 0 and dropped > 0
 
 
-def test_spanning_sets_stand_for_every_invariant_set():
-	# spanning(D) is invariant, and cut to D it gives the index that every
-	# invariant set cut to D gives, on each subgraph D
+def _spanning_cases():
+	"""300 seeded relative pairs on 1 to 7 vertices."""
 	rng = random.Random(59)
 	for trial in range(300):
 		n = rng.randrange(1, 8)
 		g = _random_graph(rng, n)
 		glist = _random_members(rng, n, rng.randrange(5))
 		hlist = [m for m in glist if rng.random() < 0.5]
-		pp = PeripheralPair(g, glist, hlist)
+		yield PeripheralPair(g, glist, hlist)
+
+
+def test_spanning_sets_stand_for_every_invariant_set():
+	# spanning(D) is invariant, and cut to D it gives the index that every
+	# invariant set cut to D gives, on each subgraph D
+	for pp in _spanning_cases():
+		g = pp.graph
 		invariant = {m for m in range(1, g.full) if brute_invariant(pp, m)}
 		for dmask in range(1, g.full + 1):
 			spanning = pp.index.spanning(dmask)
@@ -353,3 +359,38 @@ def test_spanning_sets_stand_for_every_invariant_set():
 			cut = lambda ms: [compress_mask(c, dmask) for c in {m & dmask for m in ms} - {0, dmask}]
 			fresh = orders.PairIndex(sub, cut(invariant))
 			assert _fields(orders.PairIndex(sub, cut(spanning))) == _fields(fresh)
+
+
+def _spanning_by_definition(fresh, dmask):
+	"""The closures in fresh of each vertex and non-adjacent pair of dmask, less the whole graph."""
+	g = fresh.graph
+	found = set()
+	for a in bits(dmask):
+		found.add(fresh.closure(1 << a))
+		for b in bits(dmask & ~g.star_masks[a]):
+			found.add(fresh.closure(1 << a | 1 << b))
+	found.discard(g.full)
+	return by_size(found)
+
+
+def test_spanning_is_the_closures_of_vertices_and_non_adjacent_pairs():
+	# spanning(D) against its definition, with the closures taken from an
+	# index built afresh from the listed members: on every subgraph of the
+	# pairs above, and on the carried indexes of the auto-tree nodes, for
+	# the whole graph and the step's target
+	for pp in _spanning_cases():
+		fresh = orders.PairIndex(pp.graph, pp.g_members)
+		for dmask in range(1, pp.graph.full + 1):
+			assert pp.index.spanning(dmask) == _spanning_by_definition(fresh, dmask)
+	for node in auto_tree_nodes():
+		pp, step = node.pair, node.step
+		if pp.graph.n > 10:
+			continue
+		fresh = orders.PairIndex(pp.graph, pp.g_members)
+		targets = [pp.graph.full]
+		if isinstance(step, RestrictionStep):
+			targets.append(step.dmask)
+		elif not isinstance(step, Leaf):
+			targets.append(pp.graph.full & ~step.zmask)
+		for dmask in targets:
+			assert pp.index.spanning(dmask) == _spanning_by_definition(fresh, dmask)
