@@ -429,7 +429,7 @@ def classify_irreducible(pair):
 	"""Sort a no-more-restrictions pair into its terminal shape.
 
 	Requires the restriction to every invariant subgraph, listed in G or
-	not, to already be trivial, which is what _pivot finding nothing
+	not, to already be trivial, which is what pair.pivot() finding nothing
 	means: a property of the group, so a pair is judged as its
 	saturation would be. Complete graphs give the integer general linear
 	block. A connected graph with trivial center gives a free abelian

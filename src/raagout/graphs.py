@@ -42,24 +42,12 @@ def by_size(masks):
 	return tuple(out)
 
 
-def compress_mask(mask, within):
-	"""Reindex mask & within against the bit positions of within.
-
-	>>> bin(compress_mask(0b1010, 0b1110))
-	'0b101'
-	"""
-	out = 0
-	for pos, i in enumerate(bits(within)):
-		if mask >> i & 1:
-			out |= 1 << pos
-	return out
-
-
 def compress_masks(masks, within):
-	"""compress_mask(m, within) for each m of masks, through one position list of within.
+	"""Each m & within of masks, reindexed against the bit positions of within.
 
-	Each mask then costs one step per vertex it holds, not per vertex of
-	within.
+	Bit i of within becomes bit pos, where pos counts the bits of within
+	below i. One position list of within serves every mask, so each mask
+	costs one step per vertex it holds, not per vertex of within.
 
 	>>> [bin(m) for m in compress_masks([0b1010, 0b0101], 0b1110)]
 	['0b101', '0b10']
@@ -135,7 +123,7 @@ class DefiningGraph:
 	def induced(self, mask):
 		"""The induced subgraph on mask as a graph of its own.
 
-		Vertex order is inherited, so compress_mask translates masks over
+		Vertex order is inherited, so compress_masks translates masks over
 		this graph to masks over the result; the adjacency is the kept
 		vertices' rows of adj, compressed that way.
 		"""

@@ -8,53 +8,35 @@ components into G-components. The G^v variants only glue along members
 avoiding v, which is what partial conjugations with acting letter v care
 about.
 
-All functions take the member collection as an iterable of masks, so both the
-preserved list and its normalized closure can be passed without conversion.
-leq_rel reads the order straight off the member list, one pair at a time;
-PairIndex tabulates the order and the G^v-components, and that table is what
-generator enumeration, invariance tests and saturation read. Joining members
-to G only cuts order rows and merges components, so an index is the
-member-free one (domination and plain components) refined by the members.
-The index of a larger G is refined from the smaller one's by the added
-members alone, and it carries over what they leave unchanged: the rows they
-do not cut, the G^x-component lists and owner tables they merge nothing of,
-and the least invariant supersets already found that miss every changed
-row and split. Along a restriction chain each kernel adds one trivial-action
-target D, so only the closures that meet D are worked out again.
+g_components and n_g take the member collection as an iterable of masks, so
+both the preserved list and its normalized closure can be passed without
+conversion. PairIndex tabulates the order and the G^v-components of one
+member list, and this module alone knows how those tables are stored: the
+rest of the package reads rows, gv, closure, spanning, refined,
+invariant_sets and pivot, never the split list, owner tables or down-sets
+behind them.
+
+Joining members to G only cuts order rows and merges components, so an
+index is the member-free one (domination and plain components) refined by
+the members. The index of a larger G is refined from the smaller one's by
+the added members alone, and it carries over what they leave unchanged: the
+rows they do not cut, the G^x-component lists and owner tables they merge
+nothing of, and the least invariant supersets already found that miss every
+changed row and split. Along a restriction chain each kernel adds one
+trivial-action target D, so only the closures that meet D are worked out
+again.
+
+A peripheral pair carries the index of its G, and a pair built from another
+one with the same graph derives its index rather than rebuilding it:
+saturation hands the index over unchanged, since the sets it adds change
+neither the order nor any G^v-component, and adding_h refines it by the
+members it adds. The invariant sets are closed under intersection, so each
+set has a least invariant superset (PairIndex.closure), and the closures of
+single vertices and non-adjacent pairs (PairIndex.spanning) stand for a
+saturated G in the pivot search, the induced index and the leaf shapes.
 """
 
 from .graphs import bits, by_size
-
-
-def leq_rel(graph, members, u, v):
-	"""u <=_G v: domination plus no member separates u from v."""
-	if not graph.dominates(u, v):
-		return False
-	for m in members:
-		if m >> u & 1 and not m >> v & 1:
-			return False
-	return True
-
-
-def blocked_masks(graph, members):
-	"""blocked[u] = vertices v such that some member contains u but not v.
-
-	With this table, u <=_G v iff u <= v and v is not blocked for u. It is
-	the complement of the intersection of the members through u, and that
-	intersection cannot shrink below u itself; members sorted by size, as
-	pairs keep them, get there early.
-	"""
-	blocked = []
-	for u in range(graph.n):
-		bit = 1 << u
-		common = graph.full
-		for m in members:
-			if m & bit:
-				common &= m
-				if common == bit:
-					break
-		blocked.append(graph.full & ~common)
-	return blocked
 
 
 def g_components(graph, members, mask):
@@ -112,13 +94,6 @@ def _glue(graph, comps, pieces):
 	return comps
 
 
-def gv_components(graph, members, v):
-	"""G^v-components of the complement of st(v)."""
-	s = graph.full & ~graph.star_masks[v]
-	gv = [m for m in members if not m >> v & 1]
-	return g_components(graph, gv, s)
-
-
 def n_g(graph, members, theta):
 	"""theta together with every vertex G-adjacent to it."""
 	out = theta
@@ -133,13 +108,15 @@ def n_g(graph, members, theta):
 class PairIndex:
 	"""The relative order and the G^v-components of one member list.
 
-	rows[u] is the mask of every v with u <=_G v and down[v] the mask of
-	every u with u <=_G v; both are closed under the order, since it is
-	transitive. gv[v] lists the G^v-components of the complement of st(v),
-	as gv_components does. splits holds (x, away, owner) for every x with
-	two or more G^x-components: away is the complement of st(x) and owner
-	the owner_table of the G^x-components, so a set S meets two of them
-	exactly when S & away & ~owner[least vertex of S & away] is nonzero.
+	rows[u] is the mask of every v with u <=_G v; it is closed under the
+	order, since the order is transitive. gv[v] lists the G^v-components of
+	the complement of st(v), the G-components of that set under the
+	members avoiding v. splits holds (x, away, owner) for every x with two
+	or more G^x-components: away is the complement of st(x) and owner the
+	owner_table of the G^x-components, so a set S meets two of them exactly
+	when S & away & ~owner[least vertex of S & away] is nonzero. Only this
+	class reads splits; the down-sets of the order are built where they
+	are read (invariant_sets).
 
 	PairIndex(graph, members) is the member-free index (domination rows,
 	plain components) refined by members. In the member-free index,
@@ -154,19 +131,19 @@ class PairIndex:
 	sets are worked out again, from the carried closures, on first use.
 	"""
 
-	__slots__ = ("graph", "rows", "down", "gv", "splits", "_closed", "_spanning")
+	__slots__ = ("graph", "rows", "gv", "splits", "_closed", "_spanning")
 
 	def __init__(self, graph, members=()):
 		full = graph.full
 		star = graph.star_masks
 		self.graph = graph
 		# u <= v when lk(u) lies in st(v), that is, when v is in the star
-		# of every neighbour of u; twins with one link share the row, and
-		# down takes each distinct row once, with all its twins
-		twins = {}  # link -> [row, the vertices with that link]
-		for u, link in enumerate(graph.adj):
-			hit = twins.get(link)
-			if hit is None:
+		# of every neighbour of u; twins with one link share the row
+		row_of = {}  # link -> row
+		rows = []
+		for link in graph.adj:
+			row = row_of.get(link)
+			if row is None:
 				row = full
 				# inline lowest-bit loop: cheaper than a bits() generator here
 				rest = link
@@ -174,15 +151,9 @@ class PairIndex:
 					low = rest & -rest
 					row &= star[low.bit_length() - 1]
 					rest ^= low
-				twins[link] = [row, 1 << u]
-			else:
-				hit[1] |= 1 << u
-		down = [0] * graph.n
-		for row, us in twins.values():
-			for v in bits(row):
-				down[v] |= us
-		rows = [twins[link][0] for link in graph.adj]
-		self.rows, self.down = tuple(rows), tuple(down)
+				row_of[link] = row
+			rows.append(row)
+		self.rows = tuple(rows)
 		# the G^x-components depend on st(x) alone, so twins with one star
 		# share the component tuple and its owner table
 		split_of = {}
@@ -209,8 +180,8 @@ class PairIndex:
 		"""The index of this member list joined with extra.
 
 		Joining members only cuts rows and merges G^x-components. Row u is
-		cut by the extra members through u, down follows bit by bit, and
-		the G^x-components are glued only when some piece m & away of an
+		cut to the intersection of the extra members through u, and the
+		G^x-components are glued only when some piece m & away of an
 		extra member m avoiding x meets two of them; every other x keeps its
 		tuple and owner table. changed marks each u whose row was cut and
 		each x whose components merged.
@@ -235,7 +206,7 @@ class PairIndex:
 		caches.
 		"""
 		out = object.__new__(PairIndex)
-		out.graph, out.rows, out.down = self.graph, self.rows, self.down
+		out.graph, out.rows = self.graph, self.rows
 		out.gv, out.splits = self.gv, self.splits
 		out._closed, out._spanning = self._closed, self._spanning
 		out._refine(extra)
@@ -318,7 +289,7 @@ class PairIndex:
 		they lie in two components, and closure({a, b}) glues or meets the
 		same two and misses all that S misses. A set some generator
 		restricts nontrivially to holds a moved vertex v or meets two
-		G^x-components at a and b (peripheral._pivot), so it holds
+		G^x-components at a and b (pivot), so it holds
 		closure({v}) or closure({a, b}), which qualifies as well.
 
 		closure({a, b}) is the closure of closure({a}) | closure({b}), so
@@ -361,20 +332,163 @@ class PairIndex:
 		out = self._spanning[mask] = by_size(found)
 		return out
 
+	def pivot(self, moved):
+		"""The least set of spanning(full), by size then mask, that holds a vertex of moved or meets two G^x-components for an x inside it; None if none.
+
+		PeripheralPair.pivot passes the vertices its inversions and
+		transvections move, and says why this is the least invariant set
+		some generator restricts nontrivially to. The sets tried are
+		invariant, so no x outside one sees it meet two G^x-components,
+		and only the split letters inside it are looked up.
+		"""
+		split_at = {}  # x -> (away, owner) for each split letter x
+		split_mask = 0
+		for x, away, owner in self.splits:
+			split_at[x] = away, owner
+			split_mask |= 1 << x
+		for m in self.spanning(self.graph.full):
+			if m & moved:
+				return m
+			todo = m & split_mask
+			while todo:
+				low = todo & -todo
+				away, owner = split_at[low.bit_length() - 1]
+				part = m & away
+				if part & ~owner[(part & -part).bit_length() - 1]:
+					return m
+				todo ^= low
+		return None
+
+	def invariant_sets(self):
+		"""All proper nonempty invariant masks, as up-sets of the relative order.
+
+		Branches on the lowest undecided vertex v: either v is in, and with it
+		everything above it (rows[v]), or v is out, and with it everything below
+		it (down[v]). Once an out vertex x sees the in set meet one of its
+		G^x-components, every other G^x-component must stay out too, so those
+		and everything below them are shut out at once and x is settled. A
+		branch dies when its in and out sets meet. Vertices whose star holds
+		the whole in set (core) impose nothing yet. Every surviving leaf is an
+		up-set that no outside star separates, so the cost follows the number
+		of up-sets rather than 2^n.
+
+		The tables are built as the search reaches them, so the cost follows
+		what it visits. An x with at most one G^x-component shuts nothing out
+		and starts settled. The shut-out sets of a split x are built on its
+		first visit, one per G^x-component, as the OR of the down-closures of
+		the other components (prefix and suffix ORs), and read through x's
+		owner table from splits. The core a row imposes is built the
+		first time the search branches on its vertex. The in branch goes on in
+		place, so each branch pushes one state. Together with the shared
+		twin tables of the member-free PairIndex, this took the saturate
+		benchmark from a median of 1,199 to 1,570 instances/s over ten runs
+		each (2 cores, python 3.11): four_path(5,5,4,5) searches 13 nodes for
+		its 5 sets, and building every table up front cost more than that.
+		The down-sets are the one table built whole, read off the rows
+		when the search starts.
+
+		A branch can die only while settling: the in set is an up-set and
+		the out set a down-set, so adding rows[v] or down[v] for an
+		undecided v cannot make them meet. The settle loop therefore stops
+		at the first shut-out set that meets the in set. Without that exit,
+		511 of the 1,172 settle steps of a diamond_chain(6) instance (mean
+		over random vertex orders) run on dead branches, and each of the
+		147 dead branches dies settling the vertex it branched out on. The
+		exit and an inline loop for the row core took the saturate
+		benchmark from a median of 1,519 to 1,759 instances/s (six
+		alternated 30 s pairs, same host).
+
+		A depth-first search over the closed sets of closure finds the
+		same sets, but it cut the saturate benchmark to about a third and
+		took diamond_chain(6) from 1.6 to 9.7 ms; retry it only with a faster
+		closure.
+		"""
+		graph = self.graph
+		n = graph.n
+		rows, gv = self.rows, self.gv
+		full = graph.full
+		star = graph.star_masks
+		# down[v] is every u with u <=_G v, read off the rows
+		down = [0] * n
+		for u, row in enumerate(rows):
+			bit = 1 << u
+			# inline lowest-bit loop: cheaper than a bits() generator here
+			while row:
+				low = row & -row
+				down[low.bit_length() - 1] |= bit
+				row ^= low
+		aways = [0] * n
+		owners = [None] * n  # owner tables of the x with two or more G^x-components
+		settled = full
+		for x, away, owner in self.splits:
+			aways[x] = away
+			owners[x] = owner
+			settled ^= 1 << x
+		shut = [None] * n  # shut[x][c]: everything at or below the G^x-components but c
+		row_core = [None] * n  # the vertices whose star holds all of rows[v]
+		out = []
+		stack = [(0, 0, settled, full)]  # in, out, settled, core
+		while stack:
+			inside, outside, settled, core = stack.pop()
+			while True:
+				todo = outside & ~(settled | core)
+				while todo:
+					low = todo & -todo
+					x = low.bit_length() - 1
+					table = shut[x]
+					if table is None:
+						table = shut[x] = _shut_table(gv[x], down)
+					part = inside & aways[x]
+					outside |= table[owners[x][(part & -part).bit_length() - 1]]
+					if outside & inside:
+						break
+					settled |= low
+					todo = outside & ~(settled | core)
+				if inside & outside:
+					break
+				rest = full & ~(inside | outside)
+				if not rest:
+					if inside and outside:
+						out.append(inside)
+					break
+				v = (rest & -rest).bit_length() - 1
+				stack.append((inside, outside | down[v], settled, core))
+				row = rows[v]
+				c = row_core[v]
+				if c is None:
+					c = full
+					# inline lowest-bit loop: cheaper than a bits() generator here
+					ys = row
+					while ys:
+						low = ys & -ys
+						c &= star[low.bit_length() - 1]
+						ys ^= low
+					row_core[v] = c
+				inside |= row
+				core &= c
+		return out
+
 	def _refine(self, extra):
 		"""Refine this index, still under construction, by extra (see refined)."""
 		graph = self.graph
 		extra = list(extra)
-		rows, down = list(self.rows), list(self.down)
+		# u <=_G v needs v in every member through u: intersect the extra
+		# members over the vertices they hold, then cut only those rows
+		meets = {}  # u -> the intersection of the extra members through u
+		for m in extra:
+			rest = m
+			while rest:
+				low = rest & -rest
+				u = low.bit_length() - 1
+				meets[u] = meets.get(u, m) & m
+				rest ^= low
+		rows = list(self.rows)
 		changed = 0
-		for u, blocked in enumerate(blocked_masks(graph, extra)):
-			cut = rows[u] & blocked
+		for u, meet in meets.items():
+			cut = rows[u] & ~meet
 			if cut:
 				rows[u] ^= cut
-				bit = 1 << u
-				changed |= bit
-				for v in bits(cut):
-					down[v] &= ~bit
+				changed |= 1 << u
 		gv = list(self.gv)
 		splits = []
 		for x, away, owner in self.splits:
@@ -393,8 +507,32 @@ class PairIndex:
 			changed |= 1 << x
 			if len(comps) > 1:
 				splits.append((x, away, owner_table(graph, comps)))
-		self.rows, self.down = tuple(rows), tuple(down)
+		self.rows = tuple(rows)
 		self.gv, self.splits = tuple(gv), tuple(splits)
 		if changed:
 			self._closed = {m: c for m, c in self._closed.items() if not c & changed}
 			self._spanning = {}
+
+
+def _shut_table(comps, down):
+	"""Each of comps mapped to everything at or below the others, through prefix and suffix ORs."""
+	below = []
+	for c in comps:
+		d = 0
+		# inline lowest-bit loop: components are small, and a bits()
+		# generator costs more than the body on those
+		while c:
+			low = c & -c
+			d |= down[low.bit_length() - 1]
+			c ^= low
+		below.append(d)
+	table = {}
+	acc = 0
+	for c, d in zip(comps, below):
+		table[c] = acc
+		acc |= d
+	acc = 0
+	for c, d in zip(reversed(comps), reversed(below)):
+		table[c] |= acc
+		acc |= d
+	return table

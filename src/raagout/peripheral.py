@@ -20,18 +20,8 @@ parts. Only members that join a pair are checked (adding_h). A
 member list that gains members has them inserted in order, and a list is
 sorted again only where it is cut down (induced).
 
-Each pair carries the order index of its G (orders.PairIndex). A pair built
-from another one with the same graph derives its index rather than
-rebuilding it: saturation hands the index over unchanged, since the sets it
-adds change neither the order nor any G^v-component, and adding_h
-refines it by the members it adds. A refined index keeps the rows,
-owner tables and closures those members leave unchanged; a kernel, which
-adds one invariant target, recomputes only the closures that meet it.
-
-The invariant sets are closed under intersection, so each set has a least
-invariant superset (PairIndex.closure), and the closures of single
-vertices and non-adjacent pairs (PairIndex.spanning) stand for a saturated
-G in the pivot search, the induced index and the leaf shapes. Only the
+Each pair carries the order index of its G (orders.PairIndex, whose
+module says how a derived pair's index is carried over). Only the
 constructor lists G when it builds a pair. Every derived pair carries
 what it needs to list its G and lists it on first read, as a saturated G
 can hold up to 2^n - 2 members; which members a derived pair lists is
@@ -162,13 +152,24 @@ class PeripheralPair:
 		return enumerate_generators(self)
 
 	def pivot(self):
-		"""The least invariant set some generator restricts nontrivially to, None if none (_pivot).
+		"""The least invariant set, by size then mask, some generator restricts nontrivially to; None if none.
+
+		An inversion or transvection acts nontrivially exactly on the sets
+		holding its moved vertex, so those generators collapse into one
+		mask, which _moved reads off the index without listing them. The
+		listed partial conjugations with acting letter x are one per
+		G^x-component but one; some of them acts nontrivially on m exactly
+		when m meets two G^x-components. The generator list holds no
+		symmetries. Only the sets of PairIndex.spanning are tried
+		(PairIndex.pivot), which hold the least qualifying one; on a
+		saturated pair that is the least such member, and on any other pair
+		the least such member of its saturation.
 
 		Worked out once, as auto mode reads it for the step and again for a
 		leaf's precondition; 0 stands for none in the cache.
 		"""
 		if self._pivot is None:
-			self._pivot = _pivot(self) or 0
+			self._pivot = self.index.pivot(_moved(self)) or 0
 		return self._pivot or None
 
 	def complexity(self):
@@ -238,167 +239,6 @@ def _moved(pp):
 	return moved
 
 
-def _pivot(pp):
-	"""The least invariant set, by size then mask, some generator restricts nontrivially to.
-
-	An inversion or transvection acts nontrivially exactly on the sets
-	holding its moved vertex, so those generators collapse into one mask:
-	the vertices in no member of H, moved by their inversions, and those
-	whose order row holds another vertex, moved by transvections. _moved
-	reads it off the index without listing the generators. The listed
-	partial conjugations with acting letter x are one per G^x-component
-	but one; some of them acts nontrivially on m exactly when m meets two
-	G^x-components, which one lookup in the owner table of those
-	components tells. The generator list holds no symmetries.
-	Only the sets of PairIndex.spanning are tried, which hold the least
-	qualifying one; on a saturated pair that is the least such member,
-	and on any other pair the least such member of its saturation. Those
-	sets are invariant, so no x outside one sees it meet two
-	G^x-components, and only the split letters inside it are looked up.
-	"""
-	index = pp.index
-	moved = _moved(pp)
-	split_at = {}  # x -> (away, owner) for each split letter x
-	split_mask = 0
-	for x, away, owner in index.splits:
-		split_at[x] = away, owner
-		split_mask |= 1 << x
-	for m in index.spanning(pp.graph.full):
-		if m & moved:
-			return m
-		todo = m & split_mask
-		while todo:
-			low = todo & -todo
-			away, owner = split_at[low.bit_length() - 1]
-			part = m & away
-			if part & ~owner[(part & -part).bit_length() - 1]:
-				return m
-			todo ^= low
-	return None
-
-
-def _invariant_scan(graph, index):
-	"""All proper nonempty invariant masks, as up-sets of the relative order.
-
-	Branches on the lowest undecided vertex v: either v is in, and with it
-	everything above it (rows[v]), or v is out, and with it everything below
-	it (down[v]). Once an out vertex x sees the in set meet one of its
-	G^x-components, every other G^x-component must stay out too, so those
-	and everything below them are shut out at once and x is settled. A
-	branch dies when its in and out sets meet. Vertices whose star holds
-	the whole in set (core) impose nothing yet. Every surviving leaf is an
-	up-set that no outside star separates, so the cost follows the number
-	of up-sets rather than 2^n.
-
-	The tables are built as the search reaches them, so the cost follows
-	what it visits. An x with at most one G^x-component shuts nothing out
-	and starts settled. The shut-out sets of a split x are built on its
-	first visit, one per G^x-component, as the OR of the down-closures of
-	the other components (prefix and suffix ORs), and read through x's
-	owner table from index.splits. The core a row imposes is built the
-	first time the search branches on its vertex. The in branch goes on in
-	place, so each branch pushes one state. Together with the shared
-	twin tables of the member-free PairIndex, this took the saturate
-	benchmark from a median of 1,199 to 1,570 instances/s over ten runs
-	each (2 cores, python 3.11): four_path(5,5,4,5) searches 13 nodes for
-	its 5 sets, and building every table up front cost more than that.
-
-	A branch can die only while settling: the in set is an up-set and
-	the out set a down-set, so adding rows[v] or down[v] for an
-	undecided v cannot make them meet. The settle loop therefore stops
-	at the first shut-out set that meets the in set. Without that exit,
-	511 of the 1,172 settle steps of a diamond_chain(6) instance (mean
-	over random vertex orders) run on dead branches, and each of the
-	147 dead branches dies settling the vertex it branched out on. The
-	exit and an inline loop for the row core took the saturate
-	benchmark from a median of 1,519 to 1,759 instances/s (six
-	alternated 30 s pairs, same host).
-
-	A depth-first search over the closed sets of PairIndex.closure finds
-	the same sets, but it cut the saturate benchmark to about a third and
-	took diamond_chain(6) from 1.6 to 9.7 ms; retry it only with a faster
-	closure.
-	"""
-	n = graph.n
-	rows, down, gv = index.rows, index.down, index.gv
-	full = graph.full
-	star = graph.star_masks
-	aways = [0] * n
-	owners = [None] * n  # owner tables of the x with two or more G^x-components
-	settled = full
-	for x, away, owner in index.splits:
-		aways[x] = away
-		owners[x] = owner
-		settled ^= 1 << x
-	shut = [None] * n  # shut[x][c]: everything at or below the G^x-components but c
-	row_core = [None] * n  # the vertices whose star holds all of rows[v]
-	out = []
-	stack = [(0, 0, settled, full)]  # in, out, settled, core
-	while stack:
-		inside, outside, settled, core = stack.pop()
-		while True:
-			todo = outside & ~(settled | core)
-			while todo:
-				low = todo & -todo
-				x = low.bit_length() - 1
-				table = shut[x]
-				if table is None:
-					table = shut[x] = _shut_table(gv[x], down)
-				part = inside & aways[x]
-				outside |= table[owners[x][(part & -part).bit_length() - 1]]
-				if outside & inside:
-					break
-				settled |= low
-				todo = outside & ~(settled | core)
-			if inside & outside:
-				break
-			rest = full & ~(inside | outside)
-			if not rest:
-				if inside and outside:
-					out.append(inside)
-				break
-			v = (rest & -rest).bit_length() - 1
-			stack.append((inside, outside | down[v], settled, core))
-			row = rows[v]
-			c = row_core[v]
-			if c is None:
-				c = full
-				# inline lowest-bit loop: cheaper than a bits() generator here
-				ys = row
-				while ys:
-					low = ys & -ys
-					c &= star[low.bit_length() - 1]
-					ys ^= low
-				row_core[v] = c
-			inside |= row
-			core &= c
-	return out
-
-
-def _shut_table(comps, down):
-	"""Each of comps mapped to everything at or below the others, through prefix and suffix ORs."""
-	below = []
-	for c in comps:
-		d = 0
-		# inline lowest-bit loop: components are small, and a bits()
-		# generator costs more than the body on those
-		while c:
-			low = c & -c
-			d |= down[low.bit_length() - 1]
-			c ^= low
-		below.append(d)
-	table = {}
-	acc = 0
-	for c, d in zip(comps, below):
-		table[c] = acc
-		acc |= d
-	acc = 0
-	for c, d in zip(reversed(comps), reversed(below)):
-		table[c] |= acc
-		acc |= d
-	return table
-
-
 def saturation(pp):
 	"""The pair with G enlarged by every proper invariant subgraph, listed on first read.
 
@@ -418,7 +258,7 @@ def saturation(pp):
 				"has %d: the invariant subgraphs can number up to 2^n - 2; vcd does "
 				"not list them, printing a decomposition tree does" % (SATURATE_CAP, graph.n)
 			)
-		return by_size(_invariant_scan(graph, index))
+		return by_size(index.invariant_sets())
 
 	return PeripheralPair._derived(graph, pp.h_members, index, list_g, saturated=True)
 

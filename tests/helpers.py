@@ -14,7 +14,7 @@ from raagout import families, orders
 from raagout.autos import Automorphism, LaurenceGenerator, is_inner
 from raagout.decompose import decompose
 from raagout.graphs import DefiningGraph, bits, mask_of
-from raagout.peripheral import PeripheralPair, _invariant_scan, saturate
+from raagout.peripheral import PeripheralPair, saturate
 from raagout.words import enc, inverse, mask_word, reduce_word
 
 
@@ -244,16 +244,46 @@ def preserves_word(ctx, phi, dmask):
 	return None, None
 
 
+def compress_mask(mask, within):
+	"""Reindex mask & within against the bit positions of within, one bit of within at a time.
+
+	>>> bin(compress_mask(0b1010, 0b1110))
+	'0b101'
+	"""
+	out = 0
+	for pos, i in enumerate(bits(within)):
+		if mask >> i & 1:
+			out |= 1 << pos
+	return out
+
+
+def leq_rel(graph, members, u, v):
+	"""u <=_G v read straight off the member list: domination plus no member separates u from v."""
+	if not graph.dominates(u, v):
+		return False
+	for m in members:
+		if m >> u & 1 and not m >> v & 1:
+			return False
+	return True
+
+
+def gv_components(graph, members, v):
+	"""G^v-components of the complement of st(v), from the members avoiding v."""
+	s = graph.full & ~graph.star_masks[v]
+	gv = [m for m in members if not m >> v & 1]
+	return orders.g_components(graph, gv, s)
+
+
 def brute_invariant(pp, dmask):
 	"""Invariance spelled out from leq_rel and gv_components alone, with no index."""
 	g = pp.graph
 	outside = g.full & ~dmask
 	for u in bits(dmask):
 		for v in bits(outside):
-			if orders.leq_rel(g, pp.g_members, u, v):
+			if leq_rel(g, pp.g_members, u, v):
 				return False
 	for v in bits(outside):
-		if sum(1 for c in orders.gv_components(g, pp.g_members, v) if c & dmask) > 1:
+		if sum(1 for c in gv_components(g, pp.g_members, v) if c & dmask) > 1:
 			return False
 	return True
 
@@ -269,9 +299,9 @@ def checked_saturate(pp):
 	found = set(sat.g_members)
 	assert set(pp.g_members) <= found, "saturation dropped a member of G"
 	fresh = orders.PairIndex(pp.graph, sat.g_members)
-	for field in ("rows", "down", "gv"):
+	for field in ("rows", "gv"):
 		assert getattr(fresh, field) == getattr(pp.index, field), field
-	assert set(_invariant_scan(pp.graph, fresh)) == found, "saturation is not a fixpoint"
+	assert set(fresh.invariant_sets()) == found, "saturation is not a fixpoint"
 	return sat
 
 
@@ -382,23 +412,22 @@ def split_twin_members(rng, graph, groups, count):
 
 
 def reference_index(graph, members):
-	"""rows, down, gv and splits of PairIndex(graph, members), built vertex by vertex.
+	"""rows, gv and splits of PairIndex(graph, members), built vertex by vertex.
 
 	Rows come from leq_rel, gv from gv_components and owner tables from
 	owner_table, one for each vertex, so no table is shared between twins.
 	"""
 	n = graph.n
 	rows = tuple(
-		mask_of(v for v in range(n) if orders.leq_rel(graph, members, u, v)) for u in range(n)
+		mask_of(v for v in range(n) if leq_rel(graph, members, u, v)) for u in range(n)
 	)
-	down = tuple(mask_of(u for u in range(n) if rows[u] >> v & 1) for v in range(n))
-	gv = tuple(tuple(orders.gv_components(graph, members, v)) for v in range(n))
+	gv = tuple(tuple(gv_components(graph, members, v)) for v in range(n))
 	splits = tuple(
 		(x, graph.full & ~graph.star_masks[x], orders.owner_table(graph, comps))
 		for x, comps in enumerate(gv)
 		if len(comps) > 1
 	)
-	return rows, down, gv, splits
+	return rows, gv, splits
 
 
 def random_peripheral(graph, rng, max_members=3):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line surface, in process."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -429,7 +430,7 @@ def test_closed_output_pipe_ends_quietly(tmp_path):
 		[sys.executable, "-m", "raagout.cli", "saturate", "--graph", graph, "--periph", periph],
 		stdout=subprocess.PIPE,
 		stderr=subprocess.PIPE,
-		env={"PYTHONPATH": src},
+		env=dict(os.environ, PYTHONPATH=src),
 	)
 	assert proc.stdout.readline().startswith(b"G <")
 	proc.stdout.close()
@@ -617,6 +618,7 @@ EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 INPUTS = {
 	"p3.json": P3,
 	"p3-b.json": {"G": [["b"]], "H": [["b"]]},
+	"empty.json": {"G": [], "H": []},
 	"edge.json": EDGE,
 	"edge-ab.json": {"G": [], "H": [["a"], ["b"]]},
 	"edge-trv.json": ["trv a^b"],
@@ -798,6 +800,31 @@ GL(1,Z) ext 0
 			"  root.i.i                 0        unipotent block plus extension\n",
 			"",
 		),
+		(
+			["info", "--graph", "p3.json", "--format", "json"],
+			0,
+			'{\n  "classes": [\n    [\n      "a",\n      "c"\n    ],\n    [\n      "b"\n    ]\n  ],\n'
+			'  "clique_number": 2,\n  "complexity": [\n    3,\n    8\n  ],\n  "connected": true,\n'
+			'  "edges": 2,\n  "pair": {\n    "G": [],\n    "H": []\n  },\n'
+			'  "vertices": [\n    "a",\n    "b",\n    "c"\n  ]\n}\n',
+			"",
+		),
+		(
+			["invariant", "--graph", "p3.json", "--target", "b", "--format", "json"],
+			0, '{\n  "invariant": true\n}\n', "",
+		),
+		(["periphery", "--graph", "d3.json", "--target", "c2,a3,b3,c3"], 0, "<c2>\n", ""),
+		(
+			["cone-graph", "--graph", "p3.json", "--periph", "empty.json"],
+			0,
+			"vertices: a b c @G @*\na -- b\na -- @G\na -- @*\nb -- c\nb -- @G\nb -- @*\n"
+			"c -- @G\nc -- @*\n",
+			"",
+		),
+		(
+			["apply", "--graph", "p3.json", "--gen", "trv a^c", "--word", "a b^-1", "--format", "json"],
+			0, '{\n  "image": "a b^-1 c",\n  "word": "a b^-1"\n}\n', "",
+		),
 	],
 	ids=[
 		"periphery-json", "restrict-text", "info-with-h", "saturate-with-h",
@@ -805,7 +832,8 @@ GL(1,Z) ext 0
 		"apply-nested-cycle", "apply-open-cycle", "apply-extra-close", "trivial-leaf-json",
 		"trivial-leaf-dot", "apply-inverse-symmetry", "vcd-symmetry-moves-a-member",
 		"vcd-symmetry-moves-a-class", "periphery-read-before-target", "empty-target",
-		"decompose-fast-below-saturated", "vcd-fast-below-saturated",
+		"decompose-fast-below-saturated", "vcd-fast-below-saturated", "info-json",
+		"invariant-json", "periphery-text", "cone-graph-text", "apply-json",
 	],
 )
 def test_pinned_output(capsys, monkeypatch, tmp_path, argv, code, out, err):

@@ -5,14 +5,14 @@ import pytest
 
 from raagout.errors import DomainError, ScriptError
 from raagout.families import diamond_chain, diamond_script, four_path, four_path_script
-from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
+from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.load import build_pair
 from raagout.orders import PairIndex
 from raagout import peripheral
 from raagout.peripheral import (
 	Complexity,
 	PeripheralPair,
-	_pivot,
+	_moved,
 	fast_periphery,
 	induced,
 	is_invariant,
@@ -52,6 +52,7 @@ from raagout.words import WordContext, inverse
 from helpers import (
 	acts_trivially_on,
 	auto_tree_nodes,
+	compress_mask,
 	connected_graphs_upto_iso,
 	graph_from_edges,
 	is_clique,
@@ -744,7 +745,8 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 	# random pairs, saturated or not, and every node of the auto trees of
 	# helpers.auto_tree_nodes: their pairs are saturated without a member
 	# list, kernels carry refined indexes and images closure-built ones.
-	# _pivot reads closures; pivot_by_generators lists the members of the
+	# the index's pivot search reads closures, searched afresh here past
+	# the pair's cache; pivot_by_generators lists the members of the
 	# saturation, which a listed pair is judged by too
 	rng = random.Random(17)
 	cases = []
@@ -760,19 +762,22 @@ def test_pivot_is_smallest_member_with_nontrivial_restriction():
 	assert all(node.pair.saturated for node in nodes)
 	assert sum(node.pair._g_members is None for node in nodes) > len(nodes) // 2
 	cases.extend((node.pair, node.pair) for node in nodes)
+	search = lambda d: d.index.pivot(_moved(d))
 	for d, sat in cases:
-		assert _pivot(d) == pivot_by_generators(sat)
-	assert sum(_pivot(d) is None for d, _ in cases) not in (0, len(cases))
+		assert search(d) == pivot_by_generators(sat)
+	assert sum(search(d) is None for d, _ in cases) not in (0, len(cases))
 
 
 def test_auto_nodes_search_for_a_pivot_once(monkeypatch):
 	# an auto leaf's step and its precondition read the same cached pivot
 	calls = []
-	search = peripheral._pivot
-	monkeypatch.setattr(peripheral, "_pivot", lambda d: calls.append(d) or search(d))
+	search = PairIndex.pivot
+	monkeypatch.setattr(
+		PairIndex, "pivot", lambda index, moved: calls.append(index) or search(index, moved)
+	)
 	root = decompose(PeripheralPair(diamond_chain(3)))
 	nodes = [node for _, _, _, node, _ in root.walk()]
-	assert len(calls) == len(nodes) == len({id(d) for d in calls})
+	assert len(calls) == len(nodes) == len({id(index) for index in calls})
 	assert any(isinstance(node.step, Leaf) for node in nodes)
 
 

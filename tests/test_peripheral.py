@@ -5,7 +5,7 @@ import pytest
 
 from raagout.errors import CapabilityError, DomainError
 from raagout.families import diamond_chain, four_path, four_path_classes
-from raagout.graphs import DefiningGraph, bits, compress_mask, mask_of
+from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.load import build_pair
 from raagout import orders
 from raagout.peripheral import (
@@ -22,8 +22,11 @@ from helpers import (
 	auto_tree_nodes,
 	brute_invariant,
 	checked_saturate,
+	compress_mask,
 	connected_graphs_upto_iso,
 	graph_from_edges,
+	gv_components,
+	leq_rel,
 	random_peripheral,
 	split_twin_members,
 	twin_blowup,
@@ -520,13 +523,13 @@ def test_induced_order_matches():
 			inside = list(bits(d))
 			for u in inside:
 				for v in range(g.n):
-					got = orders.leq_rel(g, sat.g_members, u, v)
+					got = leq_rel(g, sat.g_members, u, v)
 					if not d >> v & 1:
 						assert not got
 						continue
 					cu = inside.index(u)
 					cv = inside.index(v)
-					sub_got = orders.leq_rel(sub.graph, sub.g_members, cu, cv)
+					sub_got = leq_rel(sub.graph, sub.g_members, cu, cv)
 					assert got == sub_got
 
 
@@ -538,9 +541,9 @@ def test_induced_components_match():
 			inside = list(bits(d))
 			for x in bits(d):
 				cx = inside.index(x)
-				big = orders.gv_components(g, sat.g_members, x)
+				big = gv_components(g, sat.g_members, x)
 				cut = sorted(
 					{m for m in (compress_mask(c & d, d) for c in big) if m}
 				)
-				small = sorted(orders.gv_components(sub.graph, sub.g_members, cx))
+				small = sorted(gv_components(sub.graph, sub.g_members, cx))
 				assert small == cut

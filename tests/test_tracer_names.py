@@ -12,10 +12,16 @@ from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# Listed in WRAPPED, but gone from the package before this check was added;
-# they go when the tracer is replaced by counters inside the package.
+# Listed in WRAPPED, but gone from the package: the first four before this
+# check was added, the rest when the order index took over the invariant
+# scan and the row cuts and the member-list definitions moved to the
+# tests. They go when the tracer is replaced by counters inside the package.
 GONE = {
 	"orders.g_adjacent",
+	"orders.leq_rel",
+	"orders.gv_components",
+	"orders.blocked_masks",
+	"peripheral._invariant_scan",
 	"decompose.restriction_nontrivial",
 	"vcd.certify_abelian_lower_bound",
 	"vcd.certify_nilpotent_lower_bound",

@@ -910,6 +910,33 @@ def test_nilpotent_rejects_unlisted_commutator():
 		certify_lower_bound(g, partial, nilpotent=True)
 
 
+def test_nilpotent_matches_a_listed_generator_up_to_an_inner_factor(monkeypatch):
+	# the commutator of pc v4:[v1] and trv v4^v3 is pc v3:[v5] only up to
+	# an inner automorphism, so its letter table differs from the listed
+	# one and _match accepts it through is_inner
+	names = ["v%d" % i for i in range(6)]
+	edges = ["v0v1", "v0v3", "v0v4", "v0v5", "v2v3", "v2v5", "v3v4"]
+	g = DefiningGraph(names, [[e[:2], e[2:]] for e in edges])
+	gens = [
+		parse_generator(g, text)
+		for text in [
+			"trv v2^v0", "trv v1^v4", "trv v1^v0", "pc v4:[v1]",
+			"trv v4^v3", "trv v5^v3", "pc v3:[v5]", "trv v1^v3",
+		]
+	]
+	answers = []
+	inner = vcd.is_inner
+
+	def recorded(ctx, table):
+		out = inner(ctx, table)
+		answers.append(out.status)
+		return out
+
+	monkeypatch.setattr(vcd, "is_inner", recorded)
+	assert certify_lower_bound(g, gens, nilpotent=True) == 8
+	assert "yes" in answers
+
+
 def test_nilpotent_rejects_free_homology_image():
 	g = clique(2)
 	pair = [
