@@ -308,7 +308,7 @@ def restriction_step(pair, dmask, mode=RESTRICT_DEFAULT):
 	member, folded into G so the new member's pieces join the preserved
 	side; its order index is the pair's refined by those pieces. The
 	image is the pair induced on dmask, its index cut from the pair's
-	closures (peripheral.induced). The mode picks only the members the
+	(peripheral.induced). The mode picks only the members the
 	kernel and image list, on their first read: fast mode keeps the pair
 	as given and completes the image with the computed periphery;
 	saturated mode saturates first, which makes the induced members alone

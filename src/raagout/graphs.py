@@ -67,6 +67,14 @@ def compress_masks(masks, within):
 	return out
 
 
+def cut_masks(masks, within):
+	"""The distinct cuts m & within of masks, less 0 and within, compressed (compress_masks) and by size.
+
+	What a member list becomes on the subgraph induced on within.
+	"""
+	return by_size(compress_masks({m & within for m in masks} - {0, within}, within))
+
+
 class DefiningGraph:
 	"""A finite simplicial graph on distinct names in a fixed order; no loops, no repeated edges."""
 

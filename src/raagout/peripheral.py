@@ -33,7 +33,7 @@ from collections import namedtuple
 
 from .autos import enumerate_generators
 from .errors import CapabilityError, DomainError
-from .graphs import DefiningGraph, bits, by_size, compress_masks
+from .graphs import DefiningGraph, bits, by_size, cut_masks
 from . import orders
 
 SATURATE_CAP = 20
@@ -301,27 +301,20 @@ def induced(pp, dmask, periphery=False):
 
 	The index is PairIndex.spanning(dmask) cut to dmask, which is the
 	index of G when the result is a restriction or projection image: pp
-	saturated, the periphery added, or dmask a join target. On a
-	saturated pair G is every proper invariant set (spanning says why),
-	and with the periphery the image is the restriction image, whose
-	index is that of the saturated one (decompose.restriction_step). A
-	projection cuts to the complement of a center, a join target: every
-	vertex outside dmask is adjacent to every vertex of it. For u and v
-	in such a D, lk(u) lies in st(v) in the induced graph exactly when it
-	does in the whole graph, as both stars hold V - D, and a member
-	through u misses v exactly when its cut does; for x in D, V - st(x)
-	lies inside D, so the G^x-components are the same sets. The closures
-	add only up-sets that meet one G^x-component away from st(x) for each
-	x outside them, which change no row and merge no component. So the
-	cut index is the pair's own rows and components on D, whichever list
-	it is cut from. On any other pair and target the index need not be
-	G's.
+	saturated, the periphery added, or dmask the complement of the
+	center. On a saturated pair G is every proper invariant set (spanning
+	says why), and with the periphery the image is the restriction
+	image, whose index is that of the saturated one
+	(decompose.restriction_step). On a restriction or projection target
+	that index is the pair's own rows and components cut to dmask
+	(PairIndex.cut, which gives the lemmas), so it is cut from pp's
+	index rather than built. On any other pair and target the index need
+	not be G's.
 	"""
 	sub = pp.graph.induced(dmask)
-	cut = lambda ms: by_size(compress_masks({m & dmask for m in ms} - {0, dmask}, dmask))
-	list_g = lambda: cut(pp.g_members + (fast_periphery(pp, dmask) if periphery else ()))
-	index = orders.PairIndex(sub, cut(pp.index.spanning(dmask)))
-	return PeripheralPair._derived(sub, cut(pp.h_members), index, list_g)
+	list_g = lambda: cut_masks(pp.g_members + (fast_periphery(pp, dmask) if periphery else ()), dmask)
+	index = pp.index.cut(sub, dmask)
+	return PeripheralPair._derived(sub, cut_masks(pp.h_members, dmask), index, list_g)
 
 
 def fast_periphery(pp, dmask):

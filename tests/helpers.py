@@ -423,9 +423,10 @@ def reference_index(graph, members):
 	)
 	gv = tuple(tuple(gv_components(graph, members, v)) for v in range(n))
 	splits = tuple(
-		(x, graph.full & ~graph.star_masks[x], orders.owner_table(graph, comps))
-		for x, comps in enumerate(gv)
+		(graph.full & ~graph.star_masks[x], orders.owner_table(graph, comps))
 		if len(comps) > 1
+		else None
+		for x, comps in enumerate(gv)
 	)
 	return rows, gv, splits
 

@@ -52,6 +52,7 @@ from raagout.words import WordContext, inverse
 from helpers import (
 	acts_trivially_on,
 	auto_tree_nodes,
+	brute_invariant,
 	compress_mask,
 	connected_graphs_upto_iso,
 	graph_from_edges,
@@ -152,7 +153,7 @@ def join_first_restriction(pair, dmask):
 	"""The fast restriction as it was built when the target joined G first.
 
 	The image is built afresh from its members, so its index is built
-	from its G and not cut from the pair's closures.
+	from its G and not cut from the pair's index.
 	"""
 	if dmask not in pair.g_members:
 		pair = PeripheralPair(pair.graph, pair.g_members + (dmask,), pair.h_members)
@@ -684,7 +685,7 @@ def test_restriction_modes_give_equal_indexes():
 
 def test_restriction_images_index_their_listed_members():
 	# in both modes, on pairs that are not saturated, the image's index,
-	# cut from the pair's closures, is the index built from the members it
+	# cut from the pair's index, is the index built from the members it
 	# lists, and the kernel's, refined from the pair's, is its members' too
 	rng = random.Random(43)
 	checked = 0
@@ -744,7 +745,7 @@ def test_trees_read_each_graph_center_off_the_graph():
 def test_pivot_is_smallest_member_with_nontrivial_restriction():
 	# random pairs, saturated or not, and every node of the auto trees of
 	# helpers.auto_tree_nodes: their pairs are saturated without a member
-	# list, kernels carry refined indexes and images closure-built ones.
+	# list, kernels carry refined indexes and images cut ones.
 	# the index's pivot search reads closures, searched afresh here past
 	# the pair's cache; pivot_by_generators lists the members of the
 	# saturation, which a listed pair is judged by too
@@ -886,3 +887,32 @@ def test_tree_json_and_dot():
 	assert dot.startswith("digraph")
 	assert dot.endswith("}")
 	assert "FR(" in dot
+
+
+def test_auto_leaves_act_trivially_on_every_invariant_set():
+	# the precondition of every auto leaf, checked without the order
+	# index: on seeded relative pairs with 3 to 6 vertices, each listed
+	# generator of a leaf is a conjugation on each invariant set of the
+	# leaf, found by brute_invariant and tested on words
+	rng = random.Random(71)
+	leaves = checked = 0
+	for trial in range(200):
+		n = rng.randrange(3, 7)
+		pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+		density = rng.random()
+		g = graph_from_edges(n, [e for e in pairs if rng.random() < density])
+		glist, hlist = random_peripheral(g, rng)
+		for _, _, _, node, _ in decompose(PeripheralPair(g, glist, hlist)).walk():
+			if not isinstance(node.step, Leaf):
+				continue
+			pp = node.pair
+			sub = pp.graph
+			ctx = WordContext(sub)
+			invariant = [m for m in range(1, sub.full) if brute_invariant(pp, m)]
+			for gen in pp.gens():
+				phi = realize(ctx, gen)
+				for m in invariant:
+					assert acts_trivially_word(ctx, phi, m)[0], (sub.to_json_obj(), str(gen), m)
+					checked += 1
+			leaves += 1
+	assert leaves > 60 and checked > 300

@@ -251,8 +251,10 @@ def test_refined_index_matches_fresh_build():
 		kernel = pp.adding_h(extra)
 		assert _fields(kernel.index) == reference_index(g, kernel.g_members)
 		assert _fields(bare) == reference_index(g, ())
-	# the closure-built index of a pair induced from a saturated one, on
-	# every subgraph, against a fresh build over the induced member list
+	# the index of a pair induced from a saturated one, cut from the
+	# pair's on an invariant target or the complement of the center and
+	# built from the closures on any other subgraph, on every subgraph,
+	# against a fresh build over the induced member list
 	rng = random.Random(53)
 	for trial in range(100):
 		n = rng.randrange(1, 7)
@@ -385,3 +387,71 @@ def test_spanning_is_the_closures_of_vertices_and_non_adjacent_pairs():
 			targets.append(pp.graph.full & ~step.zmask)
 		for dmask in targets:
 			assert pp.index.spanning(dmask) == _spanning_by_definition(fresh, dmask)
+
+
+def _pair_masks(n):
+	"""Every mask of one or two vertices."""
+	return [1 << a | 1 << b for a in range(n) for b in range(a, n)]
+
+
+def test_derived_indexes_cut_filter_and_bound_as_their_lemmas_say():
+	# the three lemmas of the derived indexes, on every invariant target
+	# and the complement of the center of seeded pairs: the cut index
+	# (PairIndex.cut) equals a fresh build over its member list, and its
+	# closures a fresh build's; spanning of an invariant target, filtered
+	# from the whole graph's, equals it worked out; and the closures a
+	# refined index finds inside the bounds refined keeps equal a fresh
+	# build's, for the kernel edge's folds and for arbitrary extras
+	rng = random.Random(67)
+	cuts = centers = bounded = 0
+	for trial in range(200):
+		n = rng.randrange(2, 8)
+		g = _random_graph(rng, n)
+		glist = _random_members(rng, n, rng.randrange(5))
+		hlist = [m for m in glist if rng.random() < 0.5]
+		pp = PeripheralPair(g, glist, hlist)
+		pp.index.spanning(g.full)
+		invariant = [d for d in range(1, g.full) if pp.index.closure(d) == d]
+		targets = set(invariant)
+		if g.is_connected() and 0 < g.center < g.full:
+			targets.add(g.full & ~g.center)
+			centers += 1
+		for dmask in sorted(targets):
+			sub = g.induced(dmask)
+			fresh = orders.PairIndex(pp.graph, pp.g_members)
+			computed = fresh.spanning(dmask)
+			if dmask in invariant:
+				assert dmask not in pp.index._spanning
+				assert pp.index.spanning(dmask) == computed
+			members = by_size(
+				compress_mask(c, dmask) for c in {m & dmask for m in computed} - {0, dmask}
+			)
+			cut = pp.index.cut(sub, dmask)
+			built = orders.PairIndex(sub, members)
+			assert _fields(cut) == _fields(built)
+			assert cut.split_mask == built.split_mask
+			assert cut.spanning(sub.full) == built.spanning(sub.full) == members
+			for m in _pair_masks(sub.n):
+				assert cut.closure(m) == built.closure(m)
+			cuts += 1
+		# bounds: refine an index whose closures of every vertex and pair
+		# and whose spanning sets are worked out, then work them out again
+		for extra in [_random_members(rng, n, rng.randrange(1, 4))] + [
+			[d] + [d & ~(1 << v) for v in bits(d)] for d in invariant[:3]
+		]:
+			source = orders.PairIndex(g, pp.g_members)
+			for m in _pair_masks(n):
+				source.closure(m)
+			source.spanning(g.full)
+			refined = source.refined(extra)
+			fresh = orders.PairIndex(g, pp.g_members + tuple(extra))
+			for m, c in refined._bounds.items():
+				assert fresh.closure(m) & ~c == 0
+				bounded += c != fresh.closure(m)
+			for m in _pair_masks(n):
+				assert refined.closure(m) == fresh.closure(m)
+			assert refined.spanning(g.full) == fresh.spanning(g.full)
+			assert not refined._bounds
+			for m, c in refined._closed.items():
+				assert c == fresh.closure(m)
+	assert cuts > 2000 and centers > 20 and bounded > 200
