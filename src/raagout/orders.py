@@ -235,13 +235,13 @@ class PairIndex:
 
 		members is spanning(dmask) cut to dmask (graphs.cut_masks);
 		peripheral.induced says when that is the index of the image's G.
-		When dmask is invariant (a restriction target) or the complement of
-		the center (a projection target), the index is cut from this one's
-		tables, with no pass over the members: row v and the
-		G^v-components of each v in dmask are cut to dmask and compressed,
-		the components sorted again by least vertex; each member is its
-		own closure, and the members are the spanning sets of the whole
-		subgraph. On any other dmask it is built from the members.
+		dmask is invariant (a restriction target) or the complement of the
+		center (a projection target); peripheral.induced refuses any
+		other. The index is cut from this one's tables, with no pass over
+		the members: row v and the G^v-components of each v in dmask are
+		cut to dmask and compressed, the components sorted again by least
+		vertex; each member is its own closure, and the members are the
+		spanning sets of the whole subgraph.
 
 		Lemma (cut): for such a D and u, v in D, v is in the new row u
 		exactly when it is in row u, and the G^v-components of the new
@@ -287,10 +287,7 @@ class PairIndex:
 		  closure({d, d'}) is a member avoiding x that glues them, and the
 		  stretches join a to b in the new index.
 		"""
-		graph = self.graph
 		members = cut_masks(self.spanning(dmask), dmask)
-		if dmask != graph.full & ~graph.center and self.closure(dmask) != dmask:
-			return PairIndex(sub, members)
 		out = object.__new__(PairIndex)
 		out.graph = sub
 		out.rows = tuple(compress_masks([self.rows[v] for v in bits(dmask)], dmask))
@@ -501,7 +498,7 @@ class PairIndex:
 	def invariant_sets(self):
 		"""All proper nonempty invariant masks, as up-sets of the relative order.
 
-		Branches on the lowest undecided vertex v: either v is in, and with it
+		Branches on an undecided vertex v: either v is in, and with it
 		everything above it (rows[v]), or v is out, and with it everything below
 		it (down[v]). Once an out vertex x sees the in set meet one of its
 		G^x-components, every other G^x-component must stay out too, so those
@@ -511,36 +508,48 @@ class PairIndex:
 		up-set that no outside star separates, so the cost follows the number
 		of up-sets rather than 2^n.
 
+		The branching order is fixed once per call and read off the index:
+		most G^x-components first, then smallest row, then lowest vertex.
+		Each state carries its position in the order, and a branch takes the
+		first undecided vertex from there on. Any order gives the same sets.
+		The two branches on v split the sets by whether they hold v, so no
+		set is listed twice, and no step cuts away an invariant set S that
+		agrees with the branch so far: S holds rows[v] for v in S, misses
+		down[v] for v outside it, and for x outside it meets at most one
+		G^x-component away from st(x), so it misses what settling x shuts
+		out. Every leaf decides every vertex, so the leaves are exactly the
+		invariant sets. The order only moves where branches die. A letter
+		with many G^x-components shuts out the most once it is out, so it
+		goes first and the dead branches die near the root (fail-first). On
+		diamond_chain(6), mean over 40 random vertex orders, branches fall
+		from 410 to 290, settle steps from 646 to 488 and dead branches from
+		151 to 31 against branching on the lowest undecided vertex; over
+		200 orders, branches plus settle steps ranged 754-1,513 before and
+		730-830 after. four_path(5,5,4,5) branches 6 times either way and
+		pays for the sort, which two stable sorts on list keys keep to a
+		few microseconds. The saturate benchmark went from a median of
+		1,882 to 1,948 instances/s (eight alternated 30 s pairs, 2 cores,
+		python 3.11).
+
 		The tables are built as the search reaches them, so the cost follows
 		what it visits. An x with at most one G^x-component shuts nothing out
 		and starts settled. The shut-out sets of a split x are built on its
 		first visit, one per G^x-component, as the OR of the down-closures of
 		the other components (prefix and suffix ORs), and read through x's
-		owner table from splits. The core a row imposes is built the
-		first time the search branches on its vertex. The in branch goes on in
-		place, so each branch pushes one state. Together with the shared
-		twin tables of the member-free PairIndex, this took the saturate
-		benchmark from a median of 1,199 to 1,570 instances/s over ten runs
-		each (2 cores, python 3.11): four_path(5,5,4,5) searches 13 nodes for
-		its 5 sets, and building every table up front cost more than that.
-		The down-sets are the one table built whole, read off the rows
-		when the search starts.
+		owner table from splits. The core a row imposes is built the first
+		time the search branches on its vertex. The in branch goes on in
+		place, so each branch pushes one state. The down-sets are the one
+		table built whole, read off the rows when the search starts.
 
 		A branch can die only while settling: the in set is an up-set and
 		the out set a down-set, so adding rows[v] or down[v] for an
-		undecided v cannot make them meet. The settle loop therefore stops
-		at the first shut-out set that meets the in set. Without that exit,
-		511 of the 1,172 settle steps of a diamond_chain(6) instance (mean
-		over random vertex orders) run on dead branches, and each of the
-		147 dead branches dies settling the vertex it branched out on. The
-		exit and an inline loop for the row core took the saturate
-		benchmark from a median of 1,519 to 1,759 instances/s (six
-		alternated 30 s pairs, same host).
+		undecided v, whichever v the order picks, cannot make them meet.
+		The settle loop therefore stops at the first shut-out set that
+		meets the in set.
 
 		A depth-first search over the closed sets of closure finds the
-		same sets, but it cut the saturate benchmark to about a third and
-		took diamond_chain(6) from 1.6 to 9.7 ms; retry it only with a faster
-		closure.
+		same sets, but it cut the saturate benchmark to about a third;
+		retry it only with a faster closure.
 		"""
 		graph = self.graph
 		n = graph.n
@@ -556,14 +565,20 @@ class PairIndex:
 				low = row & -row
 				down[low.bit_length() - 1] |= bit
 				row ^= low
+		# most G^x-components first, then smallest row, then vertex: two
+		# stable sorts on list keys, so no sort calls back into python
+		order = sorted(range(n), key=list(map(int.bit_count, rows)).__getitem__)
+		order.sort(key=list(map(len, gv)).__getitem__, reverse=True)
 		splits = self.splits
 		settled = full & ~self.split_mask  # an x with one G^x-component shuts nothing out
 		shut = [None] * n  # shut[x][c]: everything at or below the G^x-components but c
 		row_core = [None] * n  # the vertices whose star holds all of rows[v]
 		out = []
-		stack = [(0, 0, settled, full)]  # in, out, settled, core
+		# in, out, settled, core, and the position in order before which
+		# every vertex is decided
+		stack = [(0, 0, settled, full, 0)]
 		while stack:
-			inside, outside, settled, core = stack.pop()
+			inside, outside, settled, core, at = stack.pop()
 			while True:
 				todo = outside & ~(settled | core)
 				while todo:
@@ -586,8 +601,12 @@ class PairIndex:
 					if inside and outside:
 						out.append(inside)
 					break
-				v = (rest & -rest).bit_length() - 1
-				stack.append((inside, outside | down[v], settled, core))
+				v = order[at]
+				while not rest >> v & 1:
+					at += 1
+					v = order[at]
+				at += 1
+				stack.append((inside, outside | down[v], settled, core, at))
 				row = rows[v]
 				c = row_core[v]
 				if c is None:

@@ -299,19 +299,23 @@ def induced(pp, dmask, periphery=False):
 	restriction step. G is cut from pp's on first read, and so is the
 	periphery worked out.
 
-	The index is PairIndex.spanning(dmask) cut to dmask, which is the
-	index of G when the result is a restriction or projection image: pp
+	dmask must be a restriction or projection target: invariant for pp,
+	or the complement of the center. Any other target is refused. The
+	index is PairIndex.spanning(dmask) cut to dmask, which is the index
+	of G when the result is a restriction or projection image: pp
 	saturated, the periphery added, or dmask the complement of the
 	center. On a saturated pair G is every proper invariant set (spanning
 	says why), and with the periphery the image is the restriction
 	image, whose index is that of the saturated one
-	(decompose.restriction_step). On a restriction or projection target
-	that index is the pair's own rows and components cut to dmask
-	(PairIndex.cut, which gives the lemmas), so it is cut from pp's
-	index rather than built. On any other pair and target the index need
-	not be G's.
+	(decompose.restriction_step). That index is the pair's own rows and
+	components cut to dmask (PairIndex.cut, which gives the lemmas), so
+	it is cut from pp's index rather than built. On any other pair the
+	index need not be G's.
 	"""
-	sub = pp.graph.induced(dmask)
+	graph = pp.graph
+	if dmask != graph.full & ~graph.center and not is_invariant(pp, dmask):
+		raise DomainError("target is neither invariant nor the complement of the center")
+	sub = graph.induced(dmask)
 	list_g = lambda: cut_masks(pp.g_members + (fast_periphery(pp, dmask) if periphery else ()), dmask)
 	index = pp.index.cut(sub, dmask)
 	return PeripheralPair._derived(sub, cut_masks(pp.h_members, dmask), index, list_g)

@@ -385,6 +385,25 @@ def test_induced_cuts_members():
 	assert sub.graph.adj[c1] == sub.graph.mask(["a2", "b2"])
 
 
+def test_induced_refuses_other_targets():
+	# only a restriction target (invariant) or a projection target (the
+	# complement of the center) has an image; a lies below c, so {a} is
+	# not an up-set
+	g = path3()
+	with pytest.raises(DomainError, match="^target is neither invariant nor the complement of the center$"):
+		induced(normalized(g), g.mask(["a"]))
+	refused = 0
+	for g, sat in _saturated_cases():
+		for d in range(1, g.full + 1):
+			if d == g.full & ~g.center or is_invariant(sat, d):
+				assert induced(sat, d).graph.n == d.bit_count()
+			else:
+				with pytest.raises(DomainError, match="^target is neither invariant"):
+					induced(sat, d)
+				refused += 1
+	assert refused > 0
+
+
 # ---- fast periphery ----
 
 
