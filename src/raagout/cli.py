@@ -23,9 +23,6 @@ from .autos import (
 	realize,
 )
 from .decompose import (
-	RESTRICT_DEFAULT,
-	RESTRICT_MODES,
-	SATURATED,
 	decompose,
 	dot_escape,
 	group_to_json_obj,
@@ -140,7 +137,7 @@ def cmd_periphery(args, graph, pair, dmask):
 
 
 def cmd_restrict(args, graph, pair, dmask):
-	kernel, image = restriction_step(pair, dmask, mode=args.mode)
+	kernel, image = restriction_step(pair, dmask)
 	if args.format == "json":
 		_emit_json({"kernel": group_to_json_obj(kernel), "image": group_to_json_obj(image)})
 		return
@@ -203,9 +200,9 @@ def cmd_apply(args, graph):
 
 
 def cmd_check_exact(args, graph, pair, dmask):
-	# the modes give the same groups (restriction_step), and every line
-	# below reads only the groups
-	kernel, image = restriction_step(pair, dmask, mode=SATURATED)
+	# every line below reads only the groups, which do not depend on the
+	# members the step lists (restriction_step)
+	kernel, image = restriction_step(pair, dmask)
 	ctx = WordContext(graph)
 	sub_ctx = WordContext(image.graph)
 	failures = 0
@@ -276,7 +273,6 @@ def build_parser():
 
 	p = add("restrict", cmd_restrict, help="one restriction step")
 	p.add_argument("--target", metavar="V,V,...", required=True)
-	p.add_argument("--mode", choices=RESTRICT_MODES, default=RESTRICT_DEFAULT)
 
 	p = add("decompose", cmd_decompose, formats=DOT_FORMATS, help="full decomposition tree")
 	p.add_argument("--script", metavar="F", help="script JSON file")

@@ -23,11 +23,6 @@ from .peripheral import (
 )
 from .autos import Automorphism, LaurenceGenerator, gen_in_relative
 
-
-# the constructions of a restriction step, and the one taken when none is named
-FAST, SATURATED = RESTRICT_MODES = ("fast", "saturated")
-RESTRICT_DEFAULT = FAST
-
 # The pair is the group. The old name stays for callers outside the package
 # that still spell it (perfbench builds GroupDescriptor.absolute and wraps
 # GroupDescriptor.gens); nothing in the package does.
@@ -301,46 +296,42 @@ def tree_text(root):
 # ---- the three moves ----
 
 
-def restriction_step(pair, dmask, mode=RESTRICT_DEFAULT):
+def restriction_step(pair, dmask):
 	"""Split off the restriction to an invariant subgraph.
 
 	The kernel keeps the whole graph and gains dmask as a trivial-action
 	member, folded into G so the new member's pieces join the preserved
 	side; its order index is the pair's refined by those pieces. The
 	image is the pair induced on dmask, its index cut from the pair's
-	(peripheral.induced). The mode picks only the members the
-	kernel and image list, on their first read: fast mode keeps the pair
-	as given and completes the image with the computed periphery;
-	saturated mode saturates first, which makes the induced members alone
-	already sufficient. Every member of G is invariant, and on a
-	saturated pair, whose G is every proper invariant set, every
-	invariant target is a member.
+	(peripheral.induced), and it gains the periphery exactly when the
+	pair is not saturated. A saturated G is every proper invariant set,
+	so its cut to dmask already makes the image exact; any other G is
+	completed by fast_periphery. Every member of G is invariant, and on
+	a saturated pair every invariant target is a member.
 
 	A target outside G is not joined to the pair's G: the kernel folds it
 	in through H, induced would drop its cut (all of dmask), and
 	fast_periphery reads only the members that avoid a vertex of dmask.
 
-	Lemma: the modes differ only in the members they list, as their
-	kernels have one group and index, and so do their images. Saturation
-	hands over the pair's index, so both kernels refine one index by the
-	same masks. Both images are the restriction image, which the periphery
-	makes exact, and a relative group fixes its index: trv v^w lies in it
+	Lemma: the groups do not depend on whether the pair was saturated
+	first, only the members listed do. The steps on a pair and on its
+	saturation give kernels of one group and index, and images of one
+	group and index. Saturation hands over the pair's index, so both
+	kernels refine one index by the same masks. Both images are the
+	restriction image, made exact by the periphery or by the saturated
+	members, and a relative group fixes its index: trv v^w lies in it
 	exactly when w is in row v, and pc x:R when R is a union of
 	G^x-components. check-exact, bounds and leaf shapes read only those.
 	"""
 	graph = pair.graph
 	if not 0 < dmask < graph.full:
 		raise DomainError("restriction target must be a proper nonempty subgraph")
-	if mode not in RESTRICT_MODES:
-		raise DomainError("restriction mode must be %s" % " or ".join(RESTRICT_MODES))
-	if mode == SATURATED and not pair.saturated:
-		pair = saturation(pair)
 	if not is_invariant(pair, dmask):
 		raise DomainError(
 			"restriction target %s is not invariant for this pair"
 			% "".join(graph.names(dmask))
 		)
-	return pair.adding_h([dmask]), induced(pair, dmask, periphery=mode == FAST)
+	return pair.adding_h([dmask]), induced(pair, dmask, periphery=not pair.saturated)
 
 
 def lift_generator(source, image, dmask, gen):
@@ -542,7 +533,7 @@ def decompose(pair, mode="auto", script=None):
 						"restriction target %s is already in H, so the step makes no progress"
 						% "".join(pair.graph.names(dmask))
 					)
-				kernel, image = restriction_step(pair, dmask, mode=step.get("mode", RESTRICT_DEFAULT))
+				kernel, image = restriction_step(pair, dmask)
 				node.step = RestrictionStep(dmask, _child(pair, kernel), _child(pair, image))
 			elif op == "project":
 				zmask, rank, image = projection_step(pair)
@@ -571,7 +562,7 @@ def _auto_step(pair):
 	"""The step auto mode takes on a saturated pair, in script form."""
 	pivot = pair.pivot()
 	if pivot is not None:
-		return {"op": "restrict", "target": pair.graph.names(pivot), "mode": SATURATED}
+		return {"op": "restrict", "target": pair.graph.names(pivot)}
 	graph = pair.graph
 	if graph.is_connected() and 0 < graph.center < graph.full:
 		return {"op": "project"}

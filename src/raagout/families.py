@@ -51,8 +51,8 @@ def diamond_script(d):
 	for i in range(1, d):
 		rest += ["a%d" % i, "b%d" % i, "c%d" % i]
 	return [
-		{"op": "restrict", "target": top, "mode": "fast"},
-		{"op": "restrict", "target": rest, "mode": "fast"},
+		{"op": "restrict", "target": top},
+		{"op": "restrict", "target": rest},
 	]
 
 
@@ -181,10 +181,9 @@ def four_path_script(p, q, r, s):
 		{
 			"op": "restrict",
 			"target": w + x + y,
-			"mode": "fast",
 			"image": [
-				{"op": "restrict", "target": y, "mode": "fast", "image": [{"op": "leaf"}]},
-				{"op": "restrict", "target": x, "mode": "fast", "image": [{"op": "leaf"}]},
+				{"op": "restrict", "target": y, "image": [{"op": "leaf"}]},
+				{"op": "restrict", "target": x, "image": [{"op": "leaf"}]},
 				{"op": "project"},
 				{"op": "leaf"},
 			],
@@ -192,7 +191,6 @@ def four_path_script(p, q, r, s):
 		{
 			"op": "restrict",
 			"target": x + y + z,
-			"mode": "fast",
 			"image": [
 				{"op": "project"},
 				{"op": "leaf"},

@@ -4,20 +4,21 @@ Each builder checks a JSON value against its format's shape table (a dict
 lists the keys allowed, a one-item list is a list of that item, a type is
 a value of that type), then what a shape cannot say, and builds. Errors
 name the file and the key path, like [0]"image"[2]. Checks that need a
-pair, such as the invariance of a target, stay with it.
+pair, such as the invariance of a target, stay with it. A script step
+names a move and its target, never how to make it: every restriction is
+built one way (decompose.restriction_step).
 """
 
 import json
 
 from .autos import parse_generator
-from .decompose import RESTRICT_DEFAULT, RESTRICT_MODES
 from .errors import DomainError
 from .graphs import DefiningGraph
 from .peripheral import PeripheralPair
 
 GRAPH = {"vertices": [str], "edges": [[str]]}
 PAIR = {"G": [[str]], "H": [[str]]}
-STEP = {"op": str, "target": [str], "mode": str, "image": list}
+STEP = {"op": str, "target": [str], "image": list}
 
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
@@ -101,8 +102,8 @@ def build_pair(obj, graph):
 def build_script(obj, graph, path=""):
 	"""The script, each op known, each target named in graph and each "image" a script in turn.
 
-	Only a restrict step takes "target", "mode" and "image"; a project or
-	leaf step is its op alone.
+	Only a restrict step takes "target" and "image"; a project or leaf
+	step is its op alone.
 	"""
 	_check(obj, [STEP], path)
 	for i, step in enumerate(obj):
@@ -116,8 +117,6 @@ def build_script(obj, graph, path=""):
 					_fail(at + json.dumps(key), "only a restrict step takes this key")
 			continue
 		_require(step, at, "target")
-		if step.get("mode", RESTRICT_DEFAULT) not in RESTRICT_MODES:
-			_fail(at + '"mode"', "must be %s" % " or ".join(RESTRICT_MODES))
 		_at(at + '"target"', graph.mask, step["target"])
 		build_script(step.get("image", []), graph, at + '"image"')
 	return obj

@@ -295,9 +295,9 @@ def induced(pp, dmask, periphery=False):
 	compressed accordingly. H stays folded into G (deleted-vertex subsets
 	of intersections are intersections of deleted-vertex subsets), but the
 	result is not saturated. With periphery, G also holds the members of
-	fast_periphery(pp, dmask), which lie inside dmask: the image of a fast
-	restriction step. G is cut from pp's on first read, and so is the
-	periphery worked out.
+	fast_periphery(pp, dmask), which lie inside dmask: the image of a
+	restriction step on a pair that is not saturated. G is cut from pp's
+	on first read, and so is the periphery worked out.
 
 	dmask must be a restriction or projection target: invariant for pp,
 	or the complement of the center. Any other target is refused. The

@@ -235,7 +235,7 @@ def test_08_suite_c_exact_sequence():
 		if not members:
 			continue
 		dmask = rng.choice(members)
-		kernel, image = restriction_step(sat, dmask, mode="saturated")
+		kernel, image = restriction_step(sat, dmask)
 		ctx = WordContext(g)
 		sub_ctx = WordContext(image.graph)
 		for gen in image.gens():

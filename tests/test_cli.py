@@ -179,12 +179,13 @@ def test_check_exact_clean(capsys, p3):
 
 
 def test_check_exact_mode_flag_is_gone(capsys, p3):
-	# the modes give the same groups, and check-exact prints only what they fix
-	with pytest.raises(SystemExit) as exc:
-		main(["check-exact", "--graph", p3, "--target", "b", "--mode", "fast"])
-	err = capsys.readouterr().err
-	assert exc.value.code == 1
-	assert err == "raagout: error: unrecognized arguments: --mode fast\n"
+	# a restriction step is built one way, so neither command takes a mode
+	for command in ("check-exact", "restrict"):
+		with pytest.raises(SystemExit) as exc:
+			main([command, "--graph", p3, "--target", "b", "--mode", "fast"])
+		err = capsys.readouterr().err
+		assert exc.value.code == 1, command
+		assert err == "raagout: error: unrecognized arguments: --mode fast\n", command
 
 
 def test_check_exact_reports_a_failed_lift(capsys, monkeypatch, p3):
@@ -317,7 +318,7 @@ def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
 	edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
 	graph = write_json(tmp_path, "c46.json", {"vertices": names, "edges": edges})
 	steps = [
-		{"op": "restrict", "target": [u, v], "mode": "saturated"}
+		{"op": "restrict", "target": [u, v]}
 		for i, u in enumerate(names)
 		for v in names[i + 1 :]
 	]
@@ -332,40 +333,35 @@ def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
 
 
 def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_path):
-	# diamond_chain(8) has 25 vertices: the kernel of the saturated step
-	# lists G only when read, and the fast step below it cuts its image's
-	# index from the closures, so nothing lists G; it gives what two fast
-	# steps give
+	# diamond_chain(8) has 25 vertices: the kernel of the first step lists
+	# G only when read, and the second step cuts its image's index from
+	# the kernel's, so nothing lists G
 	from raagout.families import diamond_chain
 
 	graph = write_json(tmp_path, "d8.json", diamond_chain(8).to_json_obj())
-	top = {"op": "restrict", "target": ["c7", "a8", "b8", "c8"]}
-	rest = {"op": "restrict", "target": ["c0"] + ["%s%d" % (x, i) for i in range(1, 8) for x in "abc"]}
-	outs = []
-	for first in ("saturated", "fast"):
-		steps = [dict(top, mode=first), dict(rest, mode="fast")]
-		script = write_json(tmp_path, "d8.%s.json" % first, steps)
-		code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
-		assert (code, err) == (0, "")
-		assert out.splitlines()[:2] == ["upper: 31", "lower: 31"]
-		outs.append(out)
-	assert outs[0] == outs[1]
+	steps = [
+		{"op": "restrict", "target": ["c7", "a8", "b8", "c8"]},
+		{"op": "restrict", "target": ["c0"] + ["%s%d" % (x, i) for i in range(1, 8) for x in "abc"]},
+	]
+	script = write_json(tmp_path, "d8.script.json", steps)
+	code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
+	assert (code, err) == (0, "")
+	assert out.splitlines()[:2] == ["upper: 31", "lower: 31"]
 
 
 def test_vcd_projection_below_a_saturated_step_past_the_listing_cap(capsys, tmp_path):
 	# the cone over the 21-cycle has 22 vertices: the kernel of the
-	# saturated step lists G only when read, and its projection image reads
-	# its index off the kernel's, since the complement of the apex is a
-	# join target, so nothing lists G; a fast first step gives the same bound
+	# restriction step lists G only when read, and its projection image
+	# reads its index off the kernel's, since the complement of the apex
+	# is a join target, so nothing lists G
 	names = ["v%d" % i for i in range(21)]
 	edges = [[names[i], names[(i + 1) % 21]] for i in range(21)] + [[v, "z"] for v in names]
 	graph = write_json(tmp_path, "cone.json", {"vertices": names + ["z"], "edges": edges})
-	for mode in ("saturated", "fast"):
-		steps = [{"op": "restrict", "target": ["z"], "mode": mode}, {"op": "project"}]
-		script = write_json(tmp_path, "cone.%s.json" % mode, steps)
-		code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
-		assert (code, err) == (0, "")
-		assert out.splitlines()[0] == "upper: 21"
+	steps = [{"op": "restrict", "target": ["z"]}, {"op": "project"}]
+	script = write_json(tmp_path, "cone.script.json", steps)
+	code, out, err = run(capsys, "vcd", "--graph", graph, "--script", script)
+	assert (code, err) == (0, "")
+	assert out.splitlines()[0] == "upper: 21"
 
 
 @pytest.mark.parametrize("edges, clique", [(True, 2), (False, 1)])
@@ -499,7 +495,11 @@ def test_help_names_info_a_peripheral_pair_summary(capsys):
 		("--script", [{"op": "restrict", "target": [["b"]]}], '[0]"target"[0]: must be a string'),
 		("--periph", {"g": [["a"]], "h": [["c"]]}, '"g": unknown key'),
 		("--script", [{"op": "restrict", "target": ["b"], "moed": "saturated"}], '[0]"moed": unknown key'),
-		("--script", [{"op": "restrict", "target": ["b"], "mode": "x"}], '[0]"mode": must be fast or saturated'),
+		(
+			"--script",
+			[{"op": "restrict", "target": ["b"], "mode": "fast"}],
+			'[0]"mode": unknown key, not one of "op", "target", "image"',
+		),
 		# a is in the graph but not in the image branch, which only the tree knows
 		(
 			"--script",
@@ -511,7 +511,7 @@ def test_help_names_info_a_peripheral_pair_summary(capsys):
 		(
 			"--script",
 			[{"op": "restrict", "target": ["b"], "image": [
-				{"op": "leaf", "target": ["b"], "mode": "saturated", "image": [{"op": "bogus"}]},
+				{"op": "leaf", "target": ["b"], "image": [{"op": "bogus"}]},
 			]}],
 			'[0]"image"[0]"target": only a restrict step takes this key',
 		),
@@ -631,59 +631,7 @@ INPUTS = {
 	"p3-a.json": {"G": [["a"]], "H": []},
 	"p3-sym.json": ["sym (a c)"],
 	"c4-rot.json": ["sym (a b c d)"],
-	"g5.json": {
-		"vertices": ["a", "b", "c", "d", "e"],
-		"edges": [["a", "e"], ["b", "d"], ["b", "e"], ["c", "d"], ["c", "e"], ["d", "e"]],
-	},
-	"g5-mixed.json": [
-		{"op": "restrict", "target": ["b", "c", "d", "e"], "mode": "saturated"},
-		{
-			"op": "restrict",
-			"target": ["c", "d", "e"],
-			"mode": "fast",
-			"image": [{"op": "restrict", "target": ["c"], "mode": "saturated"}],
-		},
-	],
 }
-
-# a fast step below a saturated one: its image lists G cut to <c,d,e>
-# with the computed periphery, 4 members, the first time it is read
-G5_MIXED_TREE = """\
-restrict to <b,c,d,e>  [n=5 |G|=0 |H|=0]
- kernel:
-  restrict to <c,d,e>  [n=5 |G|=7 |H|=1]
-   kernel:
-    project out <e>, kernel rank 1  [n=5 |G|=15 |H|=2]
-      leaf FR(factors=[<b,c,d>!], m=1)  [n=4 |G|=7 |H|=2]
-   image:
-    restrict to <c>  [n=3 |G|=4 |H|=0]
-     kernel:
-      restrict to <d>  [n=3 |G|=6 |H|=1]
-       kernel:
-        restrict to <e>  [n=3 |G|=6 |H|=2]
-         kernel:
-          leaf Trivial  [n=3 |G|=6 |H|=3]
-         image:
-          leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
-       image:
-        leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
-     image:
-      leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
- image:
-  restrict to <e>  [n=4 |G|=2 |H|=0]
-   kernel:
-    restrict to <d,e>  [n=4 |G|=2 |H|=1]
-     kernel:
-      project out <d,e>, kernel rank 4  [n=4 |G|=3 |H|=2]
-        leaf FR(factors=[], m=2)  [n=2 |G|=0 |H|=0]
-     image:
-      leaf GL(1,Z) ext 1  [n=2 |G|=1 |H|=1]
-   image:
-    leaf GL(1,Z) ext 0  [n=1 |G|=0 |H|=0]
-leaves: FreeAbelian(1); FR(factors=[<b,c,d>!], m=1); Trivial; GL(1,Z) ext 0; \
-GL(1,Z) ext 0; GL(1,Z) ext 0; FreeAbelian(4); FR(factors=[], m=2); GL(1,Z) ext 1; \
-GL(1,Z) ext 0
-"""
 
 
 @pytest.mark.parametrize(
@@ -783,23 +731,6 @@ GL(1,Z) ext 0
 			1, "", "error: periphery file missing.json: cannot read: No such file or directory\n",
 		),
 		(["invariant", "--graph", "p3.json", "--target", ""], 1, "", "error: unknown vertex ''\n"),
-		(["decompose", "--graph", "g5.json", "--script", "g5-mixed.json"], 0, G5_MIXED_TREE, ""),
-		(
-			["vcd", "--graph", "g5.json", "--script", "g5-mixed.json"],
-			0,
-			"upper: unknown\nlower: 0\n"
-			"  root.k.k.z               1        projection kernel\n"
-			"  root.k.k.i               unknown  free product with no formula\n"
-			"  root.k.i.k.k.k           0        trivial\n"
-			"  root.k.i.k.k.i           0        unipotent block plus extension\n"
-			"  root.k.i.k.i             0        unipotent block plus extension\n"
-			"  root.k.i.i               0        unipotent block plus extension\n"
-			"  root.i.k.k.z             4        projection kernel\n"
-			"  root.i.k.k.i             1        free group outer\n"
-			"  root.i.k.i               1        unipotent block plus extension\n"
-			"  root.i.i                 0        unipotent block plus extension\n",
-			"",
-		),
 		(
 			["info", "--graph", "p3.json", "--format", "json"],
 			0,
@@ -832,7 +763,7 @@ GL(1,Z) ext 0
 		"apply-nested-cycle", "apply-open-cycle", "apply-extra-close", "trivial-leaf-json",
 		"trivial-leaf-dot", "apply-inverse-symmetry", "vcd-symmetry-moves-a-member",
 		"vcd-symmetry-moves-a-class", "periphery-read-before-target", "empty-target",
-		"decompose-fast-below-saturated", "vcd-fast-below-saturated", "info-json",
+		"info-json",
 		"invariant-json", "periphery-text", "cone-graph-text", "apply-json",
 	],
 )

@@ -17,6 +17,7 @@ from raagout.peripheral import (
 	induced,
 	is_invariant,
 	saturate,
+	saturation,
 )
 from raagout.autos import (
 	Automorphism,
@@ -106,7 +107,7 @@ def test_restriction_diamond_first_step():
 	g = diamond_chain(2)
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
-	kernel, image = restriction_step(d, b, mode="fast")
+	kernel, image = restriction_step(d, b)
 	# kernel keeps the graph; the target becomes a trivial-action member
 	assert kernel.graph is g
 	assert b in kernel.h_members
@@ -122,8 +123,8 @@ def test_restriction_diamond_second_step():
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
 	a1 = g.mask(["c0", "a1", "b1", "c1"])
-	kernel, _ = restriction_step(d, b, mode="fast")
-	inner, image = restriction_step(kernel, a1, mode="fast")
+	kernel, _ = restriction_step(d, b)
+	inner, image = restriction_step(kernel, a1)
 	# both diamonds now held pointwise up to conjugacy: the inner kernel
 	assert set(inner.h_members) == {b, a1}
 	# the image inherits the shared vertex pointwise
@@ -136,21 +137,18 @@ def test_restriction_diamond_second_step():
 def test_restriction_requires_invariance():
 	g = path3()
 	d = PeripheralPair(g)
-	with pytest.raises(DomainError):
-		restriction_step(d, g.mask(["a", "c"]))
-	for target in (["a", "c"], ["a"], ["a", "b"]):
-		with pytest.raises(DomainError):
-			restriction_step(d, g.mask(target), mode="saturated")
+	for pair in (d, saturation(d)):
+		for target in (["a", "c"], ["a"], ["a", "b"]):
+			with pytest.raises(DomainError):
+				restriction_step(pair, g.mask(target))
 	with pytest.raises(DomainError):
 		restriction_step(d, 0)
 	with pytest.raises(DomainError):
 		restriction_step(d, g.full)
-	with pytest.raises(DomainError):
-		restriction_step(d, g.mask(["b"]), mode="lazy")
 
 
 def join_first_restriction(pair, dmask):
-	"""The fast restriction as it was built when the target joined G first.
+	"""The restriction of an unsaturated pair as it was built when the target joined G first.
 
 	The image is built afresh from its members, so its index is built
 	from its G and not cut from the pair's index.
@@ -163,6 +161,7 @@ def join_first_restriction(pair, dmask):
 
 
 def test_fast_restriction_matches_the_join_first_construction():
+	# the pairs are not saturated, so each image gains the periphery
 	rng = random.Random(41)
 	checked = 0
 	for _ in range(60):
@@ -174,7 +173,7 @@ def test_fast_restriction_matches_the_join_first_construction():
 		for dmask in range(1, g.full):
 			if not is_invariant(d, dmask) or dmask in d.h_members:
 				continue
-			kernel, image = restriction_step(d, dmask, mode="fast")
+			kernel, image = restriction_step(d, dmask)
 			ref_kernel, ref_image = join_first_restriction(d, dmask)
 			case = (g.to_json_obj(), d.to_json_obj(), dmask)
 			assert kernel.to_json_obj() == ref_kernel.to_json_obj(), case
@@ -195,7 +194,7 @@ def test_word_restriction_refuses_a_letter_sent_outside():
 	g = diamond_chain(2)
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
-	_, image = restriction_step(d, b, mode="fast")
+	_, image = restriction_step(d, b)
 	ctx, sub_ctx = WordContext(g), WordContext(image.graph)
 	phi = realize(ctx, LaurenceGenerator.partial_conj(g, "c0", b))
 	with pytest.raises(DomainError, match="^map sends a letter of the subgroup outside it$"):
@@ -212,7 +211,7 @@ def test_restriction_kernel_gens_trivial_on_target():
 	g = diamond_chain(2)
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
-	kernel, _ = restriction_step(d, b, mode="fast")
+	kernel, _ = restriction_step(d, b)
 	ctx = WordContext(g)
 	for gen in kernel.gens():
 		assert acts_trivially_on(gen, b)
@@ -225,7 +224,7 @@ def test_lift_roundtrip_mod_inner():
 	g = diamond_chain(2)
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
-	_, image = restriction_step(d, b, mode="fast")
+	_, image = restriction_step(d, b)
 	ctx, sub_ctx = WordContext(g), WordContext(image.graph)
 	lifted = 0
 	for gen in image.gens():
@@ -245,7 +244,7 @@ def test_lift_partial_conjugation_region():
 	g = diamond_chain(2)
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
-	saturated_kernel, image = restriction_step(d, b, mode="saturated")
+	_, image = restriction_step(saturation(d), b)
 	for gen in image.gens():
 		if gen.kind != "pc":
 			continue
@@ -266,7 +265,7 @@ def test_lift_rejects_outsiders():
 	g = diamond_chain(2)
 	d = PeripheralPair(g)
 	b = g.mask(["c1", "a2", "b2", "c2"])
-	_, image = restriction_step(d, b, mode="fast")
+	_, image = restriction_step(d, b)
 	bad = LaurenceGenerator.transvection(image.graph, "c1", "c2")
 	with pytest.raises(DomainError):
 		lift_generator(d, image, b, bad)
@@ -281,9 +280,10 @@ def test_every_generator_restricts_into_the_image_group():
 	# each generator phi of a saturated random pair and each invariant D,
 	# take g with g^-1 phi(A_D) g = A_D, restrict that conjugate to D and
 	# recode it on the image graph: it must preserve every G-member of the
-	# image up to conjugacy and act trivially on every H-member. The image's
-	# index must be the one its members give, so that an index bug cannot
-	# hide behind a correct listing
+	# image up to conjugacy and act trivially on every H-member, for the
+	# image of the pair (with the periphery) and of its saturation. The
+	# image's index must be the one its members give, so that an index bug
+	# cannot hide behind a correct listing
 	rng = random.Random(41)
 	checked = 0
 	for _ in range(40):
@@ -291,7 +291,8 @@ def test_every_generator_restricts_into_the_image_group():
 		density = rng.random()
 		edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
 		g = graph_from_edges(n, edges)
-		sat = saturate(PeripheralPair(g, *random_peripheral(g, rng)))
+		pair = PeripheralPair(g, *random_peripheral(g, rng))
+		sat = saturate(pair)
 		ctx = WordContext(g)
 		phis = [realize(ctx, gen) for gen in sat.gens()]
 		for dmask in sat.g_members:
@@ -304,16 +305,16 @@ def test_every_generator_restricts_into_the_image_group():
 				bwd = [phi.invert().apply(k + (2 * v,) + inverse(k)) for v in range(n)]
 				conj = Automorphism.from_images(ctx, fwd, bwd)
 				psis.append(word_restriction(sub_ctx, dmask, conj))
-			for mode in ("fast", "saturated"):
-				_, image = restriction_step(sat, dmask, mode=mode)
+			for source in (pair, sat):
+				_, image = restriction_step(source, dmask)
 				assert image.graph.vertices == sub_ctx.graph.vertices
 				ref = PairIndex(image.graph, image.g_members)
-				assert (image.index.rows, image.index.gv) == (ref.rows, ref.gv), mode
+				assert (image.index.rows, image.index.gv) == (ref.rows, ref.gv), source.saturated
 				for psi in psis:
 					for m in image.g_members:
-						assert preserves_word(sub_ctx, psi, m)[0], (mode, image.to_json_obj())
+						assert preserves_word(sub_ctx, psi, m)[0], (source.saturated, image.to_json_obj())
 					for m in image.h_members:
-						assert acts_trivially_word(sub_ctx, psi, m)[0], (mode, image.to_json_obj())
+						assert acts_trivially_word(sub_ctx, psi, m)[0], (source.saturated, image.to_json_obj())
 					checked += 1
 	assert checked > 1000
 
@@ -527,8 +528,8 @@ def test_decompose_diamond_script():
 	b = ["c1", "a2", "b2", "c2"]
 	a1 = ["c0", "a1", "b1", "c1"]
 	script = [
-		{"op": "restrict", "target": b, "mode": "fast"},
-		{"op": "restrict", "target": a1, "mode": "fast"},
+		{"op": "restrict", "target": b},
+		{"op": "restrict", "target": a1},
 	]
 	node = decompose(PeripheralPair(g), mode="script", script=script)
 	step = node.step
@@ -563,8 +564,7 @@ def test_decompose_script_nested_image():
 		{
 			"op": "restrict",
 			"target": ["c1", "a2", "b2", "c2"],
-			"mode": "fast",
-			"image": [{"op": "restrict", "target": ["c1"], "mode": "fast"}],
+			"image": [{"op": "restrict", "target": ["c1"]}],
 		},
 	]
 	node = decompose(PeripheralPair(g), mode="script", script=script)
@@ -605,7 +605,7 @@ def test_decompose_script_image_error_wins_over_a_later_step():
 
 def test_scripted_leaves_have_no_invariant_subgraph_left_to_restrict():
 	# random pairs on graphs with at most 5 vertices, connected or not,
-	# under the scripts [leaf] and [restrict fast T, image [leaf]]: each
+	# under the scripts [leaf] and [restrict T, image [leaf]]: each
 	# run builds a tree or raises a domain error (exit 0 or 1), and every
 	# leaf it accepts restricts trivially to every invariant subgraph,
 	# listed or not, that is, to every member of the saturation. A root
@@ -621,7 +621,7 @@ def test_scripted_leaves_have_no_invariant_subgraph_left_to_restrict():
 		glist, hlist = random_peripheral(g, rng)
 		d = PeripheralPair(g, glist, hlist)
 		target = g.names(rng.randrange(1, g.full))
-		image = {"op": "restrict", "target": target, "mode": "fast", "image": [{"op": "leaf"}]}
+		image = {"op": "restrict", "target": target, "image": [{"op": "leaf"}]}
 		for script in ([{"op": "leaf"}], [image]):
 			try:
 				root = decompose(d, mode="script", script=script)
@@ -664,8 +664,10 @@ def test_walk_is_pre_order_with_paths():
 
 
 def test_restriction_modes_give_equal_indexes():
-	# both constructions give kernels with one group and images with one
-	# group, so equal order rows and G^v-components (restriction_step)
+	# a step on a pair and on its saturation lists different members (the
+	# periphery is added only to the first image) but gives kernels with
+	# one group and images with one group, so equal order rows and
+	# G^v-components (restriction_step)
 	rng = random.Random(41)
 	checked = 0
 	for _ in range(150):
@@ -674,19 +676,28 @@ def test_restriction_modes_give_equal_indexes():
 		g = graph_from_edges(n, [e for e in pairs if rng.random() < rng.random()])
 		pair = PeripheralPair(g, *random_peripheral(g, rng))
 		for dmask in saturate(pair).g_members:
-			fast = restriction_step(pair, dmask, mode="fast")
-			sat = restriction_step(pair, dmask, mode="saturated")
-			for a, b in zip(fast, sat):
+			plain = restriction_step(pair, dmask)
+			sat = restriction_step(saturation(pair), dmask)
+			for a, b in zip(plain, sat):
 				assert a.index.rows == b.index.rows, (g.to_json_obj(), pair, dmask)
 				assert a.index.gv == b.index.gv, (g.to_json_obj(), pair, dmask)
 			checked += 1
 	assert checked > 200
 
 
-def test_restriction_images_index_their_listed_members():
-	# in both modes, on pairs that are not saturated, the image's index,
-	# cut from the pair's index, is the index built from the members it
-	# lists, and the kernel's, refined from the pair's, is its members' too
+def test_restriction_images_index_their_listed_members(monkeypatch):
+	# on pairs that are not saturated and on their saturations, the image's
+	# index, cut from the pair's index, is the index built from the members
+	# it lists, and the kernel's, refined from the pair's, is its members' too.
+	# Only the image of the pair that is not saturated works out the
+	# periphery; a saturated G already holds it
+	periphery_of = []
+
+	def counted(pp, dmask):
+		periphery_of.append(pp.saturated)
+		return fast_periphery(pp, dmask)
+
+	monkeypatch.setattr(peripheral, "fast_periphery", counted)
 	rng = random.Random(43)
 	checked = 0
 	for _ in range(80):
@@ -695,21 +706,23 @@ def test_restriction_images_index_their_listed_members():
 		g = graph_from_edges(n, [e for e in pairs if rng.random() < rng.random()])
 		pair = PeripheralPair(g, *random_peripheral(g, rng))
 		for dmask in saturate(pair).g_members:
-			for mode in ("fast", "saturated"):
-				case = (g.to_json_obj(), pair.to_json_obj(), dmask, mode)
-				for part in restriction_step(pair, dmask, mode=mode):
+			for source in (pair, saturation(pair)):
+				case = (g.to_json_obj(), pair.to_json_obj(), dmask, source.saturated)
+				for part in restriction_step(source, dmask):
 					ref = PairIndex(part.graph, part.g_members)
 					assert (part.index.rows, part.index.gv) == (ref.rows, ref.gv), case
 			checked += 1
 	assert checked > 100
+	assert periphery_of.count(False) == checked and True not in periphery_of
 
 
 def test_fast_step_below_a_saturated_one_lists_members_whatever_was_read():
-	# a-e, b-d, b-e, c-d, c-e, d-e: the kernel of the saturated step
-	# lists G on first read, and the fast step below it lists its own
-	# members whether or not that read came first (the image lists 4, with
-	# the computed periphery); each image's index is the index of the
-	# members it lists, and the two modes' indexes agree
+	# a-e, b-d, b-e, c-d, c-e, d-e: the kernel of a step on the saturated
+	# pair lists G on first read, and the step below it, on that kernel,
+	# which is not saturated, lists its own members whether or not that
+	# read came first (the image lists 4, with the computed periphery);
+	# each image's index is the index of the members it lists, and agrees
+	# with the image of the kernel's saturation
 	g = DefiningGraph(
 		list("abcde"),
 		[["a", "e"], ["b", "d"], ["b", "e"], ["c", "d"], ["c", "e"], ["d", "e"]],
@@ -718,12 +731,12 @@ def test_fast_step_below_a_saturated_one_lists_members_whatever_was_read():
 	cde = g.mask(["c", "d", "e"])
 	outs = []
 	for read in (False, True):
-		k, _ = restriction_step(pair, g.mask(["b", "c", "d", "e"]), "saturated")
+		k, _ = restriction_step(saturation(pair), g.mask(["b", "c", "d", "e"]))
 		if read:
 			k.g_members
-		kernel, image = restriction_step(k, cde, "fast")
+		kernel, image = restriction_step(k, cde)
 		outs.append((kernel.g_members, image.g_members))
-		sat_image = restriction_step(k, cde, "saturated")[1]
+		sat_image = restriction_step(saturation(k), cde)[1]
 		for im in (image, sat_image):
 			ref = PairIndex(im.graph, im.g_members)
 			assert (im.index.rows, im.index.gv) == (ref.rows, ref.gv)

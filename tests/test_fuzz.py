@@ -4,20 +4,21 @@ Each example writes a graph, a peripheral pair, a script and a generator
 list, some shaped like the real formats and some arbitrary JSON, and runs
 one command on them; every command gets the same number of examples.
 About one example in four slips on purpose: its pair or its script steps
-carry a misspelled key, its restrict steps leave out the target, or its
-project and leaf steps carry an unknown op or a key only restrict takes, so
-the loader's checks are reached while most examples get past the loader
-to the tree builder. Half of the examples of a command that reads a
-generator list (vcd) instead bound the graph's absolute group in auto
-mode with a list of its own generators, which lie in that group, so they
-get past the loader and the tree to the lower-bound certificate. The
-other half, and the decompose examples, draw their restrict targets from
-the pair's invariant subgraphs and their generator lists from the pair's
-own generators whenever the pair is well formed, so scripted and relative
-examples reach the certificate too. Whatever the input,
-the command must exit 0, 1 (domain or usage error) or 2 (capability limit)
-and must not raise: 3, an internal error, fails the test too. The run is
-derandomized and small, so the same examples run every time.
+carry a misspelled key or "mode", which no format takes, its restrict
+steps leave out the target, or its project and leaf steps carry an unknown
+op or a key only restrict takes, so the loader's checks are reached while
+most examples get past the loader to the tree builder. Half of the
+examples of a command that reads a generator list (vcd) instead bound the
+graph's absolute group in auto mode with a list of its own generators,
+which lie in that group, so they get past the loader and the tree to the
+lower-bound certificate. The other half, and the decompose examples, draw
+their restrict targets from the pair's invariant subgraphs and their
+generator lists from the pair's own generators whenever the pair is well
+formed, so scripted and relative examples reach the certificate too.
+Whatever the input, the command must exit 0, 1 (domain or usage error) or
+2 (capability limit) and must not raise: 3, an internal error, fails the
+test too. The run is derandomized and small, so the same examples run
+every time.
 """
 
 import contextlib
@@ -40,11 +41,11 @@ from raagout.peripheral import PeripheralPair, saturate
 NAMES = ["a", "b", "c", "d", "e"]
 
 KEYS = [
-	"vertices", "edges", "G", "H", "op", "target", "image", "mode",
-	# misspelled keys, which every format rejects
-	"g", "moed",
+	"vertices", "edges", "G", "H", "op", "target", "image",
+	# keys every format rejects: misspelled, or the "mode" older scripts carry
+	"g", "moed", "mode",
 ]
-SLIPS = [None] * 12 + ["g", "moed", "target", "op"]
+SLIPS = [None] * 15 + ["g", "moed", "mode", "target", "op"]
 scalars = st.one_of(
 	st.none(),
 	st.booleans(),
@@ -69,7 +70,7 @@ FLAGS = {
 	"invariant": ("--periph", "--target"),
 	"saturate": ("--periph",),
 	"periphery": ("--periph", "--target"),
-	"restrict": ("--periph", "--target", "--mode"),
+	"restrict": ("--periph", "--target"),
 	"decompose": ("--periph", "--script"),
 	"vcd": ("--periph", "--script", "--gens", "--nilpotent"),
 	"cone-graph": ("--periph",),
@@ -127,8 +128,7 @@ def invocations(draw, command):
 	vertex = st.sampled_from(vertices + ["zz"] if draw(st.integers(0, 7)) == 7 else vertices)
 	name_lists = st.lists(vertex, min_size=1, max_size=4, unique=True)
 	slip = draw(st.sampled_from(SLIPS))
-	typo = {"moed": st.just("saturated")} if slip == "moed" else {}
-	mode = {"mode": st.sampled_from(["fast", "saturated", "x"])}
+	typo = {slip: st.sampled_from(["fast", "saturated"])} if slip in ("moed", "mode") else {}
 
 	def script(targets):
 		"""Scripts whose restrict steps draw their targets from targets.
@@ -140,13 +140,13 @@ def invocations(draw, command):
 		# leaf first, so the simplest draw is a step that can end a branch
 		other = st.fixed_dictionaries(
 			{"op": st.sampled_from(["leaf", "project"] + ["spin"] * (slip == "op")), **typo},
-			optional={"target": name_lists, **mode} if slip == "op" else {},
+			optional={"target": name_lists} if slip == "op" else {},
 		)
 		if not targets:
 			return shaped(st.lists(other, min_size=1, max_size=3))
 		steps = st.recursive(
 			st.one_of(
-				st.fixed_dictionaries({"op": st.just("restrict"), **target, **typo}, optional=mode),
+				st.fixed_dictionaries({"op": st.just("restrict"), **target, **typo}),
 				other,
 			),
 			lambda inner: st.fixed_dictionaries(
@@ -174,7 +174,6 @@ def invocations(draw, command):
 	}
 	text_flags = {
 		"--target": name_lists.map(",".join),
-		"--mode": st.sampled_from(["fast", "saturated"]),
 		"--word": st.lists(
 			st.builds("{}^{}".format, vertex, st.integers(-2, 3)), max_size=6
 		).map(" ".join),
