@@ -281,8 +281,11 @@ def _letter_table(ctx, words):
 	return _reduced_table(ctx, moves), mask_of(moves)
 
 
-def realize(ctx, gen, sign=1):
-	"""The explicit automorphism of a generator or (sign -1) of its inverse.
+def realize(ctx, gen):
+	"""The explicit automorphism of a generator.
+
+	Both directions are written, so invert() on the result is the
+	automorphism of the generator's inverse, with nothing recomputed.
 
 	The letter tables are written directly, with no reduce: every word a
 	generator writes is reduced by construction. Inversions and
@@ -304,18 +307,15 @@ def realize(ctx, gen, sign=1):
 		forward[v] = backward[v] = (enc(v, -1),)
 	elif gen.kind == "trv":
 		moved, acting = gen.data
-		forward[moved] = (enc(moved, 1), enc(acting, sign))
-		backward[moved] = (enc(moved, 1), enc(acting, -sign))
+		forward[moved] = (enc(moved, 1), enc(acting, 1))
+		backward[moved] = (enc(moved, 1), enc(acting, -1))
 	elif gen.kind == "pc":
 		acting, region = gen.data
 		for u in bits(region):
-			forward[u] = (enc(acting, sign), enc(u, 1), enc(acting, -sign))
-			backward[u] = (enc(acting, -sign), enc(u, 1), enc(acting, sign))
+			forward[u] = (enc(acting, 1), enc(u, 1), enc(acting, -1))
+			backward[u] = (enc(acting, -1), enc(u, 1), enc(acting, 1))
 	else:
-		perm = gen.data
-		if sign < 0:
-			perm = _invert_perm(perm)
-		for v, w in enumerate(perm):
+		for v, w in enumerate(gen.data):
 			if v != w:
 				forward[v] = (enc(w, 1),)
 				backward[w] = (enc(v, 1),)
@@ -336,24 +336,19 @@ def _reduced_table(ctx, words):
 	return tuple(table)
 
 
-def _invert_perm(perm):
-	out = [0] * len(perm)
-	for v, w in enumerate(perm):
-		out[w] = v
-	return tuple(out)
-
-
 def product_of(ctx, signed_gens):
 	"""Compose (generator, sign) factors left to right.
 
-	The first factor is applied last, matching how a written product of
-	automorphisms acts on an argument. Images can grow exponentially with
-	the number of factors, so a product whose image of a letter, either
-	way, spells out more than PARSE_CAP letters is refused.
+	Each factor is realized, and inverted with invert() when its sign is
+	-1. The first factor is applied last, matching how a written product
+	of automorphisms acts on an argument. Images can grow exponentially
+	with the number of factors, so a product whose image of a letter,
+	either way, spells out more than PARSE_CAP letters is refused.
 	"""
 	acc = Automorphism.identity(ctx)
 	for gen, sign in signed_gens:
-		acc = acc.compose(realize(ctx, gen, sign))
+		phi = realize(ctx, gen)
+		acc = acc.compose(phi if sign > 0 else phi.invert())
 		longest = max(map(len, acc.images + acc.back), default=0)
 		if longest > PARSE_CAP:
 			raise CapabilityError(

@@ -5,17 +5,17 @@ inverse, so xor with 1 inverts a letter and integer order on letter codes is
 the (vertex, sign) order used for canonical forms. adj is the defining
 graph's tuple of neighbour masks.
 
-The module-level functions below are the word kernel. A word is reduced when
-no generator/inverse pair can be brought together by swapping adjacent
-commuting letters. The left-greedy stack pass of reduce_word removes every
-such pair in one sweep. Canonical forms are computed greedily: among the
-letters that can be commuted to the front, repeatedly extract the one with
-the least code. Since the reduced words representing a group element are
-exactly the linearizations of a labelled partial order, the greedy choice
-yields the lexicographically least reduced word.
-
-WordContext binds the kernel to one defining graph and adds parsing and
-formatting.
+The methods of WordContext, bound to one defining graph, are the word
+kernel: reduce, apply_map, canonical, cyc_reduce and strip_front, with
+push_letter as the one stack loop they share, and parsing and formatting
+beside them. A word is reduced when no generator/inverse pair can be
+brought together by swapping adjacent commuting letters. The left-greedy
+stack pass of reduce removes every such pair in one sweep. Canonical forms
+are computed greedily: among the letters that can be commuted to the front,
+repeatedly extract the one with the least code. Since the reduced words
+representing a group element are exactly the linearizations of a labelled
+partial order, the greedy choice yields the lexicographically least reduced
+word.
 """
 
 from .errors import CapabilityError, DomainError
@@ -32,9 +32,6 @@ def enc(v, sign):
 
 def inverse(letters):
 	return tuple(lt ^ 1 for lt in reversed(letters))
-
-
-# ---- the word kernel ----
 
 
 def push_letter(out, lt, adj):
@@ -56,98 +53,6 @@ def push_letter(out, lt, adj):
 	return False
 
 
-def reduce_word(letters, adj):
-	out = []
-	for lt in letters:
-		push_letter(out, lt, adj)
-	return tuple(out)
-
-
-def apply_map(letters, images, adj):
-	"""Reduced image of a word under a letter substitution.
-
-	images is indexed by letter code and holds words (anything iterable of
-	letter codes). The substituted word is reduced on the fly, never
-	materialized.
-	"""
-	out = []
-	for lt in letters:
-		for m in images[lt]:
-			push_letter(out, m, adj)
-	return tuple(out)
-
-
-def canonical_word(letters, adj):
-	"""Lexicographically least reduced word equal to the input in the group.
-
-	Each round scans from the front for the least letter that commutes
-	with every letter before it. A letter can move to the front exactly
-	when its vertex is in common, the common link of the letters scanned
-	so far; movable letters have distinct vertices, so it beats the best
-	one so far exactly when its vertex is in below. Once common and below
-	are disjoint no later letter can win, and the scan stops. The rest of
-	the word is kept back to front, so taking out a letter near the front
-	moves only the few letters ahead of it.
-	"""
-	rem = list(reduce_word(letters, adj))
-	rem.reverse()
-	out = []
-	while rem:
-		common = below = -1
-		for p in range(len(rem) - 1, -1, -1):
-			v = rem[p] >> 1
-			if (common & below) >> v & 1:
-				best_pos = p
-				below = (1 << v) - 1
-			common &= adj[v]
-			if not common & below:
-				break
-		out.append(rem.pop(best_pos))
-	return tuple(out)
-
-
-def cyc_reduce_word(letters, adj):
-	"""Cyclically reduced core and conjugator, in one pass.
-
-	Returns (core, conj) with the input word equal to conj * core * conj^-1
-	and core of minimal length in the conjugacy class. A second copy of
-	the reduced word w is pushed onto w; the letters of the copy that
-	cancel are conj, in order, and core is conj^-1 w conj reduced. Lemma:
-	write w = u c u^-1 with c cyclically reduced. A letter of the copy
-	cancels only by commuting past the letters of the copy that survive
-	before it, so the cancelled letters form a prefix of w, and there are
-	(2|w| - |reduce(ww)|) / 2 = |u| of them, as ww = u c c u^-1.
-	"""
-	w = reduce_word(letters, adj)
-	out = list(w)
-	conj = tuple(lt for lt in w if push_letter(out, lt, adj))
-	if not conj:
-		return w, ()
-	return reduce_word(inverse(conj) + w + conj, adj), conj
-
-
-def strip_front(letters, smask, adj):
-	"""Greedily move letters with vertex in smask to the front and split there.
-
-	Returns (prefix, remainder): prefix has support inside smask, the
-	original word is prefix * remainder, and no further smask-letter of
-	the remainder can be commuted to its front. One pass suffices: a
-	letter moves exactly when it commutes with every letter left behind
-	before it, and moving a letter changes that set for no earlier letter.
-	"""
-	prefix = []
-	rem = []
-	left = 0
-	for lt in letters:
-		v = lt >> 1
-		if smask >> v & 1 and not left & ~adj[v]:
-			prefix.append(lt)
-		else:
-			rem.append(lt)
-			left |= 1 << v
-	return tuple(prefix), tuple(rem)
-
-
 class WordContext:
 	"""Word operations over a fixed defining graph.
 
@@ -161,19 +66,96 @@ class WordContext:
 		self.letters = tuple((lt,) for lt in range(2 * graph.n))
 
 	def reduce(self, letters):
-		return reduce_word(letters, self.adj)
-
-	def canonical(self, letters):
-		return canonical_word(letters, self.adj)
-
-	def cyc_reduce(self, letters):
-		return cyc_reduce_word(letters, self.adj)
+		out = []
+		adj = self.adj
+		for lt in letters:
+			push_letter(out, lt, adj)
+		return tuple(out)
 
 	def apply_map(self, letters, images):
-		return apply_map(letters, images, self.adj)
+		"""Reduced image of a word under a letter substitution.
+
+		images is indexed by letter code and holds words (anything iterable
+		of letter codes). The substituted word is reduced on the fly, never
+		materialized.
+		"""
+		out = []
+		adj = self.adj
+		for lt in letters:
+			for m in images[lt]:
+				push_letter(out, m, adj)
+		return tuple(out)
+
+	def canonical(self, letters):
+		"""Lexicographically least reduced word equal to the input in the group.
+
+		Each round scans from the front for the least letter that commutes
+		with every letter before it. A letter can move to the front exactly
+		when its vertex is in common, the common link of the letters
+		scanned so far; movable letters have distinct vertices, so it beats
+		the best one so far exactly when its vertex is in below. Once
+		common and below are disjoint no later letter can win, and the scan
+		stops. The rest of the word is kept back to front, so taking out a
+		letter near the front moves only the few letters ahead of it.
+		"""
+		adj = self.adj
+		rem = list(self.reduce(letters))
+		rem.reverse()
+		out = []
+		while rem:
+			common = below = -1
+			for p in range(len(rem) - 1, -1, -1):
+				v = rem[p] >> 1
+				if (common & below) >> v & 1:
+					best_pos = p
+					below = (1 << v) - 1
+				common &= adj[v]
+				if not common & below:
+					break
+			out.append(rem.pop(best_pos))
+		return tuple(out)
+
+	def cyc_reduce(self, letters):
+		"""Cyclically reduced core and conjugator, in one pass.
+
+		Returns (core, conj) with the input word equal to conj * core *
+		conj^-1 and core of minimal length in the conjugacy class. A second
+		copy of the reduced word w is pushed onto w; the letters of the copy
+		that cancel are conj, in order, and core is conj^-1 w conj reduced.
+		Lemma: write w = u c u^-1 with c cyclically reduced. A letter of the
+		copy cancels only by commuting past the letters of the copy that
+		survive before it, so the cancelled letters form a prefix of w, and
+		there are (2|w| - |reduce(ww)|) / 2 = |u| of them, as ww = u c c u^-1.
+		"""
+		w = self.reduce(letters)
+		out = list(w)
+		conj = tuple(lt for lt in w if push_letter(out, lt, self.adj))
+		if not conj:
+			return w, ()
+		return self.reduce(inverse(conj) + w + conj), conj
 
 	def strip_front(self, letters, smask):
-		return strip_front(letters, smask, self.adj)
+		"""Greedily move letters with vertex in smask to the front and split there.
+
+		Returns (prefix, remainder): prefix has support inside smask, the
+		original word is prefix * remainder, and no further smask-letter of
+		the remainder can be commuted to its front. One pass suffices: a
+		letter moves exactly when it commutes with every letter left behind
+		before it, and moving a letter changes that set for no earlier
+		letter.
+		"""
+		adj = self.adj
+		prefix = []
+		rem = []
+		left = 0
+		for lt in letters:
+			v = lt >> 1
+			if smask >> v & 1 and not left & ~adj[v]:
+				prefix.append(lt)
+			else:
+				rem.append(lt)
+				left |= 1 << v
+		return tuple(prefix), tuple(rem)
 
 	# ---- text form ----
 

@@ -15,7 +15,7 @@ from raagout.autos import Automorphism, LaurenceGenerator, is_inner
 from raagout.decompose import decompose
 from raagout.graphs import DefiningGraph, bits, mask_of
 from raagout.peripheral import PeripheralPair, saturate
-from raagout.words import enc, inverse, mask_word, reduce_word
+from raagout.words import enc, inverse, mask_word
 
 
 def word_closure(word, graph, cap=200000):
@@ -444,7 +444,7 @@ def random_peripheral(graph, rng, max_members=3):
 
 
 def strip_front_rescanning(letters, smask, adj):
-	"""(prefix, remainder) of words.strip_front by rescanning from the front.
+	"""(prefix, remainder) of WordContext.strip_front by rescanning from the front.
 
 	Moves the first smask-letter that commutes with every letter before it
 	to the prefix, then scans the rest again from its front, until no
@@ -467,15 +467,21 @@ def strip_front_rescanning(letters, smask, adj):
 	return tuple(prefix), tuple(rem)
 
 
-def cyc_reduce_rescanning(letters, adj):
-	"""(core, conj) of words.cyc_reduce_word by cancelling one pair at a time.
+def foata_word(word, graph):
+	"""A reduced word for word: its foata levels read bottom up."""
+	return [lt for level in foata(word, graph) for lt in level]
+
+
+def cyc_reduce_rescanning(letters, graph):
+	"""(core, conj) of WordContext.cyc_reduce by cancelling one pair at a time.
 
 	Scans for the letters movable to the front and to the back, cancels
 	the first front letter whose inverse is a distinct back letter,
-	reduces again, and rescans, until no such pair is left; each cancelled
-	front letter joins conj.
+	reduces again through foata, and rescans, until no such pair is left;
+	each cancelled front letter joins conj.
 	"""
-	core = list(reduce_word(letters, adj))
+	adj = graph.adj
+	core = foata_word(letters, graph)
 	conj = []
 	while True:
 		front = []
@@ -507,7 +513,7 @@ def cyc_reduce_rescanning(letters, adj):
 		p, q, lt = hit
 		conj.append(lt)
 		core = [core[i] for i in range(len(core)) if i != p and i != q]
-		core = list(reduce_word(core, adj))
+		core = foata_word(core, graph)
 
 
 def magnus2(word, a, b):

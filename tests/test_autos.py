@@ -149,11 +149,11 @@ def test_realize_images():
 	assert inverts(tv) and inverts(pc) and inverts(inv)
 
 
-def test_realize_sign():
+def test_inverted_transvection_writes_the_inverse_letter_and_undoes_it():
 	g = path3()
 	ctx = WordContext(g)
 	gen = LaurenceGenerator.transvection(g, "a", "c")
-	down = realize(ctx, gen, sign=-1)
+	down = realize(ctx, gen).invert()
 	assert ctx.format(down.images[0]) == "a c^-1"
 	assert same_map(realize(ctx, gen).compose(down), Automorphism.identity(ctx))
 

@@ -332,7 +332,7 @@ def test_vcd_runs_a_script_deeper_than_the_stack(capsys, tmp_path):
 	assert took < 2.0
 
 
-def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_path):
+def test_vcd_restriction_below_a_restriction_past_the_listing_cap(capsys, tmp_path):
 	# diamond_chain(8) has 25 vertices: the kernel of the first step lists
 	# G only when read, and the second step cuts its image's index from
 	# the kernel's, so nothing lists G
@@ -349,7 +349,7 @@ def test_vcd_fast_step_after_a_saturated_one_past_the_listing_cap(capsys, tmp_pa
 	assert out.splitlines()[:2] == ["upper: 31", "lower: 31"]
 
 
-def test_vcd_projection_below_a_saturated_step_past_the_listing_cap(capsys, tmp_path):
+def test_vcd_projection_below_a_restriction_past_the_listing_cap(capsys, tmp_path):
 	# the cone over the 21-cycle has 22 vertices: the kernel of the
 	# restriction step lists G only when read, and its projection image
 	# reads its index off the kernel's, since the complement of the apex

@@ -663,7 +663,7 @@ def test_walk_is_pre_order_with_paths():
 	assert root.leaves() == [FreeAbelian(2), Trivial(), FreeAbelian(1)]
 
 
-def test_restriction_modes_give_equal_indexes():
+def test_restrictions_of_a_pair_and_its_saturation_give_equal_indexes():
 	# a step on a pair and on its saturation lists different members (the
 	# periphery is added only to the first image) but gives kernels with
 	# one group and images with one group, so equal order rows and
@@ -716,7 +716,7 @@ def test_restriction_images_index_their_listed_members(monkeypatch):
 	assert periphery_of.count(False) == checked and True not in periphery_of
 
 
-def test_fast_step_below_a_saturated_one_lists_members_whatever_was_read():
+def test_step_on_an_unsaturated_kernel_lists_members_whatever_was_read():
 	# a-e, b-d, b-e, c-d, c-e, d-e: the kernel of a step on the saturated
 	# pair lists G on first read, and the step below it, on that kernel,
 	# which is not saturated, lists its own members whether or not that

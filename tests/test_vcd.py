@@ -81,6 +81,11 @@ def edgeless(n):
 	return DefiningGraph(["x%d" % i for i in range(n)], [])
 
 
+def path(n):
+	names = ["x%d" % i for i in range(n)]
+	return DefiningGraph(names, [[names[i], names[i + 1]] for i in range(n - 1)])
+
+
 # ---- leaf dimensions ----
 
 
@@ -105,22 +110,23 @@ def test_leaf_dimension_two_held_factors():
 
 
 def test_leaf_dimension_unknown_shapes():
+	# shapes that no rule covers, nor a candidate rule for held single
+	# vertices (2s + k - 2) or for one held factor at free rank s
 	single = DefiningGraph(["u"], [])
 	assert leaf_dimension(
-		FouxeRabinovitch((single, single, single), 0, (True,) * 3)
+		FouxeRabinovitch((path(4), path(4)), 2, (True, True))
 	)[0] == "unknown"
 	assert leaf_dimension(
 		FouxeRabinovitch((single, single), 0, (True, False))
 	)[0] == "unknown"
-	assert leaf_dimension(FouxeRabinovitch((edgeless(2),), 1, (True,)))[0] == "unknown"
+	assert leaf_dimension(
+		FouxeRabinovitch((path(3), edgeless(2)), 1, (True, True))
+	)[0] == "unknown"
 
 
 def test_fold_unknown_propagates():
 	pp = PeripheralPair(edgeless(3))
-	single = DefiningGraph(["u"], [])
-	bad = DecompositionNode(
-		pp, Leaf(FouxeRabinovitch((single, single, single), 0, (True,) * 3))
-	)
+	bad = DecompositionNode(pp, Leaf(FouxeRabinovitch((path(4), path(4)), 2, (True, True))))
 	good = DecompositionNode(pp, Leaf(FreeAbelian(2)))
 	tree = DecompositionNode(pp, RestrictionStep(1, bad, good))
 	assert vcd_upper(tree) == "unknown"
@@ -178,7 +184,7 @@ def test_vertex_image_commutator_matches_composition():
 			if len(gens) < 2:
 				continue
 			for _ in range(4):
-				x, y, z = (realize(ctx, rng.choice(gens), rng.choice((1, -1))) for _ in range(3))
+				x, y, z = (either_way(realize(ctx, rng.choice(gens)), rng) for _ in range(3))
 				composed = x.compose(y).compose(x.invert()).compose(y.invert())
 				c, moved = commutator(x, y)
 				check(c, composed)
@@ -281,16 +287,26 @@ def written_words(gen, sign):
 	return words
 
 
+def both_ways(ctx, gen):
+	"""(1, phi) and (-1, phi.invert()) for the realized map phi of gen."""
+	phi = realize(ctx, gen)
+	return ((1, phi), (-1, phi.invert()))
+
+
+def either_way(phi, rng):
+	"""phi or its inverse, each with chance one half."""
+	return phi if rng.choice((1, -1)) > 0 else phi.invert()
+
+
 def test_realize_writes_the_reduced_tables_of_the_written_words():
 	# against Automorphism.from_images, which reduces every word; its
 	# tables are the reduced ones, so equal tuples mean realize writes
-	# reduced words
+	# reduced words, and invert() gives the tables the inverse writes
 	kinds = set()
 	for g, gens in data_route_cases():
 		ctx = WordContext(g)
 		for gen in gens:
-			for sign in (1, -1):
-				phi = realize(ctx, gen, sign)
+			for sign, phi in both_ways(ctx, gen):
 				ref = Automorphism.from_images(
 					ctx, written_words(gen, sign), written_words(gen, -sign)
 				)
@@ -305,16 +321,15 @@ def h1(phi):
 
 
 def test_h1_action_of_a_realized_map_is_the_dense_matrix():
-	# every kind, both signs, and the inverse table read at the same
-	# mask, as the certificate reads it: a map and its inverse move the
-	# same vertices
+	# every kind, each map and its inverse, and the back table read at
+	# the same mask, as the certificate reads it: a map and its inverse
+	# move the same vertices
 	kinds = set()
 	moved_syms = 0
 	for g, gens in data_route_cases():
 		ctx = WordContext(g)
 		for gen in gens:
-			for sign in (1, -1):
-				phi = realize(ctx, gen, sign)
+			for _, phi in both_ways(ctx, gen):
 				assert h1(phi) == dense_h1_minus_identity(g, phi.images)
 				assert _h1_action(phi.back, phi.moved) == dense_h1_minus_identity(g, phi.back)
 				kinds.add(gen.kind)
@@ -325,16 +340,16 @@ def test_h1_action_of_a_realized_map_is_the_dense_matrix():
 def test_moved_masks_are_the_vertices_moved():
 	# a mask missing a moved vertex would leave that vertex unthreaded,
 	# so every way a map is built must set exactly the vertices foata
-	# reads as moved: realize on every kind and sign, from_images on the
-	# written words, identity, invert, compose, product_of and the
+	# reads as moved: realize on every kind and its inverse, from_images
+	# on the written words, identity, invert, compose, product_of and the
 	# commutator
 	rng = random.Random(71)
 	seen = dict.fromkeys(["fixed", "moved", "identity sym", "sym with a fixed point"], 0)
 	for g, gens in data_route_cases():
 		ctx = WordContext(g)
 		signed = [(gen, sign) for gen in gens for sign in (1, -1)]
-		realized = [realize(ctx, gen, sign) for gen, sign in signed]
-		maps = [Automorphism.identity(ctx)] + realized + [phi.invert() for phi in realized]
+		realized = [phi for gen in gens for _, phi in both_ways(ctx, gen)]
+		maps = [Automorphism.identity(ctx)] + realized
 		maps += [
 			Automorphism.from_images(ctx, written_words(gen, sign), written_words(gen, -sign))
 			for gen, sign in signed
@@ -362,7 +377,7 @@ def test_fixed_vertices_share_the_identity_words():
 	shared = 0
 	for g, gens in data_route_cases():
 		ctx = WordContext(g)
-		phis = [realize(ctx, gen, sign) for gen in gens for sign in (1, -1)]
+		phis = [phi for gen in gens for _, phi in both_ways(ctx, gen)]
 		tables = [(table, phi.moved) for phi in phis for table in (phi.images, phi.back)]
 		for a, b in zip(phis, phis[1:]):
 			ab = a.compose(b)
@@ -419,7 +434,7 @@ def test_commuting_pairs_are_the_identity_commutators():
 		pairs += [PeripheralPair(g, *random_peripheral(g, rng)) for _ in range(2)]
 		for pp in pairs:
 			gens = enumerate_generators(pp)
-			phis = [realize(ctx, gen, rng.choice((1, -1))) for gen in gens]
+			phis = [either_way(realize(ctx, gen), rng) for gen in gens]
 			declined = _commuting_pairs(ctx, phis)
 			assert declined == sorted(declined)
 			supports = [support(phi) for phi in phis]
@@ -749,9 +764,9 @@ def random_partial_conjugations(g, rng, k):
 
 
 def random_product(ctx, gens, rng):
-	phi = realize(ctx, rng.choice(gens), rng.choice((1, -1)))
+	phi = either_way(realize(ctx, rng.choice(gens)), rng)
 	for _ in range(rng.randrange(4)):
-		phi = phi.compose(realize(ctx, rng.choice(gens), rng.choice((1, -1))))
+		phi = phi.compose(either_way(realize(ctx, rng.choice(gens)), rng))
 	return phi
 
 
